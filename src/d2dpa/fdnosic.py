@@ -1,15 +1,28 @@
-"""Numeric boundary search for the no-SIC full-duplex power allocation.
+"""Exact closed-form power allocation for full duplex without SIC.
 
 The D2D rate falls as the CU power rises, so the CU rate floor binds with
 equality and the problem collapses to two dimensions.  The objective then
 improves along rays from the origin, pinning the optimum to the box edges
 P1 = P1max or P2 = P2max, or to the line where the required CU power hits its
-cap.  Each 1D piece is maximized by a coarse scan followed by golden-section
-refinement around every local peak.
+cap.  With no rate floor (q = 0) the CU stays silent and only the two device
+edges remain.
 
-This module is the pure-Python reference implementation; a compiled twin of
-``fd_nosic_search`` with the identical algorithm is preferred at import time
-when available (see d2dpa._fast).
+On each of these faces all three powers are affine in one parameter t, and so
+are the two interference-plus-noise terms den1 = pu*h_d1_u + eta1*p1 + s and
+den2 = pu*h_d2_u + eta2*p2 + s.  The rate is
+
+    B * log2(N(t) / D(t)),  N = (den1 + p2*h_d) * (den2 + p1*h_d),
+                            D = den1 * den2,
+
+with N = n2 t^2 + n1 t + n0 and D = d2 t^2 + d1 t + d0 quadratics.  Its
+stationary points are the zeros of N'D - ND', where the cubic terms cancel:
+
+    N'D - ND' = A t^2 + B t + C,   A = n2*d1 - n1*d2,
+                                   B = 2*(n2*d0 - n0*d2),
+                                   C = n1*d0 - n0*d1.
+
+The maximum over a face is therefore at an endpoint or at one of at most two
+real roots inside it, and the whole solve is a fixed number of evaluations.
 """
 
 from __future__ import annotations
@@ -18,9 +31,25 @@ import math
 
 INFEASIBLE = (0.0, 0.0, 0.0, -1.0)
 
-_N_COARSE = 96
-_N_GOLDEN = 48
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+def _roots_inside(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a u^2 + b u + c strictly inside (0, 1), ascending.
+
+    The two roots come from q = -(b + sign(b) sqrt(disc)) / 2 as q/a and c/q,
+    which avoids the cancellation of -b + sqrt(disc) when 4ac << b^2.
+    """
+    if a == 0.0:
+        roots = (-c / b,) if b != 0.0 else ()
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return ()
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        if q == 0.0:  # b = c = 0: a double root at 0
+            return ()
+        r1, r2 = q / a, c / q
+        roots = (r1, r2) if r1 <= r2 else (r2, r1)
+    return tuple(u for u in roots if 0.0 < u < 1.0)
 
 
 def fd_nosic_search(
@@ -49,75 +78,60 @@ def fd_nosic_search(
     def pu_req(p1: float, p2: float) -> float:
         return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
 
-    def rate(p1: float, p2: float, pu: float) -> float:
-        den1 = pu * h_d1_u + eta1 * p1 + s
-        den2 = pu * h_d2_u + eta2 * p2 + s
-        return bandwidth_hz * math.log2(
-            (1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1)
-        )
-
     best = INFEASIBLE
 
     def consider(p1: float, p2: float, pu: float) -> None:
         nonlocal best
-        r = rate(p1, p2, pu)
+        den1 = pu * h_d1_u + eta1 * p1 + s
+        den2 = pu * h_d2_u + eta2 * p2 + s
+        r = bandwidth_hz * math.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
         if r > best[3]:
             best = (p1, p2, pu, r)
 
-    def scan(lo: float, hi: float, point_of, n_coarse: int = _N_COARSE) -> None:
-        """Maximize the rate over t in [lo, hi]; point_of maps t to (p1, p2, pu)."""
-        if hi < lo:
-            return
-        if hi == lo:
-            consider(*point_of(lo))
-            return
+    def face(start: tuple, end: tuple) -> None:
+        """Maximize the rate on the segment between two (p1, p2, pu) corners.
 
-        def f(t: float) -> float:
-            return rate(*point_of(t))
-
-        ts = [lo + (hi - lo) * i / n_coarse for i in range(n_coarse + 1)]
-        fs = [f(t) for t in ts]
-        for i in range(n_coarse + 1):
-            left_ok = i == 0 or fs[i] >= fs[i - 1]
-            right_ok = i == n_coarse or fs[i] >= fs[i + 1]
-            if not (left_ok and right_ok):
-                continue
-            a = ts[max(i - 1, 0)]
-            b = ts[min(i + 1, n_coarse)]
-            # golden-section refinement, tracking the best evaluated point
-            c = b - (b - a) * _INVPHI
-            d = a + (b - a) * _INVPHI
-            fc, fd = f(c), f(d)
-            for _ in range(_N_GOLDEN):
-                if fc > fd:
-                    b, d, fd = d, c, fc
-                    c = b - (b - a) * _INVPHI
-                    fc = f(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + (b - a) * _INVPHI
-                    fd = f(d)
-            t_best = c if fc > fd else d
-            if fs[i] > max(fc, fd):
-                t_best = ts[i]
-            consider(*point_of(t_best))
+        The powers are affine along a face, so it is written as
+        start + u * (end - start) with u in [0, 1].
+        """
+        consider(*start)
+        a1, a2, au = start
+        v1, v2, vu = end[0] - a1, end[1] - a2, end[2] - au
+        # den1 = e0 + e1 u, den2 = f0 + f1 u, den1 + p2 h_d = g0 + g1 u, den2 + p1 h_d = k0 + k1 u
+        e0, e1 = au * h_d1_u + eta1 * a1 + s, vu * h_d1_u + eta1 * v1
+        f0, f1 = au * h_d2_u + eta2 * a2 + s, vu * h_d2_u + eta2 * v2
+        g0, g1 = e0 + a2 * h_d, e1 + v2 * h_d
+        k0, k1 = f0 + a1 * h_d, f1 + v1 * h_d
+        n2, n1, n0 = g1 * k1, g0 * k1 + g1 * k0, g0 * k0
+        d2, d1, d0 = e1 * f1, e0 * f1 + e1 * f0, e0 * f0
+        for u in _roots_inside(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1):
+            consider(a1 + u * v1, a2 + u * v2, au + u * vu)
+        consider(*end)
 
     if q == 0.0:
-        scan(0.0, p2_max, lambda t: (p1_max, t, 0.0))
-        scan(0.0, p1_max, lambda t: (t, p2_max, 0.0))
+        face((p1_max, 0.0, 0.0), (p1_max, p2_max, 0.0))
+        face((0.0, p2_max, 0.0), (p1_max, p2_max, 0.0))
         return best
 
     ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
     if ccut < 0.0:
         return INFEASIBLE
 
+    # The cap face runs from its corner on the P2max edge (or the p1 = 0 axis)
+    # to its corner on the P1max edge (or the p2 = 0 axis).  The corners are
+    # computed directly, not as p2 from p1: that would amplify the rounding of
+    # p1*h_b_d1 by 1/h_b_d2 and can push p2 past P2max.  Computed directly,
+    # swapping the devices mirrors them exactly.
+    cap_start = (0.0, min(ccut / h_b_d2, p2_max), pu_max)
+    cap_end = (min(ccut / h_b_d1, p1_max), 0.0, pu_max)
     if p1_max * h_b_d1 <= ccut:
-        hi = min(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
-        scan(0.0, hi, lambda t: (p1_max, t, pu_req(p1_max, t)))
+        p2_hi = min(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
+        face((p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi)))
+        cap_end = (p1_max, p2_hi, pu_max)
     if p2_max * h_b_d2 <= ccut:
-        hi = min(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
-        scan(0.0, hi, lambda t: (t, p2_max, pu_req(t, p2_max)))
-    lo = max(0.0, (ccut - p2_max * h_b_d2) / h_b_d1)
-    hi = min(p1_max, ccut / h_b_d1)
-    scan(lo, hi, lambda t: (t, max((ccut - t * h_b_d1) / h_b_d2, 0.0), pu_max))
+        p1_hi = min(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
+        face((0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max)))
+        cap_start = (p1_hi, p2_max, pu_max)
+    if p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut:  # the cap binds inside the box
+        face(cap_start, cap_end)
     return best

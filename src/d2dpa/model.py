@@ -77,16 +77,16 @@ class SystemParams:
     r_u_min_bps: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be > 0")
-        if self.noise_w <= 0.0:
-            raise ValueError("noise_w must be > 0")
+        for name in ("bandwidth_hz", "noise_w"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         for name in ("eta1", "eta2"):
             v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
+            if not (0.0 < v <= 1.0):  # also rejects NaN
                 raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
-        if self.r_u_min_bps < 0.0:
-            raise ValueError("r_u_min_bps must be >= 0")
+        if not (math.isfinite(self.r_u_min_bps) and self.r_u_min_bps >= 0.0):
+            raise ValueError(f"r_u_min_bps must be finite and >= 0, got {self.r_u_min_bps!r}")
 
     def swapped_devices(self) -> "SystemParams":
         return SystemParams(
@@ -106,8 +106,9 @@ class PowerLimits:
 
     def __post_init__(self) -> None:
         for name in ("p1_max_w", "p2_max_w", "pu_max_w"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
     def swapped_devices(self) -> "PowerLimits":
         return PowerLimits(self.p2_max_w, self.p1_max_w, self.pu_max_w)
@@ -123,8 +124,9 @@ class PowerTriplet:
 
     def __post_init__(self) -> None:
         for name in ("p1_w", "p2_w", "pu_w"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
     def within(self, limits: PowerLimits, rel_tol: float = REL_POWER_TOL) -> bool:
         return (

@@ -237,12 +237,12 @@ def grid_cell_rate_slack(
     params: SystemParams,
     limits: PowerLimits,
     grid: GridSpec,
-    sic: bool,
 ) -> float:
-    """Largest D2D-rate variation between the best grid point and its neighbours.
+    """Largest mutual-SIC D2D-rate variation between the best grid point and
+    its neighbours.
 
-    Used as the tolerance when comparing a continuous solver against the
-    discrete grid optimum.
+    Used as the tolerance when comparing the continuous FD-SIC solver against
+    the discrete grid optimum.
     """
     if isinstance(result.powers, tuple):
         raise ValueError("cell slack is defined for the FD scenarios only")
@@ -256,16 +256,9 @@ def grid_cell_rate_slack(
         for dp2 in (-d2, 0.0, d2):
             p1 = min(max(p0.p1_w + dp1, 0.0), limits.p1_max_w)
             p2 = min(max(p0.p2_w + dp2, 0.0), limits.p2_max_w)
-            if sic:
-                r = bw * (
-                    math.log2(1.0 + p1 * g.h_d / (e2 * p2 + s))
-                    + math.log2(1.0 + p2 * g.h_d / (e1 * p1 + s))
-                )
-            else:
-                pu = p0.pu_w
-                r = bw * (
-                    math.log2(1.0 + p1 * g.h_d / (pu * g.h_d2_u + e2 * p2 + s))
-                    + math.log2(1.0 + p2 * g.h_d / (pu * g.h_d1_u + e1 * p1 + s))
-                )
+            r = bw * (
+                math.log2(1.0 + p1 * g.h_d / (e2 * p2 + s))
+                + math.log2(1.0 + p2 * g.h_d / (e1 * p1 + s))
+            )
             worst = max(worst, abs(r - result.r_d2d_bps))
     return worst

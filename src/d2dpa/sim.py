@@ -61,10 +61,17 @@ class SimConfig:
         if not 0 <= self.d_pairs <= self.k_users <= self.n_channels:
             raise ValueError("need d_pairs <= k_users <= n_channels")
         for name in ("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.d_max_m < 0.0 or self.shadowing_std_db < 0.0 or self.r_u_min_bps < 0.0:
-            raise ValueError("d_max_m, shadowing_std_db and r_u_min_bps must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        for name in ("d_max_m", "shadowing_std_db", "r_u_min_bps"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        for name in ("path_loss_ref_db", "p_max_dbm", "noise_dbm", "eta_db"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.pair_distance_law not in ("uniform", "fixed"):
             raise ValueError("pair_distance_law must be 'uniform' or 'fixed'")
         if self.trials < 1:

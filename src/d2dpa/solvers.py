@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._fast import fd_nosic_search
+from .fdnosic import fd_nosic_search
 from .fdsic import GeometryError, solve_fd_sic_order
 from .model import (
     ChannelGains,

@@ -157,7 +157,7 @@ def test_c1_fd_sic_oracle_equivalence(default_limits):
             unresolved += 1  # admissible sliver thinner than the grid pitch
             continue
         slack = max(
-            grid_cell_rate_slack(ref, gains, params, default_limits, GRID200, sic=True),
+            grid_cell_rate_slack(ref, gains, params, default_limits, GRID200),
             1e-9 * ref.r_d2d_bps,
         )
         gap = ref.r_d2d_bps - sol.r_d2d_bps
@@ -205,13 +205,9 @@ def test_c2_remaining_solvers_oracle_equivalence(default_limits):
         if ref is None:
             assert not fd_n.feasible
         else:
-            slack = max(
-                1e-3 * ref.r_d2d_bps,
-                grid_cell_rate_slack(ref, gains, params, default_limits, GRID200, sic=False),
-            )
             gap = ref.r_d2d_bps - fd_n.r_d2d_bps
             worst["fd_nosic"] = max(worst["fd_nosic"], gap)
-            assert gap <= slack
+            assert gap <= 1e-9 * max(ref.r_d2d_bps, 1.0)
     _report(
         "2 (HD/FD-NoSIC vs grid oracle)",
         True,

@@ -76,6 +76,28 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "noise_dbm = nan",
+            "bandwidth_hz = nan",
+            "p1_max_dbm = inf",
+            "pu_max_dbm = -inf",
+            "r_u_min_mbps = inf",
+            "eta1_db = nan",
+            "h_d = nan",
+            "p2_max_dbm = 1e10",
+        ],
+    )
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, line):
+        key = line.split(" =")[0]
+        path = tmp_path / "bad.txt"
+        path.write_text(re.sub(rf"^{key} = .*$", line, INSTANCE, flags=re.M))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "R_D2D" not in captured.out
+
     def test_infeasible_instance_exits_2(self, tmp_path):
         path = tmp_path / "infeasible.txt"
         path.write_text(
@@ -168,6 +190,19 @@ class TestSweep:
         config.write_text("mystery = 7\neta_db = -130,-110\n")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "z.csv")]) == 1
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["noise_dbm = nan\neta_db = -130,-110\n", "k_users = inf\neta_db = -130,-110\n",
+         "eta_db = -130,nan\n"],
+    )
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -1,20 +1,13 @@
+"""The closed-form no-SIC FD kernel: infeasibility and model properties."""
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_params, sample_instances
-from d2dpa import _fast, fdnosic
-from d2dpa.model import rate_floor_snr
-
-
-def kernel_args(gains, params, limits):
-    return (
-        gains.h_d, gains.h_b_d1, gains.h_b_d2, gains.h_d1_u, gains.h_d2_u, gains.h_b_u,
-        params.eta1, params.eta2, params.noise_w, rate_floor_snr(params),
-        params.bandwidth_hz, limits.p1_max_w, limits.p2_max_w, limits.pu_max_w,
-    )
-
-
-def test_backend_is_reported():
-    assert _fast.BACKEND in ("python", "compiled")
+from conftest import make_params
+from d2dpa import fdnosic
+from d2dpa.model import ChannelGains, PowerLimits, SystemParams, dbm_to_watts, rate_floor_snr
+from d2dpa.solvers import solve_fd_nosic
 
 
 def test_pure_kernel_handles_infeasible(default_limits):
@@ -27,33 +20,63 @@ def test_pure_kernel_handles_infeasible(default_limits):
     assert res[3] == -1.0
 
 
-@pytest.mark.skipif(_fast.BACKEND != "compiled", reason="extension not built")
-def test_compiled_twin_matches_pure(default_limits):
-    for gains, params in sample_instances(seed=401, count=200):
-        args = kernel_args(gains, params, default_limits)
-        pure = fdnosic.fd_nosic_search(*args)
-        fast = _fast.fd_nosic_search(*args)
-        if pure[3] < 0.0 or fast[3] < 0.0:
-            assert pure[3] == fast[3] == -1.0
-            continue
-        assert fast[3] == pytest.approx(pure[3], rel=1e-12)
-        assert fast[0] == pytest.approx(pure[0], rel=1e-9, abs=1e-15)
-        assert fast[1] == pytest.approx(pure[1], rel=1e-9, abs=1e-15)
-        assert fast[2] == pytest.approx(pure[2], rel=1e-9, abs=1e-15)
+def test_cap_corner_stays_inside_the_box():
+    # with a tiny h_b_d2, deriving p2 from p1 at the P2max corner of the CU-cap
+    # face overshot P2max by 9e-8 relative; the corner is now exact
+    gains = ChannelGains(1e-4, 1e-4, 6.309573444801943e-15, 7.943282347242822e-09,
+                         7.943282347242821e-12, 1e-4)
+    params = SystemParams(312.5e3, 1.2589254117941663e-15, 3.981071705534969e-09,
+                          2.511886431509582e-09, 0.5e6)
+    limits = PowerLimits(1e-3, dbm_to_watts(1.0), dbm_to_watts(-8.0))
+    sol = solve_fd_nosic(gains, params, limits)
+    assert sol.powers.within(limits, rel_tol=0.0)
+    swapped = solve_fd_nosic(
+        gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
+    )
+    assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
 
 
-def test_pure_env_switch(monkeypatch):
-    # the selection module honours D2DPA_PURE at import time
-    import importlib
-    import os
+# Inputs over the deployment range: link gains from a 1 m pair to a cell-edge
+# link under deep shadowing, the SI and rate-floor sweeps, caps up to 24 dBm.
+_gain = st.floats(-150.0, -40.0).map(lambda db: 10.0 ** (db / 10.0))
+_cap = st.floats(-10.0, 24.0).map(dbm_to_watts)
 
-    monkeypatch.setenv("D2DPA_PURE", "1")
-    import d2dpa._fast as fast_mod
+instances = st.tuples(
+    st.builds(ChannelGains, _gain, _gain, _gain, _gain, _gain, _gain),
+    st.builds(
+        SystemParams,
+        st.just(312.5e3),
+        st.just(dbm_to_watts(-119.0)),
+        st.floats(-130.0, -80.0).map(lambda db: 10.0 ** (db / 10.0)),
+        st.floats(-130.0, -80.0).map(lambda db: 10.0 ** (db / 10.0)),
+        st.sampled_from([0.0, 0.5e6, 1.5e6, 3e6]),
+    ),
+    st.builds(PowerLimits, _cap, _cap, _cap),
+)
 
-    reloaded = importlib.reload(fast_mod)
-    try:
-        assert reloaded.BACKEND == "python"
-        assert reloaded.fd_nosic_search is fdnosic.fd_nosic_search
-    finally:
-        monkeypatch.delenv("D2DPA_PURE")
-        importlib.reload(fast_mod)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances)
+def test_device_swap_keeps_rate_and_feasibility(instance):
+    gains, params, limits = instance
+    sol = solve_fd_nosic(gains, params, limits)
+    swapped = solve_fd_nosic(
+        gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
+    )
+    assert swapped.feasible == sol.feasible
+    assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances, st.sampled_from(["p1_max_w", "p2_max_w", "pu_max_w"]), st.floats(1.0, 100.0))
+def test_raising_a_cap_never_lowers_the_rate(instance, cap, factor):
+    gains, params, limits = instance
+    raised = PowerLimits(
+        **{name: getattr(limits, name) * (factor if name == cap else 1.0)
+           for name in ("p1_max_w", "p2_max_w", "pu_max_w")}
+    )
+    sol = solve_fd_nosic(gains, params, limits)
+    more = solve_fd_nosic(gains, params, raised)
+    assert more.feasible or not sol.feasible
+    # the same optimum reached along another face may differ in the last bit
+    assert more.r_d2d_bps >= sol.r_d2d_bps * (1.0 - 1e-12)

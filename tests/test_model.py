@@ -6,6 +6,7 @@ import pytest
 from conftest import BW_HZ, NOISE_W, make_params
 from d2dpa.model import (
     ChannelGains,
+    PowerLimits,
     PowerTriplet,
     Scenario,
     ScenarioKind,
@@ -206,3 +207,24 @@ class TestValidation:
     def test_power_triplet_nonnegative(self):
         with pytest.raises(ValueError):
             PowerTriplet(-1e-20, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: SystemParams(v, NOISE_W, 1e-11, 1e-11, 1.5e6),
+            lambda v: SystemParams(BW_HZ, v, 1e-11, 1e-11, 1.5e6),
+            lambda v: SystemParams(BW_HZ, NOISE_W, v, 1e-11, 1.5e6),
+            lambda v: SystemParams(BW_HZ, NOISE_W, 1e-11, v, 1.5e6),
+            lambda v: SystemParams(BW_HZ, NOISE_W, 1e-11, 1e-11, v),
+            lambda v: PowerLimits(v, 0.25, 0.25),
+            lambda v: PowerLimits(0.25, v, 0.25),
+            lambda v: PowerLimits(0.25, 0.25, v),
+            lambda v: PowerTriplet(v, 0.0, 0.0),
+            lambda v: PowerTriplet(0.0, v, 0.0),
+            lambda v: PowerTriplet(0.0, 0.0, v),
+        ],
+    )
+    def test_non_finite_values_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)

@@ -207,6 +207,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(pair_distance_law="gauss")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "cell_radius_m", "path_loss_exponent", "path_loss_ref_db", "shadowing_std_db",
+            "p_max_dbm", "total_bandwidth_mhz", "noise_dbm", "d_max_m", "r_u_min_bps", "eta_db",
+        ],
+    )
+    def test_non_finite_values_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**{name: bad})
+
     def test_channel_bandwidth(self):
         cfg = SimConfig()
         assert cfg.channel_bandwidth_hz == pytest.approx(312.5e3, rel=1e-12)
