@@ -62,11 +62,12 @@ class Assignment:
             raise ValueError("assignment must map rows to distinct columns")
 
 
-def _optimal_total(rates: np.ndarray) -> float:
+def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
+    """Optimal total and the column of each row (positions in ``rates``)."""
     if rates.shape[0] == 0:
-        return 0.0
+        return 0.0, np.zeros(0, dtype=int)
     rows, cols = linear_sum_assignment(rates, maximize=True)
-    return float(rates[rows, cols].sum())
+    return float(rates[rows, cols].sum()), cols
 
 
 def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
@@ -75,6 +76,16 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     Requires no more rows than columns.  The total is the exact optimum; among
     all optimal assignments the returned one has the smallest column for row
     0, then for row 1, and so on.
+
+    Row by row, the first free column that still admits an optimal
+    completion is fixed.  An optimal completion is always at hand (the first
+    solve, then the solve that confirmed the last fixed column), and its own
+    column for the row qualifies, so only free columns left of it need a
+    check.  Those are checked against one solve of the remaining rows on all
+    free columns: a column whose entry plus that optimum falls short cannot
+    qualify, since removing a column never raises the optimum, and a column
+    that optimum leaves unused qualifies with it unchanged.  Only the rest
+    need a solve of their own.
     """
     rates = table.rates if isinstance(table, RateTable) else np.asarray(table, dtype=float)
     if rates.ndim != 2:
@@ -85,23 +96,38 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     if d == 0:
         return Assignment(()), 0.0
 
-    total = _optimal_total(rates)
+    total, completion = _solve(rates)
     tol = 1e-12 * max(1.0, abs(total))
 
     chosen: list[int] = []
-    free_cols = list(range(k))
-    sub = rates
-    for _ in range(d):
-        row_val = sub[0]
-        rest = sub[1:]
-        for idx, col in enumerate(free_cols):
-            candidate = row_val[idx] + _optimal_total(np.delete(rest, idx, axis=1))
-            fixed = sum(rates[r, c] for r, c in enumerate(chosen))
-            if fixed + candidate >= total - tol:
-                chosen.append(col)
-                free_cols.pop(idx)
-                sub = np.delete(rest, idx, axis=1)
-                break
-        else:
-            raise RuntimeError("tie-break pass failed to reproduce the optimal total")
+    fixed = 0.0
+    free = np.arange(k)
+    for r in range(d):
+        # completion holds the columns of rows r.. in an optimal completion.
+        star = int(completion[0])
+        pick, rest_completion = star, completion[1:]
+        left = free[free < star]
+        if left.size:
+            rest = rates[r + 1 :]
+            rest_total, rest_cols = _solve(rest[:, free])
+            used = set(free[rest_cols].tolist())
+            for col in left.tolist():
+                row_val = rates[r, col]
+                # The extra tol absorbs summation-order differences, so a
+                # pruned column is one the full check would also reject.
+                if fixed + row_val + rest_total < total - 2.0 * tol:
+                    continue
+                if col in used:
+                    others = free[free != col]
+                    sub_total, sub_cols = _solve(rest[:, others])
+                    sub_completion = others[sub_cols]
+                else:
+                    sub_total, sub_completion = rest_total, free[rest_cols]
+                if fixed + (row_val + sub_total) >= total - tol:
+                    pick, rest_completion = col, sub_completion
+                    break
+        chosen.append(pick)
+        fixed += rates[r, pick]
+        free = free[free != pick]
+        completion = rest_completion
     return Assignment(tuple(chosen)), total

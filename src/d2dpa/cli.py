@@ -31,7 +31,14 @@ from .model import (
     watts_to_dbm,
 )
 from .oracle import GridSpec, brute_force, grid_cell_rate_slack
-from .sim import SCENARIOS, SimConfig, run_campaign, sample_combo_gains, with_overrides
+from .sim import (
+    SCENARIOS,
+    SimConfig,
+    check_campaign,
+    run_campaign,
+    sample_combo_gains,
+    with_overrides,
+)
 from .solvers import solve_all
 
 USAGE_EXIT = 1
@@ -252,6 +259,8 @@ def cmd_sweep(args) -> int:
         base = with_overrides(base, master_seed=args.seed)
     # every sweep point is validated before the first campaign runs
     configs = [with_overrides(base, **_sweep_override(sweep_key, v)) for v in sweep_values]
+    for config in configs:
+        check_campaign(config)
     rows = []
     for value, config in zip(sweep_values, configs):
         result = run_campaign(config)

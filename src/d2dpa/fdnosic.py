@@ -23,13 +23,36 @@ stationary points are the zeros of N'D - ND', where the cubic terms cancel:
 
 The maximum over a face is therefore at an endpoint or at one of at most two
 real roots inside it, and the whole solve is a fixed number of evaluations.
+
+`fd_nosic_search` solves one combination; `fd_nosic_batch` solves a whole
+table of them with numpy, visiting the same candidates in the same order.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 INFEASIBLE = (0.0, 0.0, 0.0, -1.0)
+
+
+def _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s):
+    """(A, B, C) of N'D - ND' on the face start + u * step.
+
+    Plain arithmetic, shared by the scalar search and the batched one: the
+    arguments may be floats or numpy arrays that broadcast.
+    """
+    a1, a2, au = start
+    v1, v2, vu = step
+    # den1 = e0 + e1 u, den2 = f0 + f1 u, den1 + p2 h_d = g0 + g1 u, den2 + p1 h_d = k0 + k1 u
+    e0, e1 = au * h_d1_u + eta1 * a1 + s, vu * h_d1_u + eta1 * v1
+    f0, f1 = au * h_d2_u + eta2 * a2 + s, vu * h_d2_u + eta2 * v2
+    g0, g1 = e0 + a2 * h_d, e1 + v2 * h_d
+    k0, k1 = f0 + a1 * h_d, f1 + v1 * h_d
+    n2, n1, n0 = g1 * k1, g0 * k1 + g1 * k0, g0 * k0
+    d2, d1, d0 = e1 * f1, e0 * f1 + e1 * f0, e0 * f0
+    return n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1
 
 
 def _roots_inside(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -97,14 +120,8 @@ def fd_nosic_search(
         consider(*start)
         a1, a2, au = start
         v1, v2, vu = end[0] - a1, end[1] - a2, end[2] - au
-        # den1 = e0 + e1 u, den2 = f0 + f1 u, den1 + p2 h_d = g0 + g1 u, den2 + p1 h_d = k0 + k1 u
-        e0, e1 = au * h_d1_u + eta1 * a1 + s, vu * h_d1_u + eta1 * v1
-        f0, f1 = au * h_d2_u + eta2 * a2 + s, vu * h_d2_u + eta2 * v2
-        g0, g1 = e0 + a2 * h_d, e1 + v2 * h_d
-        k0, k1 = f0 + a1 * h_d, f1 + v1 * h_d
-        n2, n1, n0 = g1 * k1, g0 * k1 + g1 * k0, g0 * k0
-        d2, d1, d0 = e1 * f1, e0 * f1 + e1 * f0, e0 * f0
-        for u in _roots_inside(n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1):
+        coeffs = _stationarity_coeffs(start, (v1, v2, vu), h_d, h_d1_u, h_d2_u, eta1, eta2, s)
+        for u in _roots_inside(*coeffs):
             consider(a1 + u * v1, a2 + u * v2, au + u * vu)
         consider(*end)
 
@@ -135,3 +152,103 @@ def fd_nosic_search(
     if p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut:  # the cap binds inside the box
         face(cap_start, cap_end)
     return best
+
+
+def _roots_inside_batch(a, b, c):
+    """`_roots_inside` over arrays: (smaller, larger) root, NaN where absent.
+
+    Absent roots come out of sqrt(-x), x/0 and 0/0, so call it under
+    ``np.errstate``.
+    """
+    linear = a == 0.0
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    r1, r2 = q / a, c / q
+    lo = np.where(linear, -c / b, np.minimum(r1, r2))
+    hi = np.where(linear, np.nan, np.maximum(r1, r2))
+    return tuple(np.where((u > 0.0) & (u < 1.0), u, np.nan) for u in (lo, hi))
+
+
+def fd_nosic_batch(
+    h_d,
+    h_b_d1,
+    h_b_d2,
+    h_d1_u,
+    h_d2_u,
+    h_b_u,
+    eta1: float,
+    eta2: float,
+    noise_w: float,
+    q: float,
+    bandwidth_hz: float,
+    p1_max: float,
+    p2_max: float,
+    pu_max: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`fd_nosic_search` over link-gain arrays that broadcast to one shape.
+
+    Returns (p1, p2, pu, rate) arrays of that shape, with (0, 0, 0, -1) where
+    infeasible.  Faces, corners and candidate order are the scalar search's,
+    and of equal best rates the first candidate wins, as under its strict
+    ``r > best`` rule.
+    """
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = np.broadcast_arrays(
+        h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u
+    )
+    s = noise_w
+    with np.errstate(all="ignore"):
+        if q == 0.0:
+            on = np.ones(h_d.shape, dtype=bool)
+            faces = [
+                (on, (p1_max, 0.0, 0.0), (p1_max, p2_max, 0.0)),
+                (on, (0.0, p2_max, 0.0), (p1_max, p2_max, 0.0)),
+            ]
+        else:
+
+            def pu_req(p1, p2):
+                return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
+
+            ccut = pu_max * h_b_u / q - s
+            # The P1max edge meets the cut (so ccut >= 0); likewise P2max.
+            edge1 = p1_max * h_b_d1 <= ccut
+            edge2 = p2_max * h_b_d2 <= ccut
+            p2_hi = np.minimum(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
+            p1_hi = np.minimum(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
+            cap_start = (
+                np.where(edge2, p1_hi, 0.0),
+                np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max)),
+                pu_max,
+            )
+            cap_end = (
+                np.where(edge1, p1_max, np.minimum(ccut / h_b_d1, p1_max)),
+                np.where(edge1, p2_hi, 0.0),
+                pu_max,
+            )
+            cap_on = (ccut >= 0.0) & (p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut)
+            faces = [
+                (edge1, (p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi))),
+                (edge2, (0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max))),
+                (cap_on, cap_start, cap_end),
+            ]
+
+        candidates = []  # (on, p1, p2, pu) in the scalar search's order
+        for on, start, end in faces:
+            step = tuple(e - a for e, a in zip(end, start))
+            coeffs = _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
+            candidates.append((on, *start))
+            for u in _roots_inside_batch(*coeffs):
+                candidates.append((on, *(a + u * v for a, v in zip(start, step))))
+            candidates.append((on, *end))
+        on = np.empty((len(candidates), *h_d.shape), dtype=bool)
+        p1, p2, pu = np.empty((3, *on.shape))
+        for j, c in enumerate(candidates):
+            on[j], p1[j], p2[j], pu[j] = c
+        den1 = pu * h_d1_u + eta1 * p1 + s
+        den2 = pu * h_d2_u + eta2 * p2 + s
+        r = bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
+    # The scalar rule keeps a candidate only if it beats -1 and every earlier
+    # one: the first maximum, which argmax returns.
+    r = np.where(on & (r > INFEASIBLE[3]), r, -np.inf)
+    pick = np.argmax(r, axis=0)[None]
+    p1, p2, pu, r = (np.take_along_axis(x, pick, axis=0)[0] for x in (p1, p2, pu, r))
+    infeasible = r == -np.inf
+    return tuple(np.where(infeasible, v, x) for v, x in zip(INFEASIBLE, (p1, p2, pu, r)))

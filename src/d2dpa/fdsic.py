@@ -144,6 +144,28 @@ def necessary_conditions(
     )
 
 
+def pretest_terms(h, e1, e2, pu_m, p1_max, p2_max, order: DecodingOrder) -> tuple:
+    """The four inequalities of `sufficient_feasibility` for one decoding order.
+
+    ``h`` holds the six link gains in `ChannelGains` field order, as floats or
+    as numpy arrays that broadcast; the arithmetic is the same either way.
+    """
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    if order is DecodingOrder.M2_FIRST:
+        return (
+            h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
+            h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
+            pu_m * h_b_u / h_b_d1 < p1_max,
+            2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
+        )
+    return (
+        h_d1_u * h_b_d2 - h_d * h_b_u > 2.0 * e1 * h_b_u * h_b_d2 / h_b_d1,
+        h_d2_u * h_b_d2 - e2 * h_b_u > 2.0 * h_b_u * h_d * h_b_d2 / h_b_d1,
+        2.0 * pu_m * h_b_u / h_b_d1 < p1_max,
+        pu_m * h_b_u / h_b_d2 < p2_max,
+    )
+
+
 def sufficient_feasibility(
     gains: ChannelGains,
     params: SystemParams,
@@ -157,22 +179,12 @@ def sufficient_feasibility(
     its lowest box crossing inside the device power limits.  An attainable CU
     floor power is required for the box itself to be non-empty.
     """
-    g, e1, e2 = gains, params.eta1, params.eta2
     if pu_m > limits.pu_max_w:
         return False
-    if order is DecodingOrder.M2_FIRST:
-        return (
-            g.h_b_d1 * g.h_d1_u - e1 * g.h_b_u > 2.0 * g.h_d * g.h_b_u * g.h_b_d1 / g.h_b_d2
-            and g.h_b_d1 * g.h_d2_u - g.h_b_u * g.h_d
-            > 2.0 * g.h_b_u * e2 * g.h_b_d1 / g.h_b_d2
-            and pu_m * g.h_b_u / g.h_b_d1 < limits.p1_max_w
-            and 2.0 * pu_m * g.h_b_u / g.h_b_d2 < limits.p2_max_w
-        )
-    return (
-        g.h_d1_u * g.h_b_d2 - g.h_d * g.h_b_u > 2.0 * e1 * g.h_b_u * g.h_b_d2 / g.h_b_d1
-        and g.h_d2_u * g.h_b_d2 - e2 * g.h_b_u > 2.0 * g.h_b_u * g.h_d * g.h_b_d2 / g.h_b_d1
-        and 2.0 * pu_m * g.h_b_u / g.h_b_d1 < limits.p1_max_w
-        and pu_m * g.h_b_u / g.h_b_d2 < limits.p2_max_w
+    g = gains
+    h = (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
+    return all(
+        pretest_terms(h, params.eta1, params.eta2, pu_m, limits.p1_max_w, limits.p2_max_w, order)
     )
 
 

@@ -10,9 +10,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 # Feasibility tolerances used by solution checks throughout the package.
 REL_POWER_TOL = 1e-9
 REL_RATE_TOL = 1e-6
+
+
+def check_array(name: str, values, strict: bool, where=True) -> None:
+    """The scalar types' "finite and > 0" (``strict``) or "finite and >= 0"
+    check over an array, on the entries ``where`` selects.
+
+    Raises the same ValueError as the scalar check would, naming the field
+    and the first failing value.
+    """
+    values = np.asarray(values)
+    bad = ~(np.isfinite(values) & (values > 0.0 if strict else values >= 0.0)) & where
+    if bad.any():
+        bound = ">" if strict else ">="
+        first = float(np.broadcast_to(values, bad.shape)[bad][0])
+        raise ValueError(f"{name} must be finite and {bound} 0, got {first!r}")
 
 
 def db_to_linear(x_db: float) -> float:

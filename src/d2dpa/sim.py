@@ -14,8 +14,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import RateTable, hungarian_max
-from .model import ChannelGains, PowerLimits, ScenarioKind, SystemParams, db_to_linear, dbm_to_watts
-from .solvers import solve_all
+from .model import (
+    ChannelGains,
+    PowerLimits,
+    ScenarioKind,
+    SystemParams,
+    check_array,
+    db_to_linear,
+    dbm_to_watts,
+)
+from .solvers import solve_all_batch
 
 SCENARIOS = (
     ScenarioKind.FD_NOSIC,
@@ -180,6 +188,10 @@ class LinkGains:
     h_d1_u: np.ndarray  # (D, K)
     h_d2_u: np.ndarray  # (D, K)
 
+    def __post_init__(self) -> None:
+        for name in ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u"):
+            check_array(name, getattr(self, name), strict=True)
+
     def combo(self, n: int, i: int) -> ChannelGains:
         return ChannelGains(
             h_d=float(self.h_d[n]),
@@ -229,20 +241,21 @@ def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> Li
 def build_rate_tables(
     gains: LinkGains, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, RateTable]:
-    d, k = gains.h_d1_u.shape
-    rates = {s: np.zeros((d, k)) for s in SCENARIOS}
-    sic = {s: np.zeros((d, k), dtype=bool) for s in SCENARIOS}
-    infeasible = {s: np.zeros((d, k), dtype=bool) for s in SCENARIOS}
-    for n in range(d):
-        for i in range(k):
-            solutions = solve_all(gains.combo(n, i), params, limits)
-            for kind, sol in solutions.items():
-                rates[kind][n, i] = sol.r_d2d_bps if sol.feasible else 0.0
-                sic[kind][n, i] = sol.sic_applied and sol.feasible
-                infeasible[kind][n, i] = not sol.feasible
+    """One D x K rate table per scheme, every combination solved at once.
+
+    The tables equal those of `solve_all` on each ``gains.combo(n, i)``.
+    """
+    h = (
+        gains.h_d[:, None],
+        gains.h_b_d1[:, None],
+        gains.h_b_d2[:, None],
+        gains.h_d1_u,
+        gains.h_d2_u,
+        gains.h_b_u[None, :],
+    )
     return {
-        s: RateTable(rates[s], sic_applied=sic[s], infeasible=infeasible[s])
-        for s in SCENARIOS
+        kind: RateTable(rates, sic_applied=sic, infeasible=infeasible)
+        for kind, (rates, sic, infeasible) in solve_all_batch(h, params, limits).items()
     }
 
 
@@ -304,7 +317,21 @@ def run_trial(
     return totals, counts, capable
 
 
+def check_campaign(config: SimConfig) -> None:
+    """Reject a config that constructs but cannot run as a campaign.
+
+    With ``d_max_m = 0`` both distance laws put each pair's two devices on
+    one spot, where the path-loss gain is infinite.
+    """
+    if config.d_max_m <= 0.0:
+        raise ValueError(
+            f"d_max_m must be > 0 for a campaign (a pair at distance 0 has an "
+            f"infinite gain), got {config.d_max_m!r}"
+        )
+
+
 def run_campaign(config: SimConfig) -> CampaignResult:
+    check_campaign(config)
     totals = {s: np.zeros(config.trials) for s in SCENARIOS}
     counts = {s: np.zeros(config.trials) for s in SCENARIOS}
     capable = {s: np.zeros(config.trials) for s in SCENARIOS}

@@ -6,14 +6,20 @@ counterpart and keep the better allocation, so a SIC scheme never reports a
 lower rate than the plain one; ``sic_applied`` records whether interference
 cancellation actually won.  A combination where even the CU alone cannot
 meet its rate floor is reported infeasible with zero rate.
+
+`solve_all` is the reference for one combination.  `solve_all_batch` gives
+the same answers for a whole D x K table with numpy, and runs the scalar
+FD-SIC solve only where the feasibility pre-test passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fdnosic import fd_nosic_search
-from .fdsic import GeometryError, solve_fd_sic_order
+import numpy as np
+
+from .fdnosic import fd_nosic_batch, fd_nosic_search
+from .fdsic import GeometryError, pretest_terms, solve_fd_sic_order
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -23,10 +29,13 @@ from .model import (
     Scenario,
     ScenarioKind,
     SystemParams,
+    check_array,
     rate_floor_snr,
     scenario_rates,
     shannon_rate,
 )
+
+SIC_ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
 
 
 def _infeasible(kind: ScenarioKind) -> PaSolution:
@@ -211,6 +220,30 @@ def solve_fd_nosic(
     return PaSolution(scenario, powers, r_d1 + r_d2, r_u, sic_applied=False)
 
 
+def _best_sic_order(
+    gains: ChannelGains,
+    params: SystemParams,
+    limits: PowerLimits,
+    orders: tuple[DecodingOrder, ...] = SIC_ORDERS,
+) -> PaSolution | None:
+    """The better mutual-SIC allocation over ``orders`` (ties go to the
+    earlier order), or None when none is feasible.  A GeometryError counts as
+    infeasible."""
+    best: PaSolution | None = None
+    for order in orders:
+        try:
+            sol = solve_fd_sic_order(gains, params, limits, order)
+        except GeometryError:
+            sol = None
+        if sol is not None and (best is None or sol.r_d2d_bps > best.r_d2d_bps):
+            best = sol
+    return best
+
+
+def _sic_wins(sic_rate: float, fallback_feasible: bool, fallback_rate: float) -> bool:
+    return not fallback_feasible or sic_rate >= fallback_rate
+
+
 def solve_fd_sic(
     gains: ChannelGains,
     params: SystemParams,
@@ -223,18 +256,11 @@ def solve_fd_sic(
     first order); the scheme falls back to the no-SIC allocation when SIC is
     infeasible or does not improve the rate.
     """
-    best: PaSolution | None = None
-    for order in (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST):
-        try:
-            sol = solve_fd_sic_order(gains, params, limits, order)
-        except GeometryError:
-            sol = None
-        if sol is not None and (best is None or sol.r_d2d_bps > best.r_d2d_bps):
-            best = sol
+    best = _best_sic_order(gains, params, limits)
     fallback = fd_nosic_solution
     if fallback is None:
         fallback = solve_fd_nosic(gains, params, limits)
-    if best is not None and (not fallback.feasible or best.r_d2d_bps >= fallback.r_d2d_bps):
+    if best is not None and _sic_wins(best.r_d2d_bps, fallback.feasible, fallback.r_d2d_bps):
         return best
     return PaSolution(
         scenario=Scenario(ScenarioKind.FD_SIC),
@@ -256,4 +282,151 @@ def solve_all(
         ScenarioKind.HD_NOSIC: solve_hd_nosic(gains, params, limits),
         ScenarioKind.HD_SIC: solve_hd_sic(gains, params, limits),
         ScenarioKind.FD_SIC: solve_fd_sic(gains, params, limits, fd_nosic),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Batched solve of a whole table
+
+
+@dataclass(frozen=True)
+class _SlotBatch:
+    """A half slot over a table; ``ok`` is False where the scalar slot is None."""
+
+    p_dev: np.ndarray
+    pu: np.ndarray
+    r_dev: np.ndarray
+    ok: np.ndarray
+
+
+def _hd_nosic_slot_batch(
+    p_dev_max: float,
+    h_b_dev: np.ndarray,
+    h_rx_u: np.ndarray,
+    h_d: np.ndarray,
+    h_b_u: np.ndarray,
+    params: SystemParams,
+    limits: PowerLimits,
+) -> _SlotBatch:
+    """`_hd_nosic_slot` over arrays."""
+    q = rate_floor_snr(params)
+    s = params.noise_w
+    if q == 0.0:
+        p_dev = np.full(h_b_u.shape, p_dev_max)
+        pu = np.zeros(h_b_u.shape)
+        ok = np.ones(h_b_u.shape, dtype=bool)
+    else:
+        pu_needed = q * (p_dev_max * h_b_dev + s) / h_b_u
+        fits = pu_needed <= limits.pu_max_w
+        p_dev = np.where(fits, p_dev_max, (limits.pu_max_w * h_b_u / q - s) / h_b_dev)
+        pu = np.where(fits, pu_needed, limits.pu_max_w)
+        ok = fits | ~(p_dev < 0.0)
+    r_dev = params.bandwidth_hz * np.log2(1.0 + p_dev * h_d / (pu * h_rx_u + s))
+    return _SlotBatch(p_dev, pu, r_dev, ok)
+
+
+def _hd_sic_slot_batch(
+    p_dev_max: float,
+    ratio_lo: np.ndarray,
+    ratio_hi: np.ndarray,
+    pu_m: np.ndarray,
+    h_d: np.ndarray,
+    params: SystemParams,
+    limits: PowerLimits,
+) -> _SlotBatch:
+    """`_hd_sic_slot` over arrays."""
+    pu_max = limits.pu_max_w
+    ok = (ratio_lo < ratio_hi) & ~(pu_m > pu_max) & ~(p_dev_max * ratio_hi <= pu_m)
+    lo_p = ratio_lo * p_dev_max
+    below = lo_p < pu_m
+    above = ~below & (lo_p > pu_max)
+    p_dev = np.where(above, pu_max / ratio_lo, p_dev_max)
+    pu = np.where(below, pu_m, np.where(above, pu_max, np.maximum(lo_p, pu_m)))
+    r_dev = params.bandwidth_hz * np.log2(1.0 + p_dev * h_d / params.noise_w)
+    return _SlotBatch(p_dev, pu, r_dev, ok)
+
+
+def _choose(use: np.ndarray, sic: _SlotBatch, nosic: _SlotBatch) -> _SlotBatch:
+    """Per entry, the SIC slot where ``use`` holds and the no-SIC one elsewhere."""
+    return _SlotBatch(
+        *(np.where(use, a, b) for a, b in zip(
+            (sic.p_dev, sic.pu, sic.r_dev), (nosic.p_dev, nosic.pu, nosic.r_dev)
+        )),
+        ok=nosic.ok,
+    )
+
+
+def _check_powers(feasible: np.ndarray, p1_w, p2_w, pu_w) -> None:
+    """`PowerTriplet`'s check on the (p1, p2, pu) triplet of every feasible entry."""
+    for name, values in (("p1_w", p1_w), ("p2_w", p2_w), ("pu_w", pu_w)):
+        check_array(name, values, strict=False, where=feasible)
+
+
+def solve_all_batch(
+    h: tuple[np.ndarray, ...], params: SystemParams, limits: PowerLimits
+) -> dict[ScenarioKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`solve_all` for every combination of a table at once.
+
+    ``h`` holds the six link gains in `ChannelGains` field order, as arrays
+    that broadcast to the table's shape.  Returns, per scheme, the D2D rate,
+    SIC-applied and infeasible arrays; infeasible entries carry rate 0 and no
+    SIC.  Each scheme follows its scalar solver's rules, rates are recomputed
+    from the chosen powers with the `scenario_rates` formulas, and the chosen
+    powers pass `PowerTriplet`'s check.
+    """
+    h = tuple(np.broadcast_arrays(*h))
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    q = rate_floor_snr(params)
+    s, bw, eta1, eta2 = params.noise_w, params.bandwidth_hz, params.eta1, params.eta2
+    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+    with np.errstate(all="ignore"):
+        pu_m = q * s / h_b_u
+        cu_ok = ~(pu_m > pu_max)
+
+        # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.
+        nosic1 = _hd_nosic_slot_batch(p1_max, h_b_d1, h_d2_u, h_d, h_b_u, params, limits)
+        nosic2 = _hd_nosic_slot_batch(p2_max, h_b_d2, h_d1_u, h_d, h_b_u, params, limits)
+        hd_ok = nosic1.ok & nosic2.ok & cu_ok
+        sic1 = _hd_sic_slot_batch(p1_max, h_d / h_d2_u, h_b_d1 / h_b_u, pu_m, h_d, params, limits)
+        sic2 = _hd_sic_slot_batch(p2_max, h_d / h_d1_u, h_b_d2 / h_b_u, pu_m, h_d, params, limits)
+        use1 = sic1.ok & (sic1.r_dev >= nosic1.r_dev)
+        use2 = sic2.ok & (sic2.r_dev >= nosic2.r_dev)
+        slot1, slot2 = _choose(use1, sic1, nosic1), _choose(use2, sic2, nosic2)
+        for first, second in ((nosic1, nosic2), (slot1, slot2)):
+            _check_powers(hd_ok, first.p_dev, 0.0, first.pu)
+            _check_powers(hd_ok, 0.0, second.p_dev, second.pu)
+        # scenario_rates: each half slot carries weight 1/2.
+        hd_nosic_rate = 0.5 * nosic2.r_dev + 0.5 * nosic1.r_dev
+        hd_sic_rate = 0.5 * slot2.r_dev + 0.5 * slot1.r_dev
+
+        p1, p2, pu, fd_search_rate = fd_nosic_batch(
+            *h, eta1, eta2, s, q, bw, p1_max, p2_max, pu_max
+        )
+        fd_ok = ~(fd_search_rate < 0.0)
+        pu = np.minimum(pu, pu_max)
+        _check_powers(fd_ok, p1, p2, pu)
+        fd_rate = bw * np.log2(1.0 + p2 * h_d / (pu * h_d1_u + eta1 * p1 + s)) + bw * np.log2(
+            1.0 + p1 * h_d / (pu * h_d2_u + eta2 * p2 + s)
+        )
+        passes = [
+            cu_ok & np.logical_and.reduce(pretest_terms(h, eta1, eta2, pu_m, p1_max, p2_max, o))
+            for o in SIC_ORDERS
+        ]
+
+    # FD-SIC: the scalar geometric solve, only for the orders that pass.
+    fd_sic_rate, fd_sic_ok = fd_rate.copy(), fd_ok.copy()
+    fd_sic_won = np.zeros(h_d.shape, dtype=bool)
+    for n, i in zip(*np.nonzero(passes[0] | passes[1])):
+        orders = tuple(o for o, p in zip(SIC_ORDERS, passes) if p[n, i])
+        gains = ChannelGains(*(float(x[n, i]) for x in h))
+        best = _best_sic_order(gains, params, limits, orders)
+        if best is not None and _sic_wins(best.r_d2d_bps, fd_ok[n, i], fd_rate[n, i]):
+            fd_sic_rate[n, i], fd_sic_ok[n, i], fd_sic_won[n, i] = best.r_d2d_bps, True, True
+
+    no_sic = np.zeros(h_d.shape, dtype=bool)
+    return {
+        ScenarioKind.FD_NOSIC: (np.where(fd_ok, fd_rate, 0.0), no_sic, ~fd_ok),
+        ScenarioKind.HD_NOSIC: (np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok),
+        ScenarioKind.HD_SIC: (np.where(hd_ok, hd_sic_rate, 0.0), hd_ok & (use1 | use2), ~hd_ok),
+        ScenarioKind.FD_SIC: (np.where(fd_sic_ok, fd_sic_rate, 0.0), fd_sic_won, ~fd_sic_ok),
     }

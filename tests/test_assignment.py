@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import d2dpa.assignment
 from d2dpa.assignment import Assignment, RateTable, hungarian_max
 
 
@@ -77,6 +78,46 @@ def test_tie_break_is_lexicographically_smallest():
     table = np.array([[5.0, 5.0, 0.0], [5.0, 5.0, 0.0]])
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1)
+
+
+def lexicographic_best(table: np.ndarray) -> tuple[int, ...]:
+    """First injection, in lexicographic order, within the tie tolerance of
+    the best total."""
+    d, k = table.shape
+    perms = list(itertools.permutations(range(k), d))
+    totals = [sum(table[r, c] for r, c in enumerate(perm)) for perm in perms]
+    best = max(totals)
+    tol = 1e-12 * max(1.0, abs(best))
+    return next(p for p, t in zip(perms, totals) if t >= best - tol)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_tie_heavy_tables_vs_lexicographic_enumeration(scale):
+    rng = np.random.default_rng(74)
+    for _ in range(250):
+        d = int(rng.integers(1, 6))
+        k = int(rng.integers(d, 8))
+        table = rng.integers(0, 4, (d, k)).astype(float) * scale
+        assignment, _ = hungarian_max(table)
+        assert assignment.pair_to_cu == lexicographic_best(table)
+
+
+def test_known_completion_needs_no_extra_solves(monkeypatch):
+    """Each row's best column is the smallest free one, so the first solve's
+    completion settles every row."""
+    calls = []
+    real = d2dpa.assignment.linear_sum_assignment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(d2dpa.assignment, "linear_sum_assignment", counting)
+    table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
+    table[np.arange(5), np.arange(5)] += 10.0
+    assignment, _ = hungarian_max(table)
+    assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
+    assert len(calls) == 1
 
 
 def test_assignment_validation():

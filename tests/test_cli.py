@@ -205,6 +205,19 @@ class TestSweep:
         assert not out.exists()
 
 
+    def test_zero_pair_distance_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "zero.cfg"
+        config.write_text("k_users = 4\nd_pairs = 2\ntrials = 1\nd_max_m = 50, 0\n")
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "d_max_m must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_empty_run_succeeds(self, capsys):
         assert main(["verify", "--count", "0", "--seed", "1", "--grid-n", "20"]) == 0

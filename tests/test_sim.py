@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from d2dpa.model import ScenarioKind
+import d2dpa.solvers
+from d2dpa.model import PowerTriplet, ScenarioKind
 from d2dpa.sim import (
     Deployment,
+    LinkGains,
     SimConfig,
+    build_rate_tables,
     gains_from_deployment,
     generate_deployment,
     hexagon_boundary_radius,
@@ -16,6 +20,7 @@ from d2dpa.sim import (
     run_trial,
     sample_combo_gains,
 )
+from d2dpa.solvers import solve_all
 
 
 class TestHexagon:
@@ -144,6 +149,94 @@ class TestGains:
         assert gains.combo(0, 3).h_b_u == gains.combo(1, 3).h_b_u
 
 
+def seeded_gains(cfg: SimConfig, trial: int) -> LinkGains:
+    dep = generate_deployment(cfg, np.random.SeedSequence((cfg.master_seed, trial, 0)))
+    return gains_from_deployment(dep, cfg, np.random.SeedSequence((cfg.master_seed, trial, 1)))
+
+
+class TestBatchedTables:
+    """`build_rate_tables` solves a whole trial with numpy; `solve_all` per
+    combination is the reference."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"eta_db": -130.0, "d_max_m": 200.0, "pair_distance_law": "fixed"},
+            {"r_u_min_bps": 0.0},  # q == 0: the CU stays silent
+            {"p_max_dbm": -5.0, "r_u_min_bps": 4e6},  # mostly infeasible
+        ],
+        ids=["fig4a", "far_pairs", "no_rate_floor", "tight_caps"],
+    )
+    def test_equals_scalar_solves(self, overrides):
+        cfg = SimConfig(trials=1, **overrides)
+        params, limits = cfg.system_params(), cfg.power_limits()
+        for trial in range(50):
+            gains = seeded_gains(cfg, trial)
+            tables = build_rate_tables(gains, params, limits)
+            for n in range(cfg.d_pairs):
+                for i in range(cfg.k_users):
+                    for kind, sol in solve_all(gains.combo(n, i), params, limits).items():
+                        table = tables[kind]
+                        want = sol.r_d2d_bps if sol.feasible else 0.0
+                        assert table.rates[n, i] == pytest.approx(want, rel=1e-12, abs=0.0)
+                        assert table.sic_applied[n, i] == (sol.sic_applied and sol.feasible)
+                        assert table.infeasible[n, i] == (not sol.feasible)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("name", ["h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u"])
+    def test_link_gains_rejects_bad_entry(self, name, bad):
+        gains = seeded_gains(SimConfig(k_users=4, d_pairs=2, trials=1), 0)
+        values = getattr(gains, name).copy()
+        values.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            dataclasses.replace(gains, **{name: values})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -5e-324, 0.0, 1.0])
+    @pytest.mark.parametrize("field", ["p1_w", "p2_w", "pu_w"])
+    def test_power_check_matches_power_triplet(self, field, value):
+        triplet = {"p1_w": 0.5, "p2_w": 0.5, "pu_w": 0.5, field: value}
+        try:
+            PowerTriplet(**triplet)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        feasible = np.array([[True, False]])
+        arrays = {k: np.array([[v, v]]) for k, v in triplet.items()}
+        if expected is None:
+            d2dpa.solvers._check_powers(feasible, **arrays)
+        else:
+            with pytest.raises(ValueError) as info:
+                d2dpa.solvers._check_powers(feasible, **arrays)
+            assert str(info.value) == expected
+        # infeasible entries are never checked: the scalar path reports zeros there
+        arrays = {k: np.array([[0.5, v]]) for k, v in triplet.items()}
+        d2dpa.solvers._check_powers(feasible, **arrays)
+
+    @pytest.mark.parametrize("infeasible", [False, True])
+    def test_batched_path_checks_returned_powers(self, monkeypatch, infeasible):
+        """A non-finite FD no-SIC power fails the table build where the scalar
+        path's PowerTriplet would: on a feasible entry only."""
+        kernel = d2dpa.solvers.fd_nosic_batch
+
+        def corrupted(*args):
+            p1, p2, pu, rate = (x.copy() for x in kernel(*args))
+            p1[0, 0] = math.nan
+            if infeasible:
+                p1[0, 0], p2[0, 0], pu[0, 0], rate[0, 0] = math.nan, 0.0, 0.0, -1.0
+            return p1, p2, pu, rate
+
+        monkeypatch.setattr(d2dpa.solvers, "fd_nosic_batch", corrupted)
+        cfg = SimConfig(k_users=4, d_pairs=2, trials=1)
+        gains = seeded_gains(cfg, 0)
+        if infeasible:
+            tables = build_rate_tables(gains, cfg.system_params(), cfg.power_limits())
+            assert tables[ScenarioKind.FD_NOSIC].infeasible[0, 0]
+        else:
+            with pytest.raises(ValueError, match="p1_w must be finite and >= 0, got nan"):
+                build_rate_tables(gains, cfg.system_params(), cfg.power_limits())
+
+
 class TestCampaign:
     def test_trial_reproducibility(self):
         cfg = SimConfig(k_users=5, d_pairs=2, trials=3, master_seed=9)
@@ -187,6 +280,17 @@ class TestCampaign:
         b = run_campaign(other)
         for kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
             assert np.array_equal(a.totals_bps[kind], b.totals_bps[kind])
+
+    @pytest.mark.parametrize("law", ["uniform", "fixed"])
+    def test_zero_pair_distance_rejected_before_first_trial(self, law, monkeypatch):
+        cfg = SimConfig(d_max_m=0.0, trials=1, pair_distance_law=law)
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("d2dpa.sim.run_trial", no_trial)
+        with pytest.raises(ValueError, match="d_max_m must be > 0"):
+            run_campaign(cfg)
 
     def test_ci_halfwidth_matches_normal_formula(self):
         cfg = SimConfig(k_users=5, d_pairs=2, trials=8, master_seed=2)
