@@ -7,10 +7,8 @@ brute-force grid validator and a Monte Carlo campaign engine.
 
 from .assignment import Assignment, RateTable, hungarian_max
 from .fdsic import (
-    FloorMode,
     GeometryError,
     necessary_conditions,
-    region_inclusion,
     solve_fd_sic_order,
     sufficient_feasibility,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "ChannelGains",
     "DecodingOrder",
     "Deployment",
-    "FloorMode",
     "GeometryError",
     "GridSpec",
     "PaSolution",
@@ -75,7 +72,6 @@ __all__ = [
     "linear_to_db",
     "necessary_conditions",
     "pu_min",
-    "region_inclusion",
     "run_campaign",
     "scenario_rates",
     "solve_all",

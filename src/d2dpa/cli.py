@@ -11,7 +11,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .sim import (
     check_campaign,
     run_campaign,
     sample_combo_gains,
-    with_overrides,
 )
 from .solvers import solve_all
 
@@ -254,11 +253,11 @@ def _g9(x: float) -> str:
 def cmd_sweep(args) -> int:
     base, sweep_key, sweep_values = _load_sweep_config(args.config)
     if args.trials is not None:
-        base = with_overrides(base, trials=args.trials)
+        base = replace(base, trials=args.trials)
     if args.seed is not None:
-        base = with_overrides(base, master_seed=args.seed)
+        base = replace(base, master_seed=args.seed)
     # every sweep point is validated before the first campaign runs
-    configs = [with_overrides(base, **_sweep_override(sweep_key, v)) for v in sweep_values]
+    configs = [replace(base, **_sweep_override(sweep_key, v)) for v in sweep_values]
     for config in configs:
         check_campaign(config)
     rows = []
@@ -305,7 +304,7 @@ def cmd_verify(args) -> int:
 
     for _ in range(args.count):
         eta_db = rng.uniform(-130.0, -80.0)
-        params = with_overrides(config, eta_db=eta_db).system_params()
+        params = replace(config, eta_db=eta_db).system_params()
         gains = sample_combo_gains(rng, config)
         solutions = solve_all(gains, params, limits)
         pu_m = pu_min(params, gains.h_b_u)

@@ -6,10 +6,12 @@ below two "ceiling" planes (each device message must dominate what the BS
 decodes it against), and inside the transmit-power box.  All four planes pass
 through the origin, and the D2D sum rate depends on (P1, P2) only and grows
 along rays from the origin, so the optimum sits on one of the three outer box
-sides.  On each side the admissible set is a line segment whose endpoints are
-plane/edge intersections; the best point of a segment is an endpoint, or the
-root of a known quadratic on the CU-cap side.  The whole solve is a constant
-number of scalar operations.
+sides (P1 = P1max, P2 = P2max, Pu = Pumax).  On each side the admissible set is
+empty or a line segment (two on the CU-cap side when the floors cross there)
+whose endpoints are plane/edge intersections.  The solver builds the segments
+of all three sides, drops the empty ones and keeps the best point; the best
+point of a segment is an endpoint, or the root of a known quadratic on the
+CU-cap side.  The whole solve is a constant number of scalar operations.
 
 Two decoding orders exist at the BS (strip the second device's message first,
 or the first's); they share the floor planes and differ in the ceilings.
@@ -53,6 +55,42 @@ class Plane:
         return self.ax * p1 + self.ay * p2
 
 
+# ---------------------------------------------------------------------------
+# Floor planes
+
+
+class FloorPlane(Enum):
+    PLANE2 = 2
+    PLANE4 = 4
+
+
+@dataclass(frozen=True)
+class FloorSelector:
+    """Pointwise-dominant floor: the higher of the two floor planes."""
+
+    floor2: Plane
+    floor4: Plane
+
+    def plane(self, which: FloorPlane) -> Plane:
+        return self.floor2 if which is FloorPlane.PLANE2 else self.floor4
+
+    def height(self, p1: float, p2: float) -> float:
+        return max(self.floor2.height(p1, p2), self.floor4.height(p1, p2))
+
+
+def floor_selector(gains: ChannelGains, params: SystemParams) -> FloorSelector:
+    """The floor planes 2 and 4, shared by both decoding orders."""
+    g = gains
+    return FloorSelector(
+        floor2=Plane(params.eta1 / g.h_d1_u, g.h_d / g.h_d1_u),
+        floor4=Plane(g.h_d / g.h_d2_u, params.eta2 / g.h_d2_u),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Ceiling planes and the feasibility tests
+
+
 @dataclass(frozen=True)
 class SicPlanes:
     """Ceiling planes (1, 3) and floor planes (2, 4) of one decoding order.
@@ -71,15 +109,16 @@ def planes_for_order(
     gains: ChannelGains, params: SystemParams, order: DecodingOrder
 ) -> SicPlanes:
     g = gains
-    floor2 = Plane(params.eta1 / g.h_d1_u, g.h_d / g.h_d1_u)
-    floor4 = Plane(g.h_d / g.h_d2_u, params.eta2 / g.h_d2_u)
+    floors = floor_selector(gains, params)
     if order is DecodingOrder.M2_FIRST:
         ceil1 = Plane(-g.h_b_d1 / g.h_b_u, g.h_b_d2 / g.h_b_u)
         ceil3 = Plane(g.h_b_d1 / g.h_b_u, 0.0)
     else:
         ceil1 = Plane(g.h_b_d1 / g.h_b_u, -g.h_b_d2 / g.h_b_u)
         ceil3 = Plane(0.0, g.h_b_d2 / g.h_b_u)
-    return SicPlanes(ceil1=ceil1, floor2=floor2, ceil3=ceil3, floor4=floor4, order=order)
+    return SicPlanes(
+        ceil1=ceil1, floor2=floors.floor2, ceil3=ceil3, floor4=floors.floor4, order=order
+    )
 
 
 def pmc_margins(
@@ -189,114 +228,7 @@ def sufficient_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Combined floor plane
-
-
-class FloorPlane(Enum):
-    PLANE2 = 2
-    PLANE4 = 4
-
-
-@dataclass(frozen=True)
-class FloorSelector:
-    """Pointwise-dominant floor: the higher of the two floor planes."""
-
-    floor2: Plane
-    floor4: Plane
-
-    def active(self, p1: float, p2: float) -> FloorPlane:
-        # Plane 2 is on top where P2*(a2y - a4y) > P1*(a4x - a2x); ties go to
-        # plane 2.
-        lhs = p2 * (self.floor2.ay - self.floor4.ay)
-        rhs = p1 * (self.floor4.ax - self.floor2.ax)
-        return FloorPlane.PLANE2 if lhs >= rhs else FloorPlane.PLANE4
-
-    def plane(self, which: FloorPlane) -> Plane:
-        return self.floor2 if which is FloorPlane.PLANE2 else self.floor4
-
-    def height(self, p1: float, p2: float) -> float:
-        return max(self.floor2.height(p1, p2), self.floor4.height(p1, p2))
-
-
-def floor_selector(
-    gains: ChannelGains, params: SystemParams
-) -> FloorSelector:
-    g = gains
-    return FloorSelector(
-        floor2=Plane(params.eta1 / g.h_d1_u, g.h_d / g.h_d1_u),
-        floor4=Plane(g.h_d / g.h_d2_u, params.eta2 / g.h_d2_u),
-    )
-
-
-def pmc24_floor(
-    selector: FloorSelector, p1: float, p2: float
-) -> tuple[FloorPlane, float]:
-    """Active floor plane and the minimum admissible Pu at (p1, p2)."""
-    which = selector.active(p1, p2)
-    return which, selector.plane(which).height(p1, p2)
-
-
-class FloorMode(Enum):
-    """How the two floor planes share the search space.
-
-    The split modes name which plane dominates first along increasing P1;
-    the BOX_ALL modes mark crossing geometries whose search space still sits
-    entirely on one side of the crossing line.
-    """
-
-    PLANE2_EVERYWHERE = "plane2_everywhere"
-    PLANE4_EVERYWHERE = "plane4_everywhere"
-    PLANE2_THEN_PLANE4 = "plane2_then_plane4"
-    PLANE4_THEN_PLANE2 = "plane4_then_plane2"
-    BOX_ALL_PLANE2 = "box_all_plane2"
-    BOX_ALL_PLANE4 = "box_all_plane4"
-
-
-def region_inclusion(
-    gains: ChannelGains, params: SystemParams, order: DecodingOrder
-) -> FloorMode:
-    """Classify the floor-plane interplay, including the two whole-box cases.
-
-    When the floors genuinely cross inside the quadrant, the crossing line is
-    compared against each ceiling: if it passes above one, the admissible
-    region cannot reach the far side of the crossing and a single floor rules
-    the whole search space.
-    """
-    planes = planes_for_order(gains, params, order)
-    f2, f4 = planes.floor2, planes.floor4
-    a = f2.ay - f4.ay
-    b = f2.ax - f4.ax
-    if a >= 0.0 and b >= 0.0:
-        return FloorMode.PLANE2_EVERYWHERE
-    if a <= 0.0 and b <= 0.0:
-        return FloorMode.PLANE4_EVERYWHERE
-    # The floors cross along the ray (a, -b)*m; m is chosen so the ray runs
-    # into the positive quadrant.
-    m = 1.0 if a > 0.0 else -1.0
-    qx, qy = a * m, -b * m
-
-    def deficit(x: float, y: float) -> float:
-        return min(planes.ceil1.height(x, y), planes.ceil3.height(x, y)) - max(
-            f2.height(x, y), f4.height(x, y)
-        )
-
-    if deficit(qx, qy) < 0.0:
-        # The crossing ray is pinched between floor and ceilings, so the
-        # admissible cone sits entirely on one of its sides.  Every plane is
-        # homogeneous, making the deficit concave along any line: the side
-        # where it recovers faster is the populated one.  (b, a) points from
-        # the ray toward the floor-2-dominant side.
-        delta = 1e-6 * math.hypot(qx, qy) / math.hypot(b, a)
-        plus = deficit(qx + delta * b, qy + delta * a)
-        minus = deficit(qx - delta * b, qy - delta * a)
-        return FloorMode.BOX_ALL_PLANE2 if plus >= minus else FloorMode.BOX_ALL_PLANE4
-    # a and b have opposite signs here; plane 2 dominates where
-    # b*P1 + a*P2 > 0.
-    return FloorMode.PLANE2_THEN_PLANE4 if b < 0.0 else FloorMode.PLANE4_THEN_PLANE2
-
-
-# ---------------------------------------------------------------------------
-# Box-side selection (which outer side each ceiling ridge exits through)
+# Admissible segments on the outer box sides
 
 
 class Side(Enum):
@@ -305,47 +237,12 @@ class Side(Enum):
     PU_MAX = "pu_max"
 
 
-@dataclass(frozen=True)
-class BoxHit:
-    side: Side
-    point: tuple[float, float, float]
-
-
 def _combine_roots(increasing: list[bool], roots: list[float]) -> float:
     if all(increasing):
         return max(roots)
     if not any(increasing):
         return min(roots)
     raise GeometryError("ceiling/floor slope ordering violates the channel conditions")
-
-
-def _ridge_on_p1_plane(
-    ceil: Plane, selector: FloorSelector, p1_max: float
-) -> tuple[float, float, float]:
-    """Point where the ceiling meets the combined floor within the plane P1 = p1_max."""
-    roots, incr = [], []
-    for f in (selector.floor2, selector.floor4):
-        dy = ceil.ay - f.ay
-        if dy == 0.0:
-            raise GeometryError("degenerate ceiling/floor pair on the P1 side")
-        roots.append(p1_max * (f.ax - ceil.ax) / dy)
-        incr.append(dy > 0.0)
-    y = _combine_roots(incr, roots)
-    return p1_max, y, ceil.height(p1_max, y)
-
-
-def _ridge_on_p2_plane(
-    ceil: Plane, selector: FloorSelector, p2_max: float
-) -> tuple[float, float, float]:
-    roots, incr = [], []
-    for f in (selector.floor2, selector.floor4):
-        dx = ceil.ax - f.ax
-        if dx == 0.0:
-            raise GeometryError("degenerate ceiling/floor pair on the P2 side")
-        roots.append(p2_max * (f.ay - ceil.ay) / dx)
-        incr.append(dx > 0.0)
-    x = _combine_roots(incr, roots)
-    return x, p2_max, ceil.height(x, p2_max)
 
 
 def _ridge_on_cap(
@@ -366,78 +263,6 @@ def _ridge_on_cap(
         if other.height(x, y) <= pu_max * (1.0 + REL_TOL) and x > -pu_max and y > -pu_max:
             return x, y, pu_max
     raise GeometryError("ceiling ridge does not reach the CU power cap")
-
-
-def line_box_intersection(
-    planes: SicPlanes,
-    selector: FloorSelector,
-    limits: PowerLimits,
-    pu_m: float,
-    ceiling: int,
-) -> BoxHit:
-    """Which outer box side the ridge (ceiling meets combined floor) exits through.
-
-    Two nested threshold tests decide among the device-power sides and the CU
-    cap.  The primary device side is the one whose own power cap appears with
-    a positive sign in the order's difference ceiling.  Points falling below
-    the box bottom still classify to the device side; the segment endpoint
-    formulas replace them with the bottom-edge crossing there.
-    """
-    if ceiling not in (1, 3):
-        raise ValueError("ceiling must be 1 or 3")
-    ceil = planes.ceil1 if ceiling == 1 else planes.ceil3
-    if planes.order is DecodingOrder.M2_FIRST:
-        primary = _ridge_on_p1_plane(ceil, selector, limits.p1_max_w)
-        primary_side, in_plane, in_cap = Side.P1_MAX, primary[1], limits.p2_max_w
-    else:
-        primary = _ridge_on_p2_plane(ceil, selector, limits.p2_max_w)
-        primary_side, in_plane, in_cap = Side.P2_MAX, primary[0], limits.p1_max_w
-
-    if in_plane < in_cap:
-        if primary[2] <= limits.pu_max_w:
-            hit = BoxHit(primary_side, primary)
-        else:
-            hit = BoxHit(Side.PU_MAX, _ridge_on_cap(ceil, selector, limits.pu_max_w))
-    else:
-        if primary_side is Side.P1_MAX:
-            secondary = _ridge_on_p2_plane(ceil, selector, limits.p2_max_w)
-            secondary_side = Side.P2_MAX
-        else:
-            secondary = _ridge_on_p1_plane(ceil, selector, limits.p1_max_w)
-            secondary_side = Side.P1_MAX
-        if secondary[2] < limits.pu_max_w:
-            hit = BoxHit(secondary_side, secondary)
-        else:
-            hit = BoxHit(Side.PU_MAX, _ridge_on_cap(ceil, selector, limits.pu_max_w))
-
-    x, y, _ = hit.point
-    scale = max(limits.p1_max_w, limits.p2_max_w, limits.pu_max_w)
-    if x < -REL_TOL * scale or y < -REL_TOL * scale:
-        raise GeometryError(f"ridge exit point has negative coordinates: {hit.point}")
-    return hit
-
-
-# Viable (ceiling-1 exit, ceiling-3 exit) pairs and the box sides they allow.
-# None marks the conditional CU-cap segment, present only when the combined
-# floor tops the cap at the (P1max, P2max) corner.
-_SIDE_TABLE: dict[DecodingOrder, dict[tuple[Side, Side], list[Side | None]]] = {
-    DecodingOrder.M2_FIRST: {
-        (Side.PU_MAX, Side.PU_MAX): [Side.PU_MAX],
-        (Side.P1_MAX, Side.PU_MAX): [Side.P1_MAX, Side.PU_MAX],
-        (Side.PU_MAX, Side.P2_MAX): [Side.P2_MAX, Side.PU_MAX],
-        (Side.P1_MAX, Side.P1_MAX): [Side.P1_MAX],
-        (Side.P2_MAX, Side.P2_MAX): [Side.P2_MAX],
-        (Side.P1_MAX, Side.P2_MAX): [Side.P1_MAX, Side.P2_MAX, None],
-    },
-    DecodingOrder.M1_FIRST: {
-        (Side.PU_MAX, Side.PU_MAX): [Side.PU_MAX],
-        (Side.P2_MAX, Side.PU_MAX): [Side.P2_MAX, Side.PU_MAX],
-        (Side.PU_MAX, Side.P1_MAX): [Side.P1_MAX, Side.PU_MAX],
-        (Side.P2_MAX, Side.P2_MAX): [Side.P2_MAX],
-        (Side.P1_MAX, Side.P1_MAX): [Side.P1_MAX],
-        (Side.P2_MAX, Side.P1_MAX): [Side.P1_MAX, Side.P2_MAX, None],
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -633,40 +458,19 @@ def segment_set(
     limits: PowerLimits,
     pu_m: float,
     order: DecodingOrder,
-    exhaustive: bool = False,
 ) -> list[SideSegment]:
     """Admissible segments on the outer box sides for one decoding order.
 
-    The two ridge exits select which sides can host a segment; the CU-cap
-    side in the mixed case is included only when the combined floor tops
-    the cap at the (P1max, P2max) corner.  With ``exhaustive`` True every
-    side is examined and empty ones drop out; the result must be identical.
+    The optimum lies on the P1max, P2max or CU-cap side, so a segment is
+    built on each of the three and the empty ones drop out.
     """
     planes = planes_for_order(gains, params, order)
     selector = FloorSelector(planes.floor2, planes.floor4)
-
-    if exhaustive:
-        sides: list[Side] = [Side.P1_MAX, Side.P2_MAX, Side.PU_MAX]
-    else:
-        hit1 = line_box_intersection(planes, selector, limits, pu_m, ceiling=1)
-        hit3 = line_box_intersection(planes, selector, limits, pu_m, ceiling=3)
-        pair = (hit1.side, hit3.side)
-        table = _SIDE_TABLE[order]
-        if pair not in table:
-            raise GeometryError(f"ridge side pair {pair} should be unreachable")
-        listed = table[pair]
-        sides = [s for s in listed if s is not None]
-        if None in listed:
-            if selector.height(limits.p1_max_w, limits.p2_max_w) > limits.pu_max_w:
-                sides.append(Side.PU_MAX)
-
-    segments: list[SideSegment] = []
-    for side in sides:
-        if side is Side.PU_MAX:
-            segments.extend(_build_cap_segments(planes, selector, limits))
-        else:
-            segments.extend(_build_device_segment(side, planes, selector, limits, pu_m))
-    return segments
+    return [
+        *_build_device_segment(Side.P1_MAX, planes, selector, limits, pu_m),
+        *_build_device_segment(Side.P2_MAX, planes, selector, limits, pu_m),
+        *_build_cap_segments(planes, selector, limits),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +545,7 @@ def optimize_su_side(
         if segment.lo < root < segment.hi:
             candidates.append(root)
 
-    sel = FloorSelector(
-        Plane(params.eta1 / gains.h_d1_u, gains.h_d / gains.h_d1_u),
-        Plane(gains.h_d / gains.h_d2_u, params.eta2 / gains.h_d2_u),
-    )
+    sel = floor_selector(gains, params)
     best = None
     for p1 in candidates:
         p2 = max(_cap_curve_p2(sel, segment.branch, p1, pu_max), 0.0)
@@ -764,7 +565,6 @@ def validate_sic_point(
     limits: PowerLimits,
     order: DecodingOrder,
     point: PowerTriplet,
-    rel_tol: float = REL_TOL,
 ) -> None:
     """Raise GeometryError unless the point meets every mutual-SIC constraint
     within a relative margin."""
@@ -772,17 +572,17 @@ def validate_sic_point(
     pu_m = pu_min(params, gains.h_b_u)
     p1, p2, pu = point.p1_w, point.p2_w, point.pu_w
     scale = max(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
-    if any(m < -rel_tol * scale for m in pmc_margins(planes, p1, p2, pu)):
+    if any(m < -REL_TOL * scale for m in pmc_margins(planes, p1, p2, pu)):
         raise GeometryError(f"solution violates a power-ordering condition: {point}")
     margins = sic_rate_margins(gains, params, order, p1, p2, pu)
     sic_scale = max(abs(m) for m in margins) + scale * max(
         gains.h_b_d1, gains.h_b_d2, gains.h_b_u
     ) * max(p1, p2, pu, 1e-300)
-    if any(m < -rel_tol * sic_scale for m in margins):
+    if any(m < -REL_TOL * sic_scale for m in margins):
         raise GeometryError(f"solution violates a SIC rate condition: {point}")
-    if not point.within(limits, rel_tol):
+    if not point.within(limits, REL_TOL):
         raise GeometryError(f"solution violates a power limit: {point}")
-    if pu < pu_m * (1.0 - rel_tol):
+    if pu < pu_m * (1.0 - REL_TOL):
         raise GeometryError(f"solution violates the CU rate floor: {point}")
 
 
@@ -791,7 +591,6 @@ def solve_fd_sic_order(
     params: SystemParams,
     limits: PowerLimits,
     order: DecodingOrder,
-    exhaustive: bool = False,
 ) -> PaSolution | None:
     """Optimal FD mutual-SIC allocation for one decoding order, or None.
 
@@ -801,7 +600,7 @@ def solve_fd_sic_order(
     pu_m = pu_min(params, gains.h_b_u)
     if not sufficient_feasibility(gains, params, limits, pu_m, order):
         return None
-    segments = segment_set(gains, params, limits, pu_m, order, exhaustive=exhaustive)
+    segments = segment_set(gains, params, limits, pu_m, order)
     if not segments:
         raise GeometryError("feasibility tests passed but no segment was found")
 

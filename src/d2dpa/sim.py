@@ -9,7 +9,7 @@ depend on execution order and repeat bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -344,10 +344,6 @@ def run_campaign(config: SimConfig) -> CampaignResult:
     return CampaignResult(
         config=config, totals_bps=totals, sic_pairs=counts, sic_capable_pairs=capable
     )
-
-
-def with_overrides(config: SimConfig, **kwargs) -> SimConfig:
-    return replace(config, **kwargs)
 
 
 def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None) -> ChannelGains:

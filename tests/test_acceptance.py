@@ -324,7 +324,7 @@ def test_c5_assignment_optimality():
         best = float(table[np.arange(d)[None, :], perms].sum(axis=1).max())
         worst = max(worst, abs(total - best))
         assert total == pytest.approx(best, rel=1e-12)
-    _report("5 (assignment vs exhaustive enumeration)", True, f"1000 tables, worst |gap| {worst:.2e}")
+    _report("5 (assignment vs brute-force enumeration)", True, f"1000 tables, worst |gap| {worst:.2e}")
 
 
 def test_c6_fig4a_reproduction(eta_campaigns):

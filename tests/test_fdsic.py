@@ -3,18 +3,14 @@ import pytest
 
 from conftest import make_limits, make_params, sample_fd_sic_feasible, sample_instances
 from d2dpa.fdsic import (
-    FloorMode,
     FloorPlane,
     Side,
     floor_selector,
-    line_box_intersection,
     necessary_conditions,
     optimize_box_side,
     optimize_su_side,
     planes_for_order,
-    pmc24_floor,
     pmc_margins,
-    region_inclusion,
     segment_set,
     sic_rate_margins,
     solve_fd_sic_order,
@@ -178,161 +174,12 @@ class TestSufficientFeasibility:
 
 
 class TestFloorSelector:
-    def test_origin(self):
-        sel = floor_selector(PLANE2_GAINS, plane2_params())
-        which, val = pmc24_floor(sel, 0.0, 0.0)
-        assert val == 0.0
-        assert which is FloorPlane.PLANE2
-
-    def test_symmetric_tie_prefers_plane2(self):
-        g = gains_of(hd=1e-6, b1=1e-5, b2=1e-5, h1u=1e-4, h2u=1e-4, bu=1e-7)
-        params = make_params()  # eta1 == eta2
-        sel = floor_selector(g, params)
-        which, val = pmc24_floor(sel, 0.1, 0.1)
-        assert which is FloorPlane.PLANE2
-        assert val == sel.floor2.height(0.1, 0.1)
-
     def test_floor_is_elementwise_max(self):
         rng = np.random.default_rng(9)
         for gains, params in sample_instances(seed=9, count=50):
             sel = floor_selector(gains, params)
             p1, p2 = rng.uniform(0.0, 0.25, 2)
-            _, val = pmc24_floor(sel, p1, p2)
-            assert val == max(sel.floor2.height(p1, p2), sel.floor4.height(p1, p2))
-
-
-class TestRegionInclusion:
-    def test_plane2_everywhere_case(self):
-        assert (
-            region_inclusion(PLANE2_GAINS, plane2_params(), DecodingOrder.M2_FIRST)
-            is FloorMode.PLANE2_EVERYWHERE
-        )
-
-    def test_plane4_everywhere_case(self):
-        params = plane2_params()
-        swapped = type(params)(
-            bandwidth_hz=params.bandwidth_hz,
-            noise_w=params.noise_w,
-            eta1=params.eta2,
-            eta2=params.eta1,
-            r_u_min_bps=params.r_u_min_bps,
-        )
-        assert (
-            region_inclusion(PLANE2_GAINS, swapped, DecodingOrder.M2_FIRST)
-            is FloorMode.PLANE4_EVERYWHERE
-        )
-
-    def test_printed_crossing_tests_match_generic(self):
-        # the two closed-form box-inclusion tests, transcribed
-        rng = np.random.default_rng(17)
-        seen_all2 = seen_all4 = 0
-        for _ in range(4000):
-            hd, b1, b2, h1u, h2u, bu = np.exp(rng.uniform(np.log(1e-9), np.log(1e-3), 6))
-            e1, e2 = np.exp(rng.uniform(np.log(1e-13), np.log(1e-6), 2))
-            g = gains_of(hd, b1, b2, h1u, h2u, bu)
-            params = make_params()
-            params = type(params)(
-                bandwidth_hz=params.bandwidth_hz, noise_w=params.noise_w,
-                eta1=e1, eta2=e2, r_u_min_bps=params.r_u_min_bps,
-            )
-            a = hd / h1u - e2 / h2u
-            b = e1 / h1u - hd / h2u
-            if not (a > 0 > b or a < 0 < b):
-                continue
-            case3 = a > 0
-            gamma = bu * (hd * hd - e1 * e2) / (h1u * h2u) > (b2 * hd + b1 * e2) / h2u - (
-                b2 * e1 + b1 * hd
-            ) / h1u
-            xi = (hd * hd - e1 * e2) * bu > (hd * h2u - e2 * h1u) * b1
-            over_diff_ceiling = gamma if case3 else not gamma
-            over_direct_ceiling = xi if case3 else not xi
-            mode = region_inclusion(g, params, DecodingOrder.M2_FIRST)
-            # the closed-form crossing tests detect exactly the whole-box modes
-            if over_diff_ceiling or over_direct_ceiling:
-                assert mode in (FloorMode.BOX_ALL_PLANE2, FloorMode.BOX_ALL_PLANE4)
-                if mode is FloorMode.BOX_ALL_PLANE2:
-                    seen_all2 += 1
-                else:
-                    seen_all4 += 1
-            else:
-                assert mode in (FloorMode.PLANE2_THEN_PLANE4, FloorMode.PLANE4_THEN_PLANE2)
-        assert seen_all2 > 0 and seen_all4 > 0
-
-    def test_whole_box_modes_against_sampled_feasible_points(self, default_limits):
-        # The inclusion claims hold for admissible geometries, so instances come
-        # from the feasibility-filtered pool.  Membership uses the exact CU
-        # power interval per (P1, P2) rather than a coarse third grid axis.
-        checked = 0
-        for gains, params, order in sample_fd_sic_feasible(seed=31, count=250):
-            mode = region_inclusion(gains, params, order)
-            if mode not in (
-                FloorMode.BOX_ALL_PLANE2,
-                FloorMode.BOX_ALL_PLANE4,
-                FloorMode.PLANE2_EVERYWHERE,
-                FloorMode.PLANE4_EVERYWHERE,
-            ):
-                continue
-            pm = pu_min(params, gains.h_b_u)
-            planes = planes_for_order(gains, params, order)
-            sel = floor_selector(gains, params)
-            ax = np.linspace(0.0, default_limits.p1_max_w, 250)[:, None]
-            ay = np.linspace(0.0, default_limits.p2_max_w, 250)[None, :]
-            f2 = sel.floor2.ax * ax + sel.floor2.ay * ay
-            f4 = sel.floor4.ax * ax + sel.floor4.ay * ay
-            c1 = planes.ceil1.ax * ax + planes.ceil1.ay * ay
-            c3 = planes.ceil3.ax * ax + planes.ceil3.ay * ay
-            lo = np.maximum(np.maximum(f2, f4), pm)
-            hi = np.minimum(np.minimum(c1, c3), default_limits.pu_max_w)
-            feasible = lo < hi
-            if not feasible.any():
-                continue
-            checked += 1
-            if mode in (FloorMode.BOX_ALL_PLANE2, FloorMode.PLANE2_EVERYWHERE):
-                assert not ((f4 > f2) & feasible).any()
-            else:
-                assert not ((f2 > f4) & feasible).any()
-        assert checked > 20
-
-
-class TestRidgeExits:
-    def test_exit_point_satisfies_generating_planes(self, default_limits):
-        for gains, params, order in sample_fd_sic_feasible(seed=12, count=30):
-            planes = planes_for_order(gains, params, order)
-            sel = floor_selector(gains, params)
-            pm = pu_min(params, gains.h_b_u)
-            for ceiling in (1, 3):
-                hit = line_box_intersection(planes, sel, default_limits, pm, ceiling)
-                x, y, z = hit.point
-                ceil = planes.ceil1 if ceiling == 1 else planes.ceil3
-                if hit.side is Side.PU_MAX:
-                    assert z == default_limits.pu_max_w
-                assert ceil.height(x, y) == pytest.approx(z, rel=1e-9)
-                assert sel.height(x, y) == pytest.approx(z, rel=1e-9)
-
-    def test_device_side_classification(self, default_limits):
-        # generous CU cap: the ridges exit through a device side
-        g = gains_of(hd=2e-7, b1=1e-5, b2=1e-5, h1u=1e-3, h2u=1e-3, bu=1e-7)
-        params = make_params(eta_db=-120.0)
-        limits = PowerLimits(0.25, 0.25, 1e6)
-        planes = planes_for_order(g, params, DecodingOrder.M2_FIRST)
-        sel = floor_selector(g, params)
-        pm = pu_min(params, g.h_b_u)
-        hit1 = line_box_intersection(planes, sel, limits, pm, 1)
-        hit3 = line_box_intersection(planes, sel, limits, pm, 3)
-        assert hit1.side in (Side.P1_MAX, Side.P2_MAX)
-        assert hit3.side in (Side.P1_MAX, Side.P2_MAX)
-
-    def test_tight_cap_forces_cap_side(self):
-        g = gains_of(hd=2e-7, b1=1e-5, b2=1e-5, h1u=1e-3, h2u=1e-3, bu=1e-7)
-        params = make_params(eta_db=-120.0)
-        pm = pu_min(params, g.h_b_u)
-        limits = PowerLimits(0.25, 0.25, max(pm * 1.3, 1e-9))
-        planes = planes_for_order(g, params, DecodingOrder.M2_FIRST)
-        sel = floor_selector(g, params)
-        if sufficient_feasibility(g, params, limits, pm, DecodingOrder.M2_FIRST):
-            hit1 = line_box_intersection(planes, sel, limits, pm, 1)
-            hit3 = line_box_intersection(planes, sel, limits, pm, 3)
-            assert Side.PU_MAX in (hit1.side, hit3.side)
+            assert sel.height(p1, p2) == max(sel.floor2.height(p1, p2), sel.floor4.height(p1, p2))
 
 
 class TestPrintedEndpointForms:
@@ -347,28 +194,17 @@ class TestPrintedEndpointForms:
         self.planes = planes_for_order(self.g, self.params, self.order)
         self.sel = floor_selector(self.g, self.params)
         self.pm = pu_min(self.params, self.g.h_b_u)
-        assert region_inclusion(self.g, self.params, self.order) is FloorMode.PLANE2_EVERYWHERE
+        f2, f4 = self.planes.floor2, self.planes.floor4
+        assert f2.ax >= f4.ax and f2.ay >= f4.ay
         assert sufficient_feasibility(self.g, self.params, self.limits, self.pm, self.order)
 
     def test_difference_ceiling_crossings(self):
-        from d2dpa.fdsic import _ridge_on_cap, _ridge_on_p1_plane, _ridge_on_p2_plane
+        from d2dpa.fdsic import _ridge_on_cap
 
         g, e1 = self.g, self.params.eta1
         hd, b1, b2, h1u, bu = g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_b_u
-        p1m, p2m, pum = self.limits.p1_max_w, self.limits.p2_max_w, self.limits.pu_max_w
+        pum = self.limits.pu_max_w
         den = h1u * b2 - bu * hd
-        x1 = (p1m, p1m * (bu * e1 + h1u * b1) / den, p1m * (b2 * e1 + hd * b1) / den)
-        got = _ridge_on_p1_plane(self.planes.ceil1, self.sel, p1m)
-        assert got == pytest.approx(x1, rel=1e-12)
-
-        x2 = (
-            p2m * den / (bu * e1 + h1u * b1),
-            p2m,
-            p2m * (b2 * e1 + hd * b1) / (bu * e1 + h1u * b1),
-        )
-        got = _ridge_on_p2_plane(self.planes.ceil1, self.sel, p2m)
-        assert got == pytest.approx(x2, rel=1e-12)
-
         x_u = (
             pum * den / (b2 * e1 + hd * b1),
             pum * (bu * e1 + h1u * b1) / (b2 * e1 + hd * b1),
@@ -378,20 +214,12 @@ class TestPrintedEndpointForms:
         assert got == pytest.approx(x_u, rel=1e-12)
 
     def test_direct_ceiling_crossings(self):
-        from d2dpa.fdsic import _ridge_on_cap, _ridge_on_p1_plane, _ridge_on_p2_plane
+        from d2dpa.fdsic import _ridge_on_cap
 
         g, e1 = self.g, self.params.eta1
         hd, b1, h1u, bu = g.h_d, g.h_b_d1, g.h_d1_u, g.h_b_u
-        p1m, p2m, pum = self.limits.p1_max_w, self.limits.p2_max_w, self.limits.pu_max_w
-        s1 = (p1m, p1m * (b1 * h1u - e1 * bu) / (bu * hd), p1m * b1 / bu)
-        got = _ridge_on_p1_plane(self.planes.ceil3, self.sel, p1m)
-        assert got == pytest.approx(s1, rel=1e-12)
-
+        pum = self.limits.pu_max_w
         den = b1 * h1u - e1 * bu
-        s2 = (p2m * bu * hd / den, p2m, p2m * b1 * hd / den)
-        got = _ridge_on_p2_plane(self.planes.ceil3, self.sel, p2m)
-        assert got == pytest.approx(s2, rel=1e-12)
-
         s_u = (pum * bu / b1, pum * den / (b1 * hd), pum)
         got = _ridge_on_cap(self.planes.ceil3, self.sel, pum)
         assert got == pytest.approx(s_u, rel=1e-12)
@@ -603,12 +431,6 @@ class TestSolveOrder:
             on_p2 = abs(p.p2_w - default_limits.p2_max_w) <= 1e-9 * default_limits.p2_max_w
             on_pu = abs(p.pu_w - default_limits.pu_max_w) <= 1e-9 * default_limits.pu_max_w
             assert on_p1 or on_p2 or on_pu
-
-    def test_exhaustive_mode_matches(self, default_limits):
-        for gains, params, order in sample_fd_sic_feasible(seed=61, count=60):
-            a = solve_fd_sic_order(gains, params, default_limits, order)
-            b = solve_fd_sic_order(gains, params, default_limits, order, exhaustive=True)
-            assert a.r_d2d_bps == pytest.approx(b.r_d2d_bps, rel=1e-9)
 
     def test_order_swap_metamorphic(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=83, count=60):

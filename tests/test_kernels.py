@@ -1,4 +1,4 @@
-"""The closed-form no-SIC FD kernel: infeasibility and model properties."""
+"""The closed-form no-SIC FD kernel and the model properties of every scheme."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import make_params
 from d2dpa import fdnosic
 from d2dpa.model import ChannelGains, PowerLimits, SystemParams, dbm_to_watts, rate_floor_snr
-from d2dpa.solvers import solve_fd_nosic
+from d2dpa.solvers import solve_all, solve_fd_nosic
 
 
 def test_pure_kernel_handles_infeasible(default_limits):
@@ -59,12 +59,13 @@ instances = st.tuples(
 @given(instances)
 def test_device_swap_keeps_rate_and_feasibility(instance):
     gains, params, limits = instance
-    sol = solve_fd_nosic(gains, params, limits)
-    swapped = solve_fd_nosic(
+    sols = solve_all(gains, params, limits)
+    swapped = solve_all(
         gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
     )
-    assert swapped.feasible == sol.feasible
-    assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
+    for kind, sol in sols.items():
+        assert swapped[kind].feasible == sol.feasible, kind
+        assert swapped[kind].r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12), kind
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
