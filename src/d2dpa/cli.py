@@ -210,18 +210,10 @@ def _load_sweep_config(path: str) -> tuple[SimConfig, str, list[float]]:
     if sweep is None:
         raise CliError(f"{path}: no sweep axis found (one key must hold a comma list)")
 
-    def normalize(d: dict[str, float]) -> dict[str, float | int]:
-        out: dict[str, float | int] = {}
-        for k, v in d.items():
-            if k == "r_u_min_mbps":
-                out["r_u_min_bps"] = v * 1e6
-            elif k in _INT_KEYS:
-                out[k] = int(v)
-            else:
-                out[k] = v
-        return out
-
-    base = SimConfig(**normalize(scalars), **strings)
+    overrides: dict[str, float | int] = {}
+    for k, v in scalars.items():
+        overrides.update(_sweep_override(k, v))
+    base = SimConfig(**overrides, **strings)
     return base, sweep[0], sweep[1]
 
 
@@ -229,6 +221,8 @@ def _sweep_override(key: str, value: float) -> dict[str, float | int]:
     if key == "r_u_min_mbps":
         return {"r_u_min_bps": value * 1e6}
     if key in _INT_KEYS:
+        if not value.is_integer():
+            raise CliError(f"key {key!r} needs an integer, got {value!r}")
         return {key: int(value)}
     return {key: value}
 

@@ -15,13 +15,22 @@ CU-cap side.  The whole solve is a constant number of scalar operations.
 
 Two decoding orders exist at the BS (strip the second device's message first,
 or the first's); they share the floor planes and differ in the ceilings.
+
+`fd_sic_batch` runs the same procedure with numpy on many (combination,
+order) pairs at once; `solve_fd_sic_order` stays the reference and decides
+the rare pairs whose best candidate must be pulled inward or whose geometry
+raises GeometryError.  The plane, margin and rate formulas and the
+validation tests are written once and serve both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .model import (
     ChannelGains,
@@ -35,6 +44,8 @@ from .model import (
     fd_sic_d2d_rate,
     pu_min,
     shannon_rate,
+    sic_sum_rate,
+    within_limits,
 )
 
 REL_TOL = 1e-9
@@ -78,13 +89,22 @@ class FloorSelector:
         return max(self.floor2.height(p1, p2), self.floor4.height(p1, p2))
 
 
+def _gain_tuple(g: ChannelGains) -> tuple[float, ...]:
+    return (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
+
+
+def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
+    """The floor planes 2 and 4, shared by both decoding orders.
+
+    ``h`` holds the six link gains in `ChannelGains` field order, as floats or
+    as numpy arrays that broadcast; the arithmetic is the same either way.
+    """
+    h_d, _, _, h_d1_u, h_d2_u, _ = h
+    return Plane(eta1 / h_d1_u, h_d / h_d1_u), Plane(h_d / h_d2_u, eta2 / h_d2_u)
+
+
 def floor_selector(gains: ChannelGains, params: SystemParams) -> FloorSelector:
-    """The floor planes 2 and 4, shared by both decoding orders."""
-    g = gains
-    return FloorSelector(
-        floor2=Plane(params.eta1 / g.h_d1_u, g.h_d / g.h_d1_u),
-        floor4=Plane(g.h_d / g.h_d2_u, params.eta2 / g.h_d2_u),
-    )
+    return FloorSelector(*floor_planes(_gain_tuple(gains), params.eta1, params.eta2))
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +122,23 @@ class SicPlanes:
     floor2: Plane
     ceil3: Plane
     floor4: Plane
-    order: DecodingOrder
+
+
+def ceiling_planes(h, order: DecodingOrder) -> tuple[Plane, Plane]:
+    """The ceiling planes 1 and 3 of one decoding order; ``h`` as in `floor_planes`."""
+    _, h_b_d1, h_b_d2, _, _, h_b_u = h
+    if order is DecodingOrder.M2_FIRST:
+        return Plane(-h_b_d1 / h_b_u, h_b_d2 / h_b_u), Plane(h_b_d1 / h_b_u, 0.0)
+    return Plane(h_b_d1 / h_b_u, -h_b_d2 / h_b_u), Plane(0.0, h_b_d2 / h_b_u)
 
 
 def planes_for_order(
     gains: ChannelGains, params: SystemParams, order: DecodingOrder
 ) -> SicPlanes:
-    g = gains
-    floors = floor_selector(gains, params)
-    if order is DecodingOrder.M2_FIRST:
-        ceil1 = Plane(-g.h_b_d1 / g.h_b_u, g.h_b_d2 / g.h_b_u)
-        ceil3 = Plane(g.h_b_d1 / g.h_b_u, 0.0)
-    else:
-        ceil1 = Plane(g.h_b_d1 / g.h_b_u, -g.h_b_d2 / g.h_b_u)
-        ceil3 = Plane(0.0, g.h_b_d2 / g.h_b_u)
-    return SicPlanes(
-        ceil1=ceil1, floor2=floors.floor2, ceil3=ceil3, floor4=floors.floor4, order=order
-    )
+    h = _gain_tuple(gains)
+    ceil1, ceil3 = ceiling_planes(h, order)
+    floor2, floor4 = floor_planes(h, params.eta1, params.eta2)
+    return SicPlanes(ceil1=ceil1, floor2=floor2, ceil3=ceil3, floor4=floor4)
 
 
 def pmc_margins(
@@ -148,25 +168,25 @@ def sic_rate_margins(
     """Signed margins of the noise-free SIC achievability conditions.
 
     These are implied by the power-ordering conditions but are evaluated
-    independently wherever a solution is validated.
+    independently wherever a solution is validated.  Decoding M1 first is
+    decoding M2 first with the two devices' roles swapped, so one formula
+    serves both orders.
     """
     g, e1, e2 = gains, params.eta1, params.eta2
-    if order is DecodingOrder.M2_FIRST:
-        return (
-            p1 * (g.h_b_d2 * e1 - g.h_d * g.h_b_d1)
-            + pu * (g.h_d1_u * g.h_b_d2 - g.h_d * g.h_b_u),
-            p1 * (g.h_d1_u * g.h_b_d1 - g.h_b_u * e1)
-            + p2 * (g.h_d1_u * g.h_b_d2 - g.h_b_u * g.h_d),
-            p2 * g.h_b_d1 * e2 - pu * (g.h_b_u * g.h_d - g.h_d2_u * g.h_b_d1),
-            p1 * (g.h_b_d1 * g.h_d2_u - g.h_d * g.h_b_u) - p2 * e2 * g.h_b_u,
-        )
+    if order is DecodingOrder.M1_FIRST:
+        h = (g.h_d, g.h_b_d2, g.h_b_d1, g.h_d2_u, g.h_d1_u, g.h_b_u)
+        return _m2_first_margins(h, e2, e1, p2, p1, pu)
+    return _m2_first_margins(_gain_tuple(g), e1, e2, p1, p2, pu)
+
+
+def _m2_first_margins(h, e1, e2, p1, p2, pu) -> tuple:
+    """`sic_rate_margins` of the M2_FIRST order on floats or arrays."""
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
     return (
-        p2 * (g.h_b_d1 * e2 - g.h_d * g.h_b_d2)
-        + pu * (g.h_d2_u * g.h_b_d1 - g.h_d * g.h_b_u),
-        p2 * (g.h_d2_u * g.h_b_d2 - g.h_b_u * e2)
-        + p1 * (g.h_d2_u * g.h_b_d1 - g.h_b_u * g.h_d),
-        p1 * g.h_b_d2 * e1 - pu * (g.h_b_u * g.h_d - g.h_d1_u * g.h_b_d2),
-        p2 * (g.h_b_d2 * g.h_d1_u - g.h_d * g.h_b_u) - p1 * e1 * g.h_b_u,
+        p1 * (h_b_d2 * e1 - h_d * h_b_d1) + pu * (h_d1_u * h_b_d2 - h_d * h_b_u),
+        p1 * (h_d1_u * h_b_d1 - h_b_u * e1) + p2 * (h_d1_u * h_b_d2 - h_b_u * h_d),
+        p2 * h_b_d1 * e2 - pu * (h_b_u * h_d - h_d2_u * h_b_d1),
+        p1 * (h_b_d1 * h_d2_u - h_d * h_b_u) - p2 * e2 * h_b_u,
     )
 
 
@@ -220,8 +240,7 @@ def sufficient_feasibility(
     """
     if pu_m > limits.pu_max_w:
         return False
-    g = gains
-    h = (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
+    h = _gain_tuple(gains)
     return all(
         pretest_terms(h, params.eta1, params.eta2, pu_m, limits.p1_max_w, limits.p2_max_w, order)
     )
@@ -496,25 +515,26 @@ def optimize_box_side(
     return best
 
 
-def _cap_poly(
-    branch: FloorPlane, gains: ChannelGains, params: SystemParams, pu_max: float
-) -> tuple[float, float, float]:
-    """Quadratic whose sign equals the rate derivative in P1 along a cap branch."""
-    hd, e1, e2, s = gains.h_d, params.eta1, params.eta2, params.noise_w
+def _cap_poly(branch: FloorPlane, h, params: SystemParams, pu_max: float) -> tuple:
+    """Quadratic whose sign equals the rate derivative in P1 along a cap branch.
+
+    ``h`` holds the link gains as in `floor_planes`.
+    """
+    hd, e1, e2, s = h[0], params.eta1, params.eta2, params.noise_w
     if branch is FloorPlane.PLANE2:
-        h = gains.h_d1_u
+        h_u = h[3]
         a = -(e1 * e2 - hd * hd) * e1 * e1 * e2
-        b = 2.0 * e1 * e1 * e2 * (pu_max * h * e2 + s * hd)
+        b = 2.0 * e1 * e1 * e2 * (pu_max * h_u * e2 + s * hd)
         c = (
-            -pu_max * pu_max * h * h * e2 * e2 * e1
-            + pu_max * s * hd * h * e2 * (hd - 2.0 * e1)
+            -pu_max * pu_max * h_u * h_u * e2 * e2 * e1
+            + pu_max * s * hd * h_u * e2 * (hd - 2.0 * e1)
             + s * s * hd * hd * (hd - e1)
         )
     else:
-        h = gains.h_d2_u
+        h_u = h[4]
         a = (e1 * e2 - hd * hd) * e1
-        b = 2.0 * e1 * (pu_max * h * hd + s * e2)
-        c = -pu_max * pu_max * h * h * e1 - s * e1 * h * pu_max + s * s * (e2 - hd)
+        b = 2.0 * e1 * (pu_max * h_u * hd + s * e2)
+        c = -pu_max * pu_max * h_u * h_u * e1 - s * e1 * h_u * pu_max + s * s * (e2 - hd)
     return a, b, c
 
 
@@ -533,7 +553,7 @@ def optimize_su_side(
     if segment.side is not Side.PU_MAX or segment.branch is None:
         raise ValueError("optimize_su_side handles CU-cap segments only")
     candidates = [segment.lo, segment.hi]
-    a, b, c = _cap_poly(segment.branch, gains, params, pu_max)
+    a, b, c = _cap_poly(segment.branch, _gain_tuple(gains), params, pu_max)
     if a != 0.0:
         disc = b * b - 4.0 * a * c
         if disc >= 0.0:
@@ -559,6 +579,31 @@ def optimize_su_side(
 # Full solve for one decoding order
 
 
+def _fmax(*values):
+    return functools.reduce(np.fmax, values)
+
+
+def _none_below(margins, bound):
+    return np.logical_not(np.logical_or.reduce([m < bound for m in margins]))
+
+
+def _point_tests(h, planes: SicPlanes, margins, limits: PowerLimits, pu_m, p1, p2, pu) -> tuple:
+    """The four tests of `validate_sic_point`, on floats or arrays: power
+    ordering, SIC rates, power limits and CU rate floor, each True where the
+    point passes within a relative margin.  ``h`` holds the link gains as
+    in `floor_planes` and ``margins`` the point's `sic_rate_margins`."""
+    scale = _fmax(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
+    sic_scale = _fmax(*(abs(m) for m in margins)) + scale * _fmax(h[1], h[2], h[5]) * _fmax(
+        p1, p2, pu, 1e-300
+    )
+    return (
+        _none_below(pmc_margins(planes, p1, p2, pu), -REL_TOL * scale),
+        _none_below(margins, -REL_TOL * sic_scale),
+        within_limits(p1, p2, pu, limits, REL_TOL),
+        np.logical_not(pu < pu_m * (1.0 - REL_TOL)),
+    )
+
+
 def validate_sic_point(
     gains: ChannelGains,
     params: SystemParams,
@@ -568,22 +613,18 @@ def validate_sic_point(
 ) -> None:
     """Raise GeometryError unless the point meets every mutual-SIC constraint
     within a relative margin."""
-    planes = planes_for_order(gains, params, order)
-    pu_m = pu_min(params, gains.h_b_u)
     p1, p2, pu = point.p1_w, point.p2_w, point.pu_w
-    scale = max(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
-    if any(m < -REL_TOL * scale for m in pmc_margins(planes, p1, p2, pu)):
-        raise GeometryError(f"solution violates a power-ordering condition: {point}")
-    margins = sic_rate_margins(gains, params, order, p1, p2, pu)
-    sic_scale = max(abs(m) for m in margins) + scale * max(
-        gains.h_b_d1, gains.h_b_d2, gains.h_b_u
-    ) * max(p1, p2, pu, 1e-300)
-    if any(m < -REL_TOL * sic_scale for m in margins):
-        raise GeometryError(f"solution violates a SIC rate condition: {point}")
-    if not point.within(limits, REL_TOL):
-        raise GeometryError(f"solution violates a power limit: {point}")
-    if pu < pu_m * (1.0 - REL_TOL):
-        raise GeometryError(f"solution violates the CU rate floor: {point}")
+    tests = _point_tests(
+        _gain_tuple(gains), planes_for_order(gains, params, order),
+        sic_rate_margins(gains, params, order, p1, p2, pu), limits,
+        pu_min(params, gains.h_b_u), p1, p2, pu,
+    )
+    for passed, what in zip(
+        tests, ("a power-ordering condition", "a SIC rate condition", "a power limit",
+                "the CU rate floor"),
+    ):
+        if not passed:
+            raise GeometryError(f"solution violates {what}: {point}")
 
 
 def solve_fd_sic_order(
@@ -668,3 +709,170 @@ def solve_fd_sic_order(
                 sic_applied=True,
             )
     raise failure if failure is not None else GeometryError("no candidate point found")
+
+
+# ---------------------------------------------------------------------------
+# The same solve over arrays
+#
+# Plane coefficients are stacked as (ax or ay, plane, entry) arrays: floors
+# 2 and 4, ceilings 1 and 3.  A NaN bound below stands for "no bound": fmax
+# and fmin skip it, as the scalar code skips a bound it never applies.
+
+
+def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
+    """`_device_side_interval` on both device sides at once.
+
+    Side 0 is P1 = P1max and side 1 is P2 = P2max; ``fixed`` holds
+    (P1max, P2max) shaped to broadcast over (side, plane, entry).  Returns
+    (lo, hi, error) as (side, entry) arrays, with ``error`` True where the
+    scalar code raises GeometryError.
+    """
+    # Each plane's trace along a side: slope along the free coordinate, offset.
+    c_slope, c_off = ceils[::-1], ceils * fixed
+    f_slope, f_off = floors[::-1], floors * fixed
+    d = c_slope[:, :, None] - f_slope[:, None]  # (side, ceiling, floor, entry)
+    roots = (f_off[:, None] - c_off[:, :, None]) / d
+    rising = d[:, :, 0] > 0.0
+    error = ((d == 0.0).any(axis=2) | (rising != (d[:, :, 1] > 0.0))).any(axis=1)
+    error |= ~(f_slope > 0.0).all(axis=1)
+    bottom = (pu_m - c_off) / c_slope
+    lower = np.concatenate([
+        np.where(rising, roots.max(axis=2), np.nan), np.where(c_slope > 0.0, bottom, np.nan)
+    ], axis=1)
+    upper = np.concatenate([
+        np.where(rising, np.nan, roots.min(axis=2)),
+        np.where(c_slope < 0.0, bottom, np.nan),
+        (pu_max - f_off) / f_slope,
+    ], axis=1)
+    lo = np.fmax(np.fmax.reduce(lower, axis=1), 0.0)
+    hi = np.fmin(np.fmin.reduce(upper, axis=1), fixed[::-1, 0])
+    empty = ((c_slope == 0.0) & (c_off < pu_m)).any(axis=1)
+    return np.where(empty, 1.0, lo), np.where(empty, 0.0, hi), error
+
+
+def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
+    """`_cap_interval` over arrays: (lo, hi, ok), ``ok`` False where the
+    scalar code raises GeometryError."""
+    pu_max = limits.pu_max_w
+    (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
+    # `_ridge_on_cap` per (ceiling, floor branch); the first hit wins.
+    det = c_ax * f_ay - c_ay * f_ax
+    x = pu_max * (f_ay - c_ay) / det
+    y = pu_max * (c_ax - f_ax) / det
+    hit = (
+        (det != 0.0)
+        & (f_ax[::-1] * x + f_ay[::-1] * y <= pu_max * (1.0 + REL_TOL))
+        & (x > -pu_max)
+        & (y > -pu_max)
+    )
+    x = np.where(hit[:, 0], x[:, 0], x[:, 1])
+    rising, falling = (det > 0.0).all(axis=1), (det < 0.0).all(axis=1)
+    ok = ~(f_ax <= 0.0).any(axis=0) & (hit.any(axis=1) & (rising | falling)).all(axis=0)
+    entry = ((pu_max - f_ay * limits.p2_max_w) / f_ax).min(axis=0)
+    lo = np.fmax(np.fmax.reduce(np.where(rising, x, np.nan), axis=0), np.fmax(entry, 0.0))
+    hi = np.fmin(np.fmin.reduce(np.where(falling, x, np.nan), axis=0), limits.p1_max_w)
+    return lo, hi, ok
+
+
+def _cap_root(a, b, c):
+    """The `optimize_su_side` root of a*x^2 + b*x + c over arrays (NaN or inf
+    where the scalar code has none)."""
+    disc = b * b - 4.0 * a * c
+    return np.where(a != 0.0, (-b - np.sqrt(disc)) / (2.0 * a), -c / b)
+
+
+def _math_log2(x: np.ndarray) -> np.ndarray:
+    """`math.log2` per element: numpy's log2 can differ in the last bit."""
+    return np.array(list(map(math.log2, x.tolist())))
+
+
+def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
+    """`solve_fd_sic_order` over arrays of (entry, decoding order) pairs that
+    pass `sufficient_feasibility`.
+
+    ``h`` holds the six link gains in `ChannelGains` field order and ``pu_m``
+    the CU floor power, as 1-D arrays; ``m1_first`` is True where the order
+    is M1_FIRST.  Returns (p1, p2, pu, rate, fallback).  Where ``fallback``
+    is False, these are the scalar solve's point and rate: the same sides in
+    the same order, the same de-duplication, the first highest-rate candidate,
+    and that candidate passes `validate_sic_point` where it lies.  Where
+    ``fallback`` is True the scalar solve has to decide: the best candidate
+    fails validation and must be pulled inward, or the scalar code raises
+    GeometryError.
+    """
+    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+    tol = REL_TOL * max(p1_max, p2_max)
+    n = len(m1_first)
+    f2, f4 = floor_planes(h, params.eta1, params.eta2)
+    floors = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
+    ceils = np.empty((2, 2, 2, n))  # (order, ax or ay, ceiling, entry)
+    for k, order in enumerate((DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)):
+        for j, ceil in enumerate(ceiling_planes(h, order)):
+            ceils[k, 0, j], ceils[k, 1, j] = ceil.ax, ceil.ay
+    ceils = np.where(m1_first, ceils[1], ceils[0])
+
+    fixed = np.array([p1_max, p2_max])[:, None, None]
+    lo_d, hi_d, error = _device_sides_batch(ceils, floors, pu_m, fixed, pu_max)
+    has_d = hi_d - lo_d > -tol
+    hi_d = np.maximum(hi_d, lo_d)
+
+    # The CU-cap side, split into two pieces at the floors' kink.
+    lo_c, hi_c, has_cap = _cap_interval_batch(ceils, floors, limits)
+    has_cap &= hi_c - lo_c > -tol
+    hi_c = np.maximum(hi_c, lo_c)
+    det = f2.ax * f4.ay - f2.ay * f4.ax
+    kink = pu_max * (f4.ay - f2.ay) / det
+    split = (
+        has_cap
+        & ~(pu_max * (f2.ax - f4.ax) / det <= 0.0)
+        & (lo_c + tol < kink)
+        & (kink < hi_c - tol)
+    )
+    a, b = np.array([lo_c, kink]), np.array([np.where(split, kink, hi_c), hi_c])
+    mid = 0.5 * (a + b)
+    plane2 = (pu_max - f2.ax * mid) / f2.ay <= (pu_max - f4.ax * mid) / f4.ay
+    polys = np.array([_cap_poly(branch, h, params, pu_max) for branch in FloorPlane])
+    root = np.where(plane2, *_cap_root(*polys.transpose(1, 0, 2)))
+    f_ax, f_ay = (np.where(plane2, f2c, f4c) for f2c, f4c in ((f2.ax, f4.ax), (f2.ay, f4.ay)))
+
+    # Candidates as (candidate, segment, entry): segments P1max, P2max and the
+    # two cap pieces; a device side has its two ends (and a dummy third), a
+    # cap piece its ends and the quadratic root.
+    on_p1 = np.array([True, False])[:, None]
+    t_d = np.array([lo_d, hi_d, lo_d])
+    t_c = np.array([a, b, root])
+    p1s = np.concatenate([np.where(on_p1, p1_max, t_d), t_c], axis=1)
+    p2s = np.concatenate(
+        [np.where(on_p1, t_d, p2_max), np.maximum((pu_max - f_ax * t_c) / f_ay, 0.0)], axis=1
+    )
+    has = np.concatenate([has_d, [has_cap, split]])
+    root_ok = has[2:] & (a < root) & (root < b)
+    valid = np.array([has, has, np.concatenate([np.zeros_like(has_d), root_ok])])
+    rates = np.where(valid, sic_sum_rate(p1s, p2s, h[0], params, np.log2), -np.inf)
+
+    # Each segment's first highest-rate candidate.
+    seg, ent = np.arange(4)[:, None], np.arange(n)
+    pick = rates.argmax(axis=0)
+    p1s, p2s, rates = p1s[pick, seg, ent], p2s[pick, seg, ent], rates[pick, seg, ent]
+    # Drop a segment's point within REL_TOL * scale of a kept earlier one.
+    close = (np.abs(p1s[:, None] - p1s) <= tol) & (np.abs(p2s[:, None] - p2s) <= tol)
+    kept = has.copy()
+    for j in range(1, 4):
+        kept[j] &= ~(kept[:j] & close[j, :j]).any(axis=0)
+    best = np.where(kept, rates, -np.inf).argmax(axis=0)
+    p1c, p2c = p1s[best, ent], p2s[best, ent]
+
+    # `point_at` with no pull-in, then `validate_sic_point`.
+    floor_height = np.maximum(f2.height(p1c, p2c), f4.height(p1c, p2c))
+    pu = np.where(best >= 2, pu_max, np.minimum(np.maximum(floor_height, pu_m), pu_max))
+    p1, p2 = np.minimum(p1c, p1_max), np.minimum(p2c, p2_max)
+    # `sic_rate_margins` of each entry's order: swap the devices where M1 goes first.
+    pairs = np.array([h[1], h[2], h[3], h[4], p1, p2])
+    b1, b2, u1, u2, q1, q2 = np.where(m1_first, pairs[[1, 0, 3, 2, 5, 4]], pairs)
+    e1 = np.where(m1_first, params.eta2, params.eta1)
+    e2 = np.where(m1_first, params.eta1, params.eta2)
+    margins = _m2_first_margins((h[0], b1, b2, u1, u2, h[5]), e1, e2, q1, q2, pu)
+    planes = SicPlanes(Plane(*ceils[:, 0]), f2, Plane(*ceils[:, 1]), f4)
+    passed = np.logical_and.reduce(_point_tests(h, planes, margins, limits, pu_m, p1, p2, pu))
+    fallback = error.any(axis=0) | ~has.any(axis=0) | ~passed | ~np.isfinite(p1 + p2 + pu)
+    return p1, p2, pu, sic_sum_rate(p1, p2, h[0], params, _math_log2), fallback

@@ -146,11 +146,16 @@ class PowerTriplet:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
     def within(self, limits: PowerLimits, rel_tol: float = REL_POWER_TOL) -> bool:
-        return (
-            self.p1_w <= limits.p1_max_w * (1.0 + rel_tol)
-            and self.p2_w <= limits.p2_max_w * (1.0 + rel_tol)
-            and self.pu_w <= limits.pu_max_w * (1.0 + rel_tol)
-        )
+        return within_limits(self.p1_w, self.p2_w, self.pu_w, limits, rel_tol)
+
+
+def within_limits(p1_w, p2_w, pu_w, limits: PowerLimits, rel_tol: float = REL_POWER_TOL):
+    """`PowerTriplet.within` on floats or arrays."""
+    return (
+        (p1_w <= limits.p1_max_w * (1.0 + rel_tol))
+        & (p2_w <= limits.p2_max_w * (1.0 + rel_tol))
+        & (pu_w <= limits.pu_max_w * (1.0 + rel_tol))
+    )
 
 
 class ScenarioKind(Enum):
@@ -257,10 +262,15 @@ def fd_sic_rates(
 
 def fd_sic_d2d_rate(p1_w: float, p2_w: float, gains: ChannelGains, params: SystemParams) -> float:
     """Sum D2D rate under mutual SIC; independent of the CU power."""
+    return sic_sum_rate(p1_w, p2_w, gains.h_d, params)
+
+
+def sic_sum_rate(p1_w, p2_w, h_d, params: SystemParams, log2=math.log2):
+    """`fd_sic_d2d_rate` on floats or, with an array ``log2``, on arrays."""
     s = params.noise_w
     return params.bandwidth_hz * (
-        math.log2(1.0 + p1_w * gains.h_d / (params.eta2 * p2_w + s))
-        + math.log2(1.0 + p2_w * gains.h_d / (params.eta1 * p1_w + s))
+        log2(1.0 + p1_w * h_d / (params.eta2 * p2_w + s))
+        + log2(1.0 + p2_w * h_d / (params.eta1 * p1_w + s))
     )
 
 

@@ -9,6 +9,7 @@ depend on execution order and repeat bit-exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,10 @@ class SimConfig:
     master_seed: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_channels", "k_users", "d_pairs", "trials", "master_seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if not 0 <= self.d_pairs <= self.k_users <= self.n_channels:
             raise ValueError("need d_pairs <= k_users <= n_channels")
         for name in ("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"):
@@ -318,15 +323,24 @@ def run_trial(
 
 
 def check_campaign(config: SimConfig) -> None:
-    """Reject a config that constructs but cannot run as a campaign.
+    """Reject a config that constructs but whose deployments cannot be drawn.
 
     With ``d_max_m = 0`` both distance laws put each pair's two devices on
-    one spot, where the path-loss gain is infinite.
+    one spot, where the path-loss gain is infinite.  The fixed law redraws
+    only the partner's direction, so a first device with no in-cell spot at
+    that distance never gets a partner; up to the cell radius every first
+    device has one.
     """
     if config.d_max_m <= 0.0:
         raise ValueError(
             f"d_max_m must be > 0 for a campaign (a pair at distance 0 has an "
             f"infinite gain), got {config.d_max_m!r}"
+        )
+    if config.pair_distance_law == "fixed" and config.d_max_m > config.cell_radius_m:
+        raise ValueError(
+            f"d_max_m must be <= cell_radius_m ({config.cell_radius_m!r}) with the fixed "
+            f"pair distance law (a device may have no partner spot that far inside "
+            f"the cell), got {config.d_max_m!r}"
         )
 
 
@@ -353,6 +367,7 @@ def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None
     in the cell with the campaign propagation model.
     """
     cfg = config if config is not None else SimConfig(k_users=1, d_pairs=1, trials=1)
+    check_campaign(cfg)
     radius = cfg.cell_radius_m
     d1 = _uniform_hexagon_point(rng, radius)
     while True:

@@ -8,8 +8,11 @@ cancellation actually won.  A combination where even the CU alone cannot
 meet its rate floor is reported infeasible with zero rate.
 
 `solve_all` is the reference for one combination.  `solve_all_batch` gives
-the same answers for a whole D x K table with numpy, and runs the scalar
-FD-SIC solve only where the feasibility pre-test passes.
+the same answers for a whole D x K table with numpy.  Its FD-SIC step solves
+both decoding orders of every entry that passes the feasibility pre-test in
+one `fdsic.fd_sic_batch` call, and falls back to the scalar solve only for
+the few (entry, order) pairs the batch leaves to it: a best candidate that
+must be pulled inward to pass validation, or a GeometryError.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdnosic import fd_nosic_batch, fd_nosic_search
-from .fdsic import GeometryError, pretest_terms, solve_fd_sic_order
+from .fdsic import GeometryError, fd_sic_batch, pretest_terms, solve_fd_sic_order
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -220,28 +223,32 @@ def solve_fd_nosic(
     return PaSolution(scenario, powers, r_d1 + r_d2, r_u, sic_applied=False)
 
 
-def _best_sic_order(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    orders: tuple[DecodingOrder, ...] = SIC_ORDERS,
+def _solve_order(
+    gains: ChannelGains, params: SystemParams, limits: PowerLimits, order: DecodingOrder
 ) -> PaSolution | None:
-    """The better mutual-SIC allocation over ``orders`` (ties go to the
-    earlier order), or None when none is feasible.  A GeometryError counts as
-    infeasible."""
+    """`solve_fd_sic_order`, with a GeometryError counted as infeasible."""
+    try:
+        return solve_fd_sic_order(gains, params, limits, order)
+    except GeometryError:
+        return None
+
+
+def _best_sic_order(
+    gains: ChannelGains, params: SystemParams, limits: PowerLimits
+) -> PaSolution | None:
+    """The better mutual-SIC allocation over both decoding orders (ties go to
+    the first order), or None when neither is feasible."""
     best: PaSolution | None = None
-    for order in orders:
-        try:
-            sol = solve_fd_sic_order(gains, params, limits, order)
-        except GeometryError:
-            sol = None
+    for order in SIC_ORDERS:
+        sol = _solve_order(gains, params, limits, order)
         if sol is not None and (best is None or sol.r_d2d_bps > best.r_d2d_bps):
             best = sol
     return best
 
 
-def _sic_wins(sic_rate: float, fallback_feasible: bool, fallback_rate: float) -> bool:
-    return not fallback_feasible or sic_rate >= fallback_rate
+def _sic_wins(sic_rate, fallback_feasible, fallback_rate):
+    """Where SIC beats the no-SIC allocation; floats or arrays."""
+    return np.logical_not(fallback_feasible) | (sic_rate >= fallback_rate)
 
 
 def solve_fd_sic(
@@ -362,6 +369,37 @@ def _check_powers(feasible: np.ndarray, p1_w, p2_w, pu_w) -> None:
         check_array(name, values, strict=False, where=feasible)
 
 
+def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) -> np.ndarray:
+    """The `_best_sic_order` rate of every table entry, -inf where no order is
+    feasible.
+
+    ``passes`` holds each order's pre-test mask.  Both orders of every
+    passing entry go through one `fd_sic_batch` call; the pairs it leaves to
+    the scalar solve go through `_solve_order`.  The powers of every
+    feasible pair pass `PowerTriplet`'s check.
+    """
+    where = [np.nonzero(p) for p in passes]
+    idx = tuple(np.concatenate(axis) for axis in zip(*where))
+    m1_first = np.repeat([False, True], [len(w[0]) for w in where])
+    by_order = np.full((2,) + pu_m.shape, -np.inf)
+    if not m1_first.size:
+        return by_order[0]
+    gains = tuple(x[idx] for x in h)
+    p1, p2, pu, rate, fallback = fd_sic_batch(gains, params, limits, pu_m[idx], m1_first)
+    for j in np.flatnonzero(fallback):
+        order = SIC_ORDERS[int(m1_first[j])]
+        sol = _solve_order(ChannelGains(*(float(x[j]) for x in gains)), params, limits, order)
+        if sol is None:
+            rate[j] = -np.inf
+        else:
+            p = sol.powers
+            p1[j], p2[j], pu[j], rate[j] = p.p1_w, p.p2_w, p.pu_w, sol.r_d2d_bps
+    _check_powers(rate >= 0.0, p1, p2, pu)
+    by_order[(m1_first.astype(np.intp),) + idx] = rate
+    # the first order wins unless the second is strictly better
+    return np.where(by_order[1] > by_order[0], by_order[1], by_order[0])
+
+
 def solve_all_batch(
     h: tuple[np.ndarray, ...], params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -412,16 +450,10 @@ def solve_all_batch(
             cu_ok & np.logical_and.reduce(pretest_terms(h, eta1, eta2, pu_m, p1_max, p2_max, o))
             for o in SIC_ORDERS
         ]
-
-    # FD-SIC: the scalar geometric solve, only for the orders that pass.
-    fd_sic_rate, fd_sic_ok = fd_rate.copy(), fd_ok.copy()
-    fd_sic_won = np.zeros(h_d.shape, dtype=bool)
-    for n, i in zip(*np.nonzero(passes[0] | passes[1])):
-        orders = tuple(o for o, p in zip(SIC_ORDERS, passes) if p[n, i])
-        gains = ChannelGains(*(float(x[n, i]) for x in h))
-        best = _best_sic_order(gains, params, limits, orders)
-        if best is not None and _sic_wins(best.r_d2d_bps, fd_ok[n, i], fd_rate[n, i]):
-            fd_sic_rate[n, i], fd_sic_ok[n, i], fd_sic_won[n, i] = best.r_d2d_bps, True, True
+        fd_sic_best = _fd_sic_table(h, params, limits, pu_m, passes)
+        fd_sic_won = (fd_sic_best >= 0.0) & _sic_wins(fd_sic_best, fd_ok, fd_rate)
+    fd_sic_ok = fd_ok | fd_sic_won
+    fd_sic_rate = np.where(fd_sic_won, fd_sic_best, fd_rate)
 
     no_sic = np.zeros(h_d.shape, dtype=bool)
     return {

@@ -217,6 +217,48 @@ class TestSweep:
         assert "d_max_m must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fixed_distance_beyond_cell_radius_exits_1_before_any_campaign(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "far.cfg"
+        config.write_text(
+            "k_users = 4\nd_pairs = 2\ntrials = 1\npair_distance_law = fixed\n"
+            "d_max_m = 100, 700\n"
+        )
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "d_max_m must be <= cell_radius_m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("k_users = 20.5\neta_db = -130,-110\n", "k_users"),
+            ("trials = 2.5\neta_db = -130,-110\n", "trials"),
+            ("master_seed = 1.5\neta_db = -130,-110\n", "master_seed"),
+            ("n_channels = 64.25\neta_db = -130,-110\n", "n_channels"),
+            ("k_users = 8\nd_pairs = 2, 2.5\n", "d_pairs"),
+            ("k_users = 4, 4.5\nd_pairs = 1\n", "k_users"),
+        ],
+    )
+    def test_non_integral_count_exits_1_before_any_campaign(
+        self, tmp_path, capsys, monkeypatch, text, key
+    ):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "frac.cfg"
+        config.write_text(text)
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert f"key {key!r} needs an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_empty_run_succeeds(self, capsys):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import d2dpa.fdsic
 from conftest import make_limits, make_params, sample_fd_sic_feasible, sample_instances
 from d2dpa.fdsic import (
     FloorPlane,
+    GeometryError,
+    Plane,
     Side,
+    fd_sic_batch,
     floor_selector,
     necessary_conditions,
     optimize_box_side,
@@ -20,9 +24,13 @@ from d2dpa.model import (
     ChannelGains,
     DecodingOrder,
     PowerLimits,
+    SystemParams,
+    dbm_to_watts,
     fd_sic_d2d_rate,
     pu_min,
 )
+from d2dpa.sim import SimConfig, sample_combo_gains
+from d2dpa.solvers import _best_sic_order, _fd_sic_table
 
 ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
 
@@ -485,3 +493,143 @@ class TestSolveOrder:
             r0 = fd_sic_d2d_rate(p1, p2, g, params)
             r1 = fd_sic_d2d_rate(beta * p1, beta * p2, g, params)
             assert r1 > r0
+
+
+GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
+
+
+def _gain_arrays(gains: list[ChannelGains]) -> tuple[np.ndarray, ...]:
+    return tuple(np.array([getattr(g, f) for g in gains]) for f in GAIN_FIELDS)
+
+
+def _mixed_blocks(seed: int, count: int):
+    """Blocks of pre-test-passing (gains, order) pairs sharing random params
+    and limits, until ``count`` pairs: deployment gains (the fig4a and
+    far-pairs layouts) mixed with gains from -150 to -40 dB, SI from -130 to
+    -80 dB per device, rate floors from 0 to 4 Mbps and caps from -10 to
+    24 dBm."""
+    rng = np.random.default_rng(seed)
+    layouts = [
+        SimConfig(k_users=1, d_pairs=1, trials=1),
+        SimConfig(k_users=1, d_pairs=1, trials=1, d_max_m=200.0, pair_distance_law="fixed"),
+    ]
+    blocks, total = [], 0
+    while total < count:
+        eta = 10.0 ** (rng.uniform(-130.0, -80.0, 2) / 10.0)
+        floor = float(rng.choice([0.0, 0.5e6, 1.5e6, 3e6, rng.uniform(0.0, 4e6)]))
+        params = SystemParams(312.5e3, dbm_to_watts(-119.0), eta[0], eta[1], floor)
+        limits = PowerLimits(*(dbm_to_watts(x) for x in rng.uniform(-10.0, 24.0, 3)))
+        pairs = []
+        for _ in range(20):
+            kind = rng.integers(3)
+            if kind < 2:
+                g = sample_combo_gains(rng, layouts[kind])
+            else:
+                g = ChannelGains(*(10.0 ** (rng.uniform(-150.0, -40.0, 6) / 10.0)))
+            pm = pu_min(params, g.h_b_u)
+            pairs += [(g, o) for o in ORDERS if sufficient_feasibility(g, params, limits, pm, o)]
+        if pairs:
+            blocks.append((params, limits, pairs))
+            total += len(pairs)
+    return blocks
+
+
+def _batch(pairs, params, limits):
+    gains = [g for g, _ in pairs]
+    pu_m = np.array([pu_min(params, g.h_b_u) for g in gains])
+    m1_first = np.array([o is DecodingOrder.M1_FIRST for _, o in pairs])
+    with np.errstate(all="ignore"):
+        return fd_sic_batch(_gain_arrays(gains), params, limits, pu_m, m1_first)
+
+
+def _table_rates(gains, params, limits):
+    """`_fd_sic_table` on a 1 x N table of the given combinations."""
+    h = tuple(x[None, :] for x in _gain_arrays(gains))
+    pu_m = np.array([[pu_min(params, g.h_b_u) for g in gains]])
+    passes = [
+        np.array([[sufficient_feasibility(g, params, limits, pu_m[0, i], o)
+                   for i, g in enumerate(gains)]])
+        for o in ORDERS
+    ]
+    with np.errstate(all="ignore"):
+        return _fd_sic_table(h, params, limits, pu_m, passes)[0]
+
+
+# A fig4a combination whose best M2_FIRST candidate fails validation where it
+# lies: the scalar solve pulls it inward.
+SLIVER_GAINS = ChannelGains(
+    4.6392498409731775e-07, 1.6300399463133556e-08, 2.7504924007826522e-06,
+    1.687819901737155e-11, 4.681732167036908e-11, 1.2740316066043791e-12,
+)
+
+
+class TestBatch:
+    """`fd_sic_batch` solves many (entry, order) pairs with numpy; the scalar
+    `solve_fd_sic_order` is the reference."""
+
+    def test_matches_scalar_solve(self):
+        pairs_seen = fallbacks = 0
+        for params, limits, pairs in _mixed_blocks(seed=11, count=2000):
+            p1, p2, pu, rate, fallback = _batch(pairs, params, limits)
+            for j, (g, o) in enumerate(pairs):
+                pairs_seen += 1
+                if fallback[j]:
+                    fallbacks += 1
+                    continue
+                sol = solve_fd_sic_order(g, params, limits, o)
+                assert sol is not None
+                want = (sol.powers.p1_w, sol.powers.p2_w, sol.powers.pu_w, sol.r_d2d_bps)
+                got = (p1[j], p2[j], pu[j], rate[j])
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            # both orders together: the same feasibility, order and rate
+            gains = list({id(g): g for g, _ in pairs}.values())
+            for g, best in zip(gains, _table_rates(gains, params, limits)):
+                sol = _best_sic_order(g, params, limits)
+                assert best == (-np.inf if sol is None else sol.r_d2d_bps)
+        assert pairs_seen >= 2000
+        # sliver pull-ins stay rare; the batch must solve the rest itself
+        assert fallbacks <= 0.02 * pairs_seen
+
+    def test_failed_validation_goes_to_the_scalar_pull_in(self):
+        params, limits = make_params(), make_limits()
+        p1, p2, pu, rate, fallback = _batch(
+            [(SLIVER_GAINS, DecodingOrder.M2_FIRST)], params, limits
+        )
+        assert fallback[0]
+        sol = solve_fd_sic_order(SLIVER_GAINS, params, limits, DecodingOrder.M2_FIRST)
+        assert sol.r_d2d_bps < rate[0]  # the validated point lies inward
+        assert _table_rates([SLIVER_GAINS], params, limits)[0] == _best_sic_order(
+            SLIVER_GAINS, params, limits
+        ).r_d2d_bps
+
+    def test_geometry_error_counts_as_infeasible(self, monkeypatch):
+        """A flat floor plane makes the scalar solve raise on a device side;
+        the batch leaves that entry to it and the others are unaffected."""
+        params, limits = make_params(), make_limits()
+        rng, layout = np.random.default_rng(3), SimConfig(k_users=1, d_pairs=1, trials=1)
+        gains = []
+        while len(gains) < 4:
+            g = sample_combo_gains(rng, layout)
+            pm = pu_min(params, g.h_b_u)
+            if all(sufficient_feasibility(g, params, limits, pm, o) for o in ORDERS):
+                gains.append(g)
+        broken = gains[1].h_d
+        real = d2dpa.fdsic.floor_planes
+
+        def flat_floor4(h, eta1, eta2):
+            floor2, floor4 = real(h, eta1, eta2)
+            keep = h[0] != broken
+            return floor2, Plane(floor4.ax * keep, floor4.ay * keep)
+
+        want = [_best_sic_order(g, params, limits) for g in gains]
+        assert all(sol is not None for sol in want)
+        monkeypatch.setattr(d2dpa.fdsic, "floor_planes", flat_floor4)
+        for o in ORDERS:
+            with pytest.raises(GeometryError):
+                solve_fd_sic_order(gains[1], params, limits, o)
+        *_, fallback = _batch([(g, o) for g in gains for o in ORDERS], params, limits)
+        assert list(fallback[2:4]) == [True, True]
+        rates = _table_rates(gains, params, limits)
+        assert rates[1] == -np.inf
+        for i in (0, 2, 3):
+            assert rates[i] == want[i].r_d2d_bps

@@ -1,12 +1,21 @@
 """The closed-form no-SIC FD kernel and the model properties of every scheme."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
 from d2dpa import fdnosic
-from d2dpa.model import ChannelGains, PowerLimits, SystemParams, dbm_to_watts, rate_floor_snr
+from d2dpa.model import (
+    ChannelGains,
+    PowerLimits,
+    ScenarioKind,
+    SystemParams,
+    dbm_to_watts,
+    rate_floor_snr,
+)
 from d2dpa.solvers import solve_all, solve_fd_nosic
 
 
@@ -76,8 +85,36 @@ def test_raising_a_cap_never_lowers_the_rate(instance, cap, factor):
         **{name: getattr(limits, name) * (factor if name == cap else 1.0)
            for name in ("p1_max_w", "p2_max_w", "pu_max_w")}
     )
-    sol = solve_fd_nosic(gains, params, limits)
-    more = solve_fd_nosic(gains, params, raised)
-    assert more.feasible or not sol.feasible
-    # the same optimum reached along another face may differ in the last bit
-    assert more.r_d2d_bps >= sol.r_d2d_bps * (1.0 - 1e-12)
+    sols = solve_all(gains, params, limits)
+    more = solve_all(gains, params, raised)
+    for kind, sol in sols.items():
+        assert more[kind].feasible or not sol.feasible, kind
+        # the same optimum reached along another face may differ in the last bit
+        assert more[kind].r_d2d_bps >= sol.r_d2d_bps * (1.0 - 1e-12), kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances, st.floats(-30.0, 30.0).map(lambda db: 10.0 ** (db / 10.0)))
+def test_scaling_gains_and_noise_keeps_every_rate(instance, c):
+    """Every SINR is a ratio of gain-weighted powers and noise: scaling all
+    gains, both SI factors and the noise by one factor changes none."""
+    gains, params, limits = instance
+    scaled_gains = ChannelGains(*(c * getattr(gains, f.name) for f in fields(ChannelGains)))
+    scaled_params = replace(
+        params, noise_w=c * params.noise_w, eta1=c * params.eta1, eta2=c * params.eta2
+    )
+    sols = solve_all(gains, params, limits)
+    scaled = solve_all(scaled_gains, scaled_params, limits)
+    for kind, sol in sols.items():
+        assert scaled[kind].feasible == sol.feasible, kind
+        assert scaled[kind].r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-9), kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances)
+def test_sic_never_loses_to_no_sic(instance):
+    sols = solve_all(*instance)
+    for sic, plain in ((ScenarioKind.HD_SIC, ScenarioKind.HD_NOSIC),
+                       (ScenarioKind.FD_SIC, ScenarioKind.FD_NOSIC)):
+        assert sols[sic].feasible or not sols[plain].feasible, sic
+        assert sols[sic].r_d2d_bps >= sols[plain].r_d2d_bps, sic

@@ -12,6 +12,7 @@ from d2dpa.sim import (
     LinkGains,
     SimConfig,
     build_rate_tables,
+    check_campaign,
     gains_from_deployment,
     generate_deployment,
     hexagon_boundary_radius,
@@ -292,6 +293,30 @@ class TestCampaign:
         with pytest.raises(ValueError, match="d_max_m must be > 0"):
             run_campaign(cfg)
 
+    def test_fixed_distance_beyond_cell_radius_rejected_before_first_trial(self, monkeypatch):
+        # the fixed law redraws only the direction: with no in-cell partner
+        # spot at this distance the deployment draw would never end
+        cfg = SimConfig(d_max_m=700.0, trials=1, pair_distance_law="fixed")
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("d2dpa.sim.run_trial", no_trial)
+        with pytest.raises(ValueError, match="d_max_m must be <= cell_radius_m"):
+            run_campaign(cfg)
+        with pytest.raises(ValueError, match="d_max_m must be <= cell_radius_m"):
+            sample_combo_gains(np.random.default_rng(0), cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"d_max_m": 300.0, "pair_distance_law": "fixed"}, {"d_max_m": 700.0}],
+        ids=["fixed_at_radius", "uniform_beyond_radius"],
+    )
+    def test_reachable_pair_distances_accepted(self, overrides):
+        cfg = SimConfig(k_users=2, d_pairs=2, trials=1, **overrides)
+        check_campaign(cfg)
+        sample_combo_gains(np.random.default_rng(0), cfg)
+
     def test_ci_halfwidth_matches_normal_formula(self):
         cfg = SimConfig(k_users=5, d_pairs=2, trials=8, master_seed=2)
         res = run_campaign(cfg)
@@ -322,6 +347,20 @@ class TestConfigValidation:
     def test_non_finite_values_rejected(self, name, bad):
         with pytest.raises(ValueError, match=name):
             SimConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), np.float64(4.0), "4", None])
+    @pytest.mark.parametrize("name", ["n_channels", "k_users", "d_pairs", "trials", "master_seed"])
+    def test_non_integer_counts_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{name: bad})
+
+    def test_numpy_integers_accepted(self):
+        counts = {"n_channels": 64, "k_users": 4, "d_pairs": 2, "trials": 2, "master_seed": 7}
+        cfg = SimConfig(**{k: np.int64(v) for k, v in counts.items()})
+        res = run_campaign(cfg)
+        ref = run_campaign(SimConfig(**counts))
+        for kind in ScenarioKind:
+            assert np.array_equal(res.totals_bps[kind], ref.totals_bps[kind])
 
     def test_channel_bandwidth(self):
         cfg = SimConfig()
