@@ -6,12 +6,7 @@ brute-force grid validator and a Monte Carlo campaign engine.
 """
 
 from .assignment import Assignment, RateTable, hungarian_max
-from .fdsic import (
-    GeometryError,
-    necessary_conditions,
-    solve_fd_sic_order,
-    sufficient_feasibility,
-)
+from .fdsic import necessary_conditions, solve_fd_sic_order, sufficient_feasibility
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -37,13 +32,7 @@ from .sim import (
     generate_deployment,
     run_campaign,
 )
-from .solvers import (
-    solve_all,
-    solve_fd_nosic,
-    solve_fd_sic,
-    solve_hd_nosic,
-    solve_hd_sic,
-)
+from .solvers import solve_all
 
 __version__ = "0.1.0"
 
@@ -53,7 +42,6 @@ __all__ = [
     "ChannelGains",
     "DecodingOrder",
     "Deployment",
-    "GeometryError",
     "GridSpec",
     "PaSolution",
     "PowerLimits",
@@ -75,11 +63,7 @@ __all__ = [
     "run_campaign",
     "scenario_rates",
     "solve_all",
-    "solve_fd_nosic",
-    "solve_fd_sic",
     "solve_fd_sic_order",
-    "solve_hd_nosic",
-    "solve_hd_sic",
     "sufficient_feasibility",
     "watts_to_dbm",
     "__version__",

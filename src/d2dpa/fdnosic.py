@@ -24,13 +24,10 @@ stationary points are the zeros of N'D - ND', where the cubic terms cancel:
 The maximum over a face is therefore at an endpoint or at one of at most two
 real roots inside it, and the whole solve is a fixed number of evaluations.
 
-`fd_nosic_search` solves one combination; `fd_nosic_batch` solves a whole
-table of them with numpy, visiting the same candidates in the same order.
+`fd_nosic_batch` solves a whole table of combinations at once with numpy.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,11 +35,8 @@ INFEASIBLE = (0.0, 0.0, 0.0, -1.0)
 
 
 def _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s):
-    """(A, B, C) of N'D - ND' on the face start + u * step.
-
-    Plain arithmetic, shared by the scalar search and the batched one: the
-    arguments may be floats or numpy arrays that broadcast.
-    """
+    """(A, B, C) of N'D - ND' on the face start + u * step; the arguments
+    may be floats or numpy arrays that broadcast."""
     a1, a2, au = start
     v1, v2, vu = step
     # den1 = e0 + e1 u, den2 = f0 + f1 u, den1 + p2 h_d = g0 + g1 u, den2 + p1 h_d = k0 + k1 u
@@ -55,110 +49,13 @@ def _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s):
     return n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1
 
 
-def _roots_inside(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real roots of a u^2 + b u + c strictly inside (0, 1), ascending.
+def _roots_inside_batch(a, b, c):
+    """Real roots of a u^2 + b u + c strictly inside (0, 1), as (smaller,
+    larger) arrays with NaN where a root is absent.
 
     The two roots come from q = -(b + sign(b) sqrt(disc)) / 2 as q/a and c/q,
-    which avoids the cancellation of -b + sqrt(disc) when 4ac << b^2.
-    """
-    if a == 0.0:
-        roots = (-c / b,) if b != 0.0 else ()
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return ()
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        if q == 0.0:  # b = c = 0: a double root at 0
-            return ()
-        r1, r2 = q / a, c / q
-        roots = (r1, r2) if r1 <= r2 else (r2, r1)
-    return tuple(u for u in roots if 0.0 < u < 1.0)
-
-
-def fd_nosic_search(
-    h_d: float,
-    h_b_d1: float,
-    h_b_d2: float,
-    h_d1_u: float,
-    h_d2_u: float,
-    h_b_u: float,
-    eta1: float,
-    eta2: float,
-    noise_w: float,
-    q: float,
-    bandwidth_hz: float,
-    p1_max: float,
-    p2_max: float,
-    pu_max: float,
-) -> tuple[float, float, float, float]:
-    """Best (p1, p2, pu, d2d_rate) without SIC; rate is -1 when infeasible.
-
-    ``q`` is the CU SINR floor 2^(Rmin/B) - 1.  The CU power is always the
-    exact value meeting the rate floor at the chosen device powers.
-    """
-    s = noise_w
-
-    def pu_req(p1: float, p2: float) -> float:
-        return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
-
-    best = INFEASIBLE
-
-    def consider(p1: float, p2: float, pu: float) -> None:
-        nonlocal best
-        den1 = pu * h_d1_u + eta1 * p1 + s
-        den2 = pu * h_d2_u + eta2 * p2 + s
-        r = bandwidth_hz * math.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
-        if r > best[3]:
-            best = (p1, p2, pu, r)
-
-    def face(start: tuple, end: tuple) -> None:
-        """Maximize the rate on the segment between two (p1, p2, pu) corners.
-
-        The powers are affine along a face, so it is written as
-        start + u * (end - start) with u in [0, 1].
-        """
-        consider(*start)
-        a1, a2, au = start
-        v1, v2, vu = end[0] - a1, end[1] - a2, end[2] - au
-        coeffs = _stationarity_coeffs(start, (v1, v2, vu), h_d, h_d1_u, h_d2_u, eta1, eta2, s)
-        for u in _roots_inside(*coeffs):
-            consider(a1 + u * v1, a2 + u * v2, au + u * vu)
-        consider(*end)
-
-    if q == 0.0:
-        face((p1_max, 0.0, 0.0), (p1_max, p2_max, 0.0))
-        face((0.0, p2_max, 0.0), (p1_max, p2_max, 0.0))
-        return best
-
-    ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
-    if ccut < 0.0:
-        return INFEASIBLE
-
-    # The cap face runs from its corner on the P2max edge (or the p1 = 0 axis)
-    # to its corner on the P1max edge (or the p2 = 0 axis).  The corners are
-    # computed directly, not as p2 from p1: that would amplify the rounding of
-    # p1*h_b_d1 by 1/h_b_d2 and can push p2 past P2max.  Computed directly,
-    # swapping the devices mirrors them exactly.
-    cap_start = (0.0, min(ccut / h_b_d2, p2_max), pu_max)
-    cap_end = (min(ccut / h_b_d1, p1_max), 0.0, pu_max)
-    if p1_max * h_b_d1 <= ccut:
-        p2_hi = min(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
-        face((p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi)))
-        cap_end = (p1_max, p2_hi, pu_max)
-    if p2_max * h_b_d2 <= ccut:
-        p1_hi = min(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
-        face((0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max)))
-        cap_start = (p1_hi, p2_max, pu_max)
-    if p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut:  # the cap binds inside the box
-        face(cap_start, cap_end)
-    return best
-
-
-def _roots_inside_batch(a, b, c):
-    """`_roots_inside` over arrays: (smaller, larger) root, NaN where absent.
-
-    Absent roots come out of sqrt(-x), x/0 and 0/0, so call it under
-    ``np.errstate``.
+    which avoids the cancellation of -b + sqrt(disc) when 4ac << b^2.  Absent
+    roots come out of sqrt(-x), x/0 and 0/0, so call it under ``np.errstate``.
     """
     linear = a == 0.0
     q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
@@ -184,12 +81,15 @@ def fd_nosic_batch(
     p2_max: float,
     pu_max: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`fd_nosic_search` over link-gain arrays that broadcast to one shape.
+    """Best (p1, p2, pu, d2d_rate) without SIC for link-gain arrays that
+    broadcast to one shape.
 
-    Returns (p1, p2, pu, rate) arrays of that shape, with (0, 0, 0, -1) where
-    infeasible.  Faces, corners and candidate order are the scalar search's,
-    and of equal best rates the first candidate wins, as under its strict
-    ``r > best`` rule.
+    Returns arrays of that shape, with (0, 0, 0, -1) where infeasible.  ``q``
+    is the CU SINR floor 2^(Rmin/B) - 1; the CU power is the exact value
+    meeting the rate floor at the chosen device powers.  Candidates are
+    visited face by face (P1max edge, P2max edge, CU cap), each face's
+    start, inside roots and end in turn, and of equal best rates the first
+    candidate wins.
     """
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = np.broadcast_arrays(
         h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u
@@ -207,12 +107,18 @@ def fd_nosic_batch(
             def pu_req(p1, p2):
                 return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
 
-            ccut = pu_max * h_b_u / q - s
+            ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
             # The P1max edge meets the cut (so ccut >= 0); likewise P2max.
             edge1 = p1_max * h_b_d1 <= ccut
             edge2 = p2_max * h_b_d2 <= ccut
             p2_hi = np.minimum(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
             p1_hi = np.minimum(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
+            # The cap face runs from its corner on the P2max edge (or the
+            # p1 = 0 axis) to its corner on the P1max edge (or the p2 = 0
+            # axis).  The corners are computed directly, not as p2 from p1:
+            # that would amplify the rounding of p1*h_b_d1 by 1/h_b_d2 and can
+            # push p2 past P2max.  Computed directly, swapping the devices
+            # mirrors them exactly.
             cap_start = (
                 np.where(edge2, p1_hi, 0.0),
                 np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max)),
@@ -230,7 +136,7 @@ def fd_nosic_batch(
                 (cap_on, cap_start, cap_end),
             ]
 
-        candidates = []  # (on, p1, p2, pu) in the scalar search's order
+        candidates = []  # (on, p1, p2, pu) in visiting order
         for on, start, end in faces:
             step = tuple(e - a for e, a in zip(end, start))
             coeffs = _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
@@ -245,8 +151,8 @@ def fd_nosic_batch(
         den1 = pu * h_d1_u + eta1 * p1 + s
         den2 = pu * h_d2_u + eta2 * p2 + s
         r = bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
-    # The scalar rule keeps a candidate only if it beats -1 and every earlier
-    # one: the first maximum, which argmax returns.
+    # A candidate counts only if it beats -1 and every earlier one: the first
+    # maximum, which argmax returns.
     r = np.where(on & (r > INFEASIBLE[3]), r, -np.inf)
     pick = np.argmax(r, axis=0)[None]
     p1, p2, pu, r = (np.take_along_axis(x, pick, axis=0)[0] for x in (p1, p2, pu, r))

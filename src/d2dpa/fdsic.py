@@ -11,16 +11,17 @@ empty or a line segment (two on the CU-cap side when the floors cross there)
 whose endpoints are plane/edge intersections.  The solver builds the segments
 of all three sides, drops the empty ones and keeps the best point; the best
 point of a segment is an endpoint, or the root of a known quadratic on the
-CU-cap side.  The whole solve is a constant number of scalar operations.
+CU-cap side.  The whole solve is a constant number of array operations.
 
 Two decoding orders exist at the BS (strip the second device's message first,
 or the first's); they share the floor planes and differ in the ceilings.
 
-`fd_sic_batch` runs the same procedure with numpy on many (combination,
-order) pairs at once; `solve_fd_sic_order` stays the reference and decides
-the rare pairs whose best candidate must be pulled inward or whose geometry
-raises GeometryError.  The plane, margin and rate formulas and the
-validation tests are written once and serve both.
+`fd_sic_batch` solves many (combination, order) pairs at once with numpy, and
+`solve_fd_sic_order` is the same solve on one pair.  The chosen point must
+pass an exact check of every constraint.  On a sliver segment the best point
+may sit closer to a plane than double precision can certify; it is then
+pulled toward the segment's middle in fixed steps, and the next-best segment
+is tried when no step passes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .model import (
     Scenario,
     ScenarioKind,
     SystemParams,
-    fd_sic_d2d_rate,
     pu_min,
     shannon_rate,
     sic_sum_rate,
@@ -50,9 +51,9 @@ from .model import (
 
 REL_TOL = 1e-9
 
-
-class GeometryError(RuntimeError):
-    """Computed intersections contradict the feasibility pre-tests."""
+# Fractions of the way from a segment's best point to its middle, tried in
+# order until the point passes the exact check.
+PULL_IN = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -74,21 +75,6 @@ class FloorPlane(Enum):
     PLANE2 = 2
     PLANE4 = 4
 
-
-@dataclass(frozen=True)
-class FloorSelector:
-    """Pointwise-dominant floor: the higher of the two floor planes."""
-
-    floor2: Plane
-    floor4: Plane
-
-    def plane(self, which: FloorPlane) -> Plane:
-        return self.floor2 if which is FloorPlane.PLANE2 else self.floor4
-
-    def height(self, p1: float, p2: float) -> float:
-        return max(self.floor2.height(p1, p2), self.floor4.height(p1, p2))
-
-
 def _gain_tuple(g: ChannelGains) -> tuple[float, ...]:
     return (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
 
@@ -103,8 +89,6 @@ def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
     return Plane(eta1 / h_d1_u, h_d / h_d1_u), Plane(h_d / h_d2_u, eta2 / h_d2_u)
 
 
-def floor_selector(gains: ChannelGains, params: SystemParams) -> FloorSelector:
-    return FloorSelector(*floor_planes(_gain_tuple(gains), params.eta1, params.eta2))
 
 
 # ---------------------------------------------------------------------------
@@ -247,272 +231,11 @@ def sufficient_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Admissible segments on the outer box sides
-
-
-class Side(Enum):
-    P1_MAX = "p1_max"
-    P2_MAX = "p2_max"
-    PU_MAX = "pu_max"
-
-
-def _combine_roots(increasing: list[bool], roots: list[float]) -> float:
-    if all(increasing):
-        return max(roots)
-    if not any(increasing):
-        return min(roots)
-    raise GeometryError("ceiling/floor slope ordering violates the channel conditions")
-
-
-def _ridge_on_cap(
-    ceil: Plane, selector: FloorSelector, pu_max: float
-) -> tuple[float, float, float]:
-    """Point where a ceiling ridge pierces the plane Pu = pu_max.
-
-    Solved per floor branch; the real branch is the one whose floor actually
-    dominates at the solution.
-    """
-    for f in (selector.floor2, selector.floor4):
-        det = ceil.ax * f.ay - ceil.ay * f.ax
-        if det == 0.0:
-            continue
-        x = pu_max * (f.ay - ceil.ay) / det
-        y = pu_max * (ceil.ax - f.ax) / det
-        other = selector.floor4 if f is selector.floor2 else selector.floor2
-        if other.height(x, y) <= pu_max * (1.0 + REL_TOL) and x > -pu_max and y > -pu_max:
-            return x, y, pu_max
-    raise GeometryError("ceiling ridge does not reach the CU power cap")
-
-
-@dataclass(frozen=True)
-class SideSegment:
-    """One admissible segment on an outer box side.
-
-    ``lo``/``hi`` bound the free power coordinate (P2 on the P1 side, P1
-    elsewhere).  ``branch`` names the floor plane that supplies Pu along a
-    CU-cap segment.
-    """
-
-    side: Side
-    lo: float
-    hi: float
-    branch: FloorPlane | None
-    endpoint_lo: PowerTriplet
-    endpoint_hi: PowerTriplet
-
-
-def _device_side_interval(
-    side: Side,
-    planes: SicPlanes,
-    selector: FloorSelector,
-    limits: PowerLimits,
-    pu_m: float,
-) -> tuple[float, float]:
-    """Free-coordinate range of the admissible segment on a device-power side.
-
-    Each ceiling contributes a lower or an upper bound depending on whether
-    its trace rises or falls along the side; the bound is its crossing with
-    the combined floor or, lower down, with the box bottom Pu = pu_m.  The
-    floor itself caps the range where it exceeds the CU power limit.
-    """
-    if side is Side.P1_MAX:
-        fixed, free_cap = limits.p1_max_w, limits.p2_max_w
-
-        def coef(pl: Plane) -> tuple[float, float]:
-            return pl.ay, pl.ax * fixed  # slope along the free coord, offset
-
-    else:
-        fixed, free_cap = limits.p2_max_w, limits.p1_max_w
-
-        def coef(pl: Plane) -> tuple[float, float]:
-            return pl.ax, pl.ay * fixed
-
-    lo, hi = 0.0, free_cap
-    for ceil in (planes.ceil1, planes.ceil3):
-        c_slope, c_off = coef(ceil)
-        roots, incr = [], []
-        for f in (selector.floor2, selector.floor4):
-            f_slope, f_off = coef(f)
-            d = c_slope - f_slope
-            if d == 0.0:
-                raise GeometryError("parallel ceiling and floor traces on a box side")
-            roots.append((f_off - c_off) / d)
-            incr.append(d > 0.0)
-        t_floor = _combine_roots(incr, roots)
-        if all(incr):
-            lo = max(lo, t_floor)
-        else:
-            hi = min(hi, t_floor)
-        if c_slope > 0.0:
-            lo = max(lo, (pu_m - c_off) / c_slope)
-        elif c_slope < 0.0:
-            hi = min(hi, (pu_m - c_off) / c_slope)
-        elif c_off < pu_m:
-            return 1.0, 0.0  # constant ceiling below the box bottom: empty side
-    for f in (selector.floor2, selector.floor4):
-        f_slope, f_off = coef(f)
-        if f_slope <= 0.0:
-            raise GeometryError("floor plane does not rise along a device side")
-        hi = min(hi, (limits.pu_max_w - f_off) / f_slope)
-    return lo, hi
-
-
-def _cap_interval(
-    planes: SicPlanes, selector: FloorSelector, limits: PowerLimits
-) -> tuple[float, float]:
-    """P1 range of the admissible curve (combined floor == CU cap) on the cap side."""
-    pu_max = limits.pu_max_w
-    lo, hi = 0.0, limits.p1_max_w
-    entries = []
-    for f in (selector.floor2, selector.floor4):
-        if f.ax <= 0.0:
-            raise GeometryError("floor plane does not rise along P1")
-        entries.append((pu_max - f.ay * limits.p2_max_w) / f.ax)
-    lo = max(lo, min(entries))
-    for ceil in (planes.ceil1, planes.ceil3):
-        x, _, _ = _ridge_on_cap(ceil, selector, pu_max)
-        # A ceiling rising along the cap curve bounds it from below, a falling
-        # one from above; the channel conditions fix the sign per ceiling.
-        along = [
-            ceil.ax * f.ay - ceil.ay * f.ax
-            for f in (selector.floor2, selector.floor4)
-        ]
-        if all(a > 0.0 for a in along):
-            lo = max(lo, x)
-        elif all(a < 0.0 for a in along):
-            hi = min(hi, x)
-        else:
-            raise GeometryError("ceiling slope along the cap curve is not uniform")
-    return lo, hi
-
-
-def _cap_curve_p2(
-    selector: FloorSelector, branch: FloorPlane, p1: float, pu_max: float
-) -> float:
-    f = selector.plane(branch)
-    return (pu_max - f.ax * p1) / f.ay
-
-
-def _cap_branch_at(selector: FloorSelector, p1: float, pu_max: float) -> FloorPlane:
-    """Floor branch supplying the cap curve at abscissa p1 (the lower P2 wins)."""
-    y2 = _cap_curve_p2(selector, FloorPlane.PLANE2, p1, pu_max)
-    y4 = _cap_curve_p2(selector, FloorPlane.PLANE4, p1, pu_max)
-    return FloorPlane.PLANE2 if y2 <= y4 else FloorPlane.PLANE4
-
-
-def _floor_crossing_on_cap(
-    selector: FloorSelector, pu_max: float
-) -> tuple[float, float] | None:
-    """Point where both floors equal the CU cap: the kink of the cap curve."""
-    f2, f4 = selector.floor2, selector.floor4
-    det = f2.ax * f4.ay - f2.ay * f4.ax
-    if det == 0.0:
-        return None
-    x = pu_max * (f4.ay - f2.ay) / det
-    y = pu_max * (f2.ax - f4.ax) / det
-    if x <= 0.0 or y <= 0.0:
-        return None
-    return x, y
-
-
-def _nonempty(lo: float, hi: float, scale: float) -> bool:
-    return hi - lo > -REL_TOL * scale
-
-
-def _build_device_segment(
-    side: Side,
-    planes: SicPlanes,
-    selector: FloorSelector,
-    limits: PowerLimits,
-    pu_m: float,
-) -> list[SideSegment]:
-    lo, hi = _device_side_interval(side, planes, selector, limits, pu_m)
-    if not _nonempty(lo, hi, max(limits.p1_max_w, limits.p2_max_w)):
-        return []
-    hi = max(hi, lo)
-
-    def endpoint(t: float) -> PowerTriplet:
-        if side is Side.P1_MAX:
-            p1, p2 = limits.p1_max_w, t
-        else:
-            p1, p2 = t, limits.p2_max_w
-        pu = max(selector.height(p1, p2), pu_m)
-        return PowerTriplet(p1, max(p2, 0.0), pu)
-
-    return [
-        SideSegment(side, lo, hi, None, endpoint(lo), endpoint(hi))
-    ]
-
-
-def _build_cap_segments(
-    planes: SicPlanes, selector: FloorSelector, limits: PowerLimits
-) -> list[SideSegment]:
-    pu_max = limits.pu_max_w
-    try:
-        lo, hi = _cap_interval(planes, selector, limits)
-    except GeometryError:
-        return []
-    scale = max(limits.p1_max_w, limits.p2_max_w)
-    if not _nonempty(lo, hi, scale):
-        return []
-    lo, hi = max(lo, 0.0), max(hi, max(lo, 0.0))
-
-    pieces = [(lo, hi)]
-    kink = _floor_crossing_on_cap(selector, pu_max)
-    if kink is not None and lo + REL_TOL * scale < kink[0] < hi - REL_TOL * scale:
-        pieces = [(lo, kink[0]), (kink[0], hi)]
-
-    segments = []
-    for a, b in pieces:
-        branch = _cap_branch_at(selector, 0.5 * (a + b), pu_max)
-        pt_a = PowerTriplet(max(a, 0.0), max(_cap_curve_p2(selector, branch, a, pu_max), 0.0), pu_max)
-        pt_b = PowerTriplet(max(b, 0.0), max(_cap_curve_p2(selector, branch, b, pu_max), 0.0), pu_max)
-        segments.append(SideSegment(Side.PU_MAX, a, b, branch, pt_a, pt_b))
-    return segments
-
-
-def segment_set(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    pu_m: float,
-    order: DecodingOrder,
-) -> list[SideSegment]:
-    """Admissible segments on the outer box sides for one decoding order.
-
-    The optimum lies on the P1max, P2max or CU-cap side, so a segment is
-    built on each of the three and the empty ones drop out.
-    """
-    planes = planes_for_order(gains, params, order)
-    selector = FloorSelector(planes.floor2, planes.floor4)
-    return [
-        *_build_device_segment(Side.P1_MAX, planes, selector, limits, pu_m),
-        *_build_device_segment(Side.P2_MAX, planes, selector, limits, pu_m),
-        *_build_cap_segments(planes, selector, limits),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Per-segment optimization
-
-
-def optimize_box_side(
-    segment: SideSegment, gains: ChannelGains, params: SystemParams
-) -> tuple[float, float, float]:
-    """Best (p1, p2, rate) on a device-power side: an endpoint always wins.
-
-    Along such a side the rate derivative carries the sign of a quadratic
-    whose negative lobe is a single interval, so no interior point can beat
-    both endpoints.
-    """
-    if segment.side not in (Side.P1_MAX, Side.P2_MAX):
-        raise ValueError("optimize_box_side handles the device-power sides only")
-    best = None
-    for pt in (segment.endpoint_lo, segment.endpoint_hi):
-        rate = fd_sic_d2d_rate(pt.p1_w, pt.p2_w, gains, params)
-        if best is None or rate > best[2]:
-            best = (pt.p1_w, pt.p2_w, rate)
-    return best
+# Admissible segments and the solve, over arrays of (entry, order) pairs
+#
+# Plane coefficients are stacked as (ax or ay, plane, entry) arrays: floors
+# 2 and 4, ceilings 1 and 3.  A NaN bound below stands for "no bound": fmax
+# and fmin skip it.
 
 
 def _cap_poly(branch: FloorPlane, h, params: SystemParams, pu_max: float) -> tuple:
@@ -538,45 +261,12 @@ def _cap_poly(branch: FloorPlane, h, params: SystemParams, pu_max: float) -> tup
     return a, b, c
 
 
-def optimize_su_side(
-    segment: SideSegment,
-    gains: ChannelGains,
-    params: SystemParams,
-    pu_max: float,
-) -> tuple[float, float, float]:
-    """Best (p1, p2, rate) on a CU-cap segment.
-
-    Candidates are the two endpoints plus the quadratic root that can host a
-    local maximum of the rate (the other root is always a local minimum and
-    is never tested).
-    """
-    if segment.side is not Side.PU_MAX or segment.branch is None:
-        raise ValueError("optimize_su_side handles CU-cap segments only")
-    candidates = [segment.lo, segment.hi]
-    a, b, c = _cap_poly(segment.branch, _gain_tuple(gains), params, pu_max)
-    if a != 0.0:
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            root = (-b - math.sqrt(disc)) / (2.0 * a)
-            if segment.lo < root < segment.hi:
-                candidates.append(root)
-    elif b != 0.0:
-        root = -c / b
-        if segment.lo < root < segment.hi:
-            candidates.append(root)
-
-    sel = floor_selector(gains, params)
-    best = None
-    for p1 in candidates:
-        p2 = max(_cap_curve_p2(sel, segment.branch, p1, pu_max), 0.0)
-        rate = fd_sic_d2d_rate(max(p1, 0.0), p2, gains, params)
-        if best is None or rate > best[2]:
-            best = (max(p1, 0.0), p2, rate)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Full solve for one decoding order
+def _cap_root(a, b, c):
+    """The root of a*x^2 + b*x + c that can host a local maximum of the rate
+    along a cap branch (the other root is always a local minimum); NaN or
+    inf where there is none."""
+    disc = b * b - 4.0 * a * c
+    return np.where(a != 0.0, (-b - np.sqrt(disc)) / (2.0 * a), -c / b)
 
 
 def _fmax(*values):
@@ -587,145 +277,36 @@ def _none_below(margins, bound):
     return np.logical_not(np.logical_or.reduce([m < bound for m in margins]))
 
 
-def _point_tests(h, planes: SicPlanes, margins, limits: PowerLimits, pu_m, p1, p2, pu) -> tuple:
-    """The four tests of `validate_sic_point`, on floats or arrays: power
-    ordering, SIC rates, power limits and CU rate floor, each True where the
-    point passes within a relative margin.  ``h`` holds the link gains as
-    in `floor_planes` and ``margins`` the point's `sic_rate_margins`."""
+def _point_tests(h, planes: SicPlanes, margins, limits: PowerLimits, pu_m, p1, p2, pu):
+    """True where a point meets every mutual-SIC constraint within a relative
+    margin: power ordering, SIC rates, power limits and the CU rate floor.
+    ``h`` holds the link gains as in `floor_planes` and ``margins`` the
+    point's `sic_rate_margins`.  A NaN power fails the power limits."""
     scale = _fmax(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
     sic_scale = _fmax(*(abs(m) for m in margins)) + scale * _fmax(h[1], h[2], h[5]) * _fmax(
         p1, p2, pu, 1e-300
     )
     return (
-        _none_below(pmc_margins(planes, p1, p2, pu), -REL_TOL * scale),
-        _none_below(margins, -REL_TOL * sic_scale),
-        within_limits(p1, p2, pu, limits, REL_TOL),
-        np.logical_not(pu < pu_m * (1.0 - REL_TOL)),
+        _none_below(pmc_margins(planes, p1, p2, pu), -REL_TOL * scale)
+        & _none_below(margins, -REL_TOL * sic_scale)
+        & within_limits(p1, p2, pu, limits, REL_TOL)
+        & np.logical_not(pu < pu_m * (1.0 - REL_TOL))
     )
-
-
-def validate_sic_point(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    order: DecodingOrder,
-    point: PowerTriplet,
-) -> None:
-    """Raise GeometryError unless the point meets every mutual-SIC constraint
-    within a relative margin."""
-    p1, p2, pu = point.p1_w, point.p2_w, point.pu_w
-    tests = _point_tests(
-        _gain_tuple(gains), planes_for_order(gains, params, order),
-        sic_rate_margins(gains, params, order, p1, p2, pu), limits,
-        pu_min(params, gains.h_b_u), p1, p2, pu,
-    )
-    for passed, what in zip(
-        tests, ("a power-ordering condition", "a SIC rate condition", "a power limit",
-                "the CU rate floor"),
-    ):
-        if not passed:
-            raise GeometryError(f"solution violates {what}: {point}")
-
-
-def solve_fd_sic_order(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    order: DecodingOrder,
-) -> PaSolution | None:
-    """Optimal FD mutual-SIC allocation for one decoding order, or None.
-
-    Returns None when the admissible region is empty.  The CU transmits at
-    the smallest admissible power for the chosen device powers.
-    """
-    pu_m = pu_min(params, gains.h_b_u)
-    if not sufficient_feasibility(gains, params, limits, pu_m, order):
-        return None
-    segments = segment_set(gains, params, limits, pu_m, order)
-    if not segments:
-        raise GeometryError("feasibility tests passed but no segment was found")
-
-    selector = floor_selector(gains, params)
-
-    def point_at(seg: SideSegment, t: float) -> PowerTriplet:
-        if seg.side is Side.PU_MAX:
-            p1 = max(t, 0.0)
-            p2 = max(_cap_curve_p2(selector, seg.branch, t, limits.pu_max_w), 0.0)
-            pu = limits.pu_max_w
-        elif seg.side is Side.P1_MAX:
-            p1, p2 = limits.p1_max_w, max(t, 0.0)
-            pu = max(selector.height(p1, p2), pu_m)
-        else:
-            p1, p2 = max(t, 0.0), limits.p2_max_w
-            pu = max(selector.height(p1, p2), pu_m)
-        return PowerTriplet(
-            min(p1, limits.p1_max_w), min(p2, limits.p2_max_w), min(pu, limits.pu_max_w)
-        )
-
-    candidates: list[tuple[float, SideSegment, float]] = []
-    seen: list[tuple[float, float]] = []
-    scale = max(limits.p1_max_w, limits.p2_max_w)
-    for seg in segments:
-        if seg.side is Side.PU_MAX:
-            cand = optimize_su_side(seg, gains, params, limits.pu_max_w)
-            t = cand[0]
-        else:
-            cand = optimize_box_side(seg, gains, params)
-            t = cand[1] if seg.side is Side.P1_MAX else cand[0]
-        key = (cand[0], cand[1])
-        if any(
-            abs(key[0] - k[0]) <= REL_TOL * scale and abs(key[1] - k[1]) <= REL_TOL * scale
-            for k in seen
-        ):
-            continue
-        seen.append(key)
-        candidates.append((cand[2], seg, t))
-
-    # The highest-rate candidate that survives the exact validation wins.
-    # On sliver segments the optimal endpoint may sit closer to a constraint
-    # plane than double precision can certify, in which case the point is
-    # pulled toward the segment interior where the margins are genuinely
-    # positive; the rate sacrifice is bounded by the sliver width.
-    failure: GeometryError | None = None
-    for _, seg, t in sorted(candidates, key=lambda c: -c[0]):
-        mid = 0.5 * (seg.lo + seg.hi)
-        for frac in (0.0, 1e-6, 1e-3, 0.1, 1.0):
-            t_try = t + (mid - t) * frac
-            point = point_at(seg, t_try)
-            try:
-                validate_sic_point(gains, params, limits, order, point)
-            except GeometryError as exc:
-                failure = exc
-                continue
-            rate = fd_sic_d2d_rate(point.p1_w, point.p2_w, gains, params)
-            r_u = shannon_rate(
-                params.bandwidth_hz, point.pu_w * gains.h_b_u / params.noise_w
-            )
-            return PaSolution(
-                scenario=Scenario(ScenarioKind.FD_SIC, order=order),
-                powers=point,
-                r_d2d_bps=rate,
-                r_u_bps=r_u,
-                sic_applied=True,
-            )
-    raise failure if failure is not None else GeometryError("no candidate point found")
-
-
-# ---------------------------------------------------------------------------
-# The same solve over arrays
-#
-# Plane coefficients are stacked as (ax or ay, plane, entry) arrays: floors
-# 2 and 4, ceilings 1 and 3.  A NaN bound below stands for "no bound": fmax
-# and fmin skip it, as the scalar code skips a bound it never applies.
 
 
 def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
-    """`_device_side_interval` on both device sides at once.
+    """Free-coordinate range of the admissible segment on both device sides.
 
     Side 0 is P1 = P1max and side 1 is P2 = P2max; ``fixed`` holds
-    (P1max, P2max) shaped to broadcast over (side, plane, entry).  Returns
-    (lo, hi, error) as (side, entry) arrays, with ``error`` True where the
-    scalar code raises GeometryError.
+    (P1max, P2max) shaped to broadcast over (side, plane, entry).  Each
+    ceiling contributes a lower or an upper bound depending on whether its
+    trace rises or falls along the side; the bound is its crossing with the
+    higher floor or, lower down, with the box bottom Pu = pu_m.  The floors
+    cap the range where they exceed the CU power limit.  Returns (lo, hi,
+    error) as (side, entry) arrays, with ``error`` True where the traces
+    contradict the pre-test: a ceiling parallel to a floor, a ceiling rising
+    above one floor and falling below the other, or a floor that does not
+    rise along the side.
     """
     # Each plane's trace along a side: slope along the free coordinate, offset.
     c_slope, c_off = ceils[::-1], ceils * fixed
@@ -746,17 +327,20 @@ def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
     ], axis=1)
     lo = np.fmax(np.fmax.reduce(lower, axis=1), 0.0)
     hi = np.fmin(np.fmin.reduce(upper, axis=1), fixed[::-1, 0])
+    # A flat ceiling below the box bottom empties the side.
     empty = ((c_slope == 0.0) & (c_off < pu_m)).any(axis=1)
     return np.where(empty, 1.0, lo), np.where(empty, 0.0, hi), error
 
 
-def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
-    """`_cap_interval` over arrays: (lo, hi, ok), ``ok`` False where the
-    scalar code raises GeometryError."""
-    pu_max = limits.pu_max_w
+def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
+    """Where each ceiling's ridge with the higher floor pierces the plane
+    Pu = pu_max, as (x, y, found) arrays of (ceiling, entry).
+
+    The ridge is solved against each floor branch; the real branch is the
+    first whose other floor does not exceed the cap there.
+    """
     (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
-    # `_ridge_on_cap` per (ceiling, floor branch); the first hit wins.
-    det = c_ax * f_ay - c_ay * f_ax
+    det = c_ax * f_ay - c_ay * f_ax  # (ceiling, branch, entry)
     x = pu_max * (f_ay - c_ay) / det
     y = pu_max * (c_ax - f_ax) / det
     hit = (
@@ -765,59 +349,77 @@ def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
         & (x > -pu_max)
         & (y > -pu_max)
     )
-    x = np.where(hit[:, 0], x[:, 0], x[:, 1])
-    rising, falling = (det > 0.0).all(axis=1), (det < 0.0).all(axis=1)
-    ok = ~(f_ax <= 0.0).any(axis=0) & (hit.any(axis=1) & (rising | falling)).all(axis=0)
+    first = hit[:, 0]
+    return np.where(first, x[:, 0], x[:, 1]), np.where(first, y[:, 0], y[:, 1]), hit.any(axis=1)
+
+
+def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
+    """P1 range of the admissible curve (higher floor == CU cap) on the cap
+    side: (lo, hi, ok), ``ok`` False where the cap side has no segment.
+
+    A ceiling rising along the cap curve bounds it from below at its ridge,
+    a falling one from above; the channel conditions fix the sign per
+    ceiling, and the cap side is dropped where they do not.
+    """
+    pu_max = limits.pu_max_w
+    (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
+    along = c_ax * f_ay - c_ay * f_ax  # (ceiling, branch, entry)
+    x, _, found = _ridges_on_cap(ceils, floors, pu_max)
+    rising, falling = (along > 0.0).all(axis=1), (along < 0.0).all(axis=1)
+    ok = ~(f_ax <= 0.0).any(axis=0) & (found & (rising | falling)).all(axis=0)
     entry = ((pu_max - f_ay * limits.p2_max_w) / f_ax).min(axis=0)
     lo = np.fmax(np.fmax.reduce(np.where(rising, x, np.nan), axis=0), np.fmax(entry, 0.0))
     hi = np.fmin(np.fmin.reduce(np.where(falling, x, np.nan), axis=0), limits.p1_max_w)
     return lo, hi, ok
 
 
-def _cap_root(a, b, c):
-    """The `optimize_su_side` root of a*x^2 + b*x + c over arrays (NaN or inf
-    where the scalar code has none)."""
-    disc = b * b - 4.0 * a * c
-    return np.where(a != 0.0, (-b - np.sqrt(disc)) / (2.0 * a), -c / b)
+class Segments(NamedTuple):
+    """The admissible segments of many (entry, order) pairs, as (segment,
+    entry) arrays.
 
-
-def _math_log2(x: np.ndarray) -> np.ndarray:
-    """`math.log2` per element: numpy's log2 can differ in the last bit."""
-    return np.array(list(map(math.log2, x.tolist())))
-
-
-def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
-    """`solve_fd_sic_order` over arrays of (entry, decoding order) pairs that
-    pass `sufficient_feasibility`.
-
-    ``h`` holds the six link gains in `ChannelGains` field order and ``pu_m``
-    the CU floor power, as 1-D arrays; ``m1_first`` is True where the order
-    is M1_FIRST.  Returns (p1, p2, pu, rate, fallback).  Where ``fallback``
-    is False, these are the scalar solve's point and rate: the same sides in
-    the same order, the same de-duplication, the first highest-rate candidate,
-    and that candidate passes `validate_sic_point` where it lies.  Where
-    ``fallback`` is True the scalar solve has to decide: the best candidate
-    fails validation and must be pulled inward, or the scalar code raises
-    GeometryError.
+    Segments 0 to 3 lie on the P1max side, the P2max side and the two pieces
+    of the CU-cap side; the second piece exists only where the floors' kink
+    splits the cap curve.  ``lo`` and ``hi`` bound the free power (P2 on the
+    P1max side, P1 elsewhere).  ``plane2`` is True where floor plane 2 rather
+    than 4 supplies Pu along a cap piece (meaningless on the device sides).
+    ``error`` is True for an entry whose device-side traces contradict the
+    pre-test.  ``planes`` and ``pu_m`` are the entries' constraint planes
+    and CU floor power.
     """
-    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
-    tol = REL_TOL * max(p1_max, p2_max)
-    n = len(m1_first)
+
+    lo: np.ndarray
+    hi: np.ndarray
+    has: np.ndarray
+    plane2: np.ndarray
+    error: np.ndarray
+    planes: SicPlanes
+    pu_m: np.ndarray
+
+
+_ON_P1_SIDE = np.array([True, False, False, False])[:, None]
+_ON_P2_SIDE = np.array([False, True, False, False])[:, None]
+_ON_CAP = np.array([False, False, True, True])[:, None]
+
+
+def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Segments:
+    """The admissible segments on the outer box sides; arguments as in
+    `fd_sic_batch`."""
     f2, f4 = floor_planes(h, params.eta1, params.eta2)
-    floors = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
-    ceils = np.empty((2, 2, 2, n))  # (order, ax or ay, ceiling, entry)
+    ceils = np.empty((2, 2, 2, len(m1_first)))  # (order, ax or ay, ceiling, entry)
     for k, order in enumerate((DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)):
         for j, ceil in enumerate(ceiling_planes(h, order)):
             ceils[k, 0, j], ceils[k, 1, j] = ceil.ax, ceil.ay
     ceils = np.where(m1_first, ceils[1], ceils[0])
-
+    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+    tol = REL_TOL * max(p1_max, p2_max)
+    stacked = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
     fixed = np.array([p1_max, p2_max])[:, None, None]
-    lo_d, hi_d, error = _device_sides_batch(ceils, floors, pu_m, fixed, pu_max)
+    lo_d, hi_d, error = _device_sides_batch(ceils, stacked, pu_m, fixed, pu_max)
     has_d = hi_d - lo_d > -tol
     hi_d = np.maximum(hi_d, lo_d)
 
     # The CU-cap side, split into two pieces at the floors' kink.
-    lo_c, hi_c, has_cap = _cap_interval_batch(ceils, floors, limits)
+    lo_c, hi_c, has_cap = _cap_interval_batch(ceils, stacked, limits)
     has_cap &= hi_c - lo_c > -tol
     hi_c = np.maximum(hi_c, lo_c)
     det = f2.ax * f4.ay - f2.ay * f4.ax
@@ -828,51 +430,142 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
         & (lo_c + tol < kink)
         & (kink < hi_c - tol)
     )
-    a, b = np.array([lo_c, kink]), np.array([np.where(split, kink, hi_c), hi_c])
-    mid = 0.5 * (a + b)
+    lo = np.array([lo_d[0], lo_d[1], lo_c, kink])
+    hi = np.array([hi_d[0], hi_d[1], np.where(split, kink, hi_c), hi_c])
+    # The floor with the lower cap curve at a piece's middle supplies it.
+    mid = 0.5 * (lo + hi)
     plane2 = (pu_max - f2.ax * mid) / f2.ay <= (pu_max - f4.ax * mid) / f4.ay
-    polys = np.array([_cap_poly(branch, h, params, pu_max) for branch in FloorPlane])
-    root = np.where(plane2, *_cap_root(*polys.transpose(1, 0, 2)))
-    f_ax, f_ay = (np.where(plane2, f2c, f4c) for f2c, f4c in ((f2.ax, f4.ax), (f2.ay, f4.ay)))
+    has = np.array([has_d[0], has_d[1], has_cap, split])
+    planes = SicPlanes(Plane(*ceils[:, 0]), f2, Plane(*ceils[:, 1]), f4)
+    return Segments(lo, hi, has, plane2, error.any(axis=0), planes, pu_m)
 
-    # Candidates as (candidate, segment, entry): segments P1max, P2max and the
-    # two cap pieces; a device side has its two ends (and a dummy third), a
-    # cap piece its ends and the quadratic root.
-    on_p1 = np.array([True, False])[:, None]
-    t_d = np.array([lo_d, hi_d, lo_d])
-    t_c = np.array([a, b, root])
-    p1s = np.concatenate([np.where(on_p1, p1_max, t_d), t_c], axis=1)
-    p2s = np.concatenate(
-        [np.where(on_p1, t_d, p2_max), np.maximum((pu_max - f_ax * t_c) / f_ay, 0.0)], axis=1
-    )
-    has = np.concatenate([has_d, [has_cap, split]])
-    root_ok = has[2:] & (a < root) & (root < b)
-    valid = np.array([has, has, np.concatenate([np.zeros_like(has_d), root_ok])])
-    rates = np.where(valid, sic_sum_rate(p1s, p2s, h[0], params, np.log2), -np.inf)
 
-    # Each segment's first highest-rate candidate.
-    seg, ent = np.arange(4)[:, None], np.arange(n)
-    pick = rates.argmax(axis=0)
-    p1s, p2s, rates = p1s[pick, seg, ent], p2s[pick, seg, ent], rates[pick, seg, ent]
-    # Drop a segment's point within REL_TOL * scale of a kept earlier one.
+def _device_powers(seg: Segments, t, limits: PowerLimits) -> tuple:
+    """(p1, p2) at free coordinate ``t`` of each segment, ``t`` shaped
+    (..., segment, entry); on a cap piece P2 follows the piece's floor."""
+    f2, f4 = seg.planes.floor2, seg.planes.floor4
+    free = np.maximum(t, 0.0)
+    f_ax, f_ay = np.where(seg.plane2, f2.ax, f4.ax), np.where(seg.plane2, f2.ay, f4.ay)
+    cap_p2 = np.maximum((limits.pu_max_w - f_ax * t) / f_ay, 0.0)
+    p1 = np.where(_ON_P1_SIDE, limits.p1_max_w, free)
+    p2 = np.where(_ON_P1_SIDE, free, np.where(_ON_P2_SIDE, limits.p2_max_w, cap_p2))
+    return p1, p2
+
+
+def side_points(seg: Segments, t, limits: PowerLimits) -> tuple:
+    """(p1, p2, pu) at free coordinate ``t`` of each segment, ``t`` shaped
+    (..., segment, entry).  On a cap piece Pu is the cap; on a device side
+    it is the higher floor, or the CU floor power where that is higher
+    still."""
+    p1, p2 = _device_powers(seg, t, limits)
+    f2, f4 = seg.planes.floor2, seg.planes.floor4
+    floor = np.maximum(np.maximum(f2.height(p1, p2), f4.height(p1, p2)), seg.pu_m)
+    return p1, p2, np.where(_ON_CAP, limits.pu_max_w, floor)
+
+
+def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) -> tuple:
+    """Each segment's best point as (t, p1, p2, rate) arrays of (segment,
+    entry), rate -inf on an empty segment.
+
+    Along a device side the rate derivative carries the sign of a quadratic
+    whose negative lobe is a single interval, so an end always wins.  Along
+    a cap piece the candidates are its ends and the quadratic root inside
+    it.  Of equal rates the first candidate wins.
+    """
+    polys = np.array([_cap_poly(branch, h, params, limits.pu_max_w) for branch in FloorPlane])
+    root = np.where(seg.plane2, *_cap_root(*polys.transpose(1, 0, 2)))
+    ts = np.array([seg.lo, seg.hi, root])  # (candidate, segment, entry)
+    root_ok = seg.has & _ON_CAP & (seg.lo < root) & (root < seg.hi)
+    p1, p2 = _device_powers(seg, ts, limits)
+    rates = sic_sum_rate(p1, p2, h[0], params, np.log2)
+    rates = np.where(np.array([seg.has, seg.has, root_ok]), rates, -np.inf)
+    pick = (rates.argmax(axis=0), np.arange(4)[:, None], np.arange(ts.shape[-1]))
+    return ts[pick], p1[pick], p2[pick], rates[pick]
+
+
+def _math_log2(x: np.ndarray) -> np.ndarray:
+    """`math.log2` per element: numpy's log2 can differ in the last bit."""
+    return np.array(list(map(math.log2, x.tolist())))
+
+
+def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
+    """The optimal FD mutual-SIC allocation of many (entry, decoding order)
+    pairs that pass `sufficient_feasibility`.
+
+    ``h`` holds the six link gains in `ChannelGains` field order and ``pu_m``
+    the CU floor power, as 1-D arrays; ``m1_first`` is True where the order
+    is M1_FIRST.  Returns (p1, p2, pu, rate), with (0, 0, 0, -inf) where the
+    pair has no certified point.
+
+    The segments' best points (`segment_best`) are ranked by rate, and for
+    each in turn the points `PULL_IN` of the way to its segment's middle are
+    checked: the first that passes `_point_tests` is the answer.  The CU
+    takes the lowest admissible power for the chosen device powers.
+    """
+    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+    tol = REL_TOL * max(p1_max, p2_max)
+    n = len(m1_first)
+    seg = segments(h, params, limits, pu_m, m1_first)
+    t, p1s, p2s, rates = segment_best(seg, h, params, limits)
+
+    # Drop a segment whose best point lies within tol of a kept earlier one's,
+    # then rank the rest by rate, ties to the earlier segment.
     close = (np.abs(p1s[:, None] - p1s) <= tol) & (np.abs(p2s[:, None] - p2s) <= tol)
-    kept = has.copy()
+    kept = seg.has.copy()
     for j in range(1, 4):
         kept[j] &= ~(kept[:j] & close[j, :j]).any(axis=0)
-    best = np.where(kept, rates, -np.inf).argmax(axis=0)
-    p1c, p2c = p1s[best, ent], p2s[best, ent]
+    rank = np.argsort(-np.where(kept, rates, -np.inf), axis=0, kind="stable")
 
-    # `point_at` with no pull-in, then `validate_sic_point`.
-    floor_height = np.maximum(f2.height(p1c, p2c), f4.height(p1c, p2c))
-    pu = np.where(best >= 2, pu_max, np.minimum(np.maximum(floor_height, pu_m), pu_max))
-    p1, p2 = np.minimum(p1c, p1_max), np.minimum(p2c, p2_max)
-    # `sic_rate_margins` of each entry's order: swap the devices where M1 goes first.
-    pairs = np.array([h[1], h[2], h[3], h[4], p1, p2])
-    b1, b2, u1, u2, q1, q2 = np.where(m1_first, pairs[[1, 0, 3, 2, 5, 4]], pairs)
-    e1 = np.where(m1_first, params.eta2, params.eta1)
-    e2 = np.where(m1_first, params.eta1, params.eta2)
+    # Every pull-in step of every segment, as (step, segment, entry).
+    steps = np.array(PULL_IN)[:, None, None]
+    p1, p2, pu = (
+        np.minimum(x, cap) for x, cap in zip(
+            side_points(seg, t + (0.5 * (seg.lo + seg.hi) - t) * steps, limits),
+            (p1_max, p2_max, pu_max),
+        )
+    )
+    # `sic_rate_margins` of each pair's order: swap the devices where M1 goes first.
+    gains = np.array(h[1:5])
+    b1, b2, u1, u2 = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
+    e1, e2 = np.where(m1_first, [[params.eta2], [params.eta1]], [[params.eta1], [params.eta2]])
+    q1, q2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
     margins = _m2_first_margins((h[0], b1, b2, u1, u2, h[5]), e1, e2, q1, q2, pu)
-    planes = SicPlanes(Plane(*ceils[:, 0]), f2, Plane(*ceils[:, 1]), f4)
-    passed = np.logical_and.reduce(_point_tests(h, planes, margins, limits, pu_m, p1, p2, pu))
-    fallback = error.any(axis=0) | ~has.any(axis=0) | ~passed | ~np.isfinite(p1 + p2 + pu)
-    return p1, p2, pu, sic_sum_rate(p1, p2, h[0], params, _math_log2), fallback
+    passed = _point_tests(h, seg.planes, margins, limits, pu_m, p1, p2, pu) & kept
+
+    # The first passing point, segments in rank order and steps within each.
+    ent = np.arange(n)
+    tried = passed[:, rank, ent].transpose(1, 0, 2).reshape(-1, n)
+    first = tried.argmax(axis=0)
+    at = (first % len(PULL_IN), rank[first // len(PULL_IN), ent], ent)
+    ok = tried.any(axis=0) & ~seg.error
+    p1, p2, pu = (np.where(ok, x[at], 0.0) for x in (p1, p2, pu))
+    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params, _math_log2), -np.inf)
+    return p1, p2, pu, rate
+
+
+def solve_fd_sic_order(
+    gains: ChannelGains,
+    params: SystemParams,
+    limits: PowerLimits,
+    order: DecodingOrder,
+) -> PaSolution | None:
+    """Optimal FD mutual-SIC allocation for one decoding order, or None when
+    the admissible region is empty or no point of it can be certified:
+    `fd_sic_batch` on one pair."""
+    pu_m = pu_min(params, gains.h_b_u)
+    if not sufficient_feasibility(gains, params, limits, pu_m, order):
+        return None
+    h = tuple(np.array([x]) for x in _gain_tuple(gains))
+    m1_first = np.array([order is DecodingOrder.M1_FIRST])
+    with np.errstate(all="ignore"):
+        p1, p2, pu, rate = fd_sic_batch(h, params, limits, np.array([pu_m]), m1_first)
+    if rate[0] == -np.inf:
+        return None
+    point = PowerTriplet(float(p1[0]), float(p2[0]), float(pu[0]))
+    return PaSolution(
+        scenario=Scenario(ScenarioKind.FD_SIC, order=order),
+        powers=point,
+        r_d2d_bps=float(rate[0]),
+        r_u_bps=shannon_rate(params.bandwidth_hz, point.pu_w * gains.h_b_u / params.noise_w),
+        sic_applied=True,
+    )

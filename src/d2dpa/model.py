@@ -260,13 +260,9 @@ def fd_sic_rates(
     return shannon_rate(b, sinr_b), shannon_rate(b, sinr_d1), shannon_rate(b, sinr_d2)
 
 
-def fd_sic_d2d_rate(p1_w: float, p2_w: float, gains: ChannelGains, params: SystemParams) -> float:
-    """Sum D2D rate under mutual SIC; independent of the CU power."""
-    return sic_sum_rate(p1_w, p2_w, gains.h_d, params)
-
-
 def sic_sum_rate(p1_w, p2_w, h_d, params: SystemParams, log2=math.log2):
-    """`fd_sic_d2d_rate` on floats or, with an array ``log2``, on arrays."""
+    """Sum D2D rate under mutual SIC, independent of the CU power; on floats
+    or, with an array ``log2``, on arrays."""
     s = params.noise_w
     return params.bandwidth_hz * (
         log2(1.0 + p1_w * h_d / (params.eta2 * p2_w + s))

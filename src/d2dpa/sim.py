@@ -138,6 +138,28 @@ def _uniform_hexagon_point(rng: np.random.Generator, radius: float) -> tuple[flo
             return x, y
 
 
+def _partner(
+    rng: np.random.Generator, x: float, y: float, config: SimConfig
+) -> tuple[float, float]:
+    """The second device of a pair whose first device is at (x, y).
+
+    It sits along a uniform direction at distance d_max_m (fixed law) or at
+    a uniform distance in [0, d_max_m], and is re-drawn until it falls inside
+    the cell.  Two points of the hexagon are at most twice its circumradius
+    apart, so a uniform distance is drawn from [0, min(d_max_m, 2R)]: longer
+    draws would always be rejected, and the accepted distribution is the
+    same.
+    """
+    radius = config.cell_radius_m
+    reach = min(config.d_max_m, 2.0 * radius)
+    while True:
+        r = config.d_max_m if config.pair_distance_law == "fixed" else reach * rng.uniform()
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        px, py = x + r * math.cos(phi), y + r * math.sin(phi)
+        if in_hexagon(px, py, radius):
+            return px, py
+
+
 @dataclass(frozen=True)
 class Deployment:
     """Node positions for one trial: K CUs and D device pairs inside the cell."""
@@ -151,26 +173,13 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
     """Drop CUs and device pairs uniformly in the cell.
 
     The first device of each pair is uniform over the hexagon; its partner
-    sits at a uniform distance in [0, d_max_m] along a uniform direction,
-    re-drawn until it also falls inside the cell.
+    is drawn by `_partner`.
     """
     rng = np.random.default_rng(seed)
     radius = config.cell_radius_m
     cu = np.array([_uniform_hexagon_point(rng, radius) for _ in range(config.k_users)])
     d1 = np.array([_uniform_hexagon_point(rng, radius) for _ in range(config.d_pairs)])
-    d2 = np.empty_like(d1)
-    for n in range(config.d_pairs):
-        while True:
-            if config.pair_distance_law == "fixed":
-                r = config.d_max_m
-            else:
-                r = config.d_max_m * rng.uniform()
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            x = d1[n, 0] + r * math.cos(phi)
-            y = d1[n, 1] + r * math.sin(phi)
-            if in_hexagon(x, y, radius):
-                d2[n] = (x, y)
-                break
+    d2 = np.array([_partner(rng, x, y, config) for x, y in d1])
     cu = cu.reshape(config.k_users, 2)
     d1 = d1.reshape(config.d_pairs, 2)
     d2 = d2.reshape(config.d_pairs, 2)
@@ -259,8 +268,8 @@ def build_rate_tables(
         gains.h_b_u[None, :],
     )
     return {
-        kind: RateTable(rates, sic_applied=sic, infeasible=infeasible)
-        for kind, (rates, sic, infeasible) in solve_all_batch(h, params, limits).items()
+        kind: RateTable(t.rate, sic_applied=t.sic_applied, infeasible=t.infeasible)
+        for kind, t in solve_all_batch(h, params, limits).items()
     }
 
 
@@ -370,12 +379,7 @@ def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None
     check_campaign(cfg)
     radius = cfg.cell_radius_m
     d1 = _uniform_hexagon_point(rng, radius)
-    while True:
-        r = cfg.d_max_m * (1.0 if cfg.pair_distance_law == "fixed" else rng.uniform())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        d2 = (d1[0] + r * math.cos(phi), d1[1] + r * math.sin(phi))
-        if in_hexagon(d2[0], d2[1], radius):
-            break
+    d2 = _partner(rng, *d1, cfg)
     cu = _uniform_hexagon_point(rng, radius)
     alpha = cfg.path_loss_exponent
     std = cfg.shadowing_std_db

@@ -1,18 +1,18 @@
-"""Top-level power-allocation solvers for the four transmission schemes.
+"""Power-allocation solvers for the four transmission schemes.
 
-Each solver returns the best achievable D2D rate for its scheme on one
-D2D-CU combination.  The SIC schemes compare against their no-SIC
-counterpart and keep the better allocation, so a SIC scheme never reports a
-lower rate than the plain one; ``sic_applied`` records whether interference
-cancellation actually won.  A combination where even the CU alone cannot
-meet its rate floor is reported infeasible with zero rate.
+Each scheme gets the best achievable D2D rate of a D2D-CU combination.  The
+SIC schemes compare against their no-SIC counterpart and keep the better
+allocation, so a SIC scheme never reports a lower rate than the plain one;
+``sic_applied`` records whether interference cancellation actually won.  A
+combination where even the CU alone cannot meet its rate floor is reported
+infeasible with zero rate.
 
-`solve_all` is the reference for one combination.  `solve_all_batch` gives
-the same answers for a whole D x K table with numpy.  Its FD-SIC step solves
-both decoding orders of every entry that passes the feasibility pre-test in
-one `fdsic.fd_sic_batch` call, and falls back to the scalar solve only for
-the few (entry, order) pairs the batch leaves to it: a best candidate that
-must be pulled inward to pass validation, or a GeometryError.
+`solve_all_batch` solves all four schemes for a whole D x K table with
+numpy: the half-duplex slots in closed form, FD no-SIC with
+`fdnosic.fd_nosic_batch`, and FD-SIC with one `fdsic.fd_sic_batch` call on
+both decoding orders of every entry that passes the feasibility pre-test.
+`solve_all` is the same solve on a one-entry table, returned as
+`PaSolution`s.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdnosic import fd_nosic_batch, fd_nosic_search
-from .fdsic import GeometryError, fd_sic_batch, pretest_terms, solve_fd_sic_order
+from .fdnosic import fd_nosic_batch
+from .fdsic import fd_sic_batch, pretest_terms
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -35,10 +35,29 @@ from .model import (
     check_array,
     rate_floor_snr,
     scenario_rates,
-    shannon_rate,
 )
 
 SIC_ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
+
+
+@dataclass(frozen=True)
+class SchemeTable:
+    """One scheme solved over a table.
+
+    ``powers`` is (p1, p2, pu) for the FD schemes and the (p1, p2, pu)
+    triplets of the two half slots for the HD ones, each an array or a zero
+    that broadcasts to the table.  ``m1_first`` (FD-SIC) is True where SIC
+    won with M1 decoded first; ``slot_sic`` (HD-SIC) holds each half slot's
+    SIC flag.  Infeasible entries carry zero rate and no SIC, and their
+    powers have no meaning.
+    """
+
+    rate: np.ndarray
+    sic_applied: np.ndarray
+    infeasible: np.ndarray
+    powers: tuple
+    m1_first: np.ndarray | None = None
+    slot_sic: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _infeasible(kind: ScenarioKind) -> PaSolution:
@@ -55,250 +74,8 @@ def _infeasible(kind: ScenarioKind) -> PaSolution:
 
 
 @dataclass(frozen=True)
-class _Slot:
-    p_dev: float
-    pu: float
-    r_dev: float
-    r_u: float
-    sic: bool
-
-
-def _hd_nosic_slot(
-    p_dev_max: float,
-    h_b_dev: float,
-    h_rx_u: float,
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-) -> _Slot | None:
-    """Closed-form half-slot optimum without SIC.
-
-    The device transmits as loud as the CU power budget allows while the CU
-    rate floor is met with equality.
-    """
-    q = rate_floor_snr(params)
-    s = params.noise_w
-    if q == 0.0:
-        p_dev, pu = p_dev_max, 0.0
-    else:
-        pu_needed = q * (p_dev_max * h_b_dev + s) / gains.h_b_u
-        if pu_needed <= limits.pu_max_w:
-            p_dev, pu = p_dev_max, pu_needed
-        else:
-            p_dev = (limits.pu_max_w * gains.h_b_u / q - s) / h_b_dev
-            pu = limits.pu_max_w
-            if p_dev < 0.0:
-                return None  # even a silent device cannot protect the CU
-    r_u = shannon_rate(params.bandwidth_hz, pu * gains.h_b_u / (p_dev * h_b_dev + s))
-    r_dev = shannon_rate(params.bandwidth_hz, p_dev * gains.h_d / (pu * h_rx_u + s))
-    return _Slot(p_dev, pu, r_dev, r_u, sic=False)
-
-
-def _hd_sic_slot(
-    p_dev_max: float,
-    ratio_lo: float,
-    ratio_hi: float,
-    pu_m: float,
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-) -> _Slot | None:
-    """Half-slot optimum with mutual SIC, or None when SIC is not available.
-
-    The CU-to-device power ratio must sit strictly inside (ratio_lo,
-    ratio_hi); the device power is pushed as high as that band and the CU
-    power cap allow, and the CU then transmits at the lowest admissible
-    power.
-    """
-    if not ratio_lo < ratio_hi:
-        return None
-    if pu_m > limits.pu_max_w or p_dev_max * ratio_hi <= pu_m:
-        return None
-    if ratio_lo * p_dev_max < pu_m:
-        p_dev, pu = p_dev_max, pu_m
-    elif ratio_lo * p_dev_max > limits.pu_max_w:
-        p_dev, pu = limits.pu_max_w / ratio_lo, limits.pu_max_w
-    else:
-        p_dev, pu = p_dev_max, max(ratio_lo * p_dev_max, pu_m)
-    r_u = shannon_rate(params.bandwidth_hz, pu * gains.h_b_u / params.noise_w)
-    r_dev = shannon_rate(params.bandwidth_hz, p_dev * gains.h_d / params.noise_w)
-    return _Slot(p_dev, pu, r_dev, r_u, sic=True)
-
-
-def solve_hd_nosic(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits
-) -> PaSolution:
-    slot1 = _hd_nosic_slot(
-        limits.p1_max_w, gains.h_b_d1, gains.h_d2_u, gains, params, limits
-    )
-    slot2 = _hd_nosic_slot(
-        limits.p2_max_w, gains.h_b_d2, gains.h_d1_u, gains, params, limits
-    )
-    pu_m = rate_floor_snr(params) * params.noise_w / gains.h_b_u
-    if slot1 is None or slot2 is None or pu_m > limits.pu_max_w:
-        return _infeasible(ScenarioKind.HD_NOSIC)
-    powers = (
-        PowerTriplet(slot1.p_dev, 0.0, slot1.pu),
-        PowerTriplet(0.0, slot2.p_dev, slot2.pu),
-    )
-    scenario = Scenario(ScenarioKind.HD_NOSIC)
-    r_u, r_d1, r_d2 = scenario_rates(scenario, powers, gains, params)
-    return PaSolution(scenario, powers, r_d1 + r_d2, r_u, sic_applied=False)
-
-
-def solve_hd_sic(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits
-) -> PaSolution:
-    """Half-duplex allocation with SIC applied in every half slot where it wins.
-
-    Each half slot independently compares the mutual-SIC optimum against the
-    no-SIC one and keeps the better, so all four SIC/no-SIC slot combinations
-    can occur.
-    """
-    q = rate_floor_snr(params)
-    pu_m = q * params.noise_w / gains.h_b_u
-    nosic1 = _hd_nosic_slot(
-        limits.p1_max_w, gains.h_b_d1, gains.h_d2_u, gains, params, limits
-    )
-    nosic2 = _hd_nosic_slot(
-        limits.p2_max_w, gains.h_b_d2, gains.h_d1_u, gains, params, limits
-    )
-    if nosic1 is None or nosic2 is None or pu_m > limits.pu_max_w:
-        return _infeasible(ScenarioKind.HD_SIC)
-    sic1 = _hd_sic_slot(
-        limits.p1_max_w,
-        gains.h_d / gains.h_d2_u,
-        gains.h_b_d1 / gains.h_b_u,
-        pu_m,
-        gains,
-        params,
-        limits,
-    )
-    sic2 = _hd_sic_slot(
-        limits.p2_max_w,
-        gains.h_d / gains.h_d1_u,
-        gains.h_b_d2 / gains.h_b_u,
-        pu_m,
-        gains,
-        params,
-        limits,
-    )
-    slot1 = sic1 if sic1 is not None and sic1.r_dev >= nosic1.r_dev else nosic1
-    slot2 = sic2 if sic2 is not None and sic2.r_dev >= nosic2.r_dev else nosic2
-    powers = (
-        PowerTriplet(slot1.p_dev, 0.0, slot1.pu),
-        PowerTriplet(0.0, slot2.p_dev, slot2.pu),
-    )
-    scenario = Scenario(ScenarioKind.HD_SIC, slot_sic=(slot1.sic, slot2.sic))
-    r_u, r_d1, r_d2 = scenario_rates(scenario, powers, gains, params)
-    return PaSolution(
-        scenario, powers, r_d1 + r_d2, r_u, sic_applied=slot1.sic or slot2.sic
-    )
-
-
-def solve_fd_nosic(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits
-) -> PaSolution:
-    p1, p2, pu, rate = fd_nosic_search(
-        gains.h_d,
-        gains.h_b_d1,
-        gains.h_b_d2,
-        gains.h_d1_u,
-        gains.h_d2_u,
-        gains.h_b_u,
-        params.eta1,
-        params.eta2,
-        params.noise_w,
-        rate_floor_snr(params),
-        params.bandwidth_hz,
-        limits.p1_max_w,
-        limits.p2_max_w,
-        limits.pu_max_w,
-    )
-    if rate < 0.0:
-        return _infeasible(ScenarioKind.FD_NOSIC)
-    scenario = Scenario(ScenarioKind.FD_NOSIC)
-    powers = PowerTriplet(p1, p2, min(pu, limits.pu_max_w))
-    r_u, r_d1, r_d2 = scenario_rates(scenario, powers, gains, params)
-    return PaSolution(scenario, powers, r_d1 + r_d2, r_u, sic_applied=False)
-
-
-def _solve_order(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits, order: DecodingOrder
-) -> PaSolution | None:
-    """`solve_fd_sic_order`, with a GeometryError counted as infeasible."""
-    try:
-        return solve_fd_sic_order(gains, params, limits, order)
-    except GeometryError:
-        return None
-
-
-def _best_sic_order(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits
-) -> PaSolution | None:
-    """The better mutual-SIC allocation over both decoding orders (ties go to
-    the first order), or None when neither is feasible."""
-    best: PaSolution | None = None
-    for order in SIC_ORDERS:
-        sol = _solve_order(gains, params, limits, order)
-        if sol is not None and (best is None or sol.r_d2d_bps > best.r_d2d_bps):
-            best = sol
-    return best
-
-
-def _sic_wins(sic_rate, fallback_feasible, fallback_rate):
-    """Where SIC beats the no-SIC allocation; floats or arrays."""
-    return np.logical_not(fallback_feasible) | (sic_rate >= fallback_rate)
-
-
-def solve_fd_sic(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    fd_nosic_solution: PaSolution | None = None,
-) -> PaSolution:
-    """Full-duplex allocation with mutual SIC when it is feasible and wins.
-
-    Both decoding orders are tried and the better one kept (ties go to the
-    first order); the scheme falls back to the no-SIC allocation when SIC is
-    infeasible or does not improve the rate.
-    """
-    best = _best_sic_order(gains, params, limits)
-    fallback = fd_nosic_solution
-    if fallback is None:
-        fallback = solve_fd_nosic(gains, params, limits)
-    if best is not None and _sic_wins(best.r_d2d_bps, fallback.feasible, fallback.r_d2d_bps):
-        return best
-    return PaSolution(
-        scenario=Scenario(ScenarioKind.FD_SIC),
-        powers=fallback.powers,
-        r_d2d_bps=fallback.r_d2d_bps,
-        r_u_bps=fallback.r_u_bps,
-        sic_applied=False,
-        feasible=fallback.feasible,
-    )
-
-
-def solve_all(
-    gains: ChannelGains, params: SystemParams, limits: PowerLimits
-) -> dict[ScenarioKind, PaSolution]:
-    """All four schemes for one combination, sharing the no-SIC FD solve."""
-    fd_nosic = solve_fd_nosic(gains, params, limits)
-    return {
-        ScenarioKind.FD_NOSIC: fd_nosic,
-        ScenarioKind.HD_NOSIC: solve_hd_nosic(gains, params, limits),
-        ScenarioKind.HD_SIC: solve_hd_sic(gains, params, limits),
-        ScenarioKind.FD_SIC: solve_fd_sic(gains, params, limits, fd_nosic),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Batched solve of a whole table
-
-
-@dataclass(frozen=True)
 class _SlotBatch:
-    """A half slot over a table; ``ok`` is False where the scalar slot is None."""
+    """A half slot over a table; ``ok`` is False where the slot is infeasible."""
 
     p_dev: np.ndarray
     pu: np.ndarray
@@ -315,7 +92,12 @@ def _hd_nosic_slot_batch(
     params: SystemParams,
     limits: PowerLimits,
 ) -> _SlotBatch:
-    """`_hd_nosic_slot` over arrays."""
+    """Closed-form half-slot optimum without SIC.
+
+    The device transmits as loud as the CU power budget allows while the CU
+    rate floor is met with equality; the slot is infeasible where even a
+    silent device cannot protect the CU.
+    """
     q = rate_floor_snr(params)
     s = params.noise_w
     if q == 0.0:
@@ -341,7 +123,14 @@ def _hd_sic_slot_batch(
     params: SystemParams,
     limits: PowerLimits,
 ) -> _SlotBatch:
-    """`_hd_sic_slot` over arrays."""
+    """Half-slot optimum with mutual SIC; ``ok`` is False where SIC is not
+    available.
+
+    The CU-to-device power ratio must sit strictly inside (ratio_lo,
+    ratio_hi); the device power is pushed as high as that band and the CU
+    power cap allow, and the CU then transmits at the lowest admissible
+    power.
+    """
     pu_max = limits.pu_max_w
     ok = (ratio_lo < ratio_hi) & ~(pu_m > pu_max) & ~(p_dev_max * ratio_hi <= pu_m)
     lo_p = ratio_lo * p_dev_max
@@ -369,48 +158,38 @@ def _check_powers(feasible: np.ndarray, p1_w, p2_w, pu_w) -> None:
         check_array(name, values, strict=False, where=feasible)
 
 
-def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) -> np.ndarray:
-    """The `_best_sic_order` rate of every table entry, -inf where no order is
-    feasible.
+def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) -> tuple:
+    """The better mutual-SIC allocation of every table entry over both
+    decoding orders: (p1, p2, pu, rate, m1_first), with rate -inf where no
+    order is feasible.
 
     ``passes`` holds each order's pre-test mask.  Both orders of every
-    passing entry go through one `fd_sic_batch` call; the pairs it leaves to
-    the scalar solve go through `_solve_order`.  The powers of every
-    feasible pair pass `PowerTriplet`'s check.
+    passing entry go through one `fd_sic_batch` call; the first order wins
+    unless the second is strictly better.
     """
     where = [np.nonzero(p) for p in passes]
     idx = tuple(np.concatenate(axis) for axis in zip(*where))
     m1_first = np.repeat([False, True], [len(w[0]) for w in where])
-    by_order = np.full((2,) + pu_m.shape, -np.inf)
-    if not m1_first.size:
-        return by_order[0]
-    gains = tuple(x[idx] for x in h)
-    p1, p2, pu, rate, fallback = fd_sic_batch(gains, params, limits, pu_m[idx], m1_first)
-    for j in np.flatnonzero(fallback):
-        order = SIC_ORDERS[int(m1_first[j])]
-        sol = _solve_order(ChannelGains(*(float(x[j]) for x in gains)), params, limits, order)
-        if sol is None:
-            rate[j] = -np.inf
-        else:
-            p = sol.powers
-            p1[j], p2[j], pu[j], rate[j] = p.p1_w, p.p2_w, p.pu_w, sol.r_d2d_bps
-    _check_powers(rate >= 0.0, p1, p2, pu)
-    by_order[(m1_first.astype(np.intp),) + idx] = rate
-    # the first order wins unless the second is strictly better
-    return np.where(by_order[1] > by_order[0], by_order[1], by_order[0])
+    by_order = np.zeros((4, 2) + pu_m.shape)  # (p1, p2, pu, rate) per order
+    by_order[3] = -np.inf
+    if m1_first.size:
+        gains = tuple(x[idx] for x in h)
+        solved = np.array(fd_sic_batch(gains, params, limits, pu_m[idx], m1_first))
+        _check_powers(solved[3] >= 0.0, *solved[:3])
+        by_order[(slice(None), m1_first.astype(np.intp)) + idx] = solved
+    second = by_order[3, 1] > by_order[3, 0]
+    return (*np.where(second, by_order[:, 1], by_order[:, 0]), second)
 
 
 def solve_all_batch(
     h: tuple[np.ndarray, ...], params: SystemParams, limits: PowerLimits
-) -> dict[ScenarioKind, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`solve_all` for every combination of a table at once.
+) -> dict[ScenarioKind, SchemeTable]:
+    """All four schemes for every combination of a table at once.
 
     ``h`` holds the six link gains in `ChannelGains` field order, as arrays
-    that broadcast to the table's shape.  Returns, per scheme, the D2D rate,
-    SIC-applied and infeasible arrays; infeasible entries carry rate 0 and no
-    SIC.  Each scheme follows its scalar solver's rules, rates are recomputed
-    from the chosen powers with the `scenario_rates` formulas, and the chosen
-    powers pass `PowerTriplet`'s check.
+    that broadcast to the table's shape.  Rates are computed from the chosen
+    powers with the `scenario_rates` formulas, and the chosen powers pass
+    `PowerTriplet`'s check.
     """
     h = tuple(np.broadcast_arrays(*h))
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
@@ -421,21 +200,19 @@ def solve_all_batch(
         pu_m = q * s / h_b_u
         cu_ok = ~(pu_m > pu_max)
 
-        # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.
+        # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.  Each
+        # half slot keeps SIC where it is available and at least as good.
         nosic1 = _hd_nosic_slot_batch(p1_max, h_b_d1, h_d2_u, h_d, h_b_u, params, limits)
         nosic2 = _hd_nosic_slot_batch(p2_max, h_b_d2, h_d1_u, h_d, h_b_u, params, limits)
         hd_ok = nosic1.ok & nosic2.ok & cu_ok
         sic1 = _hd_sic_slot_batch(p1_max, h_d / h_d2_u, h_b_d1 / h_b_u, pu_m, h_d, params, limits)
         sic2 = _hd_sic_slot_batch(p2_max, h_d / h_d1_u, h_b_d2 / h_b_u, pu_m, h_d, params, limits)
-        use1 = sic1.ok & (sic1.r_dev >= nosic1.r_dev)
-        use2 = sic2.ok & (sic2.r_dev >= nosic2.r_dev)
+        use1 = hd_ok & sic1.ok & (sic1.r_dev >= nosic1.r_dev)
+        use2 = hd_ok & sic2.ok & (sic2.r_dev >= nosic2.r_dev)
         slot1, slot2 = _choose(use1, sic1, nosic1), _choose(use2, sic2, nosic2)
         for first, second in ((nosic1, nosic2), (slot1, slot2)):
             _check_powers(hd_ok, first.p_dev, 0.0, first.pu)
             _check_powers(hd_ok, 0.0, second.p_dev, second.pu)
-        # scenario_rates: each half slot carries weight 1/2.
-        hd_nosic_rate = 0.5 * nosic2.r_dev + 0.5 * nosic1.r_dev
-        hd_sic_rate = 0.5 * slot2.r_dev + 0.5 * slot1.r_dev
 
         p1, p2, pu, fd_search_rate = fd_nosic_batch(
             *h, eta1, eta2, s, q, bw, p1_max, p2_max, pu_max
@@ -450,15 +227,68 @@ def solve_all_batch(
             cu_ok & np.logical_and.reduce(pretest_terms(h, eta1, eta2, pu_m, p1_max, p2_max, o))
             for o in SIC_ORDERS
         ]
-        fd_sic_best = _fd_sic_table(h, params, limits, pu_m, passes)
-        fd_sic_won = (fd_sic_best >= 0.0) & _sic_wins(fd_sic_best, fd_ok, fd_rate)
+        *sic_powers, sic_rate, m1_first = _fd_sic_table(h, params, limits, pu_m, passes)
+        # SIC wins where it is feasible and the no-SIC allocation is not, or
+        # is no better.
+        fd_sic_won = (sic_rate >= 0.0) & (~fd_ok | (sic_rate >= fd_rate))
     fd_sic_ok = fd_ok | fd_sic_won
-    fd_sic_rate = np.where(fd_sic_won, fd_sic_best, fd_rate)
+
+    def half_slots(first: _SlotBatch, second: _SlotBatch) -> tuple:
+        return (first.p_dev, 0.0, first.pu), (0.0, second.p_dev, second.pu)
 
     no_sic = np.zeros(h_d.shape, dtype=bool)
+    fd_powers = (p1, p2, pu)
+    # scenario_rates: each half slot carries weight 1/2.
+    hd_nosic_rate = 0.5 * nosic2.r_dev + 0.5 * nosic1.r_dev
+    hd_sic_rate = 0.5 * slot2.r_dev + 0.5 * slot1.r_dev
     return {
-        ScenarioKind.FD_NOSIC: (np.where(fd_ok, fd_rate, 0.0), no_sic, ~fd_ok),
-        ScenarioKind.HD_NOSIC: (np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok),
-        ScenarioKind.HD_SIC: (np.where(hd_ok, hd_sic_rate, 0.0), hd_ok & (use1 | use2), ~hd_ok),
-        ScenarioKind.FD_SIC: (np.where(fd_sic_ok, fd_sic_rate, 0.0), fd_sic_won, ~fd_sic_ok),
+        ScenarioKind.FD_NOSIC: SchemeTable(
+            np.where(fd_ok, fd_rate, 0.0), no_sic, ~fd_ok, fd_powers
+        ),
+        ScenarioKind.HD_NOSIC: SchemeTable(
+            np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok, half_slots(nosic1, nosic2)
+        ),
+        ScenarioKind.HD_SIC: SchemeTable(
+            np.where(hd_ok, hd_sic_rate, 0.0), use1 | use2, ~hd_ok, half_slots(slot1, slot2),
+            slot_sic=(use1, use2),
+        ),
+        ScenarioKind.FD_SIC: SchemeTable(
+            np.where(fd_sic_ok, np.where(fd_sic_won, sic_rate, fd_rate), 0.0), fd_sic_won,
+            ~fd_sic_ok, tuple(np.where(fd_sic_won, a, b) for a, b in zip(sic_powers, fd_powers)),
+            m1_first=fd_sic_won & m1_first,
+        ),
     }
+
+
+def _triplet(powers: tuple) -> PowerTriplet:
+    """The triplet of a one-entry table's (p1, p2, pu)."""
+    return PowerTriplet(*(float(np.ravel(p)[0]) for p in powers))
+
+
+def solve_all(
+    gains: ChannelGains, params: SystemParams, limits: PowerLimits
+) -> dict[ScenarioKind, PaSolution]:
+    """All four schemes for one combination: `solve_all_batch` on a one-entry
+    table."""
+    h = tuple(np.array([gains.h_d, gains.h_b_d1, gains.h_b_d2, gains.h_d1_u, gains.h_d2_u,
+                        gains.h_b_u])[:, None])
+    solutions = {}
+    for kind, t in solve_all_batch(h, params, limits).items():
+        if t.infeasible[0]:
+            solutions[kind] = _infeasible(kind)
+            continue
+        if kind is ScenarioKind.HD_SIC:
+            scenario = Scenario(kind, slot_sic=(bool(t.slot_sic[0][0]), bool(t.slot_sic[1][0])))
+        elif kind is ScenarioKind.FD_SIC and t.sic_applied[0]:
+            scenario = Scenario(kind, order=SIC_ORDERS[int(t.m1_first[0])])
+        else:
+            scenario = Scenario(kind)
+        if kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
+            powers = tuple(_triplet(slot) for slot in t.powers)
+        else:
+            powers = _triplet(t.powers)
+        r_u = scenario_rates(scenario, powers, gains, params)[0]
+        solutions[kind] = PaSolution(
+            scenario, powers, float(t.rate[0]), r_u, sic_applied=bool(t.sic_applied[0])
+        )
+    return solutions

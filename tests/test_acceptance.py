@@ -19,7 +19,7 @@ from d2dpa.fdsic import solve_fd_sic_order
 from d2dpa.model import DecodingOrder, Scenario, ScenarioKind, pu_min
 from d2dpa.oracle import GridSpec, brute_force, grid_cell_rate_slack
 from d2dpa.sim import SimConfig, run_campaign
-from d2dpa.solvers import solve_fd_nosic, solve_hd_nosic, solve_hd_sic
+from d2dpa.solvers import solve_all
 
 GRID200 = GridSpec(200)
 ETAS = (-130.0, -120.0, -110.0, -100.0, -90.0, -80.0)
@@ -179,7 +179,8 @@ def test_c2_remaining_solvers_oracle_equivalence(default_limits):
     instances = sample_instances(seed=20250802, count=1000)
     worst = {"hd_nosic": 0.0, "hd_sic": 0.0, "fd_nosic": 0.0}
     for gains, params in instances:
-        hd_n = solve_hd_nosic(gains, params, default_limits)
+        sols = solve_all(gains, params, default_limits)
+        hd_n = sols[ScenarioKind.HD_NOSIC]
         ref = brute_force(Scenario(ScenarioKind.HD_NOSIC), gains, params, default_limits, GRID200)
         if ref is None:
             assert not hd_n.feasible
@@ -188,7 +189,7 @@ def test_c2_remaining_solvers_oracle_equivalence(default_limits):
             worst["hd_nosic"] = max(worst["hd_nosic"], gap)
             assert gap <= 1e-9 * max(ref.r_d2d_bps, 1.0)
 
-        hd_s = solve_hd_sic(gains, params, default_limits)
+        hd_s = sols[ScenarioKind.HD_SIC]
         ref = brute_force(
             Scenario(ScenarioKind.HD_SIC, slot_sic=(False, False)),
             gains, params, default_limits, GRID200,
@@ -200,7 +201,7 @@ def test_c2_remaining_solvers_oracle_equivalence(default_limits):
             worst["hd_sic"] = max(worst["hd_sic"], gap)
             assert gap <= 1e-9 * max(ref.r_d2d_bps, 1.0)
 
-        fd_n = solve_fd_nosic(gains, params, default_limits)
+        fd_n = sols[ScenarioKind.FD_NOSIC]
         ref = brute_force(Scenario(ScenarioKind.FD_NOSIC), gains, params, default_limits, GRID200)
         if ref is None:
             assert not fd_n.feasible

@@ -4,18 +4,16 @@ import pytest
 import d2dpa.fdsic
 from conftest import make_limits, make_params, sample_fd_sic_feasible, sample_instances
 from d2dpa.fdsic import (
-    FloorPlane,
-    GeometryError,
     Plane,
-    Side,
+    _gain_tuple,
+    _ridges_on_cap,
     fd_sic_batch,
-    floor_selector,
     necessary_conditions,
-    optimize_box_side,
-    optimize_su_side,
     planes_for_order,
     pmc_margins,
-    segment_set,
+    segment_best,
+    segments,
+    side_points,
     sic_rate_margins,
     solve_fd_sic_order,
     sufficient_feasibility,
@@ -24,13 +22,15 @@ from d2dpa.model import (
     ChannelGains,
     DecodingOrder,
     PowerLimits,
+    PowerTriplet,
+    ScenarioKind,
     SystemParams,
     dbm_to_watts,
-    fd_sic_d2d_rate,
     pu_min,
+    sic_sum_rate,
 )
 from d2dpa.sim import SimConfig, sample_combo_gains
-from d2dpa.solvers import _best_sic_order, _fd_sic_table
+from d2dpa.solvers import _fd_sic_table, solve_all
 
 ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
 
@@ -136,7 +136,7 @@ class TestSufficientFeasibility:
             scale up the lowest corner of the admissible wedge slightly and pick
             the CU power mid-way between floor and ceilings."""
             planes = planes_for_order(gains, params, order)
-            sel = floor_selector(gains, params)
+            f2, f4 = planes.floor2, planes.floor4
             if order is DecodingOrder.M2_FIRST:
                 corner = (pm * gains.h_b_u / gains.h_b_d1, 2 * pm * gains.h_b_u / gains.h_b_d2)
             else:
@@ -145,7 +145,7 @@ class TestSufficientFeasibility:
                 x, y = corner[0] * (1 + delta), corner[1] * (1 + delta)
                 if x > limits.p1_max_w or y > limits.p2_max_w:
                     continue
-                lo = max(sel.height(x, y), pm)
+                lo = max(f2.height(x, y), f4.height(x, y), pm)
                 hi = min(
                     planes.ceil1.height(x, y),
                     planes.ceil3.height(x, y),
@@ -155,8 +155,8 @@ class TestSufficientFeasibility:
                     continue
                 pu = 0.5 * (lo + hi)
                 strict = (
-                    pu > sel.floor2.height(x, y)
-                    and pu > sel.floor4.height(x, y)
+                    pu > f2.height(x, y)
+                    and pu > f4.height(x, y)
                     and pu < planes.ceil1.height(x, y)
                     and pu < planes.ceil3.height(x, y)
                     and pm <= pu <= limits.pu_max_w
@@ -181,13 +181,19 @@ class TestSufficientFeasibility:
                     ), "declared non-empty but no witness point exists"
 
 
-class TestFloorSelector:
-    def test_floor_is_elementwise_max(self):
-        rng = np.random.default_rng(9)
-        for gains, params in sample_instances(seed=9, count=50):
-            sel = floor_selector(gains, params)
-            p1, p2 = rng.uniform(0.0, 0.25, 2)
-            assert sel.height(p1, p2) == max(sel.floor2.height(p1, p2), sel.floor4.height(p1, p2))
+def pair_segments(gains, params, limits, order):
+    """`segments` of one (combination, order) pair, as (segment, 1) arrays,
+    with the gains as 1-entry arrays."""
+    h = tuple(np.array([x]) for x in _gain_tuple(gains))
+    pm = np.array([pu_min(params, gains.h_b_u)])
+    with np.errstate(all="ignore"):
+        return segments(h, params, limits, pm, np.array([order is DecodingOrder.M1_FIRST])), h
+
+
+def points_at(seg, t, limits):
+    """`side_points` of every segment at free coordinates ``t`` (one per segment)."""
+    with np.errstate(all="ignore"):
+        return tuple(x[:, 0] for x in side_points(seg, np.asarray(t, dtype=float)[:, None], limits))
 
 
 class TestPrintedEndpointForms:
@@ -200,15 +206,23 @@ class TestPrintedEndpointForms:
         self.limits = make_limits()
         self.order = DecodingOrder.M2_FIRST
         self.planes = planes_for_order(self.g, self.params, self.order)
-        self.sel = floor_selector(self.g, self.params)
+        self.seg, _ = pair_segments(self.g, self.params, self.limits, self.order)
         self.pm = pu_min(self.params, self.g.h_b_u)
         f2, f4 = self.planes.floor2, self.planes.floor4
         assert f2.ax >= f4.ax and f2.ay >= f4.ay
+        assert self.seg.plane2[2:].all()
         assert sufficient_feasibility(self.g, self.params, self.limits, self.pm, self.order)
 
-    def test_difference_ceiling_crossings(self):
-        from d2dpa.fdsic import _ridge_on_cap
+    def ridge(self, ceiling: int):
+        """Where a ceiling's ridge pierces the CU cap, from `_ridges_on_cap`."""
+        p = self.seg.planes
+        ceils = np.array([[p.ceil1.ax, p.ceil3.ax], [p.ceil1.ay, p.ceil3.ay]])
+        floors = np.array([[p.floor2.ax, p.floor4.ax], [p.floor2.ay, p.floor4.ay]])
+        x, y, found = _ridges_on_cap(ceils, floors, self.limits.pu_max_w)
+        assert found[ceiling, 0]
+        return x[ceiling, 0], y[ceiling, 0], self.limits.pu_max_w
 
+    def test_difference_ceiling_crossings(self):
         g, e1 = self.g, self.params.eta1
         hd, b1, b2, h1u, bu = g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_b_u
         pum = self.limits.pu_max_w
@@ -218,27 +232,21 @@ class TestPrintedEndpointForms:
             pum * (bu * e1 + h1u * b1) / (b2 * e1 + hd * b1),
             pum,
         )
-        got = _ridge_on_cap(self.planes.ceil1, self.sel, pum)
-        assert got == pytest.approx(x_u, rel=1e-12)
+        assert self.ridge(0) == pytest.approx(x_u, rel=1e-12)
 
     def test_direct_ceiling_crossings(self):
-        from d2dpa.fdsic import _ridge_on_cap
-
         g, e1 = self.g, self.params.eta1
         hd, b1, h1u, bu = g.h_d, g.h_b_d1, g.h_d1_u, g.h_b_u
         pum = self.limits.pu_max_w
         den = b1 * h1u - e1 * bu
         s_u = (pum * bu / b1, pum * den / (b1 * hd), pum)
-        got = _ridge_on_cap(self.planes.ceil3, self.sel, pum)
-        assert got == pytest.approx(s_u, rel=1e-12)
+        assert self.ridge(1) == pytest.approx(s_u, rel=1e-12)
 
     def test_bottom_edge_points_via_interval_bounds(self):
-        """The P1-side interval bounds reduce to the bottom-edge closed forms
-        when the box bottom dominates."""
-        from d2dpa.fdsic import _device_side_interval
-
-        g, e1 = self.g, self.params.eta1
-        hd, b1, b2, h1u, bu = g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_b_u
+        """The device-side segment bounds reduce to the bottom-edge closed
+        forms when the box bottom dominates."""
+        g = self.g
+        b1, b2, bu = g.h_b_d1, g.h_b_d2, g.h_b_u
         p1m, p2m = self.limits.p1_max_w, self.limits.p2_max_w
         # raise the CU floor so its bottom-edge crossings bind
         params = type(self.params)(
@@ -249,30 +257,36 @@ class TestPrintedEndpointForms:
             r_u_min_bps=8.0e6,
         )
         pm = pu_min(params, bu)
-        lo, hi = _device_side_interval(Side.P1_MAX, self.planes, self.sel, self.limits, pm)
+        seg, _ = pair_segments(g, params, self.limits, self.order)
         k1_y = (pm * bu + p1m * b1) / b2
-        assert lo == pytest.approx(k1_y, rel=1e-12)
-        lo, hi = _device_side_interval(Side.P2_MAX, self.planes, self.sel, self.limits, pm)
+        assert seg.lo[0, 0] == pytest.approx(k1_y, rel=1e-12)
         j2_x = pm * bu / b1
         k2_x = (p2m * b2 - pm * bu) / b1
-        assert lo == pytest.approx(j2_x, rel=1e-12)
-        assert hi <= k2_x * (1 + 1e-12)
+        assert seg.lo[1, 0] == pytest.approx(j2_x, rel=1e-12)
+        assert seg.hi[1, 0] <= k2_x * (1 + 1e-12)
 
     def test_floor_edge_points(self):
-        g, e1, e2 = self.g, self.params.eta1, self.params.eta2
-        hd, h1u, h2u = g.h_d, g.h_d1_u, g.h_d2_u
+        g, e1 = self.g, self.params.eta1
+        hd, h1u = g.h_d, g.h_d1_u
         p1m, p2m, pum = self.limits.p1_max_w, self.limits.p2_max_w, self.limits.pu_max_w
+        # the P1max side at P2 = P2max: the CU power is the floor at the corner
         v3 = (p1m * e1 + p2m * hd) / h1u
-        assert self.sel.height(p1m, p2m) == pytest.approx(v3, rel=1e-12)
+        assert v3 > self.pm
+        _, _, pu = points_at(self.seg, [p2m, 0.0, 0.0, 0.0], self.limits)
+        assert pu[0] == pytest.approx(v3, rel=1e-12)
+        # the cap curve at P1 = P1max, and where it reaches P2 = P2max
         v4_y = (pum * h1u - p1m * e1) / hd
-        from d2dpa.fdsic import _cap_curve_p2
-
-        assert _cap_curve_p2(self.sel, FloorPlane.PLANE2, p1m, pum) == pytest.approx(
-            v4_y, rel=1e-12
-        )
         v5_x = (pum * h1u - p2m * hd) / e1
-        y_at_v5 = _cap_curve_p2(self.sel, FloorPlane.PLANE2, v5_x, pum)
-        assert y_at_v5 == pytest.approx(p2m, rel=1e-9)
+        _, p2, pu = points_at(self.seg, [0.0, 0.0, p1m, v5_x], self.limits)
+        assert p2[2] == pytest.approx(v4_y, rel=1e-12)
+        assert p2[3] == pytest.approx(p2m, rel=1e-9)
+        assert list(pu[2:]) == [pum, pum]
+
+
+def segment_ends(seg, limits):
+    """Each segment's (p1, p2, pu) at its lower and its upper end."""
+    with np.errstate(all="ignore"):
+        return side_points(seg, seg.lo, limits), side_points(seg, seg.hi, limits)
 
 
 class TestSegments:
@@ -283,24 +297,25 @@ class TestSegments:
         limits = PowerLimits(0.25, 0.25, pm * 1.5)
         if not sufficient_feasibility(g, params, limits, pm, DecodingOrder.M2_FIRST):
             pytest.skip("cap too tight for this instance")
-        segs = segment_set(g, params, limits, pm, DecodingOrder.M2_FIRST)
-        assert {s.side for s in segs} == {Side.PU_MAX}
+        seg, _ = pair_segments(g, params, limits, DecodingOrder.M2_FIRST)
+        assert not seg.has[:2].any() and seg.has[2, 0]
 
     def test_single_device_segment_when_cap_loose(self):
         g = PLANE2_GAINS
         params = plane2_params()
         limits = PowerLimits(0.25, 0.25, 1e3)
-        pm = pu_min(params, g.h_b_u)
-        segs = segment_set(g, params, limits, pm, DecodingOrder.M2_FIRST)
-        assert len(segs) == 1
-        assert segs[0].side in (Side.P1_MAX, Side.P2_MAX)
+        seg, _ = pair_segments(g, params, limits, DecodingOrder.M2_FIRST)
+        assert seg.has.sum() == 1
+        assert seg.has[:2].any()
 
     def test_endpoints_feasible(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=77, count=60):
             pm = pu_min(params, gains.h_b_u)
             planes = planes_for_order(gains, params, order)
-            for seg in segment_set(gains, params, default_limits, pm, order):
-                for pt in (seg.endpoint_lo, seg.endpoint_hi):
+            seg, _ = pair_segments(gains, params, default_limits, order)
+            for p1, p2, pu in segment_ends(seg, default_limits):
+                for j in np.flatnonzero(seg.has[:, 0]):
+                    pt = PowerTriplet(p1[j, 0], p2[j, 0], pu[j, 0])
                     assert pt.within(default_limits, rel_tol=1e-9)
                     scale = max(pt.pu_w, planes.ceil3.height(pt.p1_w, pt.p2_w), 1e-300)
                     margins = pmc_margins(planes, pt.p1_w, pt.p2_w, pt.pu_w)
@@ -312,80 +327,63 @@ class TestSegments:
         # riding different floor planes, meeting at the crossing point
         found = 0
         for gains, params, order in sample_fd_sic_feasible(seed=2468, count=200):
-            pm = pu_min(params, gains.h_b_u)
-            segs = segment_set(gains, params, default_limits, pm, order)
-            caps = [s for s in segs if s.side is Side.PU_MAX]
-            if len(caps) != 2:
+            seg, _ = pair_segments(gains, params, default_limits, order)
+            if not seg.has[3, 0]:
                 continue
             found += 1
-            a, b = sorted(caps, key=lambda s: s.lo)
-            assert a.branch is not b.branch
-            assert a.hi == b.lo
-            sel = floor_selector(gains, params)
-            kink = a.endpoint_hi
-            assert sel.floor2.height(kink.p1_w, kink.p2_w) == pytest.approx(
-                default_limits.pu_max_w, rel=1e-6
-            )
-            assert sel.floor4.height(kink.p1_w, kink.p2_w) == pytest.approx(
-                default_limits.pu_max_w, rel=1e-6
-            )
+            assert seg.has[2, 0]
+            assert seg.plane2[2, 0] != seg.plane2[3, 0]
+            assert seg.hi[2, 0] == seg.lo[3, 0]
+            (p1, p2, _), _ = segment_ends(seg, default_limits)
+            planes = planes_for_order(gains, params, order)
+            for floor in (planes.floor2, planes.floor4):
+                assert floor.height(p1[3, 0], p2[3, 0]) == pytest.approx(
+                    default_limits.pu_max_w, rel=1e-6
+                )
         assert found >= 5
 
     def test_segment_orientation(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=78, count=40):
-            pm = pu_min(params, gains.h_b_u)
-            for seg in segment_set(gains, params, default_limits, pm, order):
-                assert seg.lo <= seg.hi * (1 + 1e-12) + 1e-300
-                if seg.side is Side.P1_MAX:
-                    assert seg.endpoint_lo.p2_w <= seg.endpoint_hi.p2_w * (1 + 1e-12)
+            seg, _ = pair_segments(gains, params, default_limits, order)
+            (p1_lo, p2_lo, _), (p1_hi, p2_hi, _) = segment_ends(seg, default_limits)
+            for j in np.flatnonzero(seg.has[:, 0]):
+                assert seg.lo[j, 0] <= seg.hi[j, 0] * (1 + 1e-12) + 1e-300
+                if j == 0:
+                    assert p2_lo[j, 0] <= p2_hi[j, 0] * (1 + 1e-12)
                 else:
-                    assert seg.endpoint_lo.p1_w <= seg.endpoint_hi.p1_w * (1 + 1e-12)
+                    assert p1_lo[j, 0] <= p1_hi[j, 0] * (1 + 1e-12)
 
 
 class TestSideOptimization:
-    def _dense_argmax(self, seg, gains, params, pu_max):
-        ts = np.linspace(seg.lo, seg.hi, 100_001)
-        if seg.side is Side.P1_MAX:
-            p1v = np.full(ts.shape, fill_value=float(seg.endpoint_lo.p1_w))
-            p2v = ts
-        elif seg.side is Side.P2_MAX:
-            p1v = ts
-            p2v = np.full(ts.shape, fill_value=float(seg.endpoint_lo.p2_w))
-        else:
-            sel = floor_selector(gains, params)
-            f = sel.plane(seg.branch)
-            p1v = ts
-            p2v = np.maximum((pu_max - f.ax * ts) / f.ay, 0.0)
-        s = params.noise_w
-        rates = params.bandwidth_hz * (
-            np.log2(1 + p1v * gains.h_d / (params.eta2 * p2v + s))
-            + np.log2(1 + p2v * gains.h_d / (params.eta1 * p1v + s))
-        )
-        return float(rates.max())
+    def _dense_max(self, seg, j, gains, params, limits):
+        ts = np.full((4, 100_001), np.nan)
+        ts[j] = np.linspace(seg.lo[j, 0], seg.hi[j, 0], 100_001)
+        with np.errstate(all="ignore"):
+            p1, p2, _ = side_points(seg, ts, limits)
+        return float(sic_sum_rate(p1[j], p2[j], gains.h_d, params, np.log2).max())
 
     def test_degenerate_segment(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=5, count=5):
-            pm = pu_min(params, gains.h_b_u)
-            segs = segment_set(gains, params, default_limits, pm, order)
-            seg = segs[0]
-            if seg.side is Side.PU_MAX:
-                continue
-            from dataclasses import replace
-
-            degenerate = replace(seg, hi=seg.lo, endpoint_hi=seg.endpoint_lo)
-            p1, p2, rate = optimize_box_side(degenerate, gains, params)
-            assert (p1, p2) == (seg.endpoint_lo.p1_w, seg.endpoint_lo.p2_w)
+            seg, h = pair_segments(gains, params, default_limits, order)
+            degenerate = seg._replace(hi=seg.lo)
+            with np.errstate(all="ignore"):
+                t, *_ = segment_best(degenerate, h, params, default_limits)
+            for j in np.flatnonzero(seg.has[:2, 0]):
+                assert t[j, 0] == seg.lo[j, 0]
 
     def test_matches_dense_sampling(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=41, count=25):
-            pm = pu_min(params, gains.h_b_u)
-            for seg in segment_set(gains, params, default_limits, pm, order):
-                if seg.side is Side.PU_MAX:
-                    best = optimize_su_side(seg, gains, params, default_limits.pu_max_w)
-                else:
-                    best = optimize_box_side(seg, gains, params)
-                dense = self._dense_argmax(seg, gains, params, default_limits.pu_max_w)
-                assert best[2] >= dense - 1e-7 * max(dense, 1.0)
+            seg, h = pair_segments(gains, params, default_limits, order)
+            with np.errstate(all="ignore"):
+                *_, best = segment_best(seg, h, params, default_limits)
+            overall = 0.0
+            for j in np.flatnonzero(seg.has[:, 0]):
+                dense = self._dense_max(seg, j, gains, params, default_limits)
+                assert best[j, 0] >= dense - 1e-7 * max(dense, 1.0)
+                overall = max(overall, dense)
+            # the solve takes the best segment
+            sol = solve_fd_sic_order(gains, params, default_limits, order)
+            assert sol.r_d2d_bps >= overall - 1e-7 * max(overall, 1.0)
 
     def test_vanishing_residual_prefers_upper_endpoint(self, default_limits):
         # without self-interference the rate grows with the free power
@@ -397,12 +395,11 @@ class TestSideOptimization:
             pm = pu_min(clean, gains.h_b_u)
             if not sufficient_feasibility(gains, clean, default_limits, pm, order):
                 continue
-            for seg in segment_set(gains, clean, default_limits, pm, order):
-                if seg.side is Side.PU_MAX:
-                    continue
-                p1, p2, rate = optimize_box_side(seg, gains, clean)
-                hi = seg.endpoint_hi
-                assert (p1, p2) == (hi.p1_w, hi.p2_w)
+            seg, h = pair_segments(gains, clean, default_limits, order)
+            with np.errstate(all="ignore"):
+                t, *_ = segment_best(seg, h, clean, default_limits)
+            for j in np.flatnonzero(seg.has[:2, 0]):
+                assert t[j, 0] == seg.hi[j, 0]
 
 
 class TestSolveOrder:
@@ -490,48 +487,32 @@ class TestSolveOrder:
             params = make_params(eta_db=rng.uniform(-130, -80))
             p1, p2 = rng.uniform(1e-6, 0.2, 2)
             beta = rng.uniform(1.0 + 1e-6, 5.0)
-            r0 = fd_sic_d2d_rate(p1, p2, g, params)
-            r1 = fd_sic_d2d_rate(beta * p1, beta * p2, g, params)
+            r0 = sic_sum_rate(p1, p2, g.h_d, params)
+            r1 = sic_sum_rate(beta * p1, beta * p2, g.h_d, params)
             assert r1 > r0
 
 
-GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
+    def test_every_pull_in_step_failing_means_infeasible(self):
+        """Both orders pass the pre-test, but M1_FIRST has no point that passes
+        the exact check at any pull-in step: that order is infeasible, and
+        FD-SIC keeps the better of M2_FIRST and the no-SIC allocation."""
+        g = ChannelGains(1.79e-14, 1.65e-13, 4.33e-6, 4.59e-5, 2.15e-13, 4.88e-14)
+        params = SystemParams(312.5e3, dbm_to_watts(-119.0), 1.92e-5, 1.04e-6, 0.0)
+        limits = PowerLimits(0.1258, 0.1784, 0.002154)
+        pm = pu_min(params, g.h_b_u)
+        assert all(sufficient_feasibility(g, params, limits, pm, o) for o in ORDERS)
+        assert solve_fd_sic_order(g, params, limits, DecodingOrder.M1_FIRST) is None
+        m2 = solve_fd_sic_order(g, params, limits, DecodingOrder.M2_FIRST)
+        assert m2.r_d2d_bps == pytest.approx(24801.826, abs=1e-3)
+        sols = solve_all(g, params, limits)
+        fd_sic, fd_nosic = sols[ScenarioKind.FD_SIC], sols[ScenarioKind.FD_NOSIC]
+        assert fd_sic.feasible and not fd_sic.sic_applied
+        assert fd_sic.r_d2d_bps == fd_nosic.r_d2d_bps == pytest.approx(569485.397, abs=1e-3)
+        assert fd_sic.powers == fd_nosic.powers
 
 
 def _gain_arrays(gains: list[ChannelGains]) -> tuple[np.ndarray, ...]:
-    return tuple(np.array([getattr(g, f) for g in gains]) for f in GAIN_FIELDS)
-
-
-def _mixed_blocks(seed: int, count: int):
-    """Blocks of pre-test-passing (gains, order) pairs sharing random params
-    and limits, until ``count`` pairs: deployment gains (the fig4a and
-    far-pairs layouts) mixed with gains from -150 to -40 dB, SI from -130 to
-    -80 dB per device, rate floors from 0 to 4 Mbps and caps from -10 to
-    24 dBm."""
-    rng = np.random.default_rng(seed)
-    layouts = [
-        SimConfig(k_users=1, d_pairs=1, trials=1),
-        SimConfig(k_users=1, d_pairs=1, trials=1, d_max_m=200.0, pair_distance_law="fixed"),
-    ]
-    blocks, total = [], 0
-    while total < count:
-        eta = 10.0 ** (rng.uniform(-130.0, -80.0, 2) / 10.0)
-        floor = float(rng.choice([0.0, 0.5e6, 1.5e6, 3e6, rng.uniform(0.0, 4e6)]))
-        params = SystemParams(312.5e3, dbm_to_watts(-119.0), eta[0], eta[1], floor)
-        limits = PowerLimits(*(dbm_to_watts(x) for x in rng.uniform(-10.0, 24.0, 3)))
-        pairs = []
-        for _ in range(20):
-            kind = rng.integers(3)
-            if kind < 2:
-                g = sample_combo_gains(rng, layouts[kind])
-            else:
-                g = ChannelGains(*(10.0 ** (rng.uniform(-150.0, -40.0, 6) / 10.0)))
-            pm = pu_min(params, g.h_b_u)
-            pairs += [(g, o) for o in ORDERS if sufficient_feasibility(g, params, limits, pm, o)]
-        if pairs:
-            blocks.append((params, limits, pairs))
-            total += len(pairs)
-    return blocks
+    return tuple(np.array(x) for x in zip(*(_gain_tuple(g) for g in gains)))
 
 
 def _batch(pairs, params, limits):
@@ -543,7 +524,7 @@ def _batch(pairs, params, limits):
 
 
 def _table_rates(gains, params, limits):
-    """`_fd_sic_table` on a 1 x N table of the given combinations."""
+    """`_fd_sic_table`'s rates on a 1 x N table of the given combinations."""
     h = tuple(x[None, :] for x in _gain_arrays(gains))
     pu_m = np.array([[pu_min(params, g.h_b_u) for g in gains]])
     passes = [
@@ -552,11 +533,11 @@ def _table_rates(gains, params, limits):
         for o in ORDERS
     ]
     with np.errstate(all="ignore"):
-        return _fd_sic_table(h, params, limits, pu_m, passes)[0]
+        return _fd_sic_table(h, params, limits, pu_m, passes)[3][0]
 
 
-# A fig4a combination whose best M2_FIRST candidate fails validation where it
-# lies: the scalar solve pulls it inward.
+# A fig4a combination whose best M2_FIRST point fails the exact check where
+# it lies, so the solve pulls it inward.
 SLIVER_GAINS = ChannelGains(
     4.6392498409731775e-07, 1.6300399463133556e-08, 2.7504924007826522e-06,
     1.687819901737155e-11, 4.681732167036908e-11, 1.2740316066043791e-12,
@@ -564,47 +545,24 @@ SLIVER_GAINS = ChannelGains(
 
 
 class TestBatch:
-    """`fd_sic_batch` solves many (entry, order) pairs with numpy; the scalar
-    `solve_fd_sic_order` is the reference."""
+    """`fd_sic_batch` solves many (entry, order) pairs with numpy."""
 
-    def test_matches_scalar_solve(self):
-        pairs_seen = fallbacks = 0
-        for params, limits, pairs in _mixed_blocks(seed=11, count=2000):
-            p1, p2, pu, rate, fallback = _batch(pairs, params, limits)
-            for j, (g, o) in enumerate(pairs):
-                pairs_seen += 1
-                if fallback[j]:
-                    fallbacks += 1
-                    continue
-                sol = solve_fd_sic_order(g, params, limits, o)
-                assert sol is not None
-                want = (sol.powers.p1_w, sol.powers.p2_w, sol.powers.pu_w, sol.r_d2d_bps)
-                got = (p1[j], p2[j], pu[j], rate[j])
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-            # both orders together: the same feasibility, order and rate
-            gains = list({id(g): g for g, _ in pairs}.values())
-            for g, best in zip(gains, _table_rates(gains, params, limits)):
-                sol = _best_sic_order(g, params, limits)
-                assert best == (-np.inf if sol is None else sol.r_d2d_bps)
-        assert pairs_seen >= 2000
-        # sliver pull-ins stay rare; the batch must solve the rest itself
-        assert fallbacks <= 0.02 * pairs_seen
-
-    def test_failed_validation_goes_to_the_scalar_pull_in(self):
+    def test_failed_validation_is_pulled_inward(self):
         params, limits = make_params(), make_limits()
-        p1, p2, pu, rate, fallback = _batch(
-            [(SLIVER_GAINS, DecodingOrder.M2_FIRST)], params, limits
+        seg, h = pair_segments(SLIVER_GAINS, params, limits, DecodingOrder.M2_FIRST)
+        with np.errstate(all="ignore"):
+            *_, best = segment_best(seg, h, params, limits)
+        p1, p2, pu, rate = _batch([(SLIVER_GAINS, DecodingOrder.M2_FIRST)], params, limits)
+        assert (p1[0], p2[0], pu[0], rate[0]) == (
+            2.5346017837828786e-05, 9.138025748011284e-06, 0.251188643150958, 7669260.4318521125
         )
-        assert fallback[0]
-        sol = solve_fd_sic_order(SLIVER_GAINS, params, limits, DecodingOrder.M2_FIRST)
-        assert sol.r_d2d_bps < rate[0]  # the validated point lies inward
-        assert _table_rates([SLIVER_GAINS], params, limits)[0] == _best_sic_order(
-            SLIVER_GAINS, params, limits
-        ).r_d2d_bps
+        assert rate[0] < best.max()  # the certified point lies inward
+        # M1_FIRST fails the pre-test, so the table keeps M2_FIRST's rate
+        assert _table_rates([SLIVER_GAINS], params, limits)[0] == rate[0]
 
     def test_geometry_error_counts_as_infeasible(self, monkeypatch):
-        """A flat floor plane makes the scalar solve raise on a device side;
-        the batch leaves that entry to it and the others are unaffected."""
+        """A flat floor plane contradicts the pre-test on a device side: the
+        batch marks that entry infeasible and leaves the others unchanged."""
         params, limits = make_params(), make_limits()
         rng, layout = np.random.default_rng(3), SimConfig(k_users=1, d_pairs=1, trials=1)
         gains = []
@@ -613,6 +571,10 @@ class TestBatch:
             pm = pu_min(params, g.h_b_u)
             if all(sufficient_feasibility(g, params, limits, pm, o) for o in ORDERS):
                 gains.append(g)
+        pairs = [(g, o) for g in gains for o in ORDERS]
+        want = np.array(_batch(pairs, params, limits))
+        want_rates = _table_rates(gains, params, limits)
+        assert (want[3] > 0.0).all()
         broken = gains[1].h_d
         real = d2dpa.fdsic.floor_planes
 
@@ -621,15 +583,11 @@ class TestBatch:
             keep = h[0] != broken
             return floor2, Plane(floor4.ax * keep, floor4.ay * keep)
 
-        want = [_best_sic_order(g, params, limits) for g in gains]
-        assert all(sol is not None for sol in want)
         monkeypatch.setattr(d2dpa.fdsic, "floor_planes", flat_floor4)
-        for o in ORDERS:
-            with pytest.raises(GeometryError):
-                solve_fd_sic_order(gains[1], params, limits, o)
-        *_, fallback = _batch([(g, o) for g in gains for o in ORDERS], params, limits)
-        assert list(fallback[2:4]) == [True, True]
+        got = np.array(_batch(pairs, params, limits))
+        assert got[:, 2:4].tolist() == [[0.0, 0.0]] * 3 + [[-np.inf, -np.inf]]
+        others = [0, 1, 4, 5, 6, 7]
+        assert got[:, others].tolist() == want[:, others].tolist()
         rates = _table_rates(gains, params, limits)
         assert rates[1] == -np.inf
-        for i in (0, 2, 3):
-            assert rates[i] == want[i].r_d2d_bps
+        assert [rates[i] for i in (0, 2, 3)] == [want_rates[i] for i in (0, 2, 3)]

@@ -11,22 +11,25 @@ from d2dpa import fdnosic
 from d2dpa.model import (
     ChannelGains,
     PowerLimits,
+    PowerTriplet,
+    Scenario,
     ScenarioKind,
     SystemParams,
     dbm_to_watts,
     rate_floor_snr,
+    scenario_rates,
 )
-from d2dpa.solvers import solve_all, solve_fd_nosic
+from d2dpa.solvers import SIC_ORDERS, solve_all
 
 
 def test_pure_kernel_handles_infeasible(default_limits):
     params = make_params()
-    res = fdnosic.fd_nosic_search(
+    res = fdnosic.fd_nosic_batch(
         1e-6, 1e-8, 1e-8, 1e-9, 1e-9, 1e-15,
         params.eta1, params.eta2, params.noise_w, rate_floor_snr(params),
         params.bandwidth_hz, 0.25, 0.25, 1e-12,
     )
-    assert res[3] == -1.0
+    assert [float(x) for x in res] == [0.0, 0.0, 0.0, -1.0]
 
 
 def test_cap_corner_stays_inside_the_box():
@@ -37,11 +40,11 @@ def test_cap_corner_stays_inside_the_box():
     params = SystemParams(312.5e3, 1.2589254117941663e-15, 3.981071705534969e-09,
                           2.511886431509582e-09, 0.5e6)
     limits = PowerLimits(1e-3, dbm_to_watts(1.0), dbm_to_watts(-8.0))
-    sol = solve_fd_nosic(gains, params, limits)
+    sol = solve_all(gains, params, limits)[ScenarioKind.FD_NOSIC]
     assert sol.powers.within(limits, rel_tol=0.0)
-    swapped = solve_fd_nosic(
+    swapped = solve_all(
         gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
-    )
+    )[ScenarioKind.FD_NOSIC]
     assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
 
 
@@ -64,17 +67,52 @@ instances = st.tuples(
 )
 
 
+def _mirrored(sol) -> tuple[Scenario, PowerTriplet | tuple[PowerTriplet, PowerTriplet]]:
+    """A solution's scenario and powers with the two devices swapped: p1 and
+    p2, the HD half slots and the FD-SIC decoding order trade places."""
+    s = sol.scenario
+
+    def swapped(t: PowerTriplet) -> PowerTriplet:
+        return PowerTriplet(t.p2_w, t.p1_w, t.pu_w)
+
+    if isinstance(sol.powers, tuple):
+        first, second = sol.powers
+        powers = (swapped(second), swapped(first))
+    else:
+        powers = swapped(sol.powers)
+    order = None if s.order is None else SIC_ORDERS[1 - SIC_ORDERS.index(s.order)]
+    slot_sic = None if s.slot_sic is None else s.slot_sic[::-1]
+    return Scenario(s.kind, order=order, slot_sic=slot_sic), powers
+
+
+def _flat(powers) -> tuple[float, ...]:
+    triplets = powers if isinstance(powers, tuple) else (powers,)
+    return tuple(x for t in triplets for x in (t.p1_w, t.p2_w, t.pu_w))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(instances)
 def test_device_swap_keeps_rate_and_feasibility(instance):
+    """Swapping the devices keeps every rate and feasibility and mirrors the
+    allocation, unless two optima tie: then each problem keeps the one its
+    tie rule picks, and each is optimal in the other problem too."""
     gains, params, limits = instance
     sols = solve_all(gains, params, limits)
     swapped = solve_all(
         gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
     )
     for kind, sol in sols.items():
-        assert swapped[kind].feasible == sol.feasible, kind
-        assert swapped[kind].r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12), kind
+        other = swapped[kind]
+        assert other.feasible == sol.feasible, kind
+        assert other.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12), kind
+        scenario, powers = _mirrored(sol)
+        if other.scenario == scenario and _flat(other.powers) == pytest.approx(
+            _flat(powers), rel=1e-12, abs=0.0
+        ):
+            continue
+        back_scenario, back = _mirrored(other)
+        _, r_d1, r_d2 = scenario_rates(back_scenario, back, gains, params)
+        assert r_d1 + r_d2 == pytest.approx(sol.r_d2d_bps, rel=1e-12), kind
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

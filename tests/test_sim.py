@@ -85,6 +85,27 @@ class TestDeployment:
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.99, df=17)
 
+    def test_far_uniform_reach_keeps_partner_draws_bounded(self):
+        """A partner farther than twice the cell radius can never land in the
+        cell, so a uniform pair distance up to 1e9 m must not redraw for
+        ever.  The draws are counted, so that a regression fails instead of
+        hanging."""
+
+        class Counting(np.random.Generator):
+            draws = 0
+
+            def uniform(self, *args, **kwargs):
+                Counting.draws += 1
+                if Counting.draws > 10_000:
+                    raise RuntimeError("more than 10,000 uniform draws")
+                return super().uniform(*args, **kwargs)
+
+        cfg = SimConfig(d_max_m=1e9, trials=1, k_users=2, d_pairs=1)
+        dep = generate_deployment(cfg, Counting(np.random.PCG64(1)))
+        assert in_hexagon(*dep.d2_xy[0], cfg.cell_radius_m)
+        sample_combo_gains(Counting(np.random.PCG64(2)), cfg)
+        assert run_campaign(cfg).totals_bps[ScenarioKind.FD_SIC].shape == (1,)
+
 
 class TestGains:
     def test_no_shadowing_unit_distance(self):
@@ -156,8 +177,8 @@ def seeded_gains(cfg: SimConfig, trial: int) -> LinkGains:
 
 
 class TestBatchedTables:
-    """`build_rate_tables` solves a whole trial with numpy; `solve_all` per
-    combination is the reference."""
+    """`build_rate_tables` solves a whole trial as one table; `solve_all`
+    solves each combination as a table of its own, and the two must agree."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -210,14 +231,14 @@ class TestBatchedTables:
             with pytest.raises(ValueError) as info:
                 d2dpa.solvers._check_powers(feasible, **arrays)
             assert str(info.value) == expected
-        # infeasible entries are never checked: the scalar path reports zeros there
+        # infeasible entries are never checked: solve_all reports zeros there
         arrays = {k: np.array([[0.5, v]]) for k, v in triplet.items()}
         d2dpa.solvers._check_powers(feasible, **arrays)
 
     @pytest.mark.parametrize("infeasible", [False, True])
     def test_batched_path_checks_returned_powers(self, monkeypatch, infeasible):
-        """A non-finite FD no-SIC power fails the table build where the scalar
-        path's PowerTriplet would: on a feasible entry only."""
+        """A non-finite FD no-SIC power fails the table build where a
+        PowerTriplet would: on a feasible entry only."""
         kernel = d2dpa.solvers.fd_nosic_batch
 
         def corrupted(*args):

@@ -14,7 +14,7 @@ from d2dpa.model import (
     shannon_rate,
 )
 from d2dpa.oracle import GridSpec, brute_force
-from d2dpa.solvers import solve_all, solve_fd_nosic, solve_fd_sic, solve_hd_nosic, solve_hd_sic
+from d2dpa.solvers import solve_all
 
 
 def gains_of(hd, b1, b2, h1u, h2u, bu) -> ChannelGains:
@@ -25,7 +25,7 @@ class TestHdNoSic:
     def test_negligible_interference_hits_device_cap(self, default_limits):
         g = gains_of(hd=1e-6, b1=1e-20, b2=1e-20, h1u=1e-9, h2u=1e-9, bu=1e-7)
         params = make_params()
-        sol = solve_hd_nosic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.HD_NOSIC]
         first, second = sol.powers
         assert first.p1_w == default_limits.p1_max_w
         pu_m = rate_floor_snr(params) * NOISE_W / g.h_b_u
@@ -39,7 +39,7 @@ class TestHdNoSic:
         params = make_params()
         q = rate_floor_snr(params)
         assert q * (default_limits.p1_max_w * g.h_b_d1 + NOISE_W) / g.h_b_u > default_limits.pu_max_w
-        sol = solve_hd_nosic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.HD_NOSIC]
         first, _ = sol.powers
         assert first.pu_w == default_limits.pu_max_w
         assert first.p1_w < default_limits.p1_max_w
@@ -51,13 +51,13 @@ class TestHdNoSic:
         g = gains_of(hd=1e-6, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-12)
         params = make_params()
         limits = PowerLimits(0.25, 0.25, 1e-9)
-        sol = solve_hd_nosic(g, params, limits)
+        sol = solve_all(g, params, limits)[ScenarioKind.HD_NOSIC]
         assert not sol.feasible
         assert sol.r_d2d_bps == 0.0
 
     def test_matches_grid_oracle(self, default_limits):
         for gains, params in sample_instances(seed=101, count=25):
-            sol = solve_hd_nosic(gains, params, default_limits)
+            sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_NOSIC]
             ref = brute_force(
                 Scenario(ScenarioKind.HD_NOSIC), gains, params, default_limits, GridSpec(150)
             )
@@ -82,7 +82,7 @@ class TestHdSic:
         pu_m = q * NOISE_W / g.h_b_u
         ratio_lo = g.h_d / g.h_d2_u
         assert default_limits.p1_max_w < pu_m / ratio_lo
-        sol = solve_hd_sic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.HD_SIC]
         assert sol.scenario.slot_sic[0]
         first, _ = sol.powers
         assert first.p1_w == default_limits.p1_max_w
@@ -94,7 +94,7 @@ class TestHdSic:
         params, q = self._branch_instance()
         ratio_lo = g.h_d / g.h_d2_u  # = 10
         assert ratio_lo * default_limits.p1_max_w > default_limits.pu_max_w
-        sol = solve_hd_sic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.HD_SIC]
         assert sol.scenario.slot_sic[0]
         first, _ = sol.powers
         assert first.pu_w == pytest.approx(default_limits.pu_max_w, rel=1e-12)
@@ -108,7 +108,7 @@ class TestHdSic:
         pu_m = q * NOISE_W / g.h_b_u
         assert pu_m / ratio_lo < default_limits.p1_max_w
         assert ratio_lo * default_limits.p1_max_w < default_limits.pu_max_w
-        sol = solve_hd_sic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.HD_SIC]
         assert sol.scenario.slot_sic[0]
         first, _ = sol.powers
         assert first.p1_w == default_limits.p1_max_w
@@ -118,21 +118,21 @@ class TestHdSic:
         # inter-device gain dominates: the CU could never outpower it at d2
         g = gains_of(hd=1e-3, b1=1e-8, b2=1e-8, h1u=1e-9, h2u=1e-9, bu=1e-7)
         params = make_params()
-        sol = solve_hd_sic(g, params, default_limits)
+        sols = solve_all(g, params, default_limits)
+        sol, nosic = sols[ScenarioKind.HD_SIC], sols[ScenarioKind.HD_NOSIC]
         assert sol.scenario.slot_sic == (False, False)
         assert not sol.sic_applied
-        nosic = solve_hd_nosic(g, params, default_limits)
         assert sol.r_d2d_bps == nosic.r_d2d_bps
 
     def test_dominates_nosic(self, default_limits):
         for gains, params in sample_instances(seed=103, count=120):
-            sic = solve_hd_sic(gains, params, default_limits)
-            nosic = solve_hd_nosic(gains, params, default_limits)
+            sols = solve_all(gains, params, default_limits)
+            sic, nosic = sols[ScenarioKind.HD_SIC], sols[ScenarioKind.HD_NOSIC]
             assert sic.r_d2d_bps >= nosic.r_d2d_bps
 
     def test_matches_grid_oracle(self, default_limits):
         for gains, params in sample_instances(seed=104, count=25):
-            sol = solve_hd_sic(gains, params, default_limits)
+            sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_SIC]
             ref = brute_force(
                 Scenario(ScenarioKind.HD_SIC, slot_sic=(False, False)),
                 gains, params, default_limits, GridSpec(150),
@@ -144,7 +144,7 @@ class TestHdSic:
 
     def test_cu_power_is_minimal_per_slot(self, default_limits):
         for gains, params in sample_instances(seed=105, count=60):
-            sol = solve_hd_sic(gains, params, default_limits)
+            sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_SIC]
             if not sol.feasible:
                 continue
             q = rate_floor_snr(params)
@@ -173,16 +173,16 @@ class TestFdNoSic:
     def test_symmetric_instance_rate_invariant_under_swap(self, default_limits):
         g = gains_of(hd=1e-6, b1=3e-8, b2=3e-8, h1u=2e-9, h2u=2e-9, bu=5e-8)
         params = make_params()
-        sol = solve_fd_nosic(g, params, default_limits)
-        swapped = solve_fd_nosic(
+        sol = solve_all(g, params, default_limits)[ScenarioKind.FD_NOSIC]
+        swapped = solve_all(
             g.swapped_devices(), params.swapped_devices(), default_limits.swapped_devices()
-        )
+        )[ScenarioKind.FD_NOSIC]
         assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
 
     def test_zero_rate_floor_means_silent_cu(self, default_limits):
         g = gains_of(hd=1e-6, b1=3e-8, b2=4e-8, h1u=2e-9, h2u=3e-9, bu=5e-8)
         params = make_params(r_u_min_bps=0.0)
-        sol = solve_fd_nosic(g, params, default_limits)
+        sol = solve_all(g, params, default_limits)[ScenarioKind.FD_NOSIC]
         assert sol.powers.pu_w == 0.0
         # any positive CU power only interferes
         r_with = scenario_rates(
@@ -196,12 +196,12 @@ class TestFdNoSic:
         g = gains_of(hd=1e-6, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-12)
         params = make_params()
         limits = PowerLimits(0.25, 0.25, 1e-9)
-        sol = solve_fd_nosic(g, params, limits)
+        sol = solve_all(g, params, limits)[ScenarioKind.FD_NOSIC]
         assert not sol.feasible
 
     def test_matches_grid_oracle(self, default_limits):
         for gains, params in sample_instances(seed=107, count=12):
-            sol = solve_fd_nosic(gains, params, default_limits)
+            sol = solve_all(gains, params, default_limits)[ScenarioKind.FD_NOSIC]
             ref = brute_force(
                 Scenario(ScenarioKind.FD_NOSIC), gains, params, default_limits, GridSpec(100)
             )
@@ -212,7 +212,7 @@ class TestFdNoSic:
 
     def test_solution_meets_cu_floor(self, default_limits):
         for gains, params in sample_instances(seed=108, count=40):
-            sol = solve_fd_nosic(gains, params, default_limits)
+            sol = solve_all(gains, params, default_limits)[ScenarioKind.FD_NOSIC]
             if sol.feasible:
                 assert sol.r_u_bps >= params.r_u_min_bps * (1 - 1e-9)
 
@@ -221,26 +221,17 @@ class TestFdSic:
     def test_fallback_when_channel_conditions_fail(self, default_limits):
         g = gains_of(hd=1e-4, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-5)
         params = make_params()
-        sol = solve_fd_sic(g, params, default_limits)
+        sols = solve_all(g, params, default_limits)
+        sol, fallback = sols[ScenarioKind.FD_SIC], sols[ScenarioKind.FD_NOSIC]
         assert not sol.sic_applied
         assert sol.scenario.order is None
-        fallback = solve_fd_nosic(g, params, default_limits)
         assert sol.r_d2d_bps == fallback.r_d2d_bps
 
     def test_dominates_fd_nosic(self, default_limits):
         for gains, params in sample_instances(seed=109, count=120):
-            nosic = solve_fd_nosic(gains, params, default_limits)
-            sic = solve_fd_sic(gains, params, default_limits, nosic)
+            sols = solve_all(gains, params, default_limits)
+            sic, nosic = sols[ScenarioKind.FD_SIC], sols[ScenarioKind.FD_NOSIC]
             assert sic.r_d2d_bps >= nosic.r_d2d_bps
-
-    def test_precomputed_fallback_matches(self, default_limits):
-        for gains, params in sample_instances(seed=110, count=30):
-            direct = solve_fd_sic(gains, params, default_limits)
-            shared = solve_fd_sic(
-                gains, params, default_limits, solve_fd_nosic(gains, params, default_limits)
-            )
-            assert direct.r_d2d_bps == shared.r_d2d_bps
-            assert direct.sic_applied == shared.sic_applied
 
     def test_returns_best_of_both_orders(self, default_limits):
         from d2dpa.fdsic import solve_fd_sic_order, sufficient_feasibility
@@ -261,8 +252,8 @@ class TestFdSic:
                 solve_fd_sic_order(gains, params, default_limits, o).r_d2d_bps
                 for o in DecodingOrder
             ]
-            fallback = solve_fd_nosic(gains, params, default_limits)
-            combined = solve_fd_sic(gains, params, default_limits, fallback)
+            sols = solve_all(gains, params, default_limits)
+            combined, fallback = sols[ScenarioKind.FD_SIC], sols[ScenarioKind.FD_NOSIC]
             assert combined.r_d2d_bps == max(max(rates), fallback.r_d2d_bps)
             if both_seen >= 10:
                 break
