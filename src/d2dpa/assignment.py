@@ -70,6 +70,36 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
     return float(rates[rows, cols].sum()), cols
 
 
+def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Least total any mapping gives up against the optimal mapping ``cols``
+    when it sends row r to column c, as a D x K array.
+
+    Completing the table with K - D all-zero rows that hold the unused
+    columns changes no mapping's total, and makes any mapping differ from
+    ``cols`` by disjoint cycles: each moved row r gives up
+    ``rates[r, cols[r]] - rates[r, new column]``, and no cycle gives up less
+    than zero because ``cols`` is optimal.  So the loss of sending r to c is
+    at least the cheapest cycle through that move, and that cycle is itself a
+    mapping.  It is found as the move plus a shortest path back (no cycle
+    is negative, so shortest paths exist), over the columns of ``cols`` with
+    the unused columns merged into one node, whose zero-rate row may move
+    onto any column at no cost.
+    """
+    d, k = rates.shape
+    rows = np.arange(d)
+    slack = rates[rows, cols][:, None] - rates
+    node = np.full(k, d)
+    node[cols] = rows
+    n = d + (d < k)
+    dist = np.zeros((n, n))
+    dist[:d, :d] = slack[:, cols]
+    if d < k:
+        dist[:d, d] = slack[:, node == d].min(axis=1)
+    for m in range(n):
+        np.minimum(dist, dist[:, m, None] + dist[m], out=dist)
+    return slack + dist[node, :d].T
+
+
 def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     """Maximum-total assignment of rows to columns, lexicographically smallest.
 
@@ -81,11 +111,18 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     completion is fixed.  An optimal completion is always at hand (the first
     solve, then the solve that confirmed the last fixed column), and its own
     column for the row qualifies, so only free columns left of it need a
-    check.  Those are checked against one solve of the remaining rows on all
-    free columns: a column whose entry plus that optimum falls short cannot
-    qualify, since removing a column never raises the optimum, and a column
-    that optimum leaves unused qualifies with it unchanged.  Only the rest
-    need a solve of their own.
+    check.  Before any of them is re-solved, the first solve certifies which
+    columns no optimal mapping can use: every mapping that sends row r to
+    column c falls short of the optimum by at least the forcing loss of that
+    move (see ``_forcing_loss``).  Where the loss exceeds the tie tolerance,
+    with room for float error, the full check would reject the column, so
+    dropping it leaves the result unchanged.  When no other mapping comes
+    within the tolerance of the optimum, every column is dropped and the
+    first solve is the only one.  The columns left are checked against one
+    solve of the remaining rows on all free columns: a column whose entry
+    plus that optimum falls short cannot qualify, since removing a column
+    never raises the optimum, and a column that optimum leaves unused
+    qualifies with it unchanged.  Only the rest need a solve of their own.
     """
     rates = table.rates if isinstance(table, RateTable) else np.asarray(table, dtype=float)
     if rates.ndim != 2:
@@ -98,20 +135,29 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
 
     total, completion = _solve(rates)
     tol = 1e-12 * max(1.0, abs(total))
+    # eps bounds the float error of the losses and of the sums checked below,
+    # so the cut also holds where tol is small against the entries.
+    eps = 8.0 * (d + 1) * np.finfo(float).eps * float(np.abs(rates).max())
+    near = _forcing_loss(rates, completion) <= 2.0 * tol + eps
+    # usable[r]: the columns, ascending, that row r may take in some optimal
+    # mapping; no other column needs a check.
+    usable: list[list[int]] = [[] for _ in range(d)]
+    for row, col in zip(*(a.tolist() for a in np.nonzero(near))):
+        usable[row].append(col)
 
     chosen: list[int] = []
     fixed = 0.0
-    free = np.arange(k)
     for r in range(d):
         # completion holds the columns of rows r.. in an optimal completion.
         star = int(completion[0])
         pick, rest_completion = star, completion[1:]
-        left = free[free < star]
-        if left.size:
+        left = [col for col in usable[r] if col < star and col not in chosen]
+        if left:
+            free = np.delete(np.arange(k), chosen)
             rest = rates[r + 1 :]
             rest_total, rest_cols = _solve(rest[:, free])
             used = set(free[rest_cols].tolist())
-            for col in left.tolist():
+            for col in left:
                 row_val = rates[r, col]
                 # The extra tol absorbs summation-order differences, so a
                 # pruned column is one the full check would also reject.
@@ -128,6 +174,5 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
                     break
         chosen.append(pick)
         fixed += rates[r, pick]
-        free = free[free != pick]
         completion = rest_completion
     return Assignment(tuple(chosen)), total

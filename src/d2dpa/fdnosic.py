@@ -136,18 +136,22 @@ def fd_nosic_batch(
                 (cap_on, cap_start, cap_end),
             ]
 
-        candidates = []  # (on, p1, p2, pu) in visiting order
-        for on, start, end in faces:
-            step = tuple(e - a for e, a in zip(end, start))
-            coeffs = _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
-            candidates.append((on, *start))
-            for u in _roots_inside_batch(*coeffs):
-                candidates.append((on, *(a + u * v for a, v in zip(start, step))))
-            candidates.append((on, *end))
-        on = np.empty((len(candidates), *h_d.shape), dtype=bool)
-        p1, p2, pu = np.empty((3, *on.shape))
-        for j, c in enumerate(candidates):
-            on[j], p1[j], p2[j], pu[j] = c
+        # All faces at once on a leading axis; each face's candidates (start,
+        # smaller root, larger root, end) then follow it, in visiting order.
+        on = np.empty((len(faces), *h_d.shape), dtype=bool)
+        start, end = np.empty((2, 3, *on.shape))
+        for f, (face_on, a, e) in enumerate(faces):
+            on[f] = face_on
+            for i in range(3):
+                start[i, f], end[i, f] = a[i], e[i]
+        step = end - start
+        lo, hi = _roots_inside_batch(
+            *_stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
+        )
+        p1, p2, pu = np.stack([start, start + lo * step, start + hi * step, end], axis=2).reshape(
+            3, 4 * len(faces), *h_d.shape
+        )
+        on = np.repeat(on, 4, axis=0)
         den1 = pu * h_d1_u + eta1 * p1 + s
         den2 = pu * h_d2_u + eta2 * p2 + s
         r = bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,16 +131,18 @@ def in_hexagon(x: float, y: float, radius: float) -> bool:
     return r <= hexagon_boundary_radius(math.atan2(y, x), radius) * (1.0 + 1e-12)
 
 
-def _uniform_hexagon_point(rng: np.random.Generator, radius: float) -> tuple[float, float]:
+def _uniform_hexagon_point(draw: Callable[[], float], radius: float) -> tuple[float, float]:
+    """A point uniform over the hexagon, from the doubles in [0, 1) that
+    ``draw`` returns, mapped as ``Generator.uniform`` maps them."""
     while True:
-        x = rng.uniform(-radius, radius)
-        y = rng.uniform(-radius, radius)
+        x = -radius + 2.0 * radius * draw()
+        y = -radius + 2.0 * radius * draw()
         if in_hexagon(x, y, radius):
             return x, y
 
 
 def _partner(
-    rng: np.random.Generator, x: float, y: float, config: SimConfig
+    draw: Callable[[], float], x: float, y: float, config: SimConfig
 ) -> tuple[float, float]:
     """The second device of a pair whose first device is at (x, y).
 
@@ -153,11 +156,25 @@ def _partner(
     radius = config.cell_radius_m
     reach = min(config.d_max_m, 2.0 * radius)
     while True:
-        r = config.d_max_m if config.pair_distance_law == "fixed" else reach * rng.uniform()
-        phi = rng.uniform(0.0, 2.0 * math.pi)
+        r = config.d_max_m if config.pair_distance_law == "fixed" else reach * draw()
+        phi = 2.0 * math.pi * draw()
         px, py = x + r * math.cos(phi), y + r * math.sin(phi)
         if in_hexagon(px, py, radius):
             return px, py
+
+
+def _block_draws(rng: np.random.Generator) -> Callable[[], float]:
+    """The doubles of successive ``rng.random()`` calls, drawn 64 at a time.
+
+    The generator runs ahead of the doubles handed out, so only a caller
+    that draws nothing else from it may use this.
+    """
+
+    def doubles():
+        while True:
+            yield from rng.random(64).tolist()
+
+    return doubles().__next__
 
 
 @dataclass(frozen=True)
@@ -175,11 +192,11 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
     The first device of each pair is uniform over the hexagon; its partner
     is drawn by `_partner`.
     """
-    rng = np.random.default_rng(seed)
+    draw = _block_draws(np.random.default_rng(seed))
     radius = config.cell_radius_m
-    cu = np.array([_uniform_hexagon_point(rng, radius) for _ in range(config.k_users)])
-    d1 = np.array([_uniform_hexagon_point(rng, radius) for _ in range(config.d_pairs)])
-    d2 = np.array([_partner(rng, x, y, config) for x, y in d1])
+    cu = np.array([_uniform_hexagon_point(draw, radius) for _ in range(config.k_users)])
+    d1 = np.array([_uniform_hexagon_point(draw, radius) for _ in range(config.d_pairs)])
+    d2 = np.array([_partner(draw, x, y, config) for x, y in d1])
     cu = cu.reshape(config.k_users, 2)
     d1 = d1.reshape(config.d_pairs, 2)
     d2 = d2.reshape(config.d_pairs, 2)
@@ -378,9 +395,10 @@ def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None
     cfg = config if config is not None else SimConfig(k_users=1, d_pairs=1, trials=1)
     check_campaign(cfg)
     radius = cfg.cell_radius_m
-    d1 = _uniform_hexagon_point(rng, radius)
-    d2 = _partner(rng, *d1, cfg)
-    cu = _uniform_hexagon_point(rng, radius)
+    # Scalar draws: the shadowing draws below continue on the same generator.
+    d1 = _uniform_hexagon_point(rng.random, radius)
+    d2 = _partner(rng.random, *d1, cfg)
+    cu = _uniform_hexagon_point(rng.random, radius)
     alpha = cfg.path_loss_exponent
     std = cfg.shadowing_std_db
 

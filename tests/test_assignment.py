@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import d2dpa.assignment
 from d2dpa.assignment import Assignment, RateTable, hungarian_max
@@ -102,9 +103,9 @@ def test_tie_heavy_tables_vs_lexicographic_enumeration(scale):
         assert assignment.pair_to_cu == lexicographic_best(table)
 
 
-def test_known_completion_needs_no_extra_solves(monkeypatch):
-    """Each row's best column is the smallest free one, so the first solve's
-    completion settles every row."""
+@pytest.fixture
+def lsa_calls(monkeypatch):
+    """List that gains one entry per linear_sum_assignment call."""
     calls = []
     real = d2dpa.assignment.linear_sum_assignment
 
@@ -113,11 +114,67 @@ def test_known_completion_needs_no_extra_solves(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(d2dpa.assignment, "linear_sum_assignment", counting)
+    return calls
+
+
+def test_known_completion_needs_no_extra_solves(lsa_calls):
+    """Each row's best column is the smallest free one, so the first solve's
+    completion settles every row."""
     table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
     table[np.arange(5), np.arange(5)] += 10.0
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
-    assert len(calls) == 1
+    assert len(lsa_calls) == 1
+
+
+def test_tie_free_table_needs_only_the_first_solve(lsa_calls):
+    """With one optimal mapping, every column left of a row's optimal one
+    loses more than the tolerance, so the first solve settles every row."""
+    table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
+    assignment, _ = hungarian_max(table)
+    _, cols = linear_sum_assignment(table, maximize=True)
+    assert assignment.pair_to_cu == tuple(cols.tolist())
+    assert any(c > r for r, c in enumerate(cols))  # rows do have columns to their left
+    assert len(lsa_calls) == 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 3e7])
+@pytest.mark.parametrize("gap", [0.5, 3.0, 100.0])
+def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
+    """Lower one row off an optimal mapping by ``gap`` tie tolerances: at 0.5
+    the other mappings still tie and the tie-break must consider them, at 3
+    and 100 they no longer do.  Either way the result is the enumerated
+    lexicographic optimum."""
+    rng = np.random.default_rng(77)
+    for _ in range(120):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(d, 7))
+        table = rng.integers(1, 4, (d, k)).astype(float) * scale
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        tol = 1e-12 * float(table[rows, cols].sum())
+        r = int(rng.integers(d))
+        off = np.arange(k) != cols[r]
+        table[r, off] -= gap * tol
+        assignment, _ = hungarian_max(table)
+        assert assignment.pair_to_cu == lexicographic_best(table)
+
+
+def test_forcing_loss_is_the_best_mapping_through_each_entry():
+    """The loss of sending row r to column c is the optimum minus the best
+    total of any mapping that does so."""
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(d, 7))
+        table = rng.integers(0, 4, (d, k)) + rng.uniform(0.0, 0.1, (d, k))
+        _, cols = linear_sum_assignment(table, maximize=True)
+        perms = np.array(list(itertools.permutations(range(k), d)))
+        totals = table[np.arange(d), perms].sum(axis=1)
+        best_through = np.full((d, k), -np.inf)
+        for r in range(d):
+            np.maximum.at(best_through[r], perms[:, r], totals)
+        loss = d2dpa.assignment._forcing_loss(table, cols)
+        np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
 
 def test_assignment_validation():

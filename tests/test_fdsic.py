@@ -4,6 +4,7 @@ import pytest
 import d2dpa.fdsic
 from conftest import make_limits, make_params, sample_fd_sic_feasible, sample_instances
 from d2dpa.fdsic import (
+    REL_TOL,
     Plane,
     _gain_tuple,
     _ridges_on_cap,
@@ -559,6 +560,31 @@ class TestBatch:
         assert rate[0] < best.max()  # the certified point lies inward
         # M1_FIRST fails the pre-test, so the table keeps M2_FIRST's rate
         assert _table_rates([SLIVER_GAINS], params, limits)[0] == rate[0]
+
+    def test_coincident_segment_points_keep_the_earlier_one(self):
+        """Both cap pieces' best points are the kink between them, computed
+        on each piece's floor plane: within tol of each other, and the later
+        one rates higher by rounding alone.  The later one is dropped, so the
+        earlier piece's form is the answer."""
+        params = SystemParams(
+            312500.0, dbm_to_watts(-119.0), 4.0597357731053253e-10, 8.367863976289144e-13, 5e5
+        )
+        limits = PowerLimits(0.002026978183441201, 0.0034410800028905585, 0.0023873924501119875)
+        gains = ChannelGains(
+            4.96949010040924e-08, 1.0416436368039375e-08, 1.2266721473879634e-05,
+            2.315092144117486e-11, 6.408225456508019e-10, 1.2925667695069568e-10,
+        )
+        seg, h = pair_segments(gains, params, limits, DecodingOrder.M2_FIRST)
+        with np.errstate(all="ignore"):
+            _, p1s, p2s, rates = segment_best(seg, h, params, limits)
+        tol = REL_TOL * max(limits.p1_max_w, limits.p2_max_w)
+        assert seg.has[2:, 0].all()
+        assert abs(p1s[3, 0] - p1s[2, 0]) <= tol and abs(p2s[3, 0] - p2s[2, 0]) <= tol
+        assert rates[3, 0] > rates[2, 0]
+        p1, p2, pu, rate = _batch([(gains, DecodingOrder.M2_FIRST)], params, limits)
+        assert (p1[0], p2[0], pu[0], rate[0]) == (
+            3.078573769579791e-05, 8.606947218944556e-07, 0.0023873924501119875, 3839438.995738147
+        )
 
     def test_geometry_error_counts_as_infeasible(self, monkeypatch):
         """A flat floor plane contradicts the pre-test on a device side: the

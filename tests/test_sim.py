@@ -85,6 +85,46 @@ class TestDeployment:
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.99, df=17)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"d_max_m": 200.0, "pair_distance_law": "fixed"},
+            {"k_users": 64, "d_pairs": 32, "d_max_m": 500.0},
+        ],
+    )
+    def test_equals_scalar_rejection_draws(self, overrides):
+        """Block draws give the deployment that one scalar ``uniform`` draw
+        per coordinate, distance and angle gives, bit for bit, so campaigns
+        repeat from their seeds."""
+        cfg = SimConfig(trials=1, **overrides)
+        radius = cfg.cell_radius_m
+        reach = min(cfg.d_max_m, 2.0 * radius)
+
+        def point(rng):
+            while True:
+                x, y = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
+                if in_hexagon(x, y, radius):
+                    return x, y
+
+        def partner(rng, x, y):
+            while True:
+                r = cfg.d_max_m if cfg.pair_distance_law == "fixed" else reach * rng.uniform()
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                px, py = x + r * math.cos(phi), y + r * math.sin(phi)
+                if in_hexagon(px, py, radius):
+                    return px, py
+
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            cu = [point(rng) for _ in range(cfg.k_users)]
+            d1 = [point(rng) for _ in range(cfg.d_pairs)]
+            d2 = [partner(rng, x, y) for x, y in d1]
+            dep = generate_deployment(cfg, seed)
+            assert np.array_equal(dep.cu_xy, np.array(cu))
+            assert np.array_equal(dep.d1_xy, np.array(d1))
+            assert np.array_equal(dep.d2_xy, np.array(d2))
+
     def test_far_uniform_reach_keeps_partner_draws_bounded(self):
         """A partner farther than twice the cell radius can never land in the
         cell, so a uniform pair distance up to 1e9 m must not redraw for
@@ -94,11 +134,11 @@ class TestDeployment:
         class Counting(np.random.Generator):
             draws = 0
 
-            def uniform(self, *args, **kwargs):
-                Counting.draws += 1
+            def random(self, size=None, *args, **kwargs):
+                Counting.draws += 1 if size is None else size
                 if Counting.draws > 10_000:
                     raise RuntimeError("more than 10,000 uniform draws")
-                return super().uniform(*args, **kwargs)
+                return super().random(size, *args, **kwargs)
 
         cfg = SimConfig(d_max_m=1e9, trials=1, k_users=2, d_pairs=1)
         dep = generate_deployment(cfg, Counting(np.random.PCG64(1)))
