@@ -14,6 +14,16 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 
+_EPS = np.finfo(float).eps
+
+
+def _raise_first_bad(rates: np.ndarray, ok: np.ndarray, what: str) -> None:
+    row, col = np.argwhere(~ok)[0].tolist()
+    raise ValueError(
+        f"rate table entry ({row}, {col}) must be {what}, got {float(rates[row, col])!r}"
+    )
+
+
 @dataclass
 class RateTable:
     """D x K table of achievable D2D rates with per-entry bookkeeping flags.
@@ -41,9 +51,10 @@ class RateTable:
         self.infeasible = np.asarray(self.infeasible, dtype=bool)
         if self.sic_applied.shape != (d, k) or self.infeasible.shape != (d, k):
             raise ValueError("flag arrays must match the rate table shape")
-        if (self.rates < 0.0).any():
-            raise ValueError("rates must be nonnegative")
-        if (self.rates[self.infeasible] != 0.0).any():
+        rates = self.rates
+        if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
+            _raise_first_bad(rates, (rates >= 0.0) & (rates < np.inf), "finite and >= 0")
+        if rates[self.infeasible].any():
             raise ValueError("infeasible entries must carry rate 0")
 
     @property
@@ -72,7 +83,8 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Least total any mapping gives up against the optimal mapping ``cols``
-    when it sends row r to column c, as a D x K array.
+    when it sends row r to column c, as a D x K array; on a (B, D, K) stack
+    of tables with ``cols`` (B, D), the B arrays at once.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
@@ -83,21 +95,41 @@ def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     mapping.  It is found as the move plus a shortest path back (no cycle
     is negative, so shortest paths exist), over the columns of ``cols`` with
     the unused columns merged into one node, whose zero-rate row may move
-    onto any column at no cost.
+    onto any column at no cost.  Every step is elementwise or a minimum, so
+    each table of a stack gets the same bits as on its own.
     """
-    d, k = rates.shape
-    rows = np.arange(d)
-    slack = rates[rows, cols][:, None] - rates
-    node = np.full(k, d)
-    node[cols] = rows
+    if rates.ndim == 2:
+        return _forcing_loss(rates[None], cols[None])[0]
+    b, d, k = rates.shape
+    tab, rows = np.arange(b)[:, None], np.arange(d)
+    slack = rates[tab, rows, cols][:, :, None] - rates
+    node = np.full((b, k), d)
+    node[tab, cols] = rows
     n = d + (d < k)
-    dist = np.zeros((n, n))
-    dist[:d, :d] = slack[:, cols]
+    dist = np.zeros((b, n, n))
+    dist[:, :d, :d] = slack[tab, :, cols].transpose(0, 2, 1)
     if d < k:
-        dist[:d, d] = slack[:, node == d].min(axis=1)
-    for m in range(n):
-        np.minimum(dist, dist[:, m, None] + dist[m], out=dist)
-    return slack + dist[node, :d].T
+        dist[:, :d, d] = np.where((node == d)[:, None, :], slack, np.inf).min(axis=2)
+    through = np.empty_like(dist)
+    for col, row in zip(dist.transpose(2, 0, 1)[:, :, :, None], dist.transpose(1, 0, 2)[:, :, None]):
+        np.minimum(dist, np.add(col, row, out=through), out=dist)
+    return slack + dist[tab, node, :d].transpose(0, 2, 1)
+
+
+def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
+    """The rates of a `RateTable`, or a raw array checked to be a finite
+    table with no more rows than columns."""
+    if isinstance(table, RateTable):
+        return table.rates
+    rates = np.asarray(table, dtype=float)
+    if rates.ndim != 2:
+        raise ValueError("rate table must be 2-D")
+    d, k = rates.shape
+    if d > k:
+        raise ValueError(f"more rows ({d}) than columns ({k})")
+    if not np.isfinite(rates).all():
+        _raise_first_bad(rates, np.isfinite(rates), "finite")
+    return rates
 
 
 def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
@@ -105,7 +137,7 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
 
     Requires no more rows than columns.  The total is the exact optimum; among
     all optimal assignments the returned one has the smallest column for row
-    0, then for row 1, and so on.
+    0, then for row 1, and so on.  This is `hungarian_max_many` on one table.
 
     Row by row, the first free column that still admits an optimal
     completion is fixed.  An optimal completion is always at hand (the first
@@ -124,21 +156,41 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     never raises the optimum, and a column that optimum leaves unused
     qualifies with it unchanged.  Only the rest need a solve of their own.
     """
-    rates = table.rates if isinstance(table, RateTable) else np.asarray(table, dtype=float)
-    if rates.ndim != 2:
-        raise ValueError("rate table must be 2-D")
-    d, k = rates.shape
-    if d > k:
-        raise ValueError(f"more rows ({d}) than columns ({k})")
-    if d == 0:
-        return Assignment(()), 0.0
+    return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
-    total, completion = _solve(rates)
-    tol = 1e-12 * max(1.0, abs(total))
-    # eps bounds the float error of the losses and of the sums checked below,
-    # so the cut also holds where tol is small against the entries.
-    eps = 8.0 * (d + 1) * np.finfo(float).eps * float(np.abs(rates).max())
-    near = _forcing_loss(rates, completion) <= 2.0 * tol + eps
+
+def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
+    """`hungarian_max` of each of a list of same-shape tables, with the
+    forcing losses of all of them from one stacked pass."""
+    return _hungarian_max_stack(np.array([_checked_rates(t) for t in tables]))
+
+
+def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
+    """`hungarian_max` of each table of a checked (B, D, K) stack."""
+    b, d, k = rates.shape
+    if d == 0:
+        return [(Assignment(()), 0.0)] * b
+    firsts = [_solve(r) for r in rates]
+    tols = [1e-12 * max(1.0, abs(total)) for total, _ in firsts]
+    # eps bounds the float error of the losses and of the sums checked in
+    # the tie-break, so the cut also holds where tol is small against the
+    # entries.
+    eps = (8.0 * (d + 1) * _EPS * np.abs(rates).max(axis=(1, 2))).tolist()
+    bound = np.array([2.0 * tol + e for tol, e in zip(tols, eps)])
+    near = _forcing_loss(rates, np.array([c for _, c in firsts])) <= bound[:, None, None]
+    return [
+        _tie_break(r, total, c, n, tol)
+        for r, (total, c), n, tol in zip(rates, firsts, near, tols)
+    ]
+
+
+def _tie_break(
+    rates: np.ndarray, total: float, completion: np.ndarray, near: np.ndarray, tol: float
+) -> tuple[Assignment, float]:
+    """The lexicographically smallest mapping within ``tol`` of the optimum
+    ``total``, from the first solve's columns ``completion`` and the entries
+    ``near`` that the forcing loss leaves in play."""
+    d, k = rates.shape
     # usable[r]: the columns, ascending, that row r may take in some optimal
     # mapping; no other column needs a check.
     usable: list[list[int]] = [[] for _ in range(d)]

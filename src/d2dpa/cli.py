@@ -287,6 +287,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     config = SimConfig(k_users=1, d_pairs=1, trials=1)
     limits = config.power_limits()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 INFEASIBLE = (0.0, 0.0, 0.0, -1.0)
+_INFEASIBLE_COLUMN = np.array(INFEASIBLE)[:, None]
 
 
 def _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s):
@@ -91,13 +92,11 @@ def fd_nosic_batch(
     start, inside roots and end in turn, and of equal best rates the first
     candidate wins.
     """
-    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = np.broadcast_arrays(
-        h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u
-    )
+    shape = np.broadcast_shapes(*map(np.shape, (h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u)))
     s = noise_w
     with np.errstate(all="ignore"):
         if q == 0.0:
-            on = np.ones(h_d.shape, dtype=bool)
+            on = np.ones(shape, dtype=bool)
             faces = [
                 (on, (p1_max, 0.0, 0.0), (p1_max, p2_max, 0.0)),
                 (on, (0.0, p2_max, 0.0), (p1_max, p2_max, 0.0)),
@@ -138,7 +137,9 @@ def fd_nosic_batch(
 
         # All faces at once on a leading axis; each face's candidates (start,
         # smaller root, larger root, end) then follow it, in visiting order.
-        on = np.empty((len(faces), *h_d.shape), dtype=bool)
+        # cand holds (p1, p2, pu, rate) of every candidate.
+        n_cand = 4 * len(faces)
+        on = np.empty((len(faces), *shape), dtype=bool)
         start, end = np.empty((2, 3, *on.shape))
         for f, (face_on, a, e) in enumerate(faces):
             on[f] = face_on
@@ -148,17 +149,18 @@ def fd_nosic_batch(
         lo, hi = _roots_inside_batch(
             *_stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
         )
-        p1, p2, pu = np.stack([start, start + lo * step, start + hi * step, end], axis=2).reshape(
-            3, 4 * len(faces), *h_d.shape
+        cand = np.empty((4, n_cand, *shape))
+        cand[:3] = np.stack([start, start + lo * step, start + hi * step, end], axis=2).reshape(
+            3, n_cand, *shape
         )
+        p1, p2, pu = cand[:3]
         on = np.repeat(on, 4, axis=0)
         den1 = pu * h_d1_u + eta1 * p1 + s
         den2 = pu * h_d2_u + eta2 * p2 + s
         r = bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
     # A candidate counts only if it beats -1 and every earlier one: the first
     # maximum, which argmax returns.
-    r = np.where(on & (r > INFEASIBLE[3]), r, -np.inf)
-    pick = np.argmax(r, axis=0)[None]
-    p1, p2, pu, r = (np.take_along_axis(x, pick, axis=0)[0] for x in (p1, p2, pu, r))
-    infeasible = r == -np.inf
-    return tuple(np.where(infeasible, v, x) for v, x in zip(INFEASIBLE, (p1, p2, pu, r)))
+    cand[3] = np.where(on & (r > INFEASIBLE[3]), r, -np.inf)
+    flat = cand.reshape(4, n_cand, -1)
+    best = flat[:, np.argmax(flat[3], axis=0), np.arange(flat.shape[2])]
+    return tuple(np.where(best[3] == -np.inf, _INFEASIBLE_COLUMN, best).reshape(4, *shape))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import RateTable, hungarian_max
+from .assignment import RateTable, hungarian_max_many
 from .model import (
     ChannelGains,
     PowerLimits,
@@ -203,6 +203,9 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
     return Deployment(cu_xy=cu, d1_xy=d1, d2_xy=d2)
 
 
+_GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
+
+
 @dataclass(frozen=True)
 class LinkGains:
     """Large-scale gains for every link of one trial.
@@ -220,8 +223,12 @@ class LinkGains:
     h_d2_u: np.ndarray  # (D, K)
 
     def __post_init__(self) -> None:
-        for name in ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u"):
-            check_array(name, getattr(self, name), strict=True)
+        # One test over every entry; the per-field check runs only to name
+        # the first bad one.
+        values = np.concatenate([np.ravel(getattr(self, name)) for name in _GAIN_FIELDS])
+        if not (values.min(initial=np.inf) > 0.0 and values.max(initial=0.0) < np.inf):
+            for name in _GAIN_FIELDS:
+                check_array(name, getattr(self, name), strict=True)
 
     def combo(self, n: int, i: int) -> ChannelGains:
         return ChannelGains(
@@ -234,38 +241,35 @@ class LinkGains:
         )
 
 
-def _link_gain(
-    dist: np.ndarray, alpha: float, ref_db: float, shadow_db: np.ndarray
-) -> np.ndarray:
-    return dist**-alpha * 10.0 ** ((shadow_db - ref_db) / 10.0)
-
-
 def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> LinkGains:
     """Path loss (reference intercept plus d^-alpha) with independent lognormal
-    shadowing per directed link."""
+    shadowing per directed link.
+
+    Every link is one entry of one pass, in `LinkGains` field order except
+    that h_b_u comes before the (D, K) links: the order of the shadowing
+    draws.
+    """
     rng = np.random.default_rng(seed)
-    alpha = config.path_loss_exponent
-    ref = config.path_loss_ref_db
-    std = config.shadowing_std_db
-    d, k = deployment.d1_xy.shape[0], deployment.cu_xy.shape[0]
-
-    def dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sqrt(((a - b) ** 2).sum(axis=-1))
-
-    d_pair = dist(deployment.d1_xy, deployment.d2_xy)
-    d_b_d1 = np.sqrt((deployment.d1_xy**2).sum(axis=-1))
-    d_b_d2 = np.sqrt((deployment.d2_xy**2).sum(axis=-1))
-    d_b_u = np.sqrt((deployment.cu_xy**2).sum(axis=-1))
-    d_d1_u = dist(deployment.d1_xy[:, None, :], deployment.cu_xy[None, :, :])
-    d_d2_u = dist(deployment.d2_xy[:, None, :], deployment.cu_xy[None, :, :])
-
+    d1, d2, cu = deployment.d1_xy, deployment.d2_xy, deployment.cu_xy
+    d, k = d1.shape[0], cu.shape[0]
+    # Each link's transmitter-to-receiver offset; the BS sits at the origin.
+    offset = np.empty((3 * d + k + 2 * d * k, 2))
+    offset[:d] = d1 - d2
+    offset[d : 2 * d] = d1
+    offset[2 * d : 3 * d] = d2
+    offset[3 * d : 3 * d + k] = cu
+    offset[3 * d + k :].reshape(2, d, k, 2)[:] = np.array([d1, d2])[:, :, None] - cu
+    dist = np.sqrt((offset**2).sum(axis=-1))
+    shadow_db = rng.normal(0.0, config.shadowing_std_db, len(dist))
+    g = dist**-config.path_loss_exponent * 10.0 ** ((shadow_db - config.path_loss_ref_db) / 10.0)
+    h_d, h_b_d1, h_b_d2 = g[: 3 * d].reshape(3, d)
     return LinkGains(
-        h_d=_link_gain(d_pair, alpha, ref, rng.normal(0.0, std, d)),
-        h_b_d1=_link_gain(d_b_d1, alpha, ref, rng.normal(0.0, std, d)),
-        h_b_d2=_link_gain(d_b_d2, alpha, ref, rng.normal(0.0, std, d)),
-        h_b_u=_link_gain(d_b_u, alpha, ref, rng.normal(0.0, std, k)),
-        h_d1_u=_link_gain(d_d1_u, alpha, ref, rng.normal(0.0, std, (d, k))),
-        h_d2_u=_link_gain(d_d2_u, alpha, ref, rng.normal(0.0, std, (d, k))),
+        h_d=h_d,
+        h_b_d1=h_b_d1,
+        h_b_d2=h_b_d2,
+        h_b_u=g[3 * d : 3 * d + k],
+        h_d1_u=g[3 * d + k : 3 * d + k + d * k].reshape(d, k),
+        h_d2_u=g[3 * d + k + d * k :].reshape(d, k),
     )
 
 
@@ -276,14 +280,10 @@ def build_rate_tables(
 
     The tables equal those of `solve_all` on each ``gains.combo(n, i)``.
     """
-    h = (
-        gains.h_d[:, None],
-        gains.h_b_d1[:, None],
-        gains.h_b_d2[:, None],
-        gains.h_d1_u,
-        gains.h_d2_u,
-        gains.h_b_u[None, :],
-    )
+    d, k = gains.h_d1_u.shape
+    h = np.empty((6, d, k))
+    h[:3] = np.array([gains.h_d, gains.h_b_d1, gains.h_b_d2])[:, :, None]
+    h[3], h[4], h[5] = gains.h_d1_u, gains.h_d2_u, gains.h_b_u
     return {
         kind: RateTable(t.rate, sic_applied=t.sic_applied, infeasible=t.infeasible)
         for kind, t in solve_all_batch(h, params, limits).items()
@@ -335,17 +335,17 @@ def run_trial(
     deployment = generate_deployment(config, dep_seed)
     gains = gains_from_deployment(deployment, config, gain_seed)
     tables = build_rate_tables(gains, config.system_params(), config.power_limits())
-    totals: dict[ScenarioKind, float] = {}
-    counts: dict[ScenarioKind, int] = {}
-    capable: dict[ScenarioKind, int] = {}
-    for kind, table in tables.items():
-        assignment, total = hungarian_max(table)
-        totals[kind] = total
-        counts[kind] = int(
-            sum(table.sic_applied[r, c] for r, c in enumerate(assignment.pair_to_cu))
-        )
-        capable[kind] = int(table.sic_applied.any(axis=1).sum())
-    return totals, counts, capable
+    assigned = hungarian_max_many(list(tables.values()))
+    # (scheme, pair, CU) stacks: the SIC flag of each assigned entry at once.
+    sic = np.array([t.sic_applied for t in tables.values()])
+    cols = np.array([a.pair_to_cu for a, _ in assigned], dtype=np.intp).reshape(sic.shape[:2])
+    counts = sic[np.arange(len(sic))[:, None], np.arange(sic.shape[1]), cols].sum(axis=1)
+    capable = sic.any(axis=2).sum(axis=1)
+    return (
+        {kind: total for kind, (_, total) in zip(tables, assigned)},
+        dict(zip(tables, counts.tolist())),
+        dict(zip(tables, capable.tolist())),
+    )
 
 
 def check_campaign(config: SimConfig) -> None:

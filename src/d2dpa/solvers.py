@@ -160,38 +160,39 @@ def _check_powers(feasible: np.ndarray, p1_w, p2_w, pu_w) -> None:
 
 def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) -> tuple:
     """The better mutual-SIC allocation of every table entry over both
-    decoding orders: (p1, p2, pu, rate, m1_first), with rate -inf where no
-    order is feasible.
+    decoding orders, as (p1, p2, pu, rate, m1_first, solved): rate is -inf
+    where no order is feasible, and ``solved`` holds the (p1, p2, pu, rate)
+    rows of the solved (entry, order) pairs.
 
-    ``passes`` holds each order's pre-test mask.  Both orders of every
-    passing entry go through one `fd_sic_batch` call; the first order wins
-    unless the second is strictly better.
+    ``h`` holds the six link gains as in `solve_all_batch` and ``passes``
+    each order's pre-test mask.  Both orders of every passing entry go
+    through one `fd_sic_batch` call, on one gather from ``h``; the first
+    order wins unless the second is strictly better.
     """
-    where = [np.nonzero(p) for p in passes]
-    idx = tuple(np.concatenate(axis) for axis in zip(*where))
-    m1_first = np.repeat([False, True], [len(w[0]) for w in where])
+    h = np.asarray(h)
+    order, *idx = np.nonzero(passes)
+    idx = tuple(idx)
     by_order = np.zeros((4, 2) + pu_m.shape)  # (p1, p2, pu, rate) per order
     by_order[3] = -np.inf
-    if m1_first.size:
-        gains = tuple(x[idx] for x in h)
-        solved = np.array(fd_sic_batch(gains, params, limits, pu_m[idx], m1_first))
-        _check_powers(solved[3] >= 0.0, *solved[:3])
-        by_order[(slice(None), m1_first.astype(np.intp)) + idx] = solved
+    solved = np.zeros((4, 0))
+    if order.size:
+        gains = h[(slice(None), *idx)]
+        solved = np.array(fd_sic_batch(gains, params, limits, pu_m[idx], order == 1))
+        by_order[(slice(None), order, *idx)] = solved
     second = by_order[3, 1] > by_order[3, 0]
-    return (*np.where(second, by_order[:, 1], by_order[:, 0]), second)
+    return (*np.where(second, by_order[:, 1], by_order[:, 0]), second, solved)
 
 
 def solve_all_batch(
-    h: tuple[np.ndarray, ...], params: SystemParams, limits: PowerLimits
+    h: np.ndarray, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, SchemeTable]:
     """All four schemes for every combination of a table at once.
 
-    ``h`` holds the six link gains in `ChannelGains` field order, as arrays
-    that broadcast to the table's shape.  Rates are computed from the chosen
+    ``h`` is one (6, ...) array: the six link gains in `ChannelGains` field
+    order, each over the whole table.  Rates are computed from the chosen
     powers with the `scenario_rates` formulas, and the chosen powers pass
     `PowerTriplet`'s check.
     """
-    h = tuple(np.broadcast_arrays(*h))
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
     q = rate_floor_snr(params)
     s, bw, eta1, eta2 = params.noise_w, params.bandwidth_hz, params.eta1, params.eta2
@@ -210,34 +211,45 @@ def solve_all_batch(
         use1 = hd_ok & sic1.ok & (sic1.r_dev >= nosic1.r_dev)
         use2 = hd_ok & sic2.ok & (sic2.r_dev >= nosic2.r_dev)
         slot1, slot2 = _choose(use1, sic1, nosic1), _choose(use2, sic2, nosic2)
-        for first, second in ((nosic1, nosic2), (slot1, slot2)):
-            _check_powers(hd_ok, first.p_dev, 0.0, first.pu)
-            _check_powers(hd_ok, 0.0, second.p_dev, second.pu)
 
         p1, p2, pu, fd_search_rate = fd_nosic_batch(
             *h, eta1, eta2, s, q, bw, p1_max, p2_max, pu_max
         )
         fd_ok = ~(fd_search_rate < 0.0)
         pu = np.minimum(pu, pu_max)
-        _check_powers(fd_ok, p1, p2, pu)
         fd_rate = bw * np.log2(1.0 + p2 * h_d / (pu * h_d1_u + eta1 * p1 + s)) + bw * np.log2(
             1.0 + p1 * h_d / (pu * h_d2_u + eta2 * p2 + s)
         )
-        passes = [
+        passes = np.array([
             cu_ok & np.logical_and.reduce(pretest_terms(h, eta1, eta2, pu_m, p1_max, p2_max, o))
             for o in SIC_ORDERS
-        ]
-        *sic_powers, sic_rate, m1_first = _fd_sic_table(h, params, limits, pu_m, passes)
+        ])
+        *sic_powers, sic_rate, m1_first, solved = _fd_sic_table(h, params, limits, pu_m, passes)
         # SIC wins where it is feasible and the no-SIC allocation is not, or
         # is no better.
         fd_sic_won = (sic_rate >= 0.0) & (~fd_ok | (sic_rate >= fd_rate))
     fd_sic_ok = fd_ok | fd_sic_won
+    fd_powers = (p1, p2, pu)
+
+    # `_check_powers` on every returned allocation as one test; only when it
+    # fails do the per-field checks run, in turn, to raise the first failure.
+    hd_slots = (nosic1, nosic2, slot1, slot2)
+    checked = np.concatenate([
+        np.array([x for slot in hd_slots for x in (slot.p_dev, slot.pu)])[:, hd_ok],
+        np.array(fd_powers)[:, fd_ok],
+        solved[:3, solved[3] >= 0.0],
+    ], axis=None)
+    if not (checked.min(initial=0.0) >= 0.0 and checked.max(initial=0.0) < np.inf):
+        for first, second in (hd_slots[:2], hd_slots[2:]):
+            _check_powers(hd_ok, first.p_dev, 0.0, first.pu)
+            _check_powers(hd_ok, 0.0, second.p_dev, second.pu)
+        _check_powers(fd_ok, *fd_powers)
+        _check_powers(solved[3] >= 0.0, *solved[:3])
 
     def half_slots(first: _SlotBatch, second: _SlotBatch) -> tuple:
         return (first.p_dev, 0.0, first.pu), (0.0, second.p_dev, second.pu)
 
     no_sic = np.zeros(h_d.shape, dtype=bool)
-    fd_powers = (p1, p2, pu)
     # scenario_rates: each half slot carries weight 1/2.
     hd_nosic_rate = 0.5 * nosic2.r_dev + 0.5 * nosic1.r_dev
     hd_sic_rate = 0.5 * slot2.r_dev + 0.5 * slot1.r_dev
@@ -270,8 +282,8 @@ def solve_all(
 ) -> dict[ScenarioKind, PaSolution]:
     """All four schemes for one combination: `solve_all_batch` on a one-entry
     table."""
-    h = tuple(np.array([gains.h_d, gains.h_b_d1, gains.h_b_d2, gains.h_d1_u, gains.h_d2_u,
-                        gains.h_b_u])[:, None])
+    h = np.array([[gains.h_d], [gains.h_b_d1], [gains.h_b_d2], [gains.h_d1_u], [gains.h_d2_u],
+                  [gains.h_b_u]])
     solutions = {}
     for kind, t in solve_all_batch(h, params, limits).items():
         if t.infeasible[0]:

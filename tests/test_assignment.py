@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import d2dpa.assignment
-from d2dpa.assignment import Assignment, RateTable, hungarian_max
+from d2dpa.assignment import Assignment, RateTable, hungarian_max, hungarian_max_many
 
 
 def enumerate_best(table: np.ndarray) -> float:
@@ -175,6 +175,54 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
             np.maximum.at(best_through[r], perms[:, r], totals)
         loss = d2dpa.assignment._forcing_loss(table, cols)
         np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
+
+
+def _tie_heavy_stack(rng, b, d, k):
+    """B integer-valued D x K tables (many exact ties), one row of the first
+    all zero."""
+    stack = rng.integers(0, 3, (b, d, k)).astype(float)
+    stack[0, int(rng.integers(d))] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_stacked_forcing_loss_equals_each_tables_own(square):
+    """One pass over a (B, D, K) stack gives every table the bits of its own
+    pass, with exact ties, all-zero rows and D = K."""
+    rng = np.random.default_rng(79)
+    for _ in range(150):
+        d = int(rng.integers(1, 6))
+        k = d if square else int(rng.integers(d + 1, 9))
+        stack = _tie_heavy_stack(rng, int(rng.integers(1, 5)), d, k)
+        cols = np.array([linear_sum_assignment(t, maximize=True)[1] for t in stack])
+        stacked = d2dpa.assignment._forcing_loss(stack, cols)
+        assert stacked.shape == stack.shape
+        for table, c, loss in zip(stack, cols, stacked):
+            own = d2dpa.assignment._forcing_loss(table, c)
+            assert own.tobytes() == loss.tobytes()
+
+
+def test_many_equals_one_table_at_a_time():
+    rng = np.random.default_rng(80)
+    for _ in range(150):
+        d = int(rng.integers(0, 5))
+        k = int(rng.integers(max(d, 1), 8))
+        stack = _tie_heavy_stack(rng, 4, d, k) * rng.choice([1.0, 1e6, 3e7]) if d else np.zeros(
+            (4, 0, k)
+        )
+        assert hungarian_max_many(list(stack)) == [hungarian_max(t) for t in stack]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rates_rejected_naming_the_entry(bad):
+    """NaN and inf fail at the boundary, not inside scipy's solver."""
+    rates = np.array([[1.0, 2.0, 0.5], [2.0, 0.5, 1.0]])
+    rates[1, 2] = bad
+    message = rf"rate table entry \(1, 2\) must be finite.*got {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        RateTable(rates)
+    with pytest.raises(ValueError, match=message):
+        hungarian_max(rates)
 
 
 def test_assignment_validation():

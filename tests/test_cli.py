@@ -261,9 +261,13 @@ class TestSweep:
 
 
 class TestVerify:
-    def test_empty_run_succeeds(self, capsys):
-        assert main(["verify", "--count", "0", "--seed", "1", "--grid-n", "20"]) == 0
-        assert "violations: 0" in capsys.readouterr().out
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, capsys, count):
+        """An empty run compares nothing, so it cannot report a pass."""
+        assert main(["verify", "--count", count, "--seed", "1", "--grid-n", "20"]) == 1
+        captured = capsys.readouterr()
+        assert f"--count must be >= 1, got {count}" in captured.err
+        assert "violations" not in captured.out
 
     def test_two_point_grid_is_vacuous(self, capsys):
         # the coarsest possible grid makes the per-cell tolerance huge
@@ -297,6 +301,12 @@ class TestAssign:
         table.write_text("1.0\n2.0\n")
         assert main(["assign", "--table", str(table)]) == 1
         assert "more D2D rows" in capsys.readouterr().err
+
+    def test_rejects_non_finite_rate(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("1.0,nan\n2.0,0.5\n")
+        assert main(["assign", "--table", str(table)]) == 1
+        assert "rate table entry (0, 1) must be finite, got nan" in capsys.readouterr().err
 
     def test_rejects_ragged_rows(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

@@ -1,11 +1,15 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import d2dpa.sim
 import d2dpa.solvers
+from d2dpa.assignment import hungarian_max
 from d2dpa.model import PowerTriplet, ScenarioKind
 from d2dpa.sim import (
     Deployment,
@@ -211,6 +215,29 @@ class TestGains:
         assert gains.combo(0, 3).h_b_u == gains.combo(1, 3).h_b_u
 
 
+FAR_PAIRS = {"eta_db": -130.0, "d_max_m": 200.0, "pair_distance_law": "fixed"}
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+# (kernel in d2dpa.solvers, which call of it, which output, PowerTriplet field)
+POWER_OUTPUTS = [
+    *[("_hd_nosic_slot_batch", slot, out, field)
+      for slot, dev in ((0, "p1_w"), (1, "p2_w")) for out, field in (("p_dev", dev), ("pu", "pu_w"))],
+    *[("_hd_sic_slot_batch", slot, out, field)
+      for slot, dev in ((0, "p1_w"), (1, "p2_w")) for out, field in (("p_dev", dev), ("pu", "pu_w"))],
+    *[(kernel, 0, out, field) for kernel in ("fd_nosic_batch", "fd_sic_batch")
+      for out, field in enumerate(("p1_w", "p2_w", "pu_w"))],
+]
+
+
+def gain_block(gains: LinkGains) -> np.ndarray:
+    """The (6, D, K) gain block that `build_rate_tables` solves."""
+    d, k = gains.h_d1_u.shape
+    return np.array([np.broadcast_to(x, (d, k)) for x in (
+        gains.h_d[:, None], gains.h_b_d1[:, None], gains.h_b_d2[:, None],
+        gains.h_d1_u, gains.h_d2_u, gains.h_b_u,
+    )])
+
+
 def seeded_gains(cfg: SimConfig, trial: int) -> LinkGains:
     dep = generate_deployment(cfg, np.random.SeedSequence((cfg.master_seed, trial, 0)))
     return gains_from_deployment(dep, cfg, np.random.SeedSequence((cfg.master_seed, trial, 1)))
@@ -298,6 +325,61 @@ class TestBatchedTables:
             with pytest.raises(ValueError, match="p1_w must be finite and >= 0, got nan"):
                 build_rate_tables(gains, cfg.system_params(), cfg.power_limits())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("infeasible", [False, True])
+    @pytest.mark.parametrize("kernel, call, out, field", POWER_OUTPUTS)
+    def test_every_returned_power_is_checked(
+        self, monkeypatch, kernel, call, out, field, value, infeasible
+    ):
+        """A bad power from any kernel (each HD half slot with and without
+        SIC, FD no-SIC, FD-SIC) fails the table build with `PowerTriplet`'s
+        message where the entry is feasible and the power is returned, and
+        passes where the kernel reports the entry infeasible."""
+        cfg = SimConfig(trials=1)
+        gains = seeded_gains(cfg, 0)
+        params, limits = cfg.system_params(), cfg.power_limits()
+        tables = d2dpa.solvers.solve_all_batch(gain_block(gains), params, limits)
+        hd_used = ~tables[ScenarioKind.HD_NOSIC].infeasible
+        if kernel == "_hd_sic_slot_batch":
+            hd_used &= tables[ScenarioKind.HD_SIC].slot_sic[call]
+        real = getattr(d2dpa.solvers, kernel)
+        calls = []
+
+        def corrupted(*args):
+            result = real(*args)
+            calls.append(result)
+            if len(calls) - 1 != call:
+                return result
+            if kernel.startswith("_hd"):
+                at = tuple(np.argwhere(hd_used)[0])
+                fields = {f: getattr(result, f).copy() for f in ("p_dev", "pu", "r_dev", "ok")}
+                fields[out][at] = value
+                fields["ok"][at] = not infeasible
+                return type(result)(**fields)
+            arrays = [x.copy() for x in result]
+            rate = arrays[3]
+            at = tuple(np.argwhere(rate >= 0.0)[0])
+            arrays[out][at] = value
+            if infeasible:
+                rate[at] = -1.0 if kernel == "fd_nosic_batch" else -np.inf
+            return tuple(arrays)
+
+        monkeypatch.setattr(d2dpa.solvers, kernel, corrupted)
+        # The FD no-SIC CU power is capped at Pumax before it is returned.
+        shown = min(value, limits.pu_max_w) if (kernel, field) == ("fd_nosic_batch", "pu_w") else value
+        try:
+            PowerTriplet(**{"p1_w": 0.5, "p2_w": 0.5, "pu_w": 0.5, field: shown})
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        if infeasible or expected is None:
+            build_rate_tables(gains, params, limits)
+        else:
+            with pytest.raises(ValueError) as info:
+                build_rate_tables(gains, params, limits)
+            assert str(info.value) == expected
+        assert len(calls) > call
+
 
 class TestCampaign:
     def test_trial_reproducibility(self):
@@ -309,6 +391,43 @@ class TestCampaign:
         res = run_campaign(cfg)
         for kind in ScenarioKind:
             assert res.totals_bps[kind][1] == t1[0][kind]
+
+    @pytest.mark.parametrize("overrides", [{}, FAR_PAIRS], ids=["fig4a", "far_pairs"])
+    def test_trial_maps_each_table_as_hungarian_max_does(self, monkeypatch, overrides):
+        """The stacked assignment gives every table `hungarian_max`'s own
+        mapping and total, and the SIC counts come from that mapping."""
+        cfg = SimConfig(trials=1, **overrides)
+        params, limits = cfg.system_params(), cfg.power_limits()
+        real, seen = d2dpa.sim.hungarian_max_many, []
+        monkeypatch.setattr(
+            d2dpa.sim, "hungarian_max_many", lambda tables: seen.append(real(tables)) or seen[-1]
+        )
+        for trial in range(25):
+            totals, counts, capable = run_trial(cfg, trial)
+            tables = build_rate_tables(seeded_gains(cfg, trial), params, limits)
+            for (kind, table), got in zip(tables.items(), seen[-1]):
+                assignment, total = hungarian_max(table)
+                assert got == (assignment, total)
+                assert totals[kind] == total
+                assert counts[kind] == sum(
+                    table.sic_applied[r, c] for r, c in enumerate(assignment.pair_to_cu)
+                )
+                assert capable[kind] == table.sic_applied.any(axis=1).sum()
+
+    @pytest.mark.parametrize("workload", ["campaign_fig4a", "campaign_far_pairs"])
+    def test_first_benchmark_reference_trials(self, workload):
+        """The first 100 single-trial campaigns of each benchmark workload
+        match its stored reference outputs at the benchmark's tolerance:
+        1e-7 relative on totals, exact selected-SIC counts."""
+        ref = json.loads((REFERENCE_DIR / f"{workload}.json").read_text())
+        cfg = SimConfig(**ref["config"])
+        for master_seed, want in enumerate(ref["trials"][:100], start=1):
+            result = run_campaign(dataclasses.replace(cfg, master_seed=master_seed))
+            for name, (total, sic) in zip(ref["schemes"], want):
+                kind = ScenarioKind[name]
+                got = float(result.totals_bps[kind][0])
+                assert abs(got - total) <= 1e-7 * max(abs(total), 1.0), (master_seed, name)
+                assert result.sic_pairs[kind][0] == sic, (master_seed, name)
 
     def test_campaign_reproducible(self):
         cfg = SimConfig(k_users=5, d_pairs=2, trials=4, master_seed=3)
