@@ -148,9 +148,9 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     column c falls short of the optimum by at least the forcing loss of that
     move (see ``_forcing_loss``).  Where the loss exceeds the tie tolerance,
     with room for float error, the full check would reject the column, so
-    dropping it leaves the result unchanged.  When no other mapping comes
-    within the tolerance of the optimum, every column is dropped and the
-    first solve is the only one.  The columns left are checked against one
+    dropping it leaves the result unchanged.  When no column left in play
+    lies left of a row's first-solve column, no row can move and the first
+    solve is returned as it is.  The columns left are checked against one
     solve of the remaining rows on all free columns: a column whose entry
     plus that optimum falls short cannot qualify, since removing a column
     never raises the optimum, and a column that optimum leaves unused
@@ -191,6 +191,9 @@ def _tie_break(
     ``total``, from the first solve's columns ``completion`` and the entries
     ``near`` that the forcing loss leaves in play."""
     d, k = rates.shape
+    # A row can leave its column only for a near column left of it.
+    if not (near & (np.arange(k) < completion[:, None])).any():
+        return Assignment(tuple(completion.tolist())), total
     # usable[r]: the columns, ascending, that row r may take in some optimal
     # mapping; no other column needs a check.
     usable: list[list[int]] = [[] for _ in range(d)]

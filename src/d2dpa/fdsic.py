@@ -9,9 +9,10 @@ along rays from the origin, so the optimum sits on one of the three outer box
 sides (P1 = P1max, P2 = P2max, Pu = Pumax).  On each side the admissible set is
 empty or a line segment (two on the CU-cap side when the floors cross there)
 whose endpoints are plane/edge intersections.  The solver builds the segments
-of all three sides, drops the empty ones and keeps the best point; the best
-point of a segment is an endpoint, or the root of a known quadratic on the
-CU-cap side.  The whole solve is a constant number of array operations.
+of all three sides, drops the empty ones and keeps the best point.  The best
+point of a segment is an endpoint: along a segment the rate has no interior
+maximum, since every stationary point is a minimum (see `segment_best`).
+The whole solve is a constant number of array operations.
 
 Two decoding orders exist at the BS (strip the second device's message first,
 or the first's); they share the floor planes and differ in the ceilings.
@@ -21,15 +22,14 @@ or the first's); they share the floor planes and differ in the ceilings.
 pass an exact check of every constraint.  On a sliver segment the best point
 may sit closer to a plane than double precision can certify; it is then
 pulled toward the segment's middle in fixed steps, and the next-best segment
-is tried when no step passes.
+is tried when no step passes.  Those steps are checked only for the pairs
+whose best point fails.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +56,7 @@ REL_TOL = 1e-9
 PULL_IN = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(NamedTuple):
     """Height field pu = ax*p1 + ay*p2 (every constraint plane contains the origin)."""
 
     ax: float
@@ -70,10 +69,6 @@ class Plane:
 # ---------------------------------------------------------------------------
 # Floor planes
 
-
-class FloorPlane(Enum):
-    PLANE2 = 2
-    PLANE4 = 4
 
 def _gain_tuple(g: ChannelGains) -> tuple[float, ...]:
     return (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
@@ -89,14 +84,11 @@ def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
     return Plane(eta1 / h_d1_u, h_d / h_d1_u), Plane(h_d / h_d2_u, eta2 / h_d2_u)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Ceiling planes and the feasibility tests
 
 
-@dataclass(frozen=True)
-class SicPlanes:
+class SicPlanes(NamedTuple):
     """Ceiling planes (1, 3) and floor planes (2, 4) of one decoding order.
 
     Pu must stay strictly below both ceilings and strictly above both floors.
@@ -238,37 +230,6 @@ def sufficient_feasibility(
 # and fmin skip it.
 
 
-def _cap_poly(branch: FloorPlane, h, params: SystemParams, pu_max: float) -> tuple:
-    """Quadratic whose sign equals the rate derivative in P1 along a cap branch.
-
-    ``h`` holds the link gains as in `floor_planes`.
-    """
-    hd, e1, e2, s = h[0], params.eta1, params.eta2, params.noise_w
-    if branch is FloorPlane.PLANE2:
-        h_u = h[3]
-        a = -(e1 * e2 - hd * hd) * e1 * e1 * e2
-        b = 2.0 * e1 * e1 * e2 * (pu_max * h_u * e2 + s * hd)
-        c = (
-            -pu_max * pu_max * h_u * h_u * e2 * e2 * e1
-            + pu_max * s * hd * h_u * e2 * (hd - 2.0 * e1)
-            + s * s * hd * hd * (hd - e1)
-        )
-    else:
-        h_u = h[4]
-        a = (e1 * e2 - hd * hd) * e1
-        b = 2.0 * e1 * (pu_max * h_u * hd + s * e2)
-        c = -pu_max * pu_max * h_u * h_u * e1 - s * e1 * h_u * pu_max + s * s * (e2 - hd)
-    return a, b, c
-
-
-def _cap_root(a, b, c):
-    """The root of a*x^2 + b*x + c that can host a local maximum of the rate
-    along a cap branch (the other root is always a local minimum); NaN or
-    inf where there is none."""
-    disc = b * b - 4.0 * a * c
-    return np.where(a != 0.0, (-b - np.sqrt(disc)) / (2.0 * a), -c / b)
-
-
 def _fmax(*values):
     return functools.reduce(np.fmax, values)
 
@@ -277,11 +238,19 @@ def _none_below(margins, bound):
     return np.logical_not(np.logical_or.reduce([m < bound for m in margins]))
 
 
-def _point_tests(h, planes: SicPlanes, margins, limits: PowerLimits, pu_m, p1, p2, pu):
-    """True where a point meets every mutual-SIC constraint within a relative
-    margin: power ordering, SIC rates, power limits and the CU rate floor.
-    ``h`` holds the link gains as in `floor_planes` and ``margins`` the
-    point's `sic_rate_margins`.  A NaN power fails the power limits."""
+def _point_tests(h, seg: Segments, params: SystemParams, limits: PowerLimits, m1_first, p1, p2, pu):
+    """True where a point of a pair of ``seg`` meets every mutual-SIC
+    constraint of the pair's order within a relative margin: power ordering,
+    SIC rates, power limits and the CU rate floor.  ``h`` holds the link
+    gains as in `floor_planes`; arrays end in the pair axis.  A NaN power
+    fails the power limits."""
+    # `sic_rate_margins` of each pair's order: swap the devices where M1 goes first.
+    gains = np.array(h[1:5])
+    b1, b2, u1, u2 = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
+    e1, e2 = np.where(m1_first, [[params.eta2], [params.eta1]], [[params.eta1], [params.eta2]])
+    q1, q2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
+    margins = _m2_first_margins((h[0], b1, b2, u1, u2, h[5]), e1, e2, q1, q2, pu)
+    planes = seg.planes
     scale = _fmax(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
     sic_scale = _fmax(*(abs(m) for m in margins)) + scale * _fmax(h[1], h[2], h[5]) * _fmax(
         p1, p2, pu, 1e-300
@@ -290,7 +259,7 @@ def _point_tests(h, planes: SicPlanes, margins, limits: PowerLimits, pu_m, p1, p
         _none_below(pmc_margins(planes, p1, p2, pu), -REL_TOL * scale)
         & _none_below(margins, -REL_TOL * sic_scale)
         & within_limits(p1, p2, pu, limits, REL_TOL)
-        & np.logical_not(pu < pu_m * (1.0 - REL_TOL))
+        & np.logical_not(pu < seg.pu_m * (1.0 - REL_TOL))
     )
 
 
@@ -405,11 +374,12 @@ def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Se
     """The admissible segments on the outer box sides; arguments as in
     `fd_sic_batch`."""
     f2, f4 = floor_planes(h, params.eta1, params.eta2)
-    ceils = np.empty((2, 2, 2, len(m1_first)))  # (order, ax or ay, ceiling, entry)
-    for k, order in enumerate((DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)):
-        for j, ceil in enumerate(ceiling_planes(h, order)):
-            ceils[k, 0, j], ceils[k, 1, j] = ceil.ax, ceil.ay
-    ceils = np.where(m1_first, ceils[1], ceils[0])
+    # `ceiling_planes` of each pair's order, as (ax or ay, ceiling, entry).
+    r1, r2 = h[1] / h[5], h[2] / h[5]
+    ceils = np.array([
+        [np.where(m1_first, r1, -r1), np.where(m1_first, 0.0, r1)],
+        [np.where(m1_first, -r2, r2), np.where(m1_first, r2, 0.0)],
+    ])
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     tol = REL_TOL * max(p1_max, p2_max)
     stacked = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
@@ -469,16 +439,16 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
 
     Along a device side the rate derivative carries the sign of a quadratic
     whose negative lobe is a single interval, so an end always wins.  Along
-    a cap piece the candidates are its ends and the quadratic root inside
-    it.  Of equal rates the first candidate wins.
+    a cap piece on floor 2 the log-rate in x = P1 is log(K0 + a x) -
+    log(K0 - b x) - log(s + eta1 x) + const with b > 0; where its slope is
+    0, its curvature is 2uv > 0 (u, v the slopes' sizes of the last two
+    terms), so every stationary point is a minimum.  Floor 4 is the mirror
+    case, and where P2 is clamped at 0 the rate rises.  So an end wins
+    there too; of equal rates the lower end.
     """
-    polys = np.array([_cap_poly(branch, h, params, limits.pu_max_w) for branch in FloorPlane])
-    root = np.where(seg.plane2, *_cap_root(*polys.transpose(1, 0, 2)))
-    ts = np.array([seg.lo, seg.hi, root])  # (candidate, segment, entry)
-    root_ok = seg.has & _ON_CAP & (seg.lo < root) & (root < seg.hi)
+    ts = np.array([seg.lo, seg.hi])  # (candidate, segment, entry)
     p1, p2 = _device_powers(seg, ts, limits)
-    rates = sic_sum_rate(p1, p2, h[0], params, np.log2)
-    rates = np.where(np.array([seg.has, seg.has, root_ok]), rates, -np.inf)
+    rates = np.where(seg.has, sic_sum_rate(p1, p2, h[0], params, np.log2), -np.inf)
     pick = (rates.argmax(axis=0), np.arange(4)[:, None], np.arange(ts.shape[-1]))
     return ts[pick], p1[pick], p2[pick], rates[pick]
 
@@ -486,6 +456,12 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
 def _math_log2(x: np.ndarray) -> np.ndarray:
     """`math.log2` per element: numpy's log2 can differ in the last bit."""
     return np.array(list(map(math.log2, x.tolist())))
+
+
+def _pair_subset(x, idx):
+    """`Segments` (or any tuple tree of arrays ending in the pair axis) of
+    the pairs ``idx`` only."""
+    return type(x)(*(_pair_subset(v, idx) for v in x)) if isinstance(x, tuple) else x[..., idx]
 
 
 def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
@@ -500,9 +476,12 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     The segments' best points (`segment_best`) are ranked by rate, and for
     each in turn the points `PULL_IN` of the way to its segment's middle are
     checked: the first that passes `_point_tests` is the answer.  The CU
-    takes the lowest admissible power for the chosen device powers.
+    takes the lowest admissible power for the chosen device powers.  The
+    first point in that order, the best segment's best point, is checked
+    for every pair; only the pairs where it fails go through the rest.
     """
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+    caps = (p1_max, p2_max, pu_max)
     tol = REL_TOL * max(p1_max, p2_max)
     n = len(m1_first)
     seg = segments(h, params, limits, pu_m, m1_first)
@@ -514,31 +493,42 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     kept = seg.has.copy()
     for j in range(1, 4):
         kept[j] &= ~(kept[:j] & close[j, :j]).any(axis=0)
-    rank = np.argsort(-np.where(kept, rates, -np.inf), axis=0, kind="stable")
+    ranked = np.where(kept, rates, -np.inf)
 
-    # Every pull-in step of every segment, as (step, segment, entry).
-    steps = np.array(PULL_IN)[:, None, None]
-    p1, p2, pu = (
-        np.minimum(x, cap) for x, cap in zip(
-            side_points(seg, t + (0.5 * (seg.lo + seg.hi) - t) * steps, limits),
-            (p1_max, p2_max, pu_max),
-        )
-    )
-    # `sic_rate_margins` of each pair's order: swap the devices where M1 goes first.
-    gains = np.array(h[1:5])
-    b1, b2, u1, u2 = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
-    e1, e2 = np.where(m1_first, [[params.eta2], [params.eta1]], [[params.eta1], [params.eta2]])
-    q1, q2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
-    margins = _m2_first_margins((h[0], b1, b2, u1, u2, h[5]), e1, e2, q1, q2, pu)
-    passed = _point_tests(h, seg.planes, margins, limits, pu_m, p1, p2, pu) & kept
-
-    # The first passing point, segments in rank order and steps within each.
+    # Each pair's best point, placed as `side_points` places it.
     ent = np.arange(n)
-    tried = passed[:, rank, ent].transpose(1, 0, 2).reshape(-1, n)
-    first = tried.argmax(axis=0)
-    at = (first % len(PULL_IN), rank[first // len(PULL_IN), ent], ent)
-    ok = tried.any(axis=0) & ~seg.error
-    p1, p2, pu = (np.where(ok, x[at], 0.0) for x in (p1, p2, pu))
+    best = ranked.argmax(axis=0)
+    p1, p2 = p1s[best, ent], p2s[best, ent]
+    f2, f4 = seg.planes.floor2, seg.planes.floor4
+    floor = np.maximum(np.maximum(f2.height(p1, p2), f4.height(p1, p2)), pu_m)
+    pu = np.where(best >= 2, pu_max, floor)
+    p1, p2, pu = (np.minimum(x, cap) for x, cap in zip((p1, p2, pu), caps))
+    ok = _point_tests(h, seg, params, limits, m1_first, p1, p2, pu) & kept[best, ent]
+
+    # The rest: every pull-in step of every segment, as (step, segment,
+    # pair), tried segments in rank order and steps within each.
+    redo = np.flatnonzero(~ok & ~seg.error)
+    if redo.size:
+        sub, m = _pair_subset(seg, redo), len(redo)
+        t_sub = t[:, redo]
+        steps = np.array(PULL_IN)[:, None, None]
+        points = [
+            np.minimum(x, cap) for x, cap in zip(
+                side_points(sub, t_sub + (0.5 * (sub.lo + sub.hi) - t_sub) * steps, limits), caps
+            )
+        ]
+        h_sub = tuple(x[redo] for x in h)
+        passed = _point_tests(h_sub, sub, params, limits, m1_first[redo], *points) & kept[:, redo]
+        rank = np.argsort(-ranked[:, redo], axis=0, kind="stable")
+        sub_ent = np.arange(m)
+        tried = passed[:, rank, sub_ent].transpose(1, 0, 2).reshape(-1, m)
+        first = tried.argmax(axis=0)
+        at = (first % len(PULL_IN), rank[first // len(PULL_IN), sub_ent], sub_ent)
+        for full, x in zip((p1, p2, pu), points):
+            full[redo] = x[at]
+        ok[redo] = tried.any(axis=0)
+    ok &= ~seg.error
+    p1, p2, pu = (np.where(ok, x, 0.0) for x in (p1, p2, pu))
     rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params, _math_log2), -np.inf)
     return p1, p2, pu, rate
 

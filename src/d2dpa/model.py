@@ -102,8 +102,10 @@ class SystemParams:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):  # also rejects NaN
                 raise ValueError(f"{name} must lie in (0, 1], got {v!r}")
-        if not (math.isfinite(self.r_u_min_bps) and self.r_u_min_bps >= 0.0):
-            raise ValueError(f"r_u_min_bps must be finite and >= 0, got {self.r_u_min_bps!r}")
+        # From 1024 bandwidths on, the SNR floor 2^(r_u_min_bps / bandwidth_hz) overflows.
+        if not 0.0 <= self.r_u_min_bps < 1024.0 * self.bandwidth_hz:
+            raise ValueError(f"r_u_min_bps must be >= 0 and below 1024 x bandwidth_hz, "
+                             f"got {self.r_u_min_bps!r}")
 
     def swapped_devices(self) -> "SystemParams":
         return SystemParams(

@@ -84,30 +84,34 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("path_loss_ref_db", "p_max_dbm", "noise_dbm", "eta_db"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            if not abs(v) <= 3000.0:  # rejects NaN; 10^(v/10) stays in (0, inf)
+                raise ValueError(f"{name} must be finite and within +-3000 dB, got {v!r}")
         if self.pair_distance_law not in ("uniform", "fixed"):
             raise ValueError("pair_distance_law must be 'uniform' or 'fixed'")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-    @property
-    def channel_bandwidth_hz(self) -> float:
-        return self.total_bandwidth_mhz * 1e6 / self.n_channels
-
-    def system_params(self) -> SystemParams:
-        eta = db_to_linear(self.eta_db)
-        return SystemParams(
+        # Built, and so checked, once: a config whose values convert to
+        # invalid ones fails here, not at a campaign's first trial.
+        eta, p_max = db_to_linear(self.eta_db), dbm_to_watts(self.p_max_dbm)
+        params = SystemParams(
             bandwidth_hz=self.channel_bandwidth_hz,
             noise_w=dbm_to_watts(self.noise_dbm),
             eta1=eta,
             eta2=eta,
             r_u_min_bps=self.r_u_min_bps,
         )
+        object.__setattr__(self, "_system_params", params)
+        object.__setattr__(self, "_power_limits", PowerLimits(p_max, p_max, p_max))
+
+    @property
+    def channel_bandwidth_hz(self) -> float:
+        return self.total_bandwidth_mhz * 1e6 / self.n_channels
+
+    def system_params(self) -> SystemParams:
+        return self._system_params
 
     def power_limits(self) -> PowerLimits:
-        p = dbm_to_watts(self.p_max_dbm)
-        return PowerLimits(p, p, p)
+        return self._power_limits
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,19 @@ def sample_instances(seed: int, count: int):
     return out
 
 
-def sample_fd_sic_feasible(seed: int, count: int, limits: PowerLimits | None = None):
-    """(gains, params, order) triples passing the mutual-SIC feasibility test."""
+def sample_fd_sic_feasible(
+    seed: int, count: int, limits: PowerLimits | None = None, eta_db: float | None = None
+):
+    """(gains, params, order) triples passing the mutual-SIC feasibility test,
+    with the SI factor drawn in [-130, -80] dB or fixed at ``eta_db``."""
     rng = np.random.default_rng(seed)
     cfg = SimConfig(k_users=1, d_pairs=1, trials=1)
     lim = limits if limits is not None else make_limits()
     out = []
     prefer_second = False
     while len(out) < count:
-        params = make_params(eta_db=rng.uniform(-130.0, -80.0))
+        eta = rng.uniform(-130.0, -80.0)
+        params = make_params(eta_db=eta if eta_db is None else eta_db)
         gains = sample_combo_gains(rng, cfg)
         pu_m = pu_min(params, gains.h_b_u)
         orders = [

@@ -138,6 +138,21 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls):
     assert len(lsa_calls) == 1
 
 
+def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls):
+    """Each row ties its optimal column with one further right, so other
+    optimal mappings exist, but none moves a row left: the first solve's
+    mapping is the answer, with no other solve."""
+    table = np.random.default_rng(78).uniform(0.0, 1.0, (4, 10))
+    table[np.arange(4), np.arange(4)] += 10.0
+    table[np.arange(4), np.arange(6, 10)] = table[np.arange(4), np.arange(4)]
+    _, cols = linear_sum_assignment(table, maximize=True)
+    assert cols.tolist() == [0, 1, 2, 3]
+    assignment, total = hungarian_max(table)
+    assert assignment.pair_to_cu == (0, 1, 2, 3)
+    assert total == enumerate_best(table)
+    assert len(lsa_calls) == 1
+
+
 @pytest.mark.parametrize("scale", [1.0, 3e7])
 @pytest.mark.parametrize("gap", [0.5, 3.0, 100.0])
 def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):

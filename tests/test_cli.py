@@ -205,6 +205,28 @@ class TestSweep:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eta_db = -110, 5\n", "eta1 must lie in"),
+            ("noise_dbm = -4000\neta_db = -130,-110\n", "noise_dbm must be finite"),
+            ("r_u_min_mbps = 1.5, 1e6\n", "r_u_min_bps must be >= 0 and below"),
+        ],
+    )
+    def test_invalid_derived_parameters_exit_1_before_any_campaign(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "bad.cfg"
+        config.write_text("k_users = 4\nd_pairs = 2\ntrials = 1\n" + text)
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_pair_distance_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
         def no_campaign(config):
             raise AssertionError("a campaign ran")

@@ -386,6 +386,24 @@ class TestSideOptimization:
             sol = solve_fd_sic_order(gains, params, default_limits, order)
             assert sol.r_d2d_bps >= overall - 1e-7 * max(overall, 1.0)
 
+    def test_no_cap_piece_peaks_inside(self, default_limits):
+        """Every stationary point of the rate along a cap piece is a minimum,
+        so no sample of a piece beats its better end, strong residual
+        self-interference included."""
+        draws = sample_fd_sic_feasible(seed=43, count=150) + sample_fd_sic_feasible(
+            seed=44, count=60, eta_db=-90.0
+        )
+        pieces = 0
+        for gains, params, order in draws:
+            seg, h = pair_segments(gains, params, default_limits, order)
+            with np.errstate(all="ignore"):
+                *_, best = segment_best(seg, h, params, default_limits)
+            for j in np.flatnonzero(seg.has[2:, 0]) + 2:
+                dense = self._dense_max(seg, j, gains, params, default_limits)
+                assert dense <= best[j, 0] * (1.0 + 1e-9)
+                pieces += 1
+        assert pieces >= 100
+
     def test_vanishing_residual_prefers_upper_endpoint(self, default_limits):
         # without self-interference the rate grows with the free power
         for gains, params, order in sample_fd_sic_feasible(seed=55, count=10):
@@ -497,9 +515,7 @@ class TestSolveOrder:
         """Both orders pass the pre-test, but M1_FIRST has no point that passes
         the exact check at any pull-in step: that order is infeasible, and
         FD-SIC keeps the better of M2_FIRST and the no-SIC allocation."""
-        g = ChannelGains(1.79e-14, 1.65e-13, 4.33e-6, 4.59e-5, 2.15e-13, 4.88e-14)
-        params = SystemParams(312.5e3, dbm_to_watts(-119.0), 1.92e-5, 1.04e-6, 0.0)
-        limits = PowerLimits(0.1258, 0.1784, 0.002154)
+        g, params, limits = UNCERTIFIABLE
         pm = pu_min(params, g.h_b_u)
         assert all(sufficient_feasibility(g, params, limits, pm, o) for o in ORDERS)
         assert solve_fd_sic_order(g, params, limits, DecodingOrder.M1_FIRST) is None
@@ -545,8 +561,82 @@ SLIVER_GAINS = ChannelGains(
 )
 
 
+# Gains, parameters and limits whose M1_FIRST order passes the pre-test,
+# but no pull-in step of any segment passes the exact check.
+UNCERTIFIABLE = (
+    ChannelGains(1.79e-14, 1.65e-13, 4.33e-6, 4.59e-5, 2.15e-13, 4.88e-14),
+    SystemParams(312.5e3, dbm_to_watts(-119.0), 1.92e-5, 1.04e-6, 0.0),
+    PowerLimits(0.1258, 0.1784, 0.002154),
+)
+# A combination whose best M1_FIRST point fails the exact check under the
+# parameters and limits of UNCERTIFIABLE, so the solve pulls it inward.
+UNCERTIFIABLE_FRAME_SLIVER = ChannelGains(
+    5.680059968985653e-10, 5.818716837894514e-07, 6.024459273276897e-08,
+    3.5791554551840535e-09, 4.490623680156154e-10, 8.178430572311748e-12,
+)
+
+
+def _best_points(pairs, params, limits):
+    """(p1, p2) of each pair's best segment point, before any check."""
+    gains = [g for g, _ in pairs]
+    pu_m = np.array([pu_min(params, g.h_b_u) for g in gains])
+    m1_first = np.array([o is DecodingOrder.M1_FIRST for _, o in pairs])
+    h = _gain_arrays(gains)
+    with np.errstate(all="ignore"):
+        seg = segments(h, params, limits, pu_m, m1_first)
+        _, p1s, p2s, rates = segment_best(seg, h, params, limits)
+    best = np.where(seg.has, rates, -np.inf).argmax(axis=0), np.arange(len(pairs))
+    return p1s[best].tolist(), p2s[best].tolist()
+
+
+def _certified_at_best(count, params, limits, seed):
+    """``count`` (gains, order) pairs, drawn from the campaign distribution,
+    whose best segment point passes the exact check."""
+    rng, layout = np.random.default_rng(seed), SimConfig(k_users=1, d_pairs=1, trials=1)
+    out = []
+    while len(out) < count:
+        g = sample_combo_gains(rng, layout)
+        pm = pu_min(params, g.h_b_u)
+        for o in ORDERS:
+            if sufficient_feasibility(g, params, limits, pm, o):
+                p1, p2, _, rate = _batch([(g, o)], params, limits)
+                at_best = [p1.tolist(), p2.tolist()] == list(_best_points([(g, o)], params, limits))
+                if rate[0] > -np.inf and at_best:
+                    out.append((g, o))
+    return out[:count]
+
+
+def _bits(arrays) -> list[bytes]:
+    return [np.asarray(x, dtype=float).tobytes() for x in arrays]
+
+
 class TestBatch:
     """`fd_sic_batch` solves many (entry, order) pairs with numpy."""
+
+    @pytest.mark.parametrize(
+        "params, limits, specials, first_rate",
+        [
+            (make_params(), make_limits(), [(SLIVER_GAINS, DecodingOrder.M2_FIRST)],
+             7669260.4318521125),
+            (*UNCERTIFIABLE[1:], [(UNCERTIFIABLE[0], DecodingOrder.M1_FIRST),
+                                  (UNCERTIFIABLE_FRAME_SLIVER, DecodingOrder.M1_FIRST)], -np.inf),
+        ],
+        ids=["default", "uncertifiable"],
+    )
+    def test_second_round_pairs_match_their_own_solve(self, params, limits, specials, first_rate):
+        """Pairs whose best point fails the exact check, placed first, in the
+        middle and last among pairs whose best point passes, get the bits
+        of their own one-pair solve, and so do the others."""
+        for pair in specials:  # each needs the second round
+            p1, p2, _, _ = _batch([pair], params, limits)
+            assert [p1.tolist(), p2.tolist()] != list(_best_points([pair], params, limits))
+        assert _batch(specials[:1], params, limits)[3][0] == first_rate
+        passing = _certified_at_best(20, params, limits, seed=17)
+        pairs = specials + passing[:10] + specials + passing[10:] + specials
+        together = _batch(pairs, params, limits)
+        for j, pair in enumerate(pairs):
+            alone = _batch([pair], params, limits)
+            assert _bits(x[j : j + 1] for x in together) == _bits(alone), j
 
     def test_failed_validation_is_pulled_inward(self):
         params, limits = make_params(), make_limits()

@@ -2,14 +2,17 @@
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
 from d2dpa import fdnosic
+from d2dpa.fdsic import REL_TOL, solve_fd_sic_order
 from d2dpa.model import (
     ChannelGains,
+    DecodingOrder,
     PowerLimits,
     PowerTriplet,
     Scenario,
@@ -19,6 +22,7 @@ from d2dpa.model import (
     rate_floor_snr,
     scenario_rates,
 )
+from d2dpa.oracle import _fd_sic_order1_mask, _fd_sic_order2_mask
 from d2dpa.solvers import SIC_ORDERS, solve_all
 
 
@@ -156,3 +160,34 @@ def test_sic_never_loses_to_no_sic(instance):
                        (ScenarioKind.FD_SIC, ScenarioKind.FD_NOSIC)):
         assert sols[sic].feasible or not sols[plain].feasible, sic
         assert sols[sic].r_d2d_bps >= sols[plain].r_d2d_bps, sic
+
+
+def _oracle_accepts(point, gains, params, limits, order) -> bool:
+    """The FD-SIC point passes the oracle's own restatement of the order's
+    conditions, the CU rate floor and the power box, each within the
+    solver's relative margin.
+
+    The oracle's conditions are strict and homogeneous in the powers, and a
+    box-side optimum lies on one of their planes, so the point passes when
+    some point within ``REL_TOL`` of it, power by power, passes them
+    strictly.
+    """
+    mask = _fd_sic_order1_mask if order is DecodingOrder.M2_FIRST else _fd_sic_order2_mask
+    nudge = 1.0 + REL_TOL * np.linspace(-1.0, 1.0, 9)
+    strict = mask(
+        point.p1_w * nudge[:, None, None], point.p2_w * nudge[None, :, None],
+        point.pu_w * nudge[None, None, :], gains, params.eta1, params.eta2,
+    )
+    floor = point.pu_w * gains.h_b_u >= (1.0 - REL_TOL) * rate_floor_snr(params) * params.noise_w
+    return bool(strict.any()) and floor and point.within(limits, REL_TOL)
+
+
+# Few instances admit mutual SIC, so this draws more of them than the others.
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(instances)
+def test_fd_sic_points_pass_the_oracle_conditions(instance):
+    gains, params, limits = instance
+    for order in SIC_ORDERS:
+        sol = solve_fd_sic_order(gains, params, limits, order)
+        if sol is not None:
+            assert _oracle_accepts(sol.powers, gains, params, limits, order), order

@@ -542,6 +542,28 @@ class TestConfigValidation:
         for kind in ScenarioKind:
             assert np.array_equal(res.totals_bps[kind], ref.totals_bps[kind])
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eta_db", 5.0, "eta1 must lie in"),
+            ("noise_dbm", -4000.0, "noise_dbm must be finite and within"),
+            ("r_u_min_bps", 1e12, "r_u_min_bps must be >= 0 and below 1024 x bandwidth_hz"),
+            ("eta_db", 4000.0, "eta_db must be finite and within"),
+            ("p_max_dbm", -4000.0, "p_max_dbm must be finite and within"),
+            ("path_loss_ref_db", 4000.0, "path_loss_ref_db must be finite and within"),
+        ],
+    )
+    def test_invalid_derived_parameters_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{field: value})
+
+    def test_derived_parameters_built_once(self):
+        cfg = SimConfig(eta_db=-90.0)
+        assert cfg.system_params() is cfg.system_params()
+        assert cfg.power_limits() is cfg.power_limits()
+        assert cfg.system_params().eta1 == cfg.system_params().eta2 == 1e-9
+        assert dataclasses.replace(cfg, eta_db=-100.0).system_params().eta1 == 1e-10
+
     def test_channel_bandwidth(self):
         cfg = SimConfig()
         assert cfg.channel_bandwidth_hz == pytest.approx(312.5e3, rel=1e-12)
