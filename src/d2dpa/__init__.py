@@ -6,7 +6,7 @@ brute-force grid validator and a Monte Carlo campaign engine.
 """
 
 from .assignment import Assignment, RateTable, hungarian_max
-from .fdsic import necessary_conditions, solve_fd_sic_order, sufficient_feasibility
+from .fdsic import solve_fd_sic_order, sufficient_feasibility
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -18,7 +18,6 @@ from .model import (
     SystemParams,
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     pu_min,
     scenario_rates,
     watts_to_dbm,
@@ -57,8 +56,6 @@ __all__ = [
     "gains_from_deployment",
     "generate_deployment",
     "hungarian_max",
-    "linear_to_db",
-    "necessary_conditions",
     "pu_min",
     "run_campaign",
     "scenario_rates",

@@ -17,6 +17,15 @@ from scipy.optimize import linear_sum_assignment
 _EPS = np.finfo(float).eps
 
 
+def _check_shape(rates: np.ndarray) -> None:
+    """Reject a rate table that is not 2-D or has more rows than columns."""
+    if rates.ndim != 2:
+        raise ValueError("rate table must be 2-D")
+    d, k = rates.shape
+    if d > k:
+        raise ValueError(f"more D2D rows ({d}) than CU columns ({k})")
+
+
 def _raise_first_bad(rates: np.ndarray, ok: np.ndarray, what: str) -> None:
     row, col = np.argwhere(~ok)[0].tolist()
     raise ValueError(
@@ -38,11 +47,8 @@ class RateTable:
 
     def __post_init__(self) -> None:
         self.rates = np.asarray(self.rates, dtype=float)
-        if self.rates.ndim != 2:
-            raise ValueError("rate table must be 2-D")
+        _check_shape(self.rates)
         d, k = self.rates.shape
-        if d > k:
-            raise ValueError(f"more D2D pairs ({d}) than CU channels ({k})")
         if self.sic_applied is None:
             self.sic_applied = np.zeros((d, k), dtype=bool)
         if self.infeasible is None:
@@ -122,11 +128,7 @@ def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
     if isinstance(table, RateTable):
         return table.rates
     rates = np.asarray(table, dtype=float)
-    if rates.ndim != 2:
-        raise ValueError("rate table must be 2-D")
-    d, k = rates.shape
-    if d > k:
-        raise ValueError(f"more rows ({d}) than columns ({k})")
+    _check_shape(rates)
     if not np.isfinite(rates).all():
         _raise_first_bad(rates, np.isfinite(rates), "finite")
     return rates

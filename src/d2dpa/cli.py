@@ -371,10 +371,6 @@ def cmd_assign(args) -> int:
     if len(widths) != 1:
         raise CliError(f"{args.table}: ragged rows in rate table")
     table = np.array(rows)
-    if table.shape[0] > table.shape[1]:
-        raise CliError(
-            f"{args.table}: more D2D rows ({table.shape[0]}) than CU columns ({table.shape[1]})"
-        )
     assignment, total = hungarian_max(table)
     for pair, cu in enumerate(assignment.pair_to_cu):
         print(f"pair {pair} -> cu {cu}   rate {_g9(table[pair, cu])} bit/s")

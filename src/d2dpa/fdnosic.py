@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-INFEASIBLE = (0.0, 0.0, 0.0, -1.0)
-_INFEASIBLE_COLUMN = np.array(INFEASIBLE)[:, None]
+from .model import PowerLimits, SystemParams, rate_floor_snr
 
 
 def _stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s):
@@ -66,34 +65,22 @@ def _roots_inside_batch(a, b, c):
     return tuple(np.where((u > 0.0) & (u < 1.0), u, np.nan) for u in (lo, hi))
 
 
-def fd_nosic_batch(
-    h_d,
-    h_b_d1,
-    h_b_d2,
-    h_d1_u,
-    h_d2_u,
-    h_b_u,
-    eta1: float,
-    eta2: float,
-    noise_w: float,
-    q: float,
-    bandwidth_hz: float,
-    p1_max: float,
-    p2_max: float,
-    pu_max: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best (p1, p2, pu, d2d_rate) without SIC for link-gain arrays that
-    broadcast to one shape.
+def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
+    """Best (p1, p2, pu, d2d_rate) without SIC, as `fdsic.fd_sic_batch`
+    takes and returns them: ``h`` holds the six link gains in `ChannelGains`
+    field order, as arrays that broadcast to one shape, and the result is
+    four arrays of that shape with (0, 0, 0, -inf) where infeasible.
 
-    Returns arrays of that shape, with (0, 0, 0, -1) where infeasible.  ``q``
-    is the CU SINR floor 2^(Rmin/B) - 1; the CU power is the exact value
-    meeting the rate floor at the chosen device powers.  Candidates are
-    visited face by face (P1max edge, P2max edge, CU cap), each face's
-    start, inside roots and end in turn, and of equal best rates the first
-    candidate wins.
+    The CU power is the exact value meeting the rate floor at the chosen
+    device powers.  Candidates are visited face by face (P1max edge, P2max
+    edge, CU cap), each face's start, inside roots and end in turn, and of
+    equal best rates the first candidate wins.
     """
-    shape = np.broadcast_shapes(*map(np.shape, (h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u)))
-    s = noise_w
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    shape = np.broadcast_shapes(*map(np.shape, h))
+    q = rate_floor_snr(params)  # the CU SINR floor
+    s, eta1, eta2 = params.noise_w, params.eta1, params.eta2
+    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     with np.errstate(all="ignore"):
         if q == 0.0:
             on = np.ones(shape, dtype=bool)
@@ -157,10 +144,12 @@ def fd_nosic_batch(
         on = np.repeat(on, 4, axis=0)
         den1 = pu * h_d1_u + eta1 * p1 + s
         den2 = pu * h_d2_u + eta2 * p2 + s
-        r = bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
-    # A candidate counts only if it beats -1 and every earlier one: the first
+        r = params.bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
+    # A candidate counts only if its rate is a number (every power on a face
+    # is >= 0, so it is then >= 0) and beats every earlier one: the first
     # maximum, which argmax returns.
-    cand[3] = np.where(on & (r > INFEASIBLE[3]), r, -np.inf)
+    cand[3] = np.where(on & (r >= 0.0), r, -np.inf)
     flat = cand.reshape(4, n_cand, -1)
     best = flat[:, np.argmax(flat[3], axis=0), np.arange(flat.shape[2])]
-    return tuple(np.where(best[3] == -np.inf, _INFEASIBLE_COLUMN, best).reshape(4, *shape))
+    best[:3, best[3] == -np.inf] = 0.0
+    return tuple(best.reshape(4, *shape))

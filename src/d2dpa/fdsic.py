@@ -24,6 +24,10 @@ may sit closer to a plane than double precision can certify; it is then
 pulled toward the segment's middle in fixed steps, and the next-best segment
 is tried when no step passes.  Those steps are checked only for the pairs
 whose best point fails.
+
+Each constraint predicate (`floor_planes`, `ceiling_planes`, `pmc_margins`,
+`sic_rate_margins`, `pretest`) exists once, in the array form the batch
+runs; `sufficient_feasibility` is `pretest` on one combination.
 """
 
 from __future__ import annotations
@@ -100,21 +104,14 @@ class SicPlanes(NamedTuple):
     floor4: Plane
 
 
-def ceiling_planes(h, order: DecodingOrder) -> tuple[Plane, Plane]:
-    """The ceiling planes 1 and 3 of one decoding order; ``h`` as in `floor_planes`."""
-    _, h_b_d1, h_b_d2, _, _, h_b_u = h
-    if order is DecodingOrder.M2_FIRST:
-        return Plane(-h_b_d1 / h_b_u, h_b_d2 / h_b_u), Plane(h_b_d1 / h_b_u, 0.0)
-    return Plane(h_b_d1 / h_b_u, -h_b_d2 / h_b_u), Plane(0.0, h_b_d2 / h_b_u)
-
-
-def planes_for_order(
-    gains: ChannelGains, params: SystemParams, order: DecodingOrder
-) -> SicPlanes:
-    h = _gain_tuple(gains)
-    ceil1, ceil3 = ceiling_planes(h, order)
-    floor2, floor4 = floor_planes(h, params.eta1, params.eta2)
-    return SicPlanes(ceil1=ceil1, floor2=floor2, ceil3=ceil3, floor4=floor4)
+def ceiling_planes(h, m1_first) -> tuple[Plane, Plane]:
+    """The ceiling planes 1 and 3 of each pair's decoding order, ``m1_first``
+    True where it is M1_FIRST; ``h`` as in `floor_planes`."""
+    r1, r2 = h[1] / h[5], h[2] / h[5]
+    return (
+        Plane(np.where(m1_first, r1, -r1), np.where(m1_first, -r2, r2)),
+        Plane(np.where(m1_first, 0.0, r1), np.where(m1_first, r2, 0.0)),
+    )
 
 
 def pmc_margins(
@@ -133,31 +130,21 @@ def pmc_margins(
     )
 
 
-def sic_rate_margins(
-    gains: ChannelGains,
-    params: SystemParams,
-    order: DecodingOrder,
-    p1: float,
-    p2: float,
-    pu: float,
-) -> tuple[float, float, float, float]:
-    """Signed margins of the noise-free SIC achievability conditions.
+def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> tuple:
+    """Signed margins of the noise-free SIC achievability conditions of each
+    pair's decoding order, ``m1_first`` True where it is M1_FIRST.
 
     These are implied by the power-ordering conditions but are evaluated
     independently wherever a solution is validated.  Decoding M1 first is
     decoding M2 first with the two devices' roles swapped, so one formula
-    serves both orders.
+    serves both orders.  ``h`` holds the link gains as in `floor_planes` and
+    ``e1``, ``e2`` the SI factors; everything broadcasts.
     """
-    g, e1, e2 = gains, params.eta1, params.eta2
-    if order is DecodingOrder.M1_FIRST:
-        h = (g.h_d, g.h_b_d2, g.h_b_d1, g.h_d2_u, g.h_d1_u, g.h_b_u)
-        return _m2_first_margins(h, e2, e1, p2, p1, pu)
-    return _m2_first_margins(_gain_tuple(g), e1, e2, p1, p2, pu)
-
-
-def _m2_first_margins(h, e1, e2, p1, p2, pu) -> tuple:
-    """`sic_rate_margins` of the M2_FIRST order on floats or arrays."""
-    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    gains = np.array(h[1:5])
+    h_b_d1, h_b_d2, h_d1_u, h_d2_u = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
+    e1, e2 = np.where(m1_first, e2, e1), np.where(m1_first, e1, e2)
+    p1, p2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
+    h_d, h_b_u = h[0], h[5]
     return (
         p1 * (h_b_d2 * e1 - h_d * h_b_d1) + pu * (h_d1_u * h_b_d2 - h_d * h_b_u),
         p1 * (h_d1_u * h_b_d1 - h_b_u * e1) + p2 * (h_d1_u * h_b_d2 - h_b_u * h_d),
@@ -166,39 +153,33 @@ def _m2_first_margins(h, e1, e2, p1, p2, pu) -> tuple:
     )
 
 
-def necessary_conditions(
-    gains: ChannelGains, params: SystemParams
-) -> tuple[bool, bool, bool, bool]:
-    """Channel-only conditions any mutual-SIC solution requires (same for both orders)."""
-    g = gains
-    return (
-        g.h_b_d1 * g.h_d2_u > g.h_d * g.h_b_u,
-        g.h_d1_u * g.h_b_d2 > g.h_b_u * g.h_d,
-        g.h_b_d1 * g.h_d1_u > params.eta1 * g.h_b_u,
-        g.h_b_d2 * g.h_d2_u > params.eta2 * g.h_b_u,
-    )
+def pretest(h, params: SystemParams, limits: PowerLimits, pu_m, order: DecodingOrder):
+    """Exact emptiness test for the admissible region of one decoding order:
+    True where it is non-empty.
 
-
-def pretest_terms(h, e1, e2, pu_m, p1_max, p2_max, order: DecodingOrder) -> tuple:
-    """The four inequalities of `sufficient_feasibility` for one decoding order.
-
-    ``h`` holds the six link gains in `ChannelGains` field order, as floats or
-    as numpy arrays that broadcast; the arithmetic is the same either way.
+    Two channel conditions make the plane wedge open upward; two more place
+    its lowest box crossing inside the device power limits.  An attainable
+    CU floor power ``pu_m`` is required for the box itself to be non-empty.
+    ``h`` as in `floor_planes`.
     """
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    e1, e2 = params.eta1, params.eta2
+    p1_max, p2_max = limits.p1_max_w, limits.p2_max_w
     if order is DecodingOrder.M2_FIRST:
-        return (
+        terms = (
             h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
             h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
             pu_m * h_b_u / h_b_d1 < p1_max,
             2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
         )
-    return (
-        h_d1_u * h_b_d2 - h_d * h_b_u > 2.0 * e1 * h_b_u * h_b_d2 / h_b_d1,
-        h_d2_u * h_b_d2 - e2 * h_b_u > 2.0 * h_b_u * h_d * h_b_d2 / h_b_d1,
-        2.0 * pu_m * h_b_u / h_b_d1 < p1_max,
-        pu_m * h_b_u / h_b_d2 < p2_max,
-    )
+    else:
+        terms = (
+            h_d1_u * h_b_d2 - h_d * h_b_u > 2.0 * e1 * h_b_u * h_b_d2 / h_b_d1,
+            h_d2_u * h_b_d2 - e2 * h_b_u > 2.0 * h_b_u * h_d * h_b_d2 / h_b_d1,
+            2.0 * pu_m * h_b_u / h_b_d1 < p1_max,
+            pu_m * h_b_u / h_b_d2 < p2_max,
+        )
+    return np.logical_and.reduce((np.logical_not(pu_m > limits.pu_max_w), *terms))
 
 
 def sufficient_feasibility(
@@ -208,18 +189,8 @@ def sufficient_feasibility(
     pu_m: float,
     order: DecodingOrder,
 ) -> bool:
-    """Exact emptiness test for the admissible region of one decoding order.
-
-    Two channel conditions make the plane wedge open upward; the others place
-    its lowest box crossing inside the device power limits.  An attainable CU
-    floor power is required for the box itself to be non-empty.
-    """
-    if pu_m > limits.pu_max_w:
-        return False
-    h = _gain_tuple(gains)
-    return all(
-        pretest_terms(h, params.eta1, params.eta2, pu_m, limits.p1_max_w, limits.p2_max_w, order)
-    )
+    """`pretest` on one combination."""
+    return bool(pretest(_gain_tuple(gains), params, limits, pu_m, order))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +215,7 @@ def _point_tests(h, seg: Segments, params: SystemParams, limits: PowerLimits, m1
     SIC rates, power limits and the CU rate floor.  ``h`` holds the link
     gains as in `floor_planes`; arrays end in the pair axis.  A NaN power
     fails the power limits."""
-    # `sic_rate_margins` of each pair's order: swap the devices where M1 goes first.
-    gains = np.array(h[1:5])
-    b1, b2, u1, u2 = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
-    e1, e2 = np.where(m1_first, [[params.eta2], [params.eta1]], [[params.eta1], [params.eta2]])
-    q1, q2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
-    margins = _m2_first_margins((h[0], b1, b2, u1, u2, h[5]), e1, e2, q1, q2, pu)
+    margins = sic_rate_margins(h, params.eta1, params.eta2, m1_first, p1, p2, pu)
     planes = seg.planes
     scale = _fmax(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
     sic_scale = _fmax(*(abs(m) for m in margins)) + scale * _fmax(h[1], h[2], h[5]) * _fmax(
@@ -374,12 +340,8 @@ def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Se
     """The admissible segments on the outer box sides; arguments as in
     `fd_sic_batch`."""
     f2, f4 = floor_planes(h, params.eta1, params.eta2)
-    # `ceiling_planes` of each pair's order, as (ax or ay, ceiling, entry).
-    r1, r2 = h[1] / h[5], h[2] / h[5]
-    ceils = np.array([
-        [np.where(m1_first, r1, -r1), np.where(m1_first, 0.0, r1)],
-        [np.where(m1_first, -r2, r2), np.where(m1_first, r2, 0.0)],
-    ])
+    c1, c3 = ceiling_planes(h, m1_first)
+    ceils = np.array([[c1.ax, c3.ax], [c1.ay, c3.ay]])  # (ax or ay, ceiling, entry)
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     tol = REL_TOL * max(p1_max, p2_max)
     stacked = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
@@ -406,8 +368,7 @@ def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Se
     mid = 0.5 * (lo + hi)
     plane2 = (pu_max - f2.ax * mid) / f2.ay <= (pu_max - f4.ax * mid) / f4.ay
     has = np.array([has_d[0], has_d[1], has_cap, split])
-    planes = SicPlanes(Plane(*ceils[:, 0]), f2, Plane(*ceils[:, 1]), f4)
-    return Segments(lo, hi, has, plane2, error.any(axis=0), planes, pu_m)
+    return Segments(lo, hi, has, plane2, error.any(axis=0), SicPlanes(c1, f2, c3, f4), pu_m)
 
 
 def _device_powers(seg: Segments, t, limits: PowerLimits) -> tuple:
@@ -466,7 +427,7 @@ def _pair_subset(x, idx):
 
 def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
     """The optimal FD mutual-SIC allocation of many (entry, decoding order)
-    pairs that pass `sufficient_feasibility`.
+    pairs that pass `pretest`.
 
     ``h`` holds the six link gains in `ChannelGains` field order and ``pu_m``
     the CU floor power, as 1-D arrays; ``m1_first`` is True where the order

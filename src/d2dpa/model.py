@@ -12,9 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-# Feasibility tolerances used by solution checks throughout the package.
+# Relative tolerance of the power-limit checks.
 REL_POWER_TOL = 1e-9
-REL_RATE_TOL = 1e-6
 
 
 def check_array(name: str, values, strict: bool, where=True) -> None:
@@ -35,10 +34,6 @@ def check_array(name: str, values, strict: bool, where=True) -> None:
 def db_to_linear(x_db: float) -> float:
     """Convert a dB value to a linear power factor."""
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -219,15 +214,15 @@ def shannon_rate(bandwidth_hz: float, sinr: float) -> float:
     return bandwidth_hz * math.log2(1.0 + sinr)
 
 
-def pu_min(params: SystemParams, h_b_u: float) -> float:
-    """Smallest CU power meeting the rate floor on an interference-free uplink."""
-    q = 2.0 ** (params.r_u_min_bps / params.bandwidth_hz) - 1.0
-    return q * params.noise_w / h_b_u
-
-
 def rate_floor_snr(params: SystemParams) -> float:
     """SINR the CU must reach for its minimum rate: 2^(Rmin/B) - 1."""
     return 2.0 ** (params.r_u_min_bps / params.bandwidth_hz) - 1.0
+
+
+def pu_min(params: SystemParams, h_b_u):
+    """Smallest CU power meeting the rate floor on an interference-free
+    uplink, for a float or an array of CU-to-BS gains."""
+    return rate_floor_snr(params) * params.noise_w / h_b_u
 
 
 def fd_nosic_rates(

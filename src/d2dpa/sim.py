@@ -234,16 +234,6 @@ class LinkGains:
             for name in _GAIN_FIELDS:
                 check_array(name, getattr(self, name), strict=True)
 
-    def combo(self, n: int, i: int) -> ChannelGains:
-        return ChannelGains(
-            h_d=float(self.h_d[n]),
-            h_b_d1=float(self.h_b_d1[n]),
-            h_b_d2=float(self.h_b_d2[n]),
-            h_d1_u=float(self.h_d1_u[n, i]),
-            h_d2_u=float(self.h_d2_u[n, i]),
-            h_b_u=float(self.h_b_u[i]),
-        )
-
 
 def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> LinkGains:
     """Path loss (reference intercept plus d^-alpha) with independent lognormal
@@ -282,7 +272,8 @@ def build_rate_tables(
 ) -> dict[ScenarioKind, RateTable]:
     """One D x K rate table per scheme, every combination solved at once.
 
-    The tables equal those of `solve_all` on each ``gains.combo(n, i)``.
+    The tables equal those of `solve_all` on each combination's
+    `ChannelGains`.
     """
     d, k = gains.h_d1_u.shape
     h = np.empty((6, d, k))
@@ -298,15 +289,12 @@ def build_rate_tables(
 class CampaignResult:
     """Per-scenario totals and SIC-pair counts for every trial of a campaign.
 
-    ``sic_pairs`` counts assigned pairs whose selected entry applied SIC;
-    ``sic_capable_pairs`` counts pairs with at least one SIC-winning CU
-    column, before assignment.
+    ``sic_pairs`` counts assigned pairs whose selected entry applied SIC.
     """
 
     config: SimConfig
     totals_bps: dict[ScenarioKind, np.ndarray]
     sic_pairs: dict[ScenarioKind, np.ndarray]
-    sic_capable_pairs: dict[ScenarioKind, np.ndarray]
 
     def mean_total_bps(self, kind: ScenarioKind) -> float:
         return float(self.totals_bps[kind].mean())
@@ -319,9 +307,6 @@ class CampaignResult:
     def mean_sic_pairs(self, kind: ScenarioKind) -> float:
         return float(self.sic_pairs[kind].mean())
 
-    def mean_sic_capable_pairs(self, kind: ScenarioKind) -> float:
-        return float(self.sic_capable_pairs[kind].mean())
-
     def ci95_bps(self, kind: ScenarioKind) -> float:
         """Normal-approximation 95% confidence half-width of the mean total."""
         x = self.totals_bps[kind]
@@ -332,8 +317,8 @@ class CampaignResult:
 
 def run_trial(
     config: SimConfig, trial: int
-) -> tuple[dict[ScenarioKind, float], dict[ScenarioKind, int], dict[ScenarioKind, int]]:
-    """Totals, selected-SIC counts and SIC-capable counts for one seeded trial."""
+) -> tuple[dict[ScenarioKind, float], dict[ScenarioKind, int]]:
+    """Totals and selected-SIC counts for one seeded trial."""
     dep_seed = np.random.SeedSequence((config.master_seed, trial, 0))
     gain_seed = np.random.SeedSequence((config.master_seed, trial, 1))
     deployment = generate_deployment(config, dep_seed)
@@ -344,11 +329,9 @@ def run_trial(
     sic = np.array([t.sic_applied for t in tables.values()])
     cols = np.array([a.pair_to_cu for a, _ in assigned], dtype=np.intp).reshape(sic.shape[:2])
     counts = sic[np.arange(len(sic))[:, None], np.arange(sic.shape[1]), cols].sum(axis=1)
-    capable = sic.any(axis=2).sum(axis=1)
     return (
         {kind: total for kind, (_, total) in zip(tables, assigned)},
         dict(zip(tables, counts.tolist())),
-        dict(zip(tables, capable.tolist())),
     )
 
 
@@ -378,16 +361,12 @@ def run_campaign(config: SimConfig) -> CampaignResult:
     check_campaign(config)
     totals = {s: np.zeros(config.trials) for s in SCENARIOS}
     counts = {s: np.zeros(config.trials) for s in SCENARIOS}
-    capable = {s: np.zeros(config.trials) for s in SCENARIOS}
     for trial in range(config.trials):
-        t, c, cap = run_trial(config, trial)
+        t, c = run_trial(config, trial)
         for s in SCENARIOS:
             totals[s][trial] = t[s]
             counts[s][trial] = c[s]
-            capable[s][trial] = cap[s]
-    return CampaignResult(
-        config=config, totals_bps=totals, sic_pairs=counts, sic_capable_pairs=capable
-    )
+    return CampaignResult(config=config, totals_bps=totals, sic_pairs=counts)
 
 
 def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None) -> ChannelGains:

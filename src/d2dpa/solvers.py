@@ -10,7 +10,8 @@ infeasible with zero rate.
 `solve_all_batch` solves all four schemes for a whole D x K table with
 numpy: the half-duplex slots in closed form, FD no-SIC with
 `fdnosic.fd_nosic_batch`, and FD-SIC with one `fdsic.fd_sic_batch` call on
-both decoding orders of every entry that passes the feasibility pre-test.
+both decoding orders of every entry that passes `fdsic.pretest`.  Both FD
+kernels return (0, 0, 0, -inf) where an entry is infeasible.
 `solve_all` is the same solve on a one-entry table, returned as
 `PaSolution`s.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdnosic import fd_nosic_batch
-from .fdsic import fd_sic_batch, pretest_terms
+from .fdsic import fd_sic_batch, pretest
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -33,6 +34,7 @@ from .model import (
     ScenarioKind,
     SystemParams,
     check_array,
+    pu_min,
     rate_floor_snr,
     scenario_rates,
 )
@@ -194,11 +196,10 @@ def solve_all_batch(
     `PowerTriplet`'s check.
     """
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
-    q = rate_floor_snr(params)
     s, bw, eta1, eta2 = params.noise_w, params.bandwidth_hz, params.eta1, params.eta2
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     with np.errstate(all="ignore"):
-        pu_m = q * s / h_b_u
+        pu_m = pu_min(params, h_b_u)
         cu_ok = ~(pu_m > pu_max)
 
         # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.  Each
@@ -212,18 +213,13 @@ def solve_all_batch(
         use2 = hd_ok & sic2.ok & (sic2.r_dev >= nosic2.r_dev)
         slot1, slot2 = _choose(use1, sic1, nosic1), _choose(use2, sic2, nosic2)
 
-        p1, p2, pu, fd_search_rate = fd_nosic_batch(
-            *h, eta1, eta2, s, q, bw, p1_max, p2_max, pu_max
-        )
-        fd_ok = ~(fd_search_rate < 0.0)
+        p1, p2, pu, fd_search_rate = fd_nosic_batch(h, params, limits)
+        fd_ok = fd_search_rate >= 0.0
         pu = np.minimum(pu, pu_max)
         fd_rate = bw * np.log2(1.0 + p2 * h_d / (pu * h_d1_u + eta1 * p1 + s)) + bw * np.log2(
             1.0 + p1 * h_d / (pu * h_d2_u + eta2 * p2 + s)
         )
-        passes = np.array([
-            cu_ok & np.logical_and.reduce(pretest_terms(h, eta1, eta2, pu_m, p1_max, p2_max, o))
-            for o in SIC_ORDERS
-        ])
+        passes = np.array([pretest(h, params, limits, pu_m, o) for o in SIC_ORDERS])
         *sic_powers, sic_rate, m1_first, solved = _fd_sic_table(h, params, limits, pu_m, passes)
         # SIC wins where it is feasible and the no-SIC allocation is not, or
         # is no better.

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from d2dpa.fdsic import sufficient_feasibility
+from d2dpa.fdsic import (
+    Plane,
+    SicPlanes,
+    _gain_tuple,
+    ceiling_planes,
+    floor_planes,
+    pmc_margins,
+    sic_rate_margins,
+    sufficient_feasibility,
+)
 from d2dpa.model import DecodingOrder, PowerLimits, SystemParams, dbm_to_watts, pu_min
 from d2dpa.sim import SimConfig, sample_combo_gains
 
@@ -59,6 +68,30 @@ def sample_fd_sic_feasible(
         prefer_second = not prefer_second
         out.append((gains, params, orders[0]))
     return out
+
+
+def order_constraints(gains, params: SystemParams, order: DecodingOrder):
+    """The mutual-SIC constraints of one (combination, order) pair as the
+    solver states them, from its array forms on one-entry arrays.
+
+    Returns the order's `SicPlanes`, with float coefficients, and a function
+    of a point (p1, p2, pu) giving its four power-ordering margins
+    (`pmc_margins`) and its four SIC-rate margins (`sic_rate_margins`), as
+    two tuples of floats.
+    """
+    h = tuple(np.array([x]) for x in _gain_tuple(gains))
+    m1_first = np.array([order is DecodingOrder.M1_FIRST])
+    ceil1, ceil3 = ceiling_planes(h, m1_first)
+    floor2, floor4 = floor_planes(h, params.eta1, params.eta2)
+    planes = SicPlanes(
+        *(Plane(float(p.ax[0]), float(p.ay[0])) for p in (ceil1, floor2, ceil3, floor4))
+    )
+
+    def margins(p1, p2, pu):
+        sic = sic_rate_margins(h, params.eta1, params.eta2, m1_first, p1, p2, pu)
+        return pmc_margins(planes, p1, p2, pu), tuple(float(m[0]) for m in sic)
+
+    return planes, margins
 
 
 @pytest.fixture

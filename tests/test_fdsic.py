@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 import d2dpa.fdsic
-from conftest import make_limits, make_params, sample_fd_sic_feasible, sample_instances
+from conftest import (
+    make_limits,
+    make_params,
+    order_constraints,
+    sample_fd_sic_feasible,
+    sample_instances,
+)
 from d2dpa.fdsic import (
     REL_TOL,
     Plane,
     _gain_tuple,
     _ridges_on_cap,
     fd_sic_batch,
-    necessary_conditions,
-    planes_for_order,
-    pmc_margins,
+    pretest,
     segment_best,
     segments,
     side_points,
@@ -30,7 +34,7 @@ from d2dpa.model import (
     pu_min,
     sic_sum_rate,
 )
-from d2dpa.sim import SimConfig, sample_combo_gains
+from d2dpa.sim import SimConfig, gains_from_deployment, generate_deployment, sample_combo_gains
 from d2dpa.solvers import _fd_sic_table, solve_all
 
 ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
@@ -54,40 +58,6 @@ def plane2_params():
         eta2=0.5e-6,
         r_u_min_bps=1.5e6,
     )
-
-
-class TestNecessaryConditions:
-    def test_simple_true_case(self):
-        g = gains_of(hd=1.0, b1=2.0, b2=1.0, h1u=1.0, h2u=1.0, bu=1.0)
-        conds = necessary_conditions(g, make_params())
-        assert conds[0]  # 2*1 > 1*1
-
-    def test_high_residual_breaks_third(self):
-        g = gains_of(hd=0.1, b1=0.5, b2=1.0, h1u=0.5, h2u=1.0, bu=1.0)
-        params = make_params()
-        params = type(params)(
-            bandwidth_hz=params.bandwidth_hz,
-            noise_w=params.noise_w,
-            eta1=0.5,
-            eta2=params.eta2,
-            r_u_min_bps=params.r_u_min_bps,
-        )
-        assert not necessary_conditions(g, params)[2]  # 0.25 > 0.5 fails
-
-    def test_matches_direct_inequalities(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            hd, b1, b2, h1u, h2u, bu = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), 6))
-            g = gains_of(hd, b1, b2, h1u, h2u, bu)
-            params = make_params(eta_db=rng.uniform(-130, -80))
-            e1, e2 = params.eta1, params.eta2
-            expect = (
-                b1 * h2u > hd * bu,
-                h1u * b2 > bu * hd,
-                b1 * h1u > e1 * bu,
-                b2 * h2u > e2 * bu,
-            )
-            assert necessary_conditions(g, params) == expect
 
 
 class TestSufficientFeasibility:
@@ -136,7 +106,7 @@ class TestSufficientFeasibility:
             """Exact feasibility certificate for regions too thin for any grid:
             scale up the lowest corner of the admissible wedge slightly and pick
             the CU power mid-way between floor and ceilings."""
-            planes = planes_for_order(gains, params, order)
+            planes, _ = order_constraints(gains, params, order)
             f2, f4 = planes.floor2, planes.floor4
             if order is DecodingOrder.M2_FIRST:
                 corner = (pm * gains.h_b_u / gains.h_b_d1, 2 * pm * gains.h_b_u / gains.h_b_d2)
@@ -182,6 +152,52 @@ class TestSufficientFeasibility:
                     ), "declared non-empty but no witness point exists"
 
 
+def test_array_predicates_match_their_one_entry_forms():
+    """`sic_rate_margins` of an M1_FIRST pair is the M2_FIRST call with the
+    devices swapped, bit for bit, on an array of mixed orders; and `pretest`
+    on a whole gain block gives `sufficient_feasibility` of each entry, also
+    where the CU floor power exceeds its cap."""
+    rng = np.random.default_rng(12)
+    n = 2_000
+    h = tuple(np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), (6, n))))
+    e1, e2 = np.exp(rng.uniform(np.log(1e-13), np.log(1e-8), (2, n)))
+    p1, p2, pu = rng.uniform(0.0, 0.25, (3, n))
+    m1_first = rng.random(n) < 0.5
+    got = sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu)
+    swapped = (h[0], h[2], h[1], h[4], h[3], h[5])
+    m1 = sic_rate_margins(swapped, e2, e1, False, p2, p1, pu)
+    m2 = sic_rate_margins(h, e1, e2, False, p1, p2, pu)
+    want = np.where(m1_first, m1, m2)
+    assert m1_first.any() and not m1_first.all()
+    assert np.array(got).tobytes() == want.tobytes()
+
+    cfg = SimConfig(trials=1, p_max_dbm=-5.0, r_u_min_bps=4e6)  # the tight_caps table
+    params, limits = cfg.system_params(), cfg.power_limits()
+    blocks = []
+    for trial in range(100):
+        dep = generate_deployment(cfg, np.random.SeedSequence((1, trial, 0)))
+        gains = gains_from_deployment(dep, cfg, np.random.SeedSequence((1, trial, 1)))
+        blocks.append(np.array([np.broadcast_to(x, gains.h_d1_u.shape) for x in (
+            gains.h_d[:, None], gains.h_b_d1[:, None], gains.h_b_d2[:, None],
+            gains.h_d1_u, gains.h_d2_u, gains.h_b_u,
+        )]))
+    block = np.concatenate(blocks, axis=1)  # (6, 100 D, K)
+    pu_m = pu_min(params, block[5])
+    over_cap = pu_m > limits.pu_max_w
+    lifted = PowerLimits(limits.p1_max_w, limits.p2_max_w, 1e9)
+    for order in ORDERS:
+        # Some entries fail on the CU cap alone: they pass below a lifted cap.
+        assert (pretest(block, params, lifted, pu_m, order) & over_cap).any()
+        got = pretest(block, params, limits, pu_m, order)
+        want = [
+            [sufficient_feasibility(ChannelGains(*g), params, limits, float(m), order)
+             for g, m in zip(block[:, r].T, pu_m[r])]
+            for r in range(block.shape[1])
+        ]
+        assert got.tolist() == want
+        assert not got[over_cap].any()
+
+
 def pair_segments(gains, params, limits, order):
     """`segments` of one (combination, order) pair, as (segment, 1) arrays,
     with the gains as 1-entry arrays."""
@@ -206,7 +222,7 @@ class TestPrintedEndpointForms:
         self.params = plane2_params()
         self.limits = make_limits()
         self.order = DecodingOrder.M2_FIRST
-        self.planes = planes_for_order(self.g, self.params, self.order)
+        self.planes, _ = order_constraints(self.g, self.params, self.order)
         self.seg, _ = pair_segments(self.g, self.params, self.limits, self.order)
         self.pm = pu_min(self.params, self.g.h_b_u)
         f2, f4 = self.planes.floor2, self.planes.floor4
@@ -312,15 +328,15 @@ class TestSegments:
     def test_endpoints_feasible(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=77, count=60):
             pm = pu_min(params, gains.h_b_u)
-            planes = planes_for_order(gains, params, order)
+            planes, margins = order_constraints(gains, params, order)
             seg, _ = pair_segments(gains, params, default_limits, order)
             for p1, p2, pu in segment_ends(seg, default_limits):
                 for j in np.flatnonzero(seg.has[:, 0]):
                     pt = PowerTriplet(p1[j, 0], p2[j, 0], pu[j, 0])
                     assert pt.within(default_limits, rel_tol=1e-9)
                     scale = max(pt.pu_w, planes.ceil3.height(pt.p1_w, pt.p2_w), 1e-300)
-                    margins = pmc_margins(planes, pt.p1_w, pt.p2_w, pt.pu_w)
-                    assert all(m >= -1e-9 * scale for m in margins)
+                    pmc, _ = margins(pt.p1_w, pt.p2_w, pt.pu_w)
+                    assert all(m >= -1e-9 * scale for m in pmc)
                     assert pt.pu_w >= pm * (1 - 1e-9)
 
     def test_split_cap_segments(self, default_limits):
@@ -336,7 +352,7 @@ class TestSegments:
             assert seg.plane2[2, 0] != seg.plane2[3, 0]
             assert seg.hi[2, 0] == seg.lo[3, 0]
             (p1, p2, _), _ = segment_ends(seg, default_limits)
-            planes = planes_for_order(gains, params, order)
+            planes, _ = order_constraints(gains, params, order)
             for floor in (planes.floor2, planes.floor4):
                 assert floor.height(p1[3, 0], p2[3, 0]) == pytest.approx(
                     default_limits.pu_max_w, rel=1e-6
@@ -425,7 +441,11 @@ class TestSolveOrder:
     def test_absent_when_necessary_condition_fails(self, default_limits):
         g = gains_of(hd=1e-4, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-5)
         params = make_params()
-        assert not any(necessary_conditions(g, params))
+        # every channel-only condition that mutual SIC needs fails
+        assert not g.h_b_d1 * g.h_d2_u > g.h_d * g.h_b_u
+        assert not g.h_d1_u * g.h_b_d2 > g.h_b_u * g.h_d
+        assert not g.h_b_d1 * g.h_d1_u > params.eta1 * g.h_b_u
+        assert not g.h_b_d2 * g.h_d2_u > params.eta2 * g.h_b_u
         for order in ORDERS:
             assert solve_fd_sic_order(g, params, default_limits, order) is None
 
@@ -434,16 +454,14 @@ class TestSolveOrder:
             sol = solve_fd_sic_order(gains, params, default_limits, order)
             assert sol is not None
             p = sol.powers
-            planes = planes_for_order(gains, params, order)
+            planes, margins = order_constraints(gains, params, order)
+            pmc, sic = margins(p.p1_w, p.p2_w, p.pu_w)
             scale = max(p.pu_w, planes.ceil3.height(p.p1_w, p.p2_w), 1e-300)
-            assert all(
-                m >= -1e-9 * scale for m in pmc_margins(planes, p.p1_w, p.p2_w, p.pu_w)
-            )
-            margins = sic_rate_margins(gains, params, order, p.p1_w, p.p2_w, p.pu_w)
+            assert all(m >= -1e-9 * scale for m in pmc)
             sic_scale = max(gains.h_b_d1, gains.h_b_d2, gains.h_b_u) * max(
                 p.p1_w, p.p2_w, p.pu_w
             )
-            assert all(m >= -1e-9 * sic_scale for m in margins)
+            assert all(m >= -1e-9 * sic_scale for m in sic)
             assert p.within(default_limits, rel_tol=1e-9)
             assert sol.r_u_bps >= params.r_u_min_bps * (1 - 1e-9)
 
@@ -487,17 +505,12 @@ class TestSolveOrder:
             else:
                 m = (pu * bu < p1 * b1 - p2 * b2) & (pu * h1u > p2 * hd + p1 * e1)
                 m &= (pu * bu < p2 * b2) & (pu * h2u > p1 * hd + p2 * e2)
-            idx = np.nonzero(m)[0]
-            assert len(idx) > 100
-            for i in idx[:2000]:
-                g = gains_of(hd[i], b1[i], b2[i], h1u[i], h2u[i], bu[i])
-                params = make_params()
-                params = type(params)(
-                    bandwidth_hz=params.bandwidth_hz, noise_w=params.noise_w,
-                    eta1=e1[i], eta2=e2[i], r_u_min_bps=params.r_u_min_bps,
-                )
-                margins = sic_rate_margins(g, params, order, p1[i], p2[i], pu[i])
-                assert all(v > 0.0 for v in margins)
+            assert m.sum() > 100
+            h = tuple(x[m] for x in (hd, b1, b2, h1u, h2u, bu))
+            margins = sic_rate_margins(
+                h, e1[m], e2[m], order is DecodingOrder.M1_FIRST, p1[m], p2[m], pu[m]
+            )
+            assert all((v > 0.0).all() for v in margins)
 
     def test_scaling_improves_rate(self):
         rng = np.random.default_rng(44)

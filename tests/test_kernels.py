@@ -29,11 +29,9 @@ from d2dpa.solvers import SIC_ORDERS, solve_all
 def test_pure_kernel_handles_infeasible(default_limits):
     params = make_params()
     res = fdnosic.fd_nosic_batch(
-        1e-6, 1e-8, 1e-8, 1e-9, 1e-9, 1e-15,
-        params.eta1, params.eta2, params.noise_w, rate_floor_snr(params),
-        params.bandwidth_hz, 0.25, 0.25, 1e-12,
+        (1e-6, 1e-8, 1e-8, 1e-9, 1e-9, 1e-15), params, PowerLimits(0.25, 0.25, 1e-12)
     )
-    assert [float(x) for x in res] == [0.0, 0.0, 0.0, -1.0]
+    assert [float(x) for x in res] == [0.0, 0.0, 0.0, -np.inf]
 
 
 def test_cap_corner_stays_inside_the_box():

@@ -88,8 +88,7 @@ def test_hd_oracle_splits_slots(default_limits):
 def test_oracle_feasible_points_satisfy_solver_predicates(default_limits):
     # the two independently written constraint sets must agree on the points
     # the oracle declares feasible
-    from conftest import sample_fd_sic_feasible
-    from d2dpa.fdsic import pmc_margins, planes_for_order, sic_rate_margins
+    from conftest import order_constraints, sample_fd_sic_feasible
     from d2dpa.model import pu_min
 
     for gains, params, order in sample_fd_sic_feasible(seed=304, count=15):
@@ -99,11 +98,10 @@ def test_oracle_feasible_points_satisfy_solver_predicates(default_limits):
         if ref is None:
             continue
         p = ref.powers
-        planes = planes_for_order(gains, params, order)
-        assert all(m > 0.0 for m in pmc_margins(planes, p.p1_w, p.p2_w, p.pu_w))
-        assert all(
-            m > 0.0 for m in sic_rate_margins(gains, params, order, p.p1_w, p.p2_w, p.pu_w)
-        )
+        _, margins = order_constraints(gains, params, order)
+        pmc, sic = margins(p.p1_w, p.p2_w, p.pu_w)
+        assert all(m > 0.0 for m in pmc)
+        assert all(m > 0.0 for m in sic)
         assert p.pu_w >= pu_min(params, gains.h_b_u) * (1 - 1e-12)
 
 
@@ -111,7 +109,7 @@ def test_oracle_module_is_independent_of_the_geometry_module():
     import ast
     import pathlib
 
-    src = pathlib.Path("src/d2dpa/oracle.py").read_text()
+    src = (pathlib.Path(__file__).resolve().parents[1] / "src" / "d2dpa" / "oracle.py").read_text()
     tree = ast.parse(src)
     imported = set()
     for node in ast.walk(tree):
