@@ -60,6 +60,57 @@ def plane2_params():
     )
 
 
+def channel_conditions(g: ChannelGains, params: SystemParams) -> tuple[bool, ...]:
+    """The four channel-only inequalities any mutual-SIC solution needs, in
+    either decoding order."""
+    return (
+        g.h_b_d1 * g.h_d2_u > g.h_d * g.h_b_u,
+        g.h_d1_u * g.h_b_d2 > g.h_b_u * g.h_d,
+        g.h_b_d1 * g.h_d1_u > params.eta1 * g.h_b_u,
+        g.h_b_d2 * g.h_d2_u > params.eta2 * g.h_b_u,
+    )
+
+
+class TestNecessaryConditions:
+    def test_simple_true_case(self):
+        g = gains_of(hd=1.0, b1=2.0, b2=1.0, h1u=1.0, h2u=1.0, bu=1.0)
+        params = make_params()
+        assert channel_conditions(g, params)[0]  # 2*1 > 1*1
+        # the same slack is the p1 coefficient of the last M2_FIRST SIC margin
+        margins = sic_rate_margins(_gain_tuple(g), params.eta1, params.eta2, False, 1.0, 0.0, 0.0)
+        assert margins[3] == 2.0 * 1.0 - 1.0 * 1.0
+
+    def test_high_residual_breaks_third(self, default_limits):
+        g = gains_of(hd=0.1, b1=0.5, b2=1.0, h1u=0.5, h2u=1.0, bu=1.0)
+        params = make_params()
+        params = type(params)(
+            bandwidth_hz=params.bandwidth_hz,
+            noise_w=params.noise_w,
+            eta1=0.5,
+            eta2=params.eta2,
+            r_u_min_bps=params.r_u_min_bps,
+        )
+        assert channel_conditions(g, params) == (True, True, False, True)  # 0.25 > 0.5 fails
+        pm = pu_min(params, g.h_b_u)
+        for order in ORDERS:
+            assert not sufficient_feasibility(g, params, default_limits, pm, order)
+            assert solve_fd_sic_order(g, params, default_limits, order) is None
+
+    def test_matches_direct_inequalities(self, default_limits):
+        # every pair the solver certifies, in either order, meets all four
+        rng = np.random.default_rng(3)
+        solved = 0
+        for _ in range(200):
+            hd, b1, b2, h1u, h2u, bu = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), 6))
+            g = gains_of(hd, b1, b2, h1u, h2u, bu)
+            params = make_params(eta_db=rng.uniform(-130, -80))
+            for order in ORDERS:
+                if solve_fd_sic_order(g, params, default_limits, order) is not None:
+                    solved += 1
+                    assert all(channel_conditions(g, params))
+        assert solved > 20
+
+
 class TestSufficientFeasibility:
     def test_wedge_condition_example(self):
         # strongly favourable channels: all conditions pass with wide margins
@@ -442,10 +493,7 @@ class TestSolveOrder:
         g = gains_of(hd=1e-4, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-5)
         params = make_params()
         # every channel-only condition that mutual SIC needs fails
-        assert not g.h_b_d1 * g.h_d2_u > g.h_d * g.h_b_u
-        assert not g.h_d1_u * g.h_b_d2 > g.h_b_u * g.h_d
-        assert not g.h_b_d1 * g.h_d1_u > params.eta1 * g.h_b_u
-        assert not g.h_b_d2 * g.h_d2_u > params.eta2 * g.h_b_u
+        assert not any(channel_conditions(g, params))
         for order in ORDERS:
             assert solve_fd_sic_order(g, params, default_limits, order) is None
 
