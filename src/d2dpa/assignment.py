@@ -152,11 +152,8 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     with room for float error, the full check would reject the column, so
     dropping it leaves the result unchanged.  When no column left in play
     lies left of a row's first-solve column, no row can move and the first
-    solve is returned as it is.  The columns left are checked against one
-    solve of the remaining rows on all free columns: a column whose entry
-    plus that optimum falls short cannot qualify, since removing a column
-    never raises the optimum, and a column that optimum leaves unused
-    qualifies with it unchanged.  Only the rest need a solve of their own.
+    solve is returned as it is.  Each column left in play is checked, in
+    ascending order, with one solve of the remaining rows without it.
     """
     return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
@@ -196,39 +193,20 @@ def _tie_break(
     # A row can leave its column only for a near column left of it.
     if not (near & (np.arange(k) < completion[:, None])).any():
         return Assignment(tuple(completion.tolist())), total
-    # usable[r]: the columns, ascending, that row r may take in some optimal
-    # mapping; no other column needs a check.
-    usable: list[list[int]] = [[] for _ in range(d)]
-    for row, col in zip(*(a.tolist() for a in np.nonzero(near))):
-        usable[row].append(col)
-
     chosen: list[int] = []
     fixed = 0.0
     for r in range(d):
         # completion holds the columns of rows r.. in an optimal completion.
         star = int(completion[0])
         pick, rest_completion = star, completion[1:]
-        left = [col for col in usable[r] if col < star and col not in chosen]
-        if left:
-            free = np.delete(np.arange(k), chosen)
-            rest = rates[r + 1 :]
-            rest_total, rest_cols = _solve(rest[:, free])
-            used = set(free[rest_cols].tolist())
-            for col in left:
-                row_val = rates[r, col]
-                # The extra tol absorbs summation-order differences, so a
-                # pruned column is one the full check would also reject.
-                if fixed + row_val + rest_total < total - 2.0 * tol:
-                    continue
-                if col in used:
-                    others = free[free != col]
-                    sub_total, sub_cols = _solve(rest[:, others])
-                    sub_completion = others[sub_cols]
-                else:
-                    sub_total, sub_completion = rest_total, free[rest_cols]
-                if fixed + (row_val + sub_total) >= total - tol:
-                    pick, rest_completion = col, sub_completion
-                    break
+        for col in np.flatnonzero(near[r, :star]).tolist():
+            if col in chosen:
+                continue
+            others = np.delete(np.arange(k), chosen + [col])
+            sub_total, sub_cols = _solve(rates[r + 1 :, others])
+            if fixed + (rates[r, col] + sub_total) >= total - tol:
+                pick, rest_completion = col, others[sub_cols]
+                break
         chosen.append(pick)
         fixed += rates[r, pick]
         completion = rest_completion

@@ -18,6 +18,7 @@ import numpy as np
 from .assignment import hungarian_max
 from .fdsic import sufficient_feasibility
 from .model import (
+    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -32,6 +33,7 @@ from .model import (
 )
 from .oracle import GridSpec, brute_force, grid_cell_rate_slack
 from .sim import (
+    INT_FIELDS,
     SCENARIOS,
     SimConfig,
     check_campaign,
@@ -81,7 +83,6 @@ def _to_float(path: str, lineno: int, key: str, value: str) -> float:
 # solve
 
 
-_GAIN_KEYS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
 _PARAM_KEYS = {
     "bandwidth_hz",
     "noise_w",
@@ -104,7 +105,7 @@ _LIMIT_KEYS = {
 
 
 def _load_instance(path: str) -> tuple[ChannelGains, SystemParams, PowerLimits]:
-    known = set(_GAIN_KEYS) | {k + "_db" for k in _GAIN_KEYS} | _PARAM_KEYS | _LIMIT_KEYS
+    known = set(GAIN_FIELDS) | {k + "_db" for k in GAIN_FIELDS} | _PARAM_KEYS | _LIMIT_KEYS
     values: dict[str, float] = {}
     for lineno, key, value in _parse_kv_file(path):
         if key not in known:
@@ -126,9 +127,7 @@ def _load_instance(path: str) -> tuple[ChannelGains, SystemParams, PowerLimits]:
 
     if "bandwidth_hz" not in values:
         raise CliError(f"{path}: missing required key 'bandwidth_hz'")
-    gains = ChannelGains(
-        **{k: pick(k, k + "_db", db_to_linear) for k in _GAIN_KEYS}
-    )
+    gains = ChannelGains(**{k: pick(k, k + "_db", db_to_linear) for k in GAIN_FIELDS})
     params = SystemParams(
         bandwidth_hz=values["bandwidth_hz"],
         noise_w=pick("noise_w", "noise_dbm", dbm_to_watts),
@@ -184,7 +183,6 @@ def cmd_solve(args) -> int:
 
 
 _SWEEP_KEYS = ("eta_db", "r_u_min_mbps", "d_max_m", "k_users", "d_pairs")
-_INT_KEYS = {"n_channels", "k_users", "d_pairs", "trials", "master_seed"}
 
 
 def _load_sweep_config(path: str) -> tuple[SimConfig, str, list[float]]:
@@ -220,7 +218,7 @@ def _load_sweep_config(path: str) -> tuple[SimConfig, str, list[float]]:
 def _sweep_override(key: str, value: float) -> dict[str, float | int]:
     if key == "r_u_min_mbps":
         return {"r_u_min_bps": value * 1e6}
-    if key in _INT_KEYS:
+    if key in INT_FIELDS:
         if not value.is_integer():
             raise CliError(f"key {key!r} needs an integer, got {value!r}")
         return {key: int(value)}
@@ -254,6 +252,11 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, **_sweep_override(sweep_key, v)) for v in sweep_values]
     for config in configs:
         check_campaign(config)
+    # and so is --out, opened in append mode to leave an existing file as it is
+    try:
+        open(args.out, "a").close()
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}") from exc
     rows = []
     for value, config in zip(sweep_values, configs):
         result = run_campaign(config)

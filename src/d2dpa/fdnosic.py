@@ -4,8 +4,8 @@ The D2D rate falls as the CU power rises, so the CU rate floor binds with
 equality and the problem collapses to two dimensions.  The objective then
 improves along rays from the origin, pinning the optimum to the box edges
 P1 = P1max or P2 = P2max, or to the line where the required CU power hits its
-cap.  With no rate floor (q = 0) the CU stays silent and only the two device
-edges remain.
+cap.  With no rate floor (q = 0) the cap line lies at infinity: the device
+edges span the box at pu = 0 and the cap face is off.
 
 On each of these faces all three powers are affine in one parameter t, and so
 are the two interference-plus-noise terms den1 = pu*h_d1_u + eta1*p1 + s and
@@ -54,15 +54,15 @@ def _roots_inside_batch(a, b, c):
     larger) arrays with NaN where a root is absent.
 
     The two roots come from q = -(b + sign(b) sqrt(disc)) / 2 as q/a and c/q,
-    which avoids the cancellation of -b + sqrt(disc) when 4ac << b^2.  Absent
-    roots come out of sqrt(-x), x/0 and 0/0, so call it under ``np.errstate``.
+    which avoids the cancellation of -b + sqrt(disc) when 4ac << b^2.  At
+    a = 0, q = -b gives the linear root c/q = -c/b, and q/a = +-inf falls
+    outside (0, 1).  Absent roots come out of sqrt(-x), x/0 and 0/0, so call
+    it under ``np.errstate``.
     """
-    linear = a == 0.0
     q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
     r1, r2 = q / a, c / q
-    lo = np.where(linear, -c / b, np.minimum(r1, r2))
-    hi = np.where(linear, np.nan, np.maximum(r1, r2))
-    return tuple(np.where((u > 0.0) & (u < 1.0), u, np.nan) for u in (lo, hi))
+    roots = np.minimum(r1, r2), np.maximum(r1, r2)
+    return tuple(np.where((u > 0.0) & (u < 1.0), u, np.nan) for u in roots)
 
 
 def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
@@ -81,46 +81,39 @@ def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
     q = rate_floor_snr(params)  # the CU SINR floor
     s, eta1, eta2 = params.noise_w, params.eta1, params.eta2
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
+
+    def pu_req(p1, p2):
+        return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
+
     with np.errstate(all="ignore"):
-        if q == 0.0:
-            on = np.ones(shape, dtype=bool)
-            faces = [
-                (on, (p1_max, 0.0, 0.0), (p1_max, p2_max, 0.0)),
-                (on, (0.0, p2_max, 0.0), (p1_max, p2_max, 0.0)),
-            ]
-        else:
-
-            def pu_req(p1, p2):
-                return q * (p1 * h_b_d1 + p2 * h_b_d2 + s) / h_b_u
-
-            ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
-            # The P1max edge meets the cut (so ccut >= 0); likewise P2max.
-            edge1 = p1_max * h_b_d1 <= ccut
-            edge2 = p2_max * h_b_d2 <= ccut
-            p2_hi = np.minimum(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
-            p1_hi = np.minimum(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
-            # The cap face runs from its corner on the P2max edge (or the
-            # p1 = 0 axis) to its corner on the P1max edge (or the p2 = 0
-            # axis).  The corners are computed directly, not as p2 from p1:
-            # that would amplify the rounding of p1*h_b_d1 by 1/h_b_d2 and can
-            # push p2 past P2max.  Computed directly, swapping the devices
-            # mirrors them exactly.
-            cap_start = (
-                np.where(edge2, p1_hi, 0.0),
-                np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max)),
-                pu_max,
-            )
-            cap_end = (
-                np.where(edge1, p1_max, np.minimum(ccut / h_b_d1, p1_max)),
-                np.where(edge1, p2_hi, 0.0),
-                pu_max,
-            )
-            cap_on = (ccut >= 0.0) & (p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut)
-            faces = [
-                (edge1, (p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi))),
-                (edge2, (0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max))),
-                (cap_on, cap_start, cap_end),
-            ]
+        ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
+        # The P1max edge meets the cut (so ccut >= 0); likewise P2max.
+        edge1 = p1_max * h_b_d1 <= ccut
+        edge2 = p2_max * h_b_d2 <= ccut
+        p2_hi = np.minimum(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
+        p1_hi = np.minimum(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
+        # The cap face runs from its corner on the P2max edge (or the
+        # p1 = 0 axis) to its corner on the P1max edge (or the p2 = 0
+        # axis).  The corners are computed directly, not as p2 from p1:
+        # that would amplify the rounding of p1*h_b_d1 by 1/h_b_d2 and can
+        # push p2 past P2max.  Computed directly, swapping the devices
+        # mirrors them exactly.
+        cap_start = (
+            np.where(edge2, p1_hi, 0.0),
+            np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max)),
+            pu_max,
+        )
+        cap_end = (
+            np.where(edge1, p1_max, np.minimum(ccut / h_b_d1, p1_max)),
+            np.where(edge1, p2_hi, 0.0),
+            pu_max,
+        )
+        cap_on = (ccut >= 0.0) & (p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut)
+        faces = [
+            (edge1, (p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi))),
+            (edge2, (0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max))),
+            (cap_on, cap_start, cap_end),
+        ]
 
         # All faces at once on a leading axis; each face's candidates (start,
         # smaller root, larger root, end) then follow it, in visiting order.

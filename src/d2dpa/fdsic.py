@@ -33,12 +33,12 @@ runs; `sufficient_feasibility` is `pretest` on one combination.
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
+    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -75,7 +75,7 @@ class Plane(NamedTuple):
 
 
 def _gain_tuple(g: ChannelGains) -> tuple[float, ...]:
-    return (g.h_d, g.h_b_d1, g.h_b_d2, g.h_d1_u, g.h_d2_u, g.h_b_u)
+    return tuple(getattr(g, name) for name in GAIN_FIELDS)
 
 
 def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
@@ -165,20 +165,16 @@ def pretest(h, params: SystemParams, limits: PowerLimits, pu_m, order: DecodingO
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
     e1, e2 = params.eta1, params.eta2
     p1_max, p2_max = limits.p1_max_w, limits.p2_max_w
-    if order is DecodingOrder.M2_FIRST:
-        terms = (
-            h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
-            h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
-            pu_m * h_b_u / h_b_d1 < p1_max,
-            2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
-        )
-    else:
-        terms = (
-            h_d1_u * h_b_d2 - h_d * h_b_u > 2.0 * e1 * h_b_u * h_b_d2 / h_b_d1,
-            h_d2_u * h_b_d2 - e2 * h_b_u > 2.0 * h_b_u * h_d * h_b_d2 / h_b_d1,
-            2.0 * pu_m * h_b_u / h_b_d1 < p1_max,
-            pu_m * h_b_u / h_b_d2 < p2_max,
-        )
+    if order is DecodingOrder.M1_FIRST:
+        # M2_FIRST with the devices' roles swapped, as in `sic_rate_margins`.
+        h_b_d1, h_b_d2, h_d1_u, h_d2_u = h_b_d2, h_b_d1, h_d2_u, h_d1_u
+        e1, e2, p1_max, p2_max = e2, e1, p2_max, p1_max
+    terms = (
+        h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
+        h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
+        pu_m * h_b_u / h_b_d1 < p1_max,
+        2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
+    )
     return np.logical_and.reduce((np.logical_not(pu_m > limits.pu_max_w), *terms))
 
 
@@ -414,11 +410,6 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
     return ts[pick], p1[pick], p2[pick], rates[pick]
 
 
-def _math_log2(x: np.ndarray) -> np.ndarray:
-    """`math.log2` per element: numpy's log2 can differ in the last bit."""
-    return np.array(list(map(math.log2, x.tolist())))
-
-
 def _pair_subset(x, idx):
     """`Segments` (or any tuple tree of arrays ending in the pair axis) of
     the pairs ``idx`` only."""
@@ -439,7 +430,9 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     checked: the first that passes `_point_tests` is the answer.  The CU
     takes the lowest admissible power for the chosen device powers.  The
     first point in that order, the best segment's best point, is checked
-    for every pair; only the pairs where it fails go through the rest.
+    for every pair; only the pairs where it fails go through the rest.  The
+    rate is `sic_sum_rate` at the chosen powers, with numpy's log2 as in
+    `segment_best`.
     """
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     caps = (p1_max, p2_max, pu_max)
@@ -490,7 +483,7 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
         ok[redo] = tried.any(axis=0)
     ok &= ~seg.error
     p1, p2, pu = (np.where(ok, x, 0.0) for x in (p1, p2, pu))
-    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params, _math_log2), -np.inf)
+    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params, np.log2), -np.inf)
     return p1, p2, pu, rate
 
 

@@ -44,6 +44,10 @@ def watts_to_dbm(p_w: float) -> float:
     return 10.0 * math.log10(p_w) + 30.0
 
 
+# The six link gains, in the order of every gain tuple and (6, ...) array.
+GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
+
+
 @dataclass(frozen=True)
 class ChannelGains:
     """Squared link gains (linear) for one D2D pair sharing one CU channel.
@@ -61,7 +65,7 @@ class ChannelGains:
     h_b_u: float
 
     def __post_init__(self) -> None:
-        for name in ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u"):
+        for name in GAIN_FIELDS:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .assignment import RateTable, hungarian_max_many
 from .model import (
+    GAIN_FIELDS,
     ChannelGains,
     PowerLimits,
     ScenarioKind,
@@ -33,6 +34,10 @@ SCENARIOS = (
     ScenarioKind.HD_SIC,
     ScenarioKind.FD_SIC,
 )
+
+
+# The integer fields of `SimConfig`.
+INT_FIELDS = ("n_channels", "k_users", "d_pairs", "trials", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class SimConfig:
     master_seed: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("n_channels", "k_users", "d_pairs", "trials", "master_seed"):
+        for name in INT_FIELDS:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -207,9 +212,6 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
     return Deployment(cu_xy=cu, d1_xy=d1, d2_xy=d2)
 
 
-_GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
-
-
 @dataclass(frozen=True)
 class LinkGains:
     """Large-scale gains for every link of one trial.
@@ -229,9 +231,9 @@ class LinkGains:
     def __post_init__(self) -> None:
         # One test over every entry; the per-field check runs only to name
         # the first bad one.
-        values = np.concatenate([np.ravel(getattr(self, name)) for name in _GAIN_FIELDS])
+        values = np.concatenate([np.ravel(getattr(self, name)) for name in GAIN_FIELDS])
         if not (values.min(initial=np.inf) > 0.0 and values.max(initial=0.0) < np.inf):
-            for name in _GAIN_FIELDS:
+            for name in GAIN_FIELDS:
                 check_array(name, getattr(self, name), strict=True)
 
 

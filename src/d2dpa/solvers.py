@@ -18,6 +18,7 @@ kernels return (0, 0, 0, -inf) where an entry is infeasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .fdnosic import fd_nosic_batch
 from .fdsic import fd_sic_batch, pretest
 from .model import (
+    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -98,20 +100,16 @@ def _hd_nosic_slot_batch(
 
     The device transmits as loud as the CU power budget allows while the CU
     rate floor is met with equality; the slot is infeasible where even a
-    silent device cannot protect the CU.
+    silent device cannot protect the CU.  With no rate floor (q = 0) the CU
+    needs no power, so the device takes its cap and the CU stays silent.
     """
     q = rate_floor_snr(params)
     s = params.noise_w
-    if q == 0.0:
-        p_dev = np.full(h_b_u.shape, p_dev_max)
-        pu = np.zeros(h_b_u.shape)
-        ok = np.ones(h_b_u.shape, dtype=bool)
-    else:
-        pu_needed = q * (p_dev_max * h_b_dev + s) / h_b_u
-        fits = pu_needed <= limits.pu_max_w
-        p_dev = np.where(fits, p_dev_max, (limits.pu_max_w * h_b_u / q - s) / h_b_dev)
-        pu = np.where(fits, pu_needed, limits.pu_max_w)
-        ok = fits | ~(p_dev < 0.0)
+    pu_needed = q * (p_dev_max * h_b_dev + s) / h_b_u
+    fits = pu_needed <= limits.pu_max_w
+    p_dev = np.where(fits, p_dev_max, (limits.pu_max_w * h_b_u / q - s) / h_b_dev)
+    pu = np.where(fits, pu_needed, limits.pu_max_w)
+    ok = fits | ~(p_dev < 0.0)
     r_dev = params.bandwidth_hz * np.log2(1.0 + p_dev * h_d / (pu * h_rx_u + s))
     return _SlotBatch(p_dev, pu, r_dev, ok)
 
@@ -277,9 +275,9 @@ def solve_all(
     gains: ChannelGains, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, PaSolution]:
     """All four schemes for one combination: `solve_all_batch` on a one-entry
-    table."""
-    h = np.array([[gains.h_d], [gains.h_b_d1], [gains.h_b_d2], [gains.h_d1_u], [gains.h_d2_u],
-                  [gains.h_b_u]])
+    table.  A feasible solution whose D2D or CU rate overflows raises
+    ValueError, naming the scheme."""
+    h = np.array([[getattr(gains, name)] for name in GAIN_FIELDS])
     solutions = {}
     for kind, t in solve_all_batch(h, params, limits).items():
         if t.infeasible[0]:
@@ -295,8 +293,11 @@ def solve_all(
             powers = tuple(_triplet(slot) for slot in t.powers)
         else:
             powers = _triplet(t.powers)
+        rate = float(t.rate[0])
         r_u = scenario_rates(scenario, powers, gains, params)[0]
+        if not (math.isfinite(rate) and math.isfinite(r_u)):
+            raise ValueError(f"{kind.value}: D2D rate {rate!r} and CU rate {r_u!r} must be finite")
         solutions[kind] = PaSolution(
-            scenario, powers, float(t.rate[0]), r_u, sic_applied=bool(t.sic_applied[0])
+            scenario, powers, rate, r_u, sic_applied=bool(t.sic_applied[0])
         )
     return solutions

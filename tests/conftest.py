@@ -30,13 +30,13 @@ def make_limits(scale: float = 1.0) -> PowerLimits:
     return PowerLimits(P_MAX_W * scale, P_MAX_W * scale, P_MAX_W * scale)
 
 
-def sample_instances(seed: int, count: int):
+def sample_instances(seed: int, count: int, r_u_min_bps: float = 1.5e6):
     """(gains, params) pairs drawn from the campaign deployment distribution."""
     rng = np.random.default_rng(seed)
     cfg = SimConfig(k_users=1, d_pairs=1, trials=1)
     out = []
     for _ in range(count):
-        params = make_params(eta_db=rng.uniform(-130.0, -80.0))
+        params = make_params(eta_db=rng.uniform(-130.0, -80.0), r_u_min_bps=r_u_min_bps)
         out.append((sample_combo_gains(rng, cfg), params))
     return out
 

@@ -153,6 +153,17 @@ def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls):
     assert len(lsa_calls) == 1
 
 
+def test_each_checked_column_costs_one_solve(lsa_calls):
+    """Three equal rows [0, 1, 0]: every mapping that gives column 1 to a
+    row is optimal, and the first solve gives row 0 a column right of 0.
+    Checking column 0 for row 0 is one solve of rows 1 and 2 without it,
+    and that solve's completion settles rows 1 and 2."""
+    assignment, total = hungarian_max(np.array([[0.0, 1.0, 0.0]] * 3))
+    assert assignment.pair_to_cu == (0, 1, 2)
+    assert total == 1.0
+    assert len(lsa_calls) == 2
+
+
 @pytest.mark.parametrize("scale", [1.0, 3e7])
 @pytest.mark.parametrize("gap", [0.5, 3.0, 100.0])
 def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):

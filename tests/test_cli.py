@@ -98,6 +98,16 @@ class TestSolve:
         assert captured.err.startswith("error:")
         assert "R_D2D" not in captured.out
 
+    def test_overflowing_rate_exits_1(self, tmp_path, capsys):
+        """A gain so large that the D2D rate overflows is an error, not an
+        infinite rate."""
+        path = tmp_path / "huge.txt"
+        path.write_text(INSTANCE.replace("h_d = 2.5e-7", "h_d = 1e308"))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "fd_nosic: D2D rate inf" in captured.err
+        assert "R_D2D" not in captured.out
+
     def test_infeasible_instance_exits_2(self, tmp_path):
         path = tmp_path / "infeasible.txt"
         path.write_text(
@@ -226,6 +236,17 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_zero_pair_distance_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
         def no_campaign(config):

@@ -50,6 +50,26 @@ def test_cap_corner_stays_inside_the_box():
     assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cap side is not mirror-symmetric at the floors' kink: M2_FIRST certifies "
+    "the kink, the swapped M1_FIRST keeps one cap piece and pulls its best point inward",
+)
+def test_cap_kink_rate_survives_a_device_swap():
+    """FD-SIC gives 8128572.729553951 bps here, and 8128572.681456501 bps with
+    the devices swapped.  `segments` splits the cap at the floors' kink only
+    when the kink lies more than tol inside the piece, and the cap's free
+    coordinate is always P1, so the two orders are not mirror images."""
+    gains = ChannelGains(1e-4, 1e-4, 1e-4, 1e-4, 10.0**-7.5, 10.0**-7.7)
+    params = SystemParams(312.5e3, dbm_to_watts(-119.0), 1e-8, 1e-8, 0.5e6)
+    limits = PowerLimits(1e-3, 1e-3, dbm_to_watts(-3.0))
+    sol = solve_all(gains, params, limits)[ScenarioKind.FD_SIC]
+    swapped = solve_all(
+        gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
+    )[ScenarioKind.FD_SIC]
+    assert swapped.r_d2d_bps == pytest.approx(sol.r_d2d_bps, rel=1e-12)
+
+
 # Inputs over the deployment range: link gains from a 1 m pair to a cell-edge
 # link under deep shadowing, the SI and rate-floor sweeps, caps up to 24 dBm.
 _gain = st.floats(-150.0, -40.0).map(lambda db: 10.0 ** (db / 10.0))

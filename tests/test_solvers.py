@@ -55,8 +55,9 @@ class TestHdNoSic:
         assert not sol.feasible
         assert sol.r_d2d_bps == 0.0
 
-    def test_matches_grid_oracle(self, default_limits):
-        for gains, params in sample_instances(seed=101, count=25):
+    @pytest.mark.parametrize("r_u_min_bps", [1.5e6, 0.0], ids=["rate_floor", "no_rate_floor"])
+    def test_matches_grid_oracle(self, default_limits, r_u_min_bps):
+        for gains, params in sample_instances(seed=101, count=25, r_u_min_bps=r_u_min_bps):
             sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_NOSIC]
             ref = brute_force(
                 Scenario(ScenarioKind.HD_NOSIC), gains, params, default_limits, GridSpec(150)
@@ -199,8 +200,9 @@ class TestFdNoSic:
         sol = solve_all(g, params, limits)[ScenarioKind.FD_NOSIC]
         assert not sol.feasible
 
-    def test_matches_grid_oracle(self, default_limits):
-        for gains, params in sample_instances(seed=107, count=12):
+    @pytest.mark.parametrize("r_u_min_bps", [1.5e6, 0.0], ids=["rate_floor", "no_rate_floor"])
+    def test_matches_grid_oracle(self, default_limits, r_u_min_bps):
+        for gains, params in sample_instances(seed=107, count=12, r_u_min_bps=r_u_min_bps):
             sol = solve_all(gains, params, default_limits)[ScenarioKind.FD_NOSIC]
             ref = brute_force(
                 Scenario(ScenarioKind.FD_NOSIC), gains, params, default_limits, GridSpec(100)
