@@ -67,9 +67,9 @@ def _roots_inside_batch(a, b, c):
 
 def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
     """Best (p1, p2, pu, d2d_rate) without SIC, as `fdsic.fd_sic_batch`
-    takes and returns them: ``h`` holds the six link gains in `ChannelGains`
-    field order, as arrays that broadcast to one shape, and the result is
-    four arrays of that shape with (0, 0, 0, -inf) where infeasible.
+    takes and returns them: ``h`` is a (6, ...) gain block, rows in
+    `model.GAIN_FIELDS` order, and the result is four arrays of its entry
+    shape ``h.shape[1:]``, with (0, 0, 0, -inf) where infeasible.
 
     The CU power is the exact value meeting the rate floor at the chosen
     device powers.  Candidates are visited face by face (P1max edge, P2max
@@ -77,7 +77,7 @@ def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
     equal best rates the first candidate wins.
     """
     h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
-    shape = np.broadcast_shapes(*map(np.shape, h))
+    shape = h.shape[1:]
     q = rate_floor_snr(params)  # the CU SINR floor
     s, eta1, eta2 = params.noise_w, params.eta1, params.eta2
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
@@ -87,6 +87,9 @@ def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
 
     with np.errstate(all="ignore"):
         ccut = pu_max * h_b_u / q - s  # p1*h_b_d1 + p2*h_b_d2 <= ccut keeps pu <= pu_max
+        # With no rate floor the CU needs no power and no cut applies, also
+        # where pu_max * h_b_u underflows and the quotient is 0/0.
+        ccut = np.where(np.isnan(ccut), np.inf, ccut)
         # The P1max edge meets the cut (so ccut >= 0); likewise P2max.
         edge1 = p1_max * h_b_d1 <= ccut
         edge2 = p2_max * h_b_d2 <= ccut

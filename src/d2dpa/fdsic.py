@@ -38,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -47,6 +46,7 @@ from .model import (
     Scenario,
     ScenarioKind,
     SystemParams,
+    gain_block,
     pu_min,
     shannon_rate,
     sic_sum_rate,
@@ -74,15 +74,10 @@ class Plane(NamedTuple):
 # Floor planes
 
 
-def _gain_tuple(g: ChannelGains) -> tuple[float, ...]:
-    return tuple(getattr(g, name) for name in GAIN_FIELDS)
-
-
 def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
     """The floor planes 2 and 4, shared by both decoding orders.
 
-    ``h`` holds the six link gains in `ChannelGains` field order, as floats or
-    as numpy arrays that broadcast; the arithmetic is the same either way.
+    ``h`` is a (6, ...) gain block, rows in `model.GAIN_FIELDS` order.
     """
     h_d, _, _, h_d1_u, h_d2_u, _ = h
     return Plane(eta1 / h_d1_u, h_d / h_d1_u), Plane(h_d / h_d2_u, eta2 / h_d2_u)
@@ -186,7 +181,7 @@ def sufficient_feasibility(
     order: DecodingOrder,
 ) -> bool:
     """`pretest` on one combination."""
-    return bool(pretest(_gain_tuple(gains), params, limits, pu_m, order))
+    return bool(pretest(gain_block(gains)[:, 0], params, limits, pu_m, order))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +415,9 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     """The optimal FD mutual-SIC allocation of many (entry, decoding order)
     pairs that pass `pretest`.
 
-    ``h`` holds the six link gains in `ChannelGains` field order and ``pu_m``
-    the CU floor power, as 1-D arrays; ``m1_first`` is True where the order
-    is M1_FIRST.  Returns (p1, p2, pu, rate), with (0, 0, 0, -inf) where the
+    ``h`` is a (6, n) gain block, rows in `model.GAIN_FIELDS` order, ``pu_m`` the
+    pairs' CU floor powers and ``m1_first`` True where the order is
+    M1_FIRST.  Returns (p1, p2, pu, rate), with (0, 0, 0, -inf) where the
     pair has no certified point.
 
     The segments' best points (`segment_best`) are ranked by rate, and for
@@ -471,8 +466,7 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
                 side_points(sub, t_sub + (0.5 * (sub.lo + sub.hi) - t_sub) * steps, limits), caps
             )
         ]
-        h_sub = tuple(x[redo] for x in h)
-        passed = _point_tests(h_sub, sub, params, limits, m1_first[redo], *points) & kept[:, redo]
+        passed = _point_tests(h[:, redo], sub, params, limits, m1_first[redo], *points) & kept[:, redo]
         rank = np.argsort(-ranked[:, redo], axis=0, kind="stable")
         sub_ent = np.arange(m)
         tried = passed[:, rank, sub_ent].transpose(1, 0, 2).reshape(-1, m)
@@ -499,10 +493,9 @@ def solve_fd_sic_order(
     pu_m = pu_min(params, gains.h_b_u)
     if not sufficient_feasibility(gains, params, limits, pu_m, order):
         return None
-    h = tuple(np.array([x]) for x in _gain_tuple(gains))
     m1_first = np.array([order is DecodingOrder.M1_FIRST])
     with np.errstate(all="ignore"):
-        p1, p2, pu, rate = fd_sic_batch(h, params, limits, np.array([pu_m]), m1_first)
+        p1, p2, pu, rate = fd_sic_batch(gain_block(gains), params, limits, np.array([pu_m]), m1_first)
     if rate[0] == -np.inf:
         return None
     point = PowerTriplet(float(p1[0]), float(p2[0]), float(pu[0]))

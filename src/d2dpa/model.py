@@ -44,7 +44,7 @@ def watts_to_dbm(p_w: float) -> float:
     return 10.0 * math.log10(p_w) + 30.0
 
 
-# The six link gains, in the order of every gain tuple and (6, ...) array.
+# The six link gains, in the order of the rows of every (6, ...) gain block.
 GAIN_FIELDS = ("h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u")
 
 
@@ -80,6 +80,12 @@ class ChannelGains:
             h_d2_u=self.h_d1_u,
             h_b_u=self.h_b_u,
         )
+
+
+def gain_block(*gains: ChannelGains) -> np.ndarray:
+    """The (6, n) gain block of n combinations, rows in `GAIN_FIELDS` order:
+    the form every solve takes."""
+    return np.array([[getattr(g, name) for g in gains] for name in GAIN_FIELDS])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 large-scale channel gains, solve every D2D-CU combination, assign channels
 and aggregate across trials.
 
+A trial's gains are one (6, D, K) block, rows in `model.GAIN_FIELDS` order,
+which `build_rate_tables` checks and solves as it is.
+
 Trials are seeded independently from the master seed, so results do not
 depend on execution order and repeat bit-exactly.
 """
@@ -125,19 +128,11 @@ class SimConfig:
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-def hexagon_boundary_radius(theta: float, radius: float) -> float:
-    """Distance from the center to the hexagon edge along direction theta."""
-    t = math.fmod(theta, math.pi / 3.0)
-    if t < 0.0:
-        t += math.pi / 3.0
-    return radius * _SQRT3_2 / math.cos(t - math.pi / 6.0)
-
-
 def in_hexagon(x: float, y: float, radius: float) -> bool:
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return True
-    return r <= hexagon_boundary_radius(math.atan2(y, x), radius) * (1.0 + 1e-12)
+    """True where (x, y) lies inside the cell: within the apothem of the
+    horizontal edges and of the two slanted edge pairs."""
+    ax, ay = abs(x), abs(y)
+    return max(ay, _SQRT3_2 * ax + 0.5 * ay) <= radius * _SQRT3_2 * (1.0 + 1e-12)
 
 
 def _uniform_hexagon_point(draw: Callable[[], float], radius: float) -> tuple[float, float]:
@@ -212,38 +207,14 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
     return Deployment(cu_xy=cu, d1_xy=d1, d2_xy=d2)
 
 
-@dataclass(frozen=True)
-class LinkGains:
-    """Large-scale gains for every link of one trial.
-
-    Pair-level links (inter-device and device-to-BS) are drawn once and
-    reused across all CU columns; CU-to-BS once per CU; the CU-to-device
-    interference links once per (pair, CU) combination.
-    """
-
-    h_d: np.ndarray  # (D,)
-    h_b_d1: np.ndarray  # (D,)
-    h_b_d2: np.ndarray  # (D,)
-    h_b_u: np.ndarray  # (K,)
-    h_d1_u: np.ndarray  # (D, K)
-    h_d2_u: np.ndarray  # (D, K)
-
-    def __post_init__(self) -> None:
-        # One test over every entry; the per-field check runs only to name
-        # the first bad one.
-        values = np.concatenate([np.ravel(getattr(self, name)) for name in GAIN_FIELDS])
-        if not (values.min(initial=np.inf) > 0.0 and values.max(initial=0.0) < np.inf):
-            for name in GAIN_FIELDS:
-                check_array(name, getattr(self, name), strict=True)
-
-
-def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> LinkGains:
-    """Path loss (reference intercept plus d^-alpha) with independent lognormal
+def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> np.ndarray:
+    """The trial's (6, D, K) gain block, rows in `GAIN_FIELDS` order: path
+    loss (reference intercept plus d^-alpha) with independent lognormal
     shadowing per directed link.
 
-    Every link is one entry of one pass, in `LinkGains` field order except
-    that h_b_u comes before the (D, K) links: the order of the shadowing
-    draws.
+    Every link is one entry of one pass, in `GAIN_FIELDS` order except that
+    h_b_u comes before the (D, K) links: the order of the shadowing draws.
+    The pair-level rows are then broadcast along K and the CU row along D.
     """
     rng = np.random.default_rng(seed)
     d1, d2, cu = deployment.d1_xy, deployment.d2_xy, deployment.cu_xy
@@ -258,29 +229,28 @@ def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> Li
     dist = np.sqrt((offset**2).sum(axis=-1))
     shadow_db = rng.normal(0.0, config.shadowing_std_db, len(dist))
     g = dist**-config.path_loss_exponent * 10.0 ** ((shadow_db - config.path_loss_ref_db) / 10.0)
-    h_d, h_b_d1, h_b_d2 = g[: 3 * d].reshape(3, d)
-    return LinkGains(
-        h_d=h_d,
-        h_b_d1=h_b_d1,
-        h_b_d2=h_b_d2,
-        h_b_u=g[3 * d : 3 * d + k],
-        h_d1_u=g[3 * d + k : 3 * d + k + d * k].reshape(d, k),
-        h_d2_u=g[3 * d + k + d * k :].reshape(d, k),
-    )
+    h = np.empty((6, d, k))
+    h[:3] = g[: 3 * d].reshape(3, d, 1)
+    h[3:5] = g[3 * d + k :].reshape(2, d, k)
+    h[5] = g[3 * d : 3 * d + k]
+    return h
 
 
 def build_rate_tables(
-    gains: LinkGains, params: SystemParams, limits: PowerLimits
+    h: np.ndarray, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, RateTable]:
-    """One D x K rate table per scheme, every combination solved at once.
+    """One D x K rate table per scheme from a (6, D, K) gain block, every
+    combination solved at once.
 
-    The tables equal those of `solve_all` on each combination's
-    `ChannelGains`.
+    Every gain must be finite and > 0, as in `ChannelGains`; the first bad
+    one raises ValueError naming its field.  The tables equal those of
+    `solve_all` on each combination's `ChannelGains`.
     """
-    d, k = gains.h_d1_u.shape
-    h = np.empty((6, d, k))
-    h[:3] = np.array([gains.h_d, gains.h_b_d1, gains.h_b_d2])[:, :, None]
-    h[3], h[4], h[5] = gains.h_d1_u, gains.h_d2_u, gains.h_b_u
+    # One test over every entry; the per-field check runs only to name the
+    # first bad one.
+    if not (h.min(initial=np.inf) > 0.0 and h.max(initial=0.0) < np.inf):
+        for name, row in zip(GAIN_FIELDS, h):
+            check_array(name, row, strict=True)
     return {
         kind: RateTable(t.rate, sic_applied=t.sic_applied, infeasible=t.infeasible)
         for kind, t in solve_all_batch(h, params, limits).items()

@@ -26,7 +26,6 @@ import numpy as np
 from .fdnosic import fd_nosic_batch
 from .fdsic import fd_sic_batch, pretest
 from .model import (
-    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -36,6 +35,7 @@ from .model import (
     ScenarioKind,
     SystemParams,
     check_array,
+    gain_block,
     pu_min,
     rate_floor_snr,
     scenario_rates,
@@ -169,7 +169,6 @@ def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) ->
     through one `fd_sic_batch` call, on one gather from ``h``; the first
     order wins unless the second is strictly better.
     """
-    h = np.asarray(h)
     order, *idx = np.nonzero(passes)
     idx = tuple(idx)
     by_order = np.zeros((4, 2) + pu_m.shape)  # (p1, p2, pu, rate) per order
@@ -188,8 +187,8 @@ def solve_all_batch(
 ) -> dict[ScenarioKind, SchemeTable]:
     """All four schemes for every combination of a table at once.
 
-    ``h`` is one (6, ...) array: the six link gains in `ChannelGains` field
-    order, each over the whole table.  Rates are computed from the chosen
+    ``h`` is the table's (6, ...) gain block, rows in `model.GAIN_FIELDS`
+    order.  Rates are computed from the chosen
     powers with the `scenario_rates` formulas, and the chosen powers pass
     `PowerTriplet`'s check.
     """
@@ -277,9 +276,8 @@ def solve_all(
     """All four schemes for one combination: `solve_all_batch` on a one-entry
     table.  A feasible solution whose D2D or CU rate overflows raises
     ValueError, naming the scheme."""
-    h = np.array([[getattr(gains, name)] for name in GAIN_FIELDS])
     solutions = {}
-    for kind, t in solve_all_batch(h, params, limits).items():
+    for kind, t in solve_all_batch(gain_block(gains), params, limits).items():
         if t.infeasible[0]:
             solutions[kind] = _infeasible(kind)
             continue

@@ -4,14 +4,20 @@ import pytest
 from d2dpa.fdsic import (
     Plane,
     SicPlanes,
-    _gain_tuple,
     ceiling_planes,
     floor_planes,
     pmc_margins,
     sic_rate_margins,
     sufficient_feasibility,
 )
-from d2dpa.model import DecodingOrder, PowerLimits, SystemParams, dbm_to_watts, pu_min
+from d2dpa.model import (
+    DecodingOrder,
+    PowerLimits,
+    SystemParams,
+    dbm_to_watts,
+    gain_block,
+    pu_min,
+)
 from d2dpa.sim import SimConfig, sample_combo_gains
 
 NOISE_W = dbm_to_watts(-119.0)
@@ -72,14 +78,14 @@ def sample_fd_sic_feasible(
 
 def order_constraints(gains, params: SystemParams, order: DecodingOrder):
     """The mutual-SIC constraints of one (combination, order) pair as the
-    solver states them, from its array forms on one-entry arrays.
+    solver states them, from its array forms on a one-entry gain block.
 
     Returns the order's `SicPlanes`, with float coefficients, and a function
     of a point (p1, p2, pu) giving its four power-ordering margins
     (`pmc_margins`) and its four SIC-rate margins (`sic_rate_margins`), as
     two tuples of floats.
     """
-    h = tuple(np.array([x]) for x in _gain_tuple(gains))
+    h = gain_block(gains)
     m1_first = np.array([order is DecodingOrder.M1_FIRST])
     ceil1, ceil3 = ceiling_planes(h, m1_first)
     floor2, floor4 = floor_planes(h, params.eta1, params.eta2)

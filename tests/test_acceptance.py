@@ -141,6 +141,7 @@ def d_sweep_campaigns():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c1_fd_sic_oracle_equivalence(default_limits):
     t0 = time.time()
     instances = sample_fd_sic_feasible(seed=20250801, count=1000)
@@ -174,6 +175,7 @@ def test_c1_fd_sic_oracle_equivalence(default_limits):
     assert ok, f"runtime target exceeded: {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_c2_remaining_solvers_oracle_equivalence(default_limits):
     t0 = time.time()
     instances = sample_instances(seed=20250802, count=1000)

@@ -12,7 +12,6 @@ from conftest import (
 from d2dpa.fdsic import (
     REL_TOL,
     Plane,
-    _gain_tuple,
     _ridges_on_cap,
     fd_sic_batch,
     pretest,
@@ -31,6 +30,7 @@ from d2dpa.model import (
     ScenarioKind,
     SystemParams,
     dbm_to_watts,
+    gain_block,
     pu_min,
     sic_sum_rate,
 )
@@ -77,7 +77,8 @@ class TestNecessaryConditions:
         params = make_params()
         assert channel_conditions(g, params)[0]  # 2*1 > 1*1
         # the same slack is the p1 coefficient of the last M2_FIRST SIC margin
-        margins = sic_rate_margins(_gain_tuple(g), params.eta1, params.eta2, False, 1.0, 0.0, 0.0)
+        h = gain_block(g)[:, 0]
+        margins = sic_rate_margins(h, params.eta1, params.eta2, False, 1.0, 0.0, 0.0)
         assert margins[3] == 2.0 * 1.0 - 1.0 * 1.0
 
     def test_high_residual_breaks_third(self, default_limits):
@@ -210,12 +211,12 @@ def test_array_predicates_match_their_one_entry_forms():
     where the CU floor power exceeds its cap."""
     rng = np.random.default_rng(12)
     n = 2_000
-    h = tuple(np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), (6, n))))
+    h = np.exp(rng.uniform(np.log(1e-12), np.log(1e-3), (6, n)))
     e1, e2 = np.exp(rng.uniform(np.log(1e-13), np.log(1e-8), (2, n)))
     p1, p2, pu = rng.uniform(0.0, 0.25, (3, n))
     m1_first = rng.random(n) < 0.5
     got = sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu)
-    swapped = (h[0], h[2], h[1], h[4], h[3], h[5])
+    swapped = h[[0, 2, 1, 4, 3, 5]]
     m1 = sic_rate_margins(swapped, e2, e1, False, p2, p1, pu)
     m2 = sic_rate_margins(h, e1, e2, False, p1, p2, pu)
     want = np.where(m1_first, m1, m2)
@@ -224,15 +225,14 @@ def test_array_predicates_match_their_one_entry_forms():
 
     cfg = SimConfig(trials=1, p_max_dbm=-5.0, r_u_min_bps=4e6)  # the tight_caps table
     params, limits = cfg.system_params(), cfg.power_limits()
-    blocks = []
-    for trial in range(100):
-        dep = generate_deployment(cfg, np.random.SeedSequence((1, trial, 0)))
-        gains = gains_from_deployment(dep, cfg, np.random.SeedSequence((1, trial, 1)))
-        blocks.append(np.array([np.broadcast_to(x, gains.h_d1_u.shape) for x in (
-            gains.h_d[:, None], gains.h_b_d1[:, None], gains.h_b_d2[:, None],
-            gains.h_d1_u, gains.h_d2_u, gains.h_b_u,
-        )]))
-    block = np.concatenate(blocks, axis=1)  # (6, 100 D, K)
+    block = np.concatenate([
+        gains_from_deployment(
+            generate_deployment(cfg, np.random.SeedSequence((1, trial, 0))),
+            cfg,
+            np.random.SeedSequence((1, trial, 1)),
+        )
+        for trial in range(100)
+    ], axis=1)  # (6, 100 D, K)
     pu_m = pu_min(params, block[5])
     over_cap = pu_m > limits.pu_max_w
     lifted = PowerLimits(limits.p1_max_w, limits.p2_max_w, 1e9)
@@ -251,8 +251,8 @@ def test_array_predicates_match_their_one_entry_forms():
 
 def pair_segments(gains, params, limits, order):
     """`segments` of one (combination, order) pair, as (segment, 1) arrays,
-    with the gains as 1-entry arrays."""
-    h = tuple(np.array([x]) for x in _gain_tuple(gains))
+    with its one-entry gain block."""
+    h = gain_block(gains)
     pm = np.array([pu_min(params, gains.h_b_u)])
     with np.errstate(all="ignore"):
         return segments(h, params, limits, pm, np.array([order is DecodingOrder.M1_FIRST])), h
@@ -589,21 +589,17 @@ class TestSolveOrder:
         assert fd_sic.powers == fd_nosic.powers
 
 
-def _gain_arrays(gains: list[ChannelGains]) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(x) for x in zip(*(_gain_tuple(g) for g in gains)))
-
-
 def _batch(pairs, params, limits):
     gains = [g for g, _ in pairs]
     pu_m = np.array([pu_min(params, g.h_b_u) for g in gains])
     m1_first = np.array([o is DecodingOrder.M1_FIRST for _, o in pairs])
     with np.errstate(all="ignore"):
-        return fd_sic_batch(_gain_arrays(gains), params, limits, pu_m, m1_first)
+        return fd_sic_batch(gain_block(*gains), params, limits, pu_m, m1_first)
 
 
 def _table_rates(gains, params, limits):
     """`_fd_sic_table`'s rates on a 1 x N table of the given combinations."""
-    h = tuple(x[None, :] for x in _gain_arrays(gains))
+    h = gain_block(*gains)[:, None]
     pu_m = np.array([[pu_min(params, g.h_b_u) for g in gains]])
     passes = [
         np.array([[sufficient_feasibility(g, params, limits, pu_m[0, i], o)
@@ -642,7 +638,7 @@ def _best_points(pairs, params, limits):
     gains = [g for g, _ in pairs]
     pu_m = np.array([pu_min(params, g.h_b_u) for g in gains])
     m1_first = np.array([o is DecodingOrder.M1_FIRST for _, o in pairs])
-    h = _gain_arrays(gains)
+    h = gain_block(*gains)
     with np.errstate(all="ignore"):
         seg = segments(h, params, limits, pu_m, m1_first)
         _, p1s, p2s, rates = segment_best(seg, h, params, limits)

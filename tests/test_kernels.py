@@ -29,9 +29,22 @@ from d2dpa.solvers import SIC_ORDERS, solve_all
 def test_pure_kernel_handles_infeasible(default_limits):
     params = make_params()
     res = fdnosic.fd_nosic_batch(
-        (1e-6, 1e-8, 1e-8, 1e-9, 1e-9, 1e-15), params, PowerLimits(0.25, 0.25, 1e-12)
+        np.array([1e-6, 1e-8, 1e-8, 1e-9, 1e-9, 1e-15]), params, PowerLimits(0.25, 0.25, 1e-12)
     )
     assert [float(x) for x in res] == [0.0, 0.0, 0.0, -np.inf]
+
+
+def test_no_rate_floor_survives_an_underflowing_cu_gain():
+    """With no rate floor the CU needs no power, so no cut on the device
+    powers applies, even where pu_max * h_b_u underflows to 0 and the cut
+    would be 0/0."""
+    gains = ChannelGains(1e-8, 1e-10, 1e-10, 1e-10, 1e-10, 5e-324)
+    params = SystemParams(312.5e3, dbm_to_watts(-119.0), 1e-11, 1e-11, 0.0)
+    sols = solve_all(gains, params, PowerLimits(0.25, 0.25, 0.25))
+    assert sols[ScenarioKind.FD_NOSIC].feasible and sols[ScenarioKind.FD_SIC].feasible
+    assert sols[ScenarioKind.FD_NOSIC].r_d2d_bps == pytest.approx(
+        sols[ScenarioKind.HD_NOSIC].r_d2d_bps, rel=1e-12
+    )
 
 
 def test_cap_corner_stays_inside_the_box():

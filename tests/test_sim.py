@@ -10,16 +10,14 @@ from scipy import stats
 import d2dpa.sim
 import d2dpa.solvers
 from d2dpa.assignment import hungarian_max
-from d2dpa.model import ChannelGains, PowerTriplet, ScenarioKind
+from d2dpa.model import GAIN_FIELDS, ChannelGains, PowerTriplet, ScenarioKind
 from d2dpa.sim import (
     Deployment,
-    LinkGains,
     SimConfig,
     build_rate_tables,
     check_campaign,
     gains_from_deployment,
     generate_deployment,
-    hexagon_boundary_radius,
     in_hexagon,
     run_campaign,
     run_trial,
@@ -28,24 +26,25 @@ from d2dpa.sim import (
 from d2dpa.solvers import solve_all
 
 
-def combo(gains: LinkGains, n: int, i: int) -> ChannelGains:
+def combo(h: np.ndarray, n: int, i: int) -> ChannelGains:
     """The gains of pair ``n`` sharing CU ``i``'s channel."""
-    return ChannelGains(
-        h_d=float(gains.h_d[n]),
-        h_b_d1=float(gains.h_b_d1[n]),
-        h_b_d2=float(gains.h_b_d2[n]),
-        h_d1_u=float(gains.h_d1_u[n, i]),
-        h_d2_u=float(gains.h_d2_u[n, i]),
-        h_b_u=float(gains.h_b_u[i]),
-    )
+    return ChannelGains(*h[:, n, i].tolist())
+
+
+def edge_radius(theta, radius: float):
+    """Distance from the center to the hexagon edge along direction theta."""
+    t = np.mod(theta, math.pi / 3.0)
+    return radius * math.sqrt(3.0) / 2.0 / np.cos(t - math.pi / 6.0)
 
 
 class TestHexagon:
-    def test_boundary_radius_range(self):
+    def test_edge_between_inner_and_outer_points(self):
         r = 300.0
         for theta in np.linspace(0, 2 * math.pi, 400):
-            edge = hexagon_boundary_radius(theta, r)
-            assert r * math.sqrt(3) / 2 - 1e-9 <= edge <= r + 1e-9
+            edge = edge_radius(theta, r)
+            for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+                x, y = scale * edge * math.cos(theta), scale * edge * math.sin(theta)
+                assert in_hexagon(x, y, r) == inside, (theta, scale)
 
     def test_center_and_corner_membership(self):
         assert in_hexagon(0.0, 0.0, 300.0)
@@ -92,7 +91,7 @@ class TestDeployment:
         pts = np.concatenate(xs)  # 10000 points
         theta = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
         sextant = np.floor(theta / (math.pi / 3)).astype(int) % 6
-        edge = np.array([hexagon_boundary_radius(t, cfg.cell_radius_m) for t in theta])
+        edge = edge_radius(theta, cfg.cell_radius_m)
         t_norm = (np.hypot(pts[:, 0], pts[:, 1]) / edge) ** 2  # uniform in [0,1]
         band = np.minimum((t_norm * 3).astype(int), 2)
         bins = sextant * 3 + band
@@ -171,9 +170,9 @@ class TestGains:
             d1_xy=np.array([[0.0, 1.0]]),
             d2_xy=np.array([[0.0, 2.0]]),
         )
-        gains = gains_from_deployment(dep, cfg, 0)
-        assert gains.h_b_u[0] == pytest.approx(1.0, rel=1e-12)  # 1 m to the BS
-        assert gains.h_d[0] == pytest.approx(1.0, rel=1e-12)  # 1 m pair distance
+        h_d, *_, h_b_u = gains_from_deployment(dep, cfg, 0)[:, 0, 0]
+        assert h_b_u == pytest.approx(1.0, rel=1e-12)  # 1 m to the BS
+        assert h_d == pytest.approx(1.0, rel=1e-12)  # 1 m pair distance
 
     def test_doubling_distance_ratio(self):
         cfg = SimConfig(k_users=2, d_pairs=1, shadowing_std_db=0.0, trials=1)
@@ -182,8 +181,8 @@ class TestGains:
             d1_xy=np.array([[10.0, 0.0]]),
             d2_xy=np.array([[12.0, 0.0]]),
         )
-        gains = gains_from_deployment(dep, cfg, 0)
-        assert gains.h_b_u[1] / gains.h_b_u[0] == pytest.approx(
+        h_b_u = gains_from_deployment(dep, cfg, 0)[5, 0]
+        assert h_b_u[1] / h_b_u[0] == pytest.approx(
             2.0**-cfg.path_loss_exponent, rel=1e-12
         )
 
@@ -198,8 +197,7 @@ class TestGains:
         g0 = gains_from_deployment(dep, bare, 0)
         g1 = gains_from_deployment(dep, offset, 0)
         factor = 10.0 ** (-15.3 / 10.0)
-        assert g1.h_d[0] == pytest.approx(g0.h_d[0] * factor, rel=1e-12)
-        assert g1.h_b_u[0] == pytest.approx(g0.h_b_u[0] * factor, rel=1e-12)
+        assert g1 == pytest.approx(g0 * factor, rel=1e-12)
 
     def test_shadowing_zero_mean_in_db(self):
         cfg = SimConfig(k_users=50, d_pairs=1, trials=1)
@@ -209,7 +207,7 @@ class TestGains:
             gains = gains_from_deployment(dep, cfg, seed)
             d_b_u = np.sqrt((dep.cu_xy**2).sum(axis=1))
             pure = d_b_u**-cfg.path_loss_exponent * 10.0 ** (-cfg.path_loss_ref_db / 10.0)
-            samples.append(10.0 * np.log10(gains.h_b_u / pure))
+            samples.append(10.0 * np.log10(gains[5, 0] / pure))
         x = np.concatenate(samples)  # 10000 draws
         assert abs(x.mean()) < 0.5
         assert abs(x.std() - cfg.shadowing_std_db) < 0.5
@@ -241,16 +239,7 @@ POWER_OUTPUTS = [
 ]
 
 
-def gain_block(gains: LinkGains) -> np.ndarray:
-    """The (6, D, K) gain block that `build_rate_tables` solves."""
-    d, k = gains.h_d1_u.shape
-    return np.array([np.broadcast_to(x, (d, k)) for x in (
-        gains.h_d[:, None], gains.h_b_d1[:, None], gains.h_b_d2[:, None],
-        gains.h_d1_u, gains.h_d2_u, gains.h_b_u,
-    )])
-
-
-def seeded_gains(cfg: SimConfig, trial: int) -> LinkGains:
+def seeded_gains(cfg: SimConfig, trial: int) -> np.ndarray:
     dep = generate_deployment(cfg, np.random.SeedSequence((cfg.master_seed, trial, 0)))
     return gains_from_deployment(dep, cfg, np.random.SeedSequence((cfg.master_seed, trial, 1)))
 
@@ -285,13 +274,31 @@ class TestBatchedTables:
                         assert table.infeasible[n, i] == (not sol.feasible)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-9])
-    @pytest.mark.parametrize("name", ["h_d", "h_b_d1", "h_b_d2", "h_d1_u", "h_d2_u", "h_b_u"])
-    def test_link_gains_rejects_bad_entry(self, name, bad):
-        gains = seeded_gains(SimConfig(k_users=4, d_pairs=2, trials=1), 0)
-        values = getattr(gains, name).copy()
-        values.flat[-1] = bad
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-            dataclasses.replace(gains, **{name: values})
+    @pytest.mark.parametrize("name", GAIN_FIELDS)
+    def test_rate_tables_reject_bad_gain(self, name, bad):
+        cfg = SimConfig(k_users=4, d_pairs=2, trials=1)
+        h = seeded_gains(cfg, 0)
+        h[GAIN_FIELDS.index(name)].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {bad!r}$"):
+            build_rate_tables(h, cfg.system_params(), cfg.power_limits())
+
+    @pytest.mark.parametrize("name, cu, d1, d2", [
+        ("h_d", (60.0, 10.0), (5.0, 15.0), (5.0, 15.0)),
+        ("h_b_d1", (60.0, 10.0), (0.0, 0.0), (9.0, 18.0)),
+        ("h_b_d2", (60.0, 10.0), (5.0, 15.0), (0.0, 0.0)),
+        ("h_d1_u", (5.0, 15.0), (5.0, 15.0), (9.0, 18.0)),
+        ("h_d2_u", (9.0, 18.0), (5.0, 15.0), (9.0, 18.0)),
+        ("h_b_u", (0.0, 0.0), (5.0, 15.0), (9.0, 18.0)),
+    ])
+    def test_zero_distance_link_names_the_link(self, name, cu, d1, d2):
+        """Two nodes of a link on one spot give it an infinite gain, which the
+        table build rejects, naming that link."""
+        cfg = SimConfig(k_users=1, d_pairs=1, trials=1)
+        dep = Deployment(cu_xy=np.array([cu]), d1_xy=np.array([d1]), d2_xy=np.array([d2]))
+        with np.errstate(divide="ignore"):
+            h = gains_from_deployment(dep, cfg, 0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got inf$"):
+            build_rate_tables(h, cfg.system_params(), cfg.power_limits())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, -5e-324, 0.0, 1.0])
     @pytest.mark.parametrize("field", ["p1_w", "p2_w", "pu_w"])
@@ -350,7 +357,7 @@ class TestBatchedTables:
         cfg = SimConfig(trials=1)
         gains = seeded_gains(cfg, 0)
         params, limits = cfg.system_params(), cfg.power_limits()
-        tables = d2dpa.solvers.solve_all_batch(gain_block(gains), params, limits)
+        tables = d2dpa.solvers.solve_all_batch(gains, params, limits)
         hd_used = ~tables[ScenarioKind.HD_NOSIC].infeasible
         if kernel == "_hd_sic_slot_batch":
             hd_used &= tables[ScenarioKind.HD_SIC].slot_sic[call]
