@@ -11,10 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 _EPS = np.finfo(float).eps
+
+
+def linear_sum_assignment(rates: np.ndarray, maximize: bool = False):
+    """scipy's rectangular ``linear_sum_assignment``, imported on first call:
+    loading ``scipy.optimize`` costs more than the rest of ``import d2dpa``."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(rates, maximize=maximize)
 
 
 def _check_shape(rates: np.ndarray) -> None:

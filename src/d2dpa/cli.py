@@ -31,7 +31,7 @@ from .model import (
     pu_min,
     watts_to_dbm,
 )
-from .oracle import GridSpec, brute_force, grid_cell_rate_slack
+from .oracle import GridSpec, check_solution
 from .sim import (
     INT_FIELDS,
     SCENARIOS,
@@ -312,36 +312,19 @@ def cmd_verify(args) -> int:
                 continue
             sol = solutions[kind]
             if kind is ScenarioKind.FD_SIC:
-                for order in DecodingOrder:
-                    if not sufficient_feasibility(gains, params, limits, pu_m, order):
-                        continue
-                    ref = brute_force(
-                        Scenario(ScenarioKind.FD_SIC, order=order), gains, params, limits, grid
-                    )
-                    if ref is None:
-                        continue
+                scenarios = [
+                    Scenario(kind, order=order)
+                    for order in DecodingOrder
+                    if sufficient_feasibility(gains, params, limits, pu_m, order)
+                ]
+            else:
+                scenarios = [sol.scenario]
+            for scenario in scenarios:
+                gap, violation = check_solution(scenario, sol, gains, params, limits, grid)
+                violations += violation
+                if gap is not None:
                     checked += 1
-                    tol = max(
-                        grid_cell_rate_slack(ref, gains, params, limits, grid),
-                        1e-9 * ref.r_d2d_bps,
-                    )
-                    gap = ref.r_d2d_bps - sol.r_d2d_bps
                     worst[kind.value] = max(worst[kind.value], gap)
-                    if gap > tol:
-                        violations += 1
-                continue
-            ref = brute_force(Scenario(kind) if kind is not ScenarioKind.HD_SIC
-                              else Scenario(kind, slot_sic=(False, False)),
-                              gains, params, limits, grid)
-            if ref is None:
-                if sol.feasible:
-                    violations += 1
-                continue
-            checked += 1
-            gap = ref.r_d2d_bps - sol.r_d2d_bps
-            worst[kind.value] = max(worst[kind.value], gap)
-            if gap > 1e-9 * max(ref.r_d2d_bps, 1.0):
-                violations += 1
 
     print(f"instances: {args.count}   comparisons: {checked}")
     for name in sorted(worst):

@@ -2,8 +2,11 @@
 
 Each constraint is restated here from scratch in plain inequality form and
 evaluated on a dense grid; nothing is shared with the closed-form solver
-modules, so agreement between the two paths is meaningful.  Speed is a
-non-goal.
+modules, so agreement between the two paths is meaningful.  The M1_FIRST
+decoding order and HD half slot 2 are derived from M2_FIRST and half slot 1
+by exchanging the two devices (`ChannelGains.swapped_devices`).
+`check_solution` is the one comparison of a solver's answer with the grid
+optimum.  Speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from .model import (
     ChannelGains,
     DecodingOrder,
+    PaSolution,
     PowerLimits,
     PowerTriplet,
     Scenario,
@@ -44,10 +48,16 @@ class GridResult:
     r_d2d_bps: float
 
 
-def _fd_sic_order1_mask(
-    p1: np.ndarray, p2: np.ndarray, pu: float, g: ChannelGains, e1: float, e2: float
+def _fd_sic_mask(
+    p1: np.ndarray, p2: np.ndarray, pu: float, g: ChannelGains, e1: float, e2: float,
+    order: DecodingOrder,
 ) -> np.ndarray:
-    """Power-ordering plus rate conditions for the order decoding m2 before m1."""
+    """Power-ordering plus rate conditions of one decoding order on the
+    broadcast power arrays.  The M2_FIRST set (m2 decoded first) is stated;
+    M1_FIRST is its device mirror, which broadcasting returns on the call's
+    own (p1, p2) axes."""
+    if order is DecodingOrder.M1_FIRST:
+        return _fd_sic_mask(p2, p1, pu, g.swapped_devices(), e2, e1, DecodingOrder.M2_FIRST)
     m = (pu * g.h_b_u < p2 * g.h_b_d2 - p1 * g.h_b_d1)
     m &= pu * g.h_d1_u > p2 * g.h_d + p1 * e1
     m &= pu * g.h_b_u < p1 * g.h_b_d1
@@ -65,26 +75,6 @@ def _fd_sic_order1_mask(
     return m
 
 
-def _fd_sic_order2_mask(
-    p1: np.ndarray, p2: np.ndarray, pu: float, g: ChannelGains, e1: float, e2: float
-) -> np.ndarray:
-    m = (pu * g.h_b_u < p1 * g.h_b_d1 - p2 * g.h_b_d2)
-    m &= pu * g.h_d1_u > p2 * g.h_d + p1 * e1
-    m &= pu * g.h_b_u < p2 * g.h_b_d2
-    m &= pu * g.h_d2_u > p1 * g.h_d + p2 * e2
-    m &= (
-        p2 * (g.h_b_d1 * e2 - g.h_d * g.h_b_d2)
-        + pu * (g.h_d2_u * g.h_b_d1 - g.h_d * g.h_b_u)
-    ) > 0.0
-    m &= (
-        p2 * (g.h_d2_u * g.h_b_d2 - g.h_b_u * e2)
-        + p1 * (g.h_d2_u * g.h_b_d1 - g.h_b_u * g.h_d)
-    ) > 0.0
-    m &= p1 * g.h_b_d2 * e1 > pu * (g.h_b_u * g.h_d - g.h_d1_u * g.h_b_d2)
-    m &= p2 * (g.h_b_d2 * g.h_d1_u - g.h_d * g.h_b_u) > p1 * e1 * g.h_b_u
-    return m
-
-
 def _brute_fd_sic(
     gains: ChannelGains,
     params: SystemParams,
@@ -98,13 +88,12 @@ def _brute_fd_sic(
     rate = bw * np.log2(
         (1.0 + p1 * g.h_d / (e2 * p2 + s)) * (1.0 + p2 * g.h_d / (e1 * p1 + s))
     )
-    mask_fn = _fd_sic_order1_mask if order is DecodingOrder.M2_FIRST else _fd_sic_order2_mask
     feasible = np.zeros(rate.shape, dtype=bool)
     pu_low = np.full(rate.shape, np.inf)
     for pu in grid.axis(limits.pu_max_w):
         if bw * math.log2(1.0 + pu * g.h_b_u / s) < params.r_u_min_bps:
             continue
-        m = mask_fn(p1, p2, pu, g, e1, e2)
+        m = _fd_sic_mask(p1, p2, pu, g, e1, e2, order)
         newly = m & ~feasible
         pu_low[newly] = pu
         feasible |= m
@@ -147,44 +136,41 @@ def _brute_fd_nosic(
 
 
 def _brute_hd_slot(
-    slot: int,
     gains: ChannelGains,
     params: SystemParams,
     limits: PowerLimits,
     grid: GridSpec,
     allow_sic: bool,
 ) -> tuple[float, float, float] | None:
-    """(p_dev, pu, full-rate device rate) maximized on a 2D grid for one half slot.
+    """(p1, pu, device-1 rate) maximized on a 2D grid for the half slot in
+    which device 1 sends to device 2.
 
     With allow_sic the candidate set is the union of the no-SIC points and the
     points meeting the SIC power-ordering band; each side is rated with its
-    own formula and the best point of the union wins.
+    own formula and the best point of the union wins.  The other half slot is
+    this one with the devices exchanged.
     """
     g, s, bw = gains, params.noise_w, params.bandwidth_hz
-    if slot == 1:
-        p_dev_max, h_b_dev, h_rx_u = limits.p1_max_w, g.h_b_d1, g.h_d2_u
-    else:
-        p_dev_max, h_b_dev, h_rx_u = limits.p2_max_w, g.h_b_d2, g.h_d1_u
-    p_dev = grid.axis(p_dev_max)[:, None]
+    p1 = grid.axis(limits.p1_max_w)[:, None]
     pu = grid.axis(limits.pu_max_w)[None, :]
 
-    r_u_nosic = bw * np.log2(1.0 + pu * g.h_b_u / (p_dev * h_b_dev + s))
-    rate_nosic = bw * np.log2(1.0 + p_dev * g.h_d / (pu * h_rx_u + s))
+    r_u_nosic = bw * np.log2(1.0 + pu * g.h_b_u / (p1 * g.h_b_d1 + s))
+    rate_nosic = bw * np.log2(1.0 + p1 * g.h_d / (pu * g.h_d2_u + s))
     feasible = r_u_nosic >= params.r_u_min_bps
     rate = np.where(feasible, rate_nosic, -np.inf)
 
     if allow_sic:
         r_u_sic = bw * np.log2(1.0 + pu * g.h_b_u / s)
-        sic_ok = (pu * h_rx_u > p_dev * g.h_d) & (p_dev * h_b_dev > pu * g.h_b_u)
+        sic_ok = (pu * g.h_d2_u > p1 * g.h_d) & (p1 * g.h_b_d1 > pu * g.h_b_u)
         sic_ok &= r_u_sic >= params.r_u_min_bps
-        rate_sic = bw * np.log2(1.0 + p_dev * g.h_d / s)
+        rate_sic = bw * np.log2(1.0 + p1 * g.h_d / s)
         rate = np.maximum(rate, np.where(sic_ok, rate_sic, -np.inf))
         feasible |= sic_ok
 
     if not feasible.any():
         return None
     i, j = np.unravel_index(int(np.argmax(rate)), rate.shape)
-    return float(p_dev[i, 0]), float(pu[0, j]), float(rate[i, j])
+    return float(p1[i, 0]), float(pu[0, j]), float(rate[i, j])
 
 
 def _brute_hd(
@@ -194,8 +180,8 @@ def _brute_hd(
     grid: GridSpec,
     allow_sic: bool,
 ) -> GridResult | None:
-    slot1 = _brute_hd_slot(1, gains, params, limits, grid, allow_sic)
-    slot2 = _brute_hd_slot(2, gains, params, limits, grid, allow_sic)
+    slot1 = _brute_hd_slot(gains, params, limits, grid, allow_sic)
+    slot2 = _brute_hd_slot(gains.swapped_devices(), params, limits.swapped_devices(), grid, allow_sic)
     if slot1 is None or slot2 is None:
         return None
     powers = (
@@ -231,22 +217,12 @@ def brute_force(
     raise ValueError(f"unknown scenario kind: {kind!r}")
 
 
-def grid_cell_rate_slack(
-    result: GridResult,
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    grid: GridSpec,
+def _grid_cell_rate_slack(
+    result: GridResult, g: ChannelGains, params: SystemParams, limits: PowerLimits, grid: GridSpec
 ) -> float:
-    """Largest mutual-SIC D2D-rate variation between the best grid point and
-    its neighbours.
-
-    Used as the tolerance when comparing the continuous FD-SIC solver against
-    the discrete grid optimum.
-    """
-    if isinstance(result.powers, tuple):
-        raise ValueError("cell slack is defined for the FD scenarios only")
-    g, e1, e2, s, bw = gains, params.eta1, params.eta2, params.noise_w, params.bandwidth_hz
+    """Largest mutual-SIC D2D-rate variation between the best FD grid point
+    and its neighbours."""
+    e1, e2, s, bw = params.eta1, params.eta2, params.noise_w, params.bandwidth_hz
     n = grid.points_per_axis
     d1 = limits.p1_max_w / (n - 1)
     d2 = limits.p2_max_w / (n - 1)
@@ -262,3 +238,31 @@ def grid_cell_rate_slack(
             )
             worst = max(worst, abs(r - result.r_d2d_bps))
     return worst
+
+
+def check_solution(
+    scenario: Scenario,
+    solution: PaSolution,
+    gains: ChannelGains,
+    params: SystemParams,
+    limits: PowerLimits,
+    grid: GridSpec,
+) -> tuple[float | None, bool]:
+    """``(gap, violation)`` of a solution against the grid optimum of
+    ``scenario``: the optimum's D2D rate minus the solution's (None on an
+    empty grid), and whether the gap exceeds the tolerance.  That is, for
+    FD-SIC, the rate variation over the optimum's grid cell (at least 1e-9
+    of the optimum), and 1e-9 of max(optimum, 1 bit/s) for the rest.  An
+    empty FD-SIC grid is no violation, as the admissible region can be a
+    sliver below the grid pitch; an empty grid of another scheme is one
+    when the solution is feasible."""
+    ref = brute_force(scenario, gains, params, limits, grid)
+    fd_sic = scenario.kind is ScenarioKind.FD_SIC
+    if ref is None:
+        return None, solution.feasible and not fd_sic
+    gap = ref.r_d2d_bps - solution.r_d2d_bps
+    if fd_sic:
+        tol = max(_grid_cell_rate_slack(ref, gains, params, limits, grid), 1e-9 * ref.r_d2d_bps)
+    else:
+        tol = 1e-9 * max(ref.r_d2d_bps, 1.0)
+    return gap, gap > tol

@@ -80,12 +80,19 @@ class SimConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name, low in (("n_channels", 1), ("trials", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not 0 <= self.d_pairs <= self.k_users <= self.n_channels:
             raise ValueError("need d_pairs <= k_users <= n_channels")
         for name in ("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        # A 1 THz ceiling, far above any radio channel: rates stay below 1024
+        # bit/s per Hz, so a trial's total and the CI's squares stay finite.
+        if self.total_bandwidth_mhz > 1e6:
+            raise ValueError(f"total_bandwidth_mhz must be <= 1e6, got {self.total_bandwidth_mhz!r}")
         for name in ("d_max_m", "shadowing_std_db", "r_u_min_bps"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -96,8 +103,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and within +-3000 dB, got {v!r}")
         if self.pair_distance_law not in ("uniform", "fixed"):
             raise ValueError("pair_distance_law must be 'uniform' or 'fixed'")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         # Built, and so checked, once: a config whose values convert to
         # invalid ones fails here, not at a campaign's first trial.
         eta, p_max = db_to_linear(self.eta_db), dbm_to_watts(self.p_max_dbm)

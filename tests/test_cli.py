@@ -221,6 +221,7 @@ class TestSweep:
             ("eta_db = -110, 5\n", "eta1 must lie in"),
             ("noise_dbm = -4000\neta_db = -130,-110\n", "noise_dbm must be finite"),
             ("r_u_min_mbps = 1.5, 1e6\n", "r_u_min_bps must be >= 0 and below"),
+            ("total_bandwidth_mhz = 1e300\neta_db = -130,-110\n", "total_bandwidth_mhz must be"),
         ],
     )
     def test_invalid_derived_parameters_exit_1_before_any_campaign(
@@ -235,6 +236,18 @@ class TestSweep:
         out = tmp_path / "z.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "sweep.cfg"
+        config.write_text(SWEEP_CONFIG)
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 1
+        assert "master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_out_exits_1_before_any_campaign(self, tmp_path, capsys, monkeypatch):
@@ -303,6 +316,16 @@ class TestSweep:
         assert not out.exists()
 
 
+VERIFY_GOLDEN = """\
+instances: 40   comparisons: 123
+  fd_nosic: worst (grid - solver) gap = -2.822261e+02 bit/s
+  fd_sic: worst (grid - solver) gap = -1.594962e+02 bit/s
+  hd_nosic: worst (grid - solver) gap = -4.948489e+02 bit/s
+  hd_sic: worst (grid - solver) gap = 0.000000e+00 bit/s
+violations: 0
+"""
+
+
 class TestVerify:
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_is_a_usage_error(self, capsys, count):
@@ -321,6 +344,12 @@ class TestVerify:
         assert main(["verify", "--count", "6", "--seed", "3", "--grid-n", "40"]) == 0
         out = capsys.readouterr().out
         assert "violations: 0" in out
+
+    def test_output_is_pinned(self, capsys):
+        """Instances, comparison count and every scheme's worst gap, FD-SIC
+        orders included, as the oracle and solvers gave them when pinned."""
+        assert main(["verify", "--count", "40", "--seed", "3", "--grid-n", "40"]) == 0
+        assert capsys.readouterr().out == VERIFY_GOLDEN
 
     def test_scenario_filter(self, capsys):
         assert (

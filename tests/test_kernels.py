@@ -12,7 +12,6 @@ from d2dpa import fdnosic
 from d2dpa.fdsic import REL_TOL, solve_fd_sic_order
 from d2dpa.model import (
     ChannelGains,
-    DecodingOrder,
     PowerLimits,
     PowerTriplet,
     Scenario,
@@ -22,7 +21,7 @@ from d2dpa.model import (
     rate_floor_snr,
     scenario_rates,
 )
-from d2dpa.oracle import _fd_sic_order1_mask, _fd_sic_order2_mask
+from d2dpa.oracle import _fd_sic_mask
 from d2dpa.solvers import SIC_ORDERS, solve_all
 
 
@@ -203,11 +202,10 @@ def _oracle_accepts(point, gains, params, limits, order) -> bool:
     some point within ``REL_TOL`` of it, power by power, passes them
     strictly.
     """
-    mask = _fd_sic_order1_mask if order is DecodingOrder.M2_FIRST else _fd_sic_order2_mask
     nudge = 1.0 + REL_TOL * np.linspace(-1.0, 1.0, 9)
-    strict = mask(
+    strict = _fd_sic_mask(
         point.p1_w * nudge[:, None, None], point.p2_w * nudge[None, :, None],
-        point.pu_w * nudge[None, None, :], gains, params.eta1, params.eta2,
+        point.pu_w * nudge[None, None, :], gains, params.eta1, params.eta2, order,
     )
     floor = point.pu_w * gains.h_b_u >= (1.0 - REL_TOL) * rate_floor_snr(params) * params.noise_w
     return bool(strict.any()) and floor and point.within(limits, REL_TOL)

@@ -4,11 +4,13 @@ from conftest import make_limits, make_params, sample_instances
 from d2dpa.model import (
     ChannelGains,
     DecodingOrder,
+    PaSolution,
     PowerLimits,
+    PowerTriplet,
     Scenario,
     ScenarioKind,
 )
-from d2dpa.oracle import GridSpec, brute_force
+from d2dpa.oracle import GridSpec, brute_force, check_solution
 
 
 def test_grid_spec_validation():
@@ -28,6 +30,35 @@ def test_empty_feasible_set_returns_none():
         Scenario(ScenarioKind.FD_SIC, order=DecodingOrder.M2_FIRST),
     ):
         assert brute_force(scenario, g, params, limits, GridSpec(40)) is None
+
+
+def test_check_solution_rules(default_limits):
+    """An empty grid flags a feasible solution except for FD-SIC (a sliver
+    below the grid pitch); a solution below the grid optimum is flagged."""
+    g = ChannelGains(h_d=1e-6, h_b_d1=1e-9, h_b_d2=1e-9, h_d1_u=1e-9, h_d2_u=1e-9, h_b_u=1e-12)
+    params, grid = make_params(), GridSpec(40)
+    empty = PowerLimits(0.25, 0.25, 1e-9)
+    zero = PowerTriplet(0.0, 0.0, 0.0)
+    for scenario in (
+        Scenario(ScenarioKind.FD_NOSIC),
+        Scenario(ScenarioKind.HD_NOSIC),
+        Scenario(ScenarioKind.HD_SIC, slot_sic=(False, False)),
+        Scenario(ScenarioKind.FD_SIC, order=DecodingOrder.M2_FIRST),
+    ):
+        for feasible in (False, True):
+            sol = PaSolution(scenario, zero, 0.0, 0.0, sic_applied=False, feasible=feasible)
+            expected = feasible and scenario.kind is not ScenarioKind.FD_SIC
+            assert check_solution(scenario, sol, g, params, empty, grid) == (None, expected)
+
+    scenario = Scenario(ScenarioKind.FD_NOSIC)
+    for gains, params in sample_instances(seed=305, count=20):
+        ref = brute_force(scenario, gains, params, default_limits, grid)
+        if ref is not None and ref.r_d2d_bps > 1e6:
+            break
+    for rate, violation in ((ref.r_d2d_bps, False), (ref.r_d2d_bps * (1 - 1e-6), True)):
+        sol = PaSolution(scenario, ref.powers, rate, 0.0, sic_applied=False)
+        gap, bad = check_solution(scenario, sol, gains, params, default_limits, grid)
+        assert gap == ref.r_d2d_bps - rate and bad is violation
 
 
 def test_fd_sic_requires_order():
@@ -80,9 +111,29 @@ def test_hd_oracle_splits_slots(default_limits):
         )
         if ref is None:
             continue
-        s1 = _brute_hd_slot(1, gains, params, default_limits, GridSpec(80), allow_sic=False)
-        s2 = _brute_hd_slot(2, gains, params, default_limits, GridSpec(80), allow_sic=False)
+        s1 = _brute_hd_slot(gains, params, default_limits, GridSpec(80), allow_sic=False)
+        s2 = _brute_hd_slot(
+            gains.swapped_devices(), params, default_limits.swapped_devices(), GridSpec(80),
+            allow_sic=False,
+        )
         assert ref.r_d2d_bps == pytest.approx(0.5 * (s1[2] + s2[2]), rel=1e-12)
+
+
+@pytest.mark.parametrize("caps", [(1.0, 0.05), (0.05, 1.0)])
+def test_hd_slots_keep_their_own_device_cap(default_limits, caps):
+    """Half slot 2 is half slot 1 with the devices, caps included, swapped:
+    with unequal caps each half slot's grid point keeps its device's cap."""
+    limits = PowerLimits(
+        default_limits.p1_max_w * caps[0], default_limits.p2_max_w * caps[1], default_limits.pu_max_w
+    )
+    for gains, params in sample_instances(seed=306, count=10):
+        for scenario in (
+            Scenario(ScenarioKind.HD_NOSIC), Scenario(ScenarioKind.HD_SIC, slot_sic=(False, False))
+        ):
+            ref = brute_force(scenario, gains, params, limits, GridSpec(60))
+            if ref is not None:
+                assert ref.powers[0].p1_w <= limits.p1_max_w
+                assert ref.powers[1].p2_w <= limits.p2_max_w
 
 
 def test_oracle_feasible_points_satisfy_solver_predicates(default_limits):

@@ -552,6 +552,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SimConfig(**{name: bad})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_channels": 0, "k_users": 0, "d_pairs": 0}, "n_channels must be >= 1, got 0"),
+            ({"trials": 0}, "trials must be >= 1, got 0"),
+            ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_counts_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**overrides)
+
     def test_numpy_integers_accepted(self):
         counts = {"n_channels": 64, "k_users": 4, "d_pairs": 2, "trials": 2, "master_seed": 7}
         cfg = SimConfig(**{k: np.int64(v) for k, v in counts.items()})
@@ -569,6 +581,7 @@ class TestConfigValidation:
             ("eta_db", 4000.0, "eta_db must be finite and within"),
             ("p_max_dbm", -4000.0, "p_max_dbm must be finite and within"),
             ("path_loss_ref_db", 4000.0, "path_loss_ref_db must be finite and within"),
+            ("total_bandwidth_mhz", 1e300, "total_bandwidth_mhz must be <= 1e6"),
         ],
     )
     def test_invalid_derived_parameters_rejected_at_construction(self, field, value, message):
