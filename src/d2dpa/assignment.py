@@ -96,8 +96,8 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Least total any mapping gives up against the optimal mapping ``cols``
-    when it sends row r to column c, as a D x K array; on a (B, D, K) stack
-    of tables with ``cols`` (B, D), the B arrays at once.
+    when it sends row r to column c, for each table of a (B, D, K) stack
+    with ``cols`` (B, D): a (B, D, K) array.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
@@ -111,8 +111,6 @@ def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     onto any column at no cost.  Every step is elementwise or a minimum, so
     each table of a stack gets the same bits as on its own.
     """
-    if rates.ndim == 2:
-        return _forcing_loss(rates[None], cols[None])[0]
     b, d, k = rates.shape
     tab, rows = np.arange(b)[:, None], np.arange(d)
     slack = rates[tab, rows, cols][:, :, None] - rates

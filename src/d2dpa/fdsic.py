@@ -46,9 +46,9 @@ from .model import (
     Scenario,
     ScenarioKind,
     SystemParams,
+    cu_rate,
     gain_block,
     pu_min,
-    shannon_rate,
     sic_sum_rate,
     within_limits,
 )
@@ -400,7 +400,7 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
     """
     ts = np.array([seg.lo, seg.hi])  # (candidate, segment, entry)
     p1, p2 = _device_powers(seg, ts, limits)
-    rates = np.where(seg.has, sic_sum_rate(p1, p2, h[0], params, np.log2), -np.inf)
+    rates = np.where(seg.has, sic_sum_rate(p1, p2, h[0], params), -np.inf)
     pick = (rates.argmax(axis=0), np.arange(4)[:, None], np.arange(ts.shape[-1]))
     return ts[pick], p1[pick], p2[pick], rates[pick]
 
@@ -426,8 +426,7 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     takes the lowest admissible power for the chosen device powers.  The
     first point in that order, the best segment's best point, is checked
     for every pair; only the pairs where it fails go through the rest.  The
-    rate is `sic_sum_rate` at the chosen powers, with numpy's log2 as in
-    `segment_best`.
+    rate is `sic_sum_rate` at the chosen powers.
     """
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     caps = (p1_max, p2_max, pu_max)
@@ -477,7 +476,7 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
         ok[redo] = tried.any(axis=0)
     ok &= ~seg.error
     p1, p2, pu = (np.where(ok, x, 0.0) for x in (p1, p2, pu))
-    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params, np.log2), -np.inf)
+    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params), -np.inf)
     return p1, p2, pu, rate
 
 
@@ -493,16 +492,17 @@ def solve_fd_sic_order(
     pu_m = pu_min(params, gains.h_b_u)
     if not sufficient_feasibility(gains, params, limits, pu_m, order):
         return None
+    h = gain_block(gains)
     m1_first = np.array([order is DecodingOrder.M1_FIRST])
     with np.errstate(all="ignore"):
-        p1, p2, pu, rate = fd_sic_batch(gain_block(gains), params, limits, np.array([pu_m]), m1_first)
+        p1, p2, pu, rate = fd_sic_batch(h, params, limits, np.array([pu_m]), m1_first)
+        r_u = cu_rate(p1[0], p2[0], pu[0], h[:, 0], params, sic=True)
     if rate[0] == -np.inf:
         return None
-    point = PowerTriplet(float(p1[0]), float(p2[0]), float(pu[0]))
     return PaSolution(
         scenario=Scenario(ScenarioKind.FD_SIC, order=order),
-        powers=point,
+        powers=PowerTriplet(float(p1[0]), float(p2[0]), float(pu[0])),
         r_d2d_bps=float(rate[0]),
-        r_u_bps=shannon_rate(params.bandwidth_hz, point.pu_w * gains.h_b_u / params.noise_w),
+        r_u_bps=float(r_u),
         sic_applied=True,
     )

@@ -1,4 +1,4 @@
-"""Domain types, unit helpers and per-scenario Shannon rates for D2D underlay links.
+"""Domain types, unit helpers and the Shannon rates of the D2D underlay links.
 
 Everything internal runs in linear SI units (W, Hz, bit/s); dB and dBm only
 appear at I/O boundaries.
@@ -152,12 +152,10 @@ class PowerTriplet:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
-    def within(self, limits: PowerLimits, rel_tol: float = REL_POWER_TOL) -> bool:
-        return within_limits(self.p1_w, self.p2_w, self.pu_w, limits, rel_tol)
-
 
 def within_limits(p1_w, p2_w, pu_w, limits: PowerLimits, rel_tol: float = REL_POWER_TOL):
-    """`PowerTriplet.within` on floats or arrays."""
+    """True where a (p1, p2, pu) triplet of floats or arrays keeps every
+    power within its limit, up to a relative ``rel_tol``."""
     return (
         (p1_w <= limits.p1_max_w * (1.0 + rel_tol))
         & (p2_w <= limits.p2_max_w * (1.0 + rel_tol))
@@ -220,10 +218,6 @@ class PaSolution:
     feasible: bool = True
 
 
-def shannon_rate(bandwidth_hz: float, sinr: float) -> float:
-    return bandwidth_hz * math.log2(1.0 + sinr)
-
-
 def rate_floor_snr(params: SystemParams) -> float:
     """SINR the CU must reach for its minimum rate: 2^(Rmin/B) - 1."""
     return 2.0 ** (params.r_u_min_bps / params.bandwidth_hz) - 1.0
@@ -235,73 +229,36 @@ def pu_min(params: SystemParams, h_b_u):
     return rate_floor_snr(params) * params.noise_w / h_b_u
 
 
-def fd_nosic_rates(
-    powers: PowerTriplet, gains: ChannelGains, params: SystemParams
-) -> tuple[float, float, float]:
-    """(CU, d1, d2) rates when nobody cancels anything: full cross interference
-    at the BS, and CU interference plus residual self-interference at the devices."""
+def cu_rate(p1_w, p2_w, pu_w, h, params: SystemParams, sic: bool):
+    """The CU's rate at the BS, on floats or arrays: under SIC the BS has
+    stripped both device messages and keeps only noise, without it both
+    devices interfere.  ``h`` is a (6, ...) gain block, rows in
+    `GAIN_FIELDS` order."""
+    _, h_b_d1, h_b_d2, _, _, h_b_u = h
     s = params.noise_w
-    b = params.bandwidth_hz
-    sinr_b = powers.pu_w * gains.h_b_u / (
-        powers.p1_w * gains.h_b_d1 + powers.p2_w * gains.h_b_d2 + s
-    )
-    sinr_d1 = powers.p2_w * gains.h_d / (
-        powers.pu_w * gains.h_d1_u + params.eta1 * powers.p1_w + s
-    )
-    sinr_d2 = powers.p1_w * gains.h_d / (
-        powers.pu_w * gains.h_d2_u + params.eta2 * powers.p2_w + s
-    )
-    return shannon_rate(b, sinr_b), shannon_rate(b, sinr_d1), shannon_rate(b, sinr_d2)
+    den = s if sic else p1_w * h_b_d1 + p2_w * h_b_d2 + s
+    return params.bandwidth_hz * np.log2(1.0 + pu_w * h_b_u / den)
 
 
-def fd_sic_rates(
-    powers: PowerTriplet, gains: ChannelGains, params: SystemParams
-) -> tuple[float, float, float]:
-    """(CU, d1, d2) rates under full mutual SIC: the BS keeps only noise and the
-    devices keep only their residual self-interference."""
+def device_rate(p_tx_w, p_rx_w, pu_w, h_d, h_rx_u, eta_rx, params: SystemParams, sic: bool):
+    """The rate of one device's message at its partner, on floats or
+    arrays: the receiver keeps its residual self-interference ``eta_rx *
+    p_rx_w`` and, unless it cancels it by SIC, the CU's interference through
+    ``h_rx_u``.  A half-duplex slot is the call with the receiver silent."""
     s = params.noise_w
-    b = params.bandwidth_hz
-    sinr_b = powers.pu_w * gains.h_b_u / s
-    sinr_d1 = powers.p2_w * gains.h_d / (params.eta1 * powers.p1_w + s)
-    sinr_d2 = powers.p1_w * gains.h_d / (params.eta2 * powers.p2_w + s)
-    return shannon_rate(b, sinr_b), shannon_rate(b, sinr_d1), shannon_rate(b, sinr_d2)
+    den = eta_rx * p_rx_w + s if sic else pu_w * h_rx_u + eta_rx * p_rx_w + s
+    return params.bandwidth_hz * np.log2(1.0 + p_tx_w * h_d / den)
 
 
-def sic_sum_rate(p1_w, p2_w, h_d, params: SystemParams, log2=math.log2):
-    """Sum D2D rate under mutual SIC, independent of the CU power; on floats
-    or, with an array ``log2``, on arrays."""
+def sic_sum_rate(p1_w, p2_w, h_d, params: SystemParams):
+    """Sum D2D rate under mutual SIC, independent of the CU power, on floats
+    or arrays: FD-SIC's objective, with the two logs summed before the
+    scaling by the bandwidth."""
     s = params.noise_w
     return params.bandwidth_hz * (
-        log2(1.0 + p1_w * h_d / (params.eta2 * p2_w + s))
-        + log2(1.0 + p2_w * h_d / (params.eta1 * p1_w + s))
+        np.log2(1.0 + p1_w * h_d / (params.eta2 * p2_w + s))
+        + np.log2(1.0 + p2_w * h_d / (params.eta1 * p1_w + s))
     )
-
-
-def _hd_slot_rates(
-    slot: int,
-    powers: PowerTriplet,
-    gains: ChannelGains,
-    params: SystemParams,
-    sic: bool,
-) -> tuple[float, float]:
-    """(CU rate, receiving-device rate) for one half slot, full-rate values."""
-    s = params.noise_w
-    b = params.bandwidth_hz
-    if slot == 1:
-        p_dev, h_b_dev, h_rx_u = powers.p1_w, gains.h_b_d1, gains.h_d2_u
-        if powers.p2_w != 0.0:
-            raise ValueError("device 2 must stay silent in the first half slot")
-    else:
-        p_dev, h_b_dev, h_rx_u = powers.p2_w, gains.h_b_d2, gains.h_d1_u
-        if powers.p1_w != 0.0:
-            raise ValueError("device 1 must stay silent in the second half slot")
-    if sic:
-        sinr_b = powers.pu_w * gains.h_b_u / s
-        sinr_dev = p_dev * gains.h_d / s
-    else:
-        sinr_b = powers.pu_w * gains.h_b_u / (p_dev * h_b_dev + s)
-        sinr_dev = p_dev * gains.h_d / (powers.pu_w * h_rx_u + s)
-    return shannon_rate(b, sinr_b), shannon_rate(b, sinr_dev)
 
 
 def scenario_rates(
@@ -310,26 +267,38 @@ def scenario_rates(
     gains: ChannelGains,
     params: SystemParams,
 ) -> tuple[float, float, float]:
-    """Achieved (CU, d1, d2) rates for any scenario.
+    """Achieved (CU, d1, d2) rates for any scenario, from `cu_rate` and
+    `device_rate`.
 
     HD scenarios take a pair of half-slot triplets and return half-slot
-    averaged rates (each half slot carries weight 1/2).
+    averaged rates (each half slot carries weight 1/2); slot 1 carries
+    device 1 to device 2 with device 2 silent, slot 2 the reverse.
     """
-    if scenario.kind is ScenarioKind.FD_NOSIC:
-        assert isinstance(powers, PowerTriplet)
-        return fd_nosic_rates(powers, gains, params)
-    if scenario.kind is ScenarioKind.FD_SIC:
-        assert isinstance(powers, PowerTriplet)
-        if scenario.order is not None:
-            return fd_sic_rates(powers, gains, params)
-        return fd_nosic_rates(powers, gains, params)
-    if scenario.kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
-        first, second = powers  # type: ignore[misc]
-        if scenario.kind is ScenarioKind.HD_SIC:
-            sic1, sic2 = scenario.slot_sic  # type: ignore[misc]
+    h = gain_block(gains)[:, 0]
+    h_d, _, _, h_d1_u, h_d2_u, _ = h
+    e1, e2 = params.eta1, params.eta2
+    with np.errstate(all="ignore"):
+        if scenario.kind in (ScenarioKind.FD_NOSIC, ScenarioKind.FD_SIC):
+            assert isinstance(powers, PowerTriplet)
+            sic = scenario.order is not None
+            p1, p2, pu = powers.p1_w, powers.p2_w, powers.pu_w
+            rates = (
+                cu_rate(p1, p2, pu, h, params, sic),
+                device_rate(p2, p1, pu, h_d, h_d1_u, e1, params, sic),
+                device_rate(p1, p2, pu, h_d, h_d2_u, e2, params, sic),
+            )
+        elif scenario.kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
+            first, second = powers  # type: ignore[misc]
+            if first.p2_w != 0.0:
+                raise ValueError("device 2 must stay silent in the first half slot")
+            if second.p1_w != 0.0:
+                raise ValueError("device 1 must stay silent in the second half slot")
+            sic1, sic2 = scenario.slot_sic or (False, False)
+            r_u1 = cu_rate(first.p1_w, 0.0, first.pu_w, h, params, sic1)
+            r_d2 = device_rate(first.p1_w, 0.0, first.pu_w, h_d, h_d2_u, e2, params, sic1)
+            r_u2 = cu_rate(0.0, second.p2_w, second.pu_w, h, params, sic2)
+            r_d1 = device_rate(second.p2_w, 0.0, second.pu_w, h_d, h_d1_u, e1, params, sic2)
+            rates = (0.5 * (r_u1 + r_u2), 0.5 * r_d1, 0.5 * r_d2)
         else:
-            sic1 = sic2 = False
-        r_u1, r_d2 = _hd_slot_rates(1, first, gains, params, sic1)
-        r_u2, r_d1 = _hd_slot_rates(2, second, gains, params, sic2)
-        return 0.5 * (r_u1 + r_u2), 0.5 * r_d1, 0.5 * r_d2
-    raise ValueError(f"unknown scenario kind: {scenario.kind!r}")
+            raise ValueError(f"unknown scenario kind: {scenario.kind!r}")
+    return tuple(float(r) for r in rates)

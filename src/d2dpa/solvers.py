@@ -35,6 +35,7 @@ from .model import (
     ScenarioKind,
     SystemParams,
     check_array,
+    device_rate,
     gain_block,
     pu_min,
     rate_floor_snr,
@@ -88,21 +89,19 @@ class _SlotBatch:
 
 
 def _hd_nosic_slot_batch(
-    p_dev_max: float,
-    h_b_dev: np.ndarray,
-    h_rx_u: np.ndarray,
-    h_d: np.ndarray,
-    h_b_u: np.ndarray,
-    params: SystemParams,
-    limits: PowerLimits,
+    p_dev_max, h: np.ndarray, params: SystemParams, limits: PowerLimits
 ) -> _SlotBatch:
-    """Closed-form half-slot optimum without SIC.
+    """Closed-form optimum without SIC of half slot 1 (device 1 to device 2)
+    on the (6, ...) gain block ``h``, under device power cap ``p_dev_max``.
 
     The device transmits as loud as the CU power budget allows while the CU
     rate floor is met with equality; the slot is infeasible where even a
     silent device cannot protect the CU.  With no rate floor (q = 0) the CU
     needs no power, so the device takes its cap and the CU stays silent.
+    The receiving device is silent in its slot, so its self-interference
+    factor multiplies 0 W, and on the device-swapped block this is slot 2.
     """
+    h_d, h_b_dev, _, _, h_rx_u, h_b_u = h
     q = rate_floor_snr(params)
     s = params.noise_w
     pu_needed = q * (p_dev_max * h_b_dev + s) / h_b_u
@@ -110,27 +109,24 @@ def _hd_nosic_slot_batch(
     p_dev = np.where(fits, p_dev_max, (limits.pu_max_w * h_b_u / q - s) / h_b_dev)
     pu = np.where(fits, pu_needed, limits.pu_max_w)
     ok = fits | ~(p_dev < 0.0)
-    r_dev = params.bandwidth_hz * np.log2(1.0 + p_dev * h_d / (pu * h_rx_u + s))
+    r_dev = device_rate(p_dev, 0.0, pu, h_d, h_rx_u, params.eta2, params, sic=False)
     return _SlotBatch(p_dev, pu, r_dev, ok)
 
 
 def _hd_sic_slot_batch(
-    p_dev_max: float,
-    ratio_lo: np.ndarray,
-    ratio_hi: np.ndarray,
-    pu_m: np.ndarray,
-    h_d: np.ndarray,
-    params: SystemParams,
-    limits: PowerLimits,
+    p_dev_max, h: np.ndarray, pu_m: np.ndarray, params: SystemParams, limits: PowerLimits
 ) -> _SlotBatch:
-    """Half-slot optimum with mutual SIC; ``ok`` is False where SIC is not
-    available.
+    """Optimum with mutual SIC of half slot 1, arguments as in
+    `_hd_nosic_slot_batch` and ``pu_m`` the CU floor power; ``ok`` is False
+    where SIC is not available.
 
     The CU-to-device power ratio must sit strictly inside (ratio_lo,
     ratio_hi); the device power is pushed as high as that band and the CU
     power cap allow, and the CU then transmits at the lowest admissible
     power.
     """
+    h_d, h_b_dev, _, _, h_rx_u, h_b_u = h
+    ratio_lo, ratio_hi = h_d / h_rx_u, h_b_dev / h_b_u
     pu_max = limits.pu_max_w
     ok = (ratio_lo < ratio_hi) & ~(pu_m > pu_max) & ~(p_dev_max * ratio_hi <= pu_m)
     lo_p = ratio_lo * p_dev_max
@@ -138,7 +134,7 @@ def _hd_sic_slot_batch(
     above = ~below & (lo_p > pu_max)
     p_dev = np.where(above, pu_max / ratio_lo, p_dev_max)
     pu = np.where(below, pu_m, np.where(above, pu_max, np.maximum(lo_p, pu_m)))
-    r_dev = params.bandwidth_hz * np.log2(1.0 + p_dev * h_d / params.noise_w)
+    r_dev = device_rate(p_dev, 0.0, pu, h_d, h_rx_u, params.eta2, params, sic=True)
     return _SlotBatch(p_dev, pu, r_dev, ok)
 
 
@@ -188,12 +184,14 @@ def solve_all_batch(
     """All four schemes for every combination of a table at once.
 
     ``h`` is the table's (6, ...) gain block, rows in `model.GAIN_FIELDS`
-    order.  Rates are computed from the chosen
-    powers with the `scenario_rates` formulas, and the chosen powers pass
-    `PowerTriplet`'s check.
+    order.  Every rate is `model.cu_rate` or `model.device_rate` at the
+    chosen powers, as in `scenario_rates` (FD-SIC's is `model.sic_sum_rate`,
+    which equals their sum up to rounding), and the chosen powers pass
+    `PowerTriplet`'s check.  HD half slot 2 is half slot 1 on the gains with
+    the devices swapped, so each slot kernel runs once on both slots,
+    stacked on a leading axis.
     """
-    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
-    s, bw, eta1, eta2 = params.noise_w, params.bandwidth_hz, params.eta1, params.eta2
+    h_d, _, _, h_d1_u, h_d2_u, h_b_u = h
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     with np.errstate(all="ignore"):
         pu_m = pu_min(params, h_b_u)
@@ -201,20 +199,20 @@ def solve_all_batch(
 
         # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.  Each
         # half slot keeps SIC where it is available and at least as good.
-        nosic1 = _hd_nosic_slot_batch(p1_max, h_b_d1, h_d2_u, h_d, h_b_u, params, limits)
-        nosic2 = _hd_nosic_slot_batch(p2_max, h_b_d2, h_d1_u, h_d, h_b_u, params, limits)
-        hd_ok = nosic1.ok & nosic2.ok & cu_ok
-        sic1 = _hd_sic_slot_batch(p1_max, h_d / h_d2_u, h_b_d1 / h_b_u, pu_m, h_d, params, limits)
-        sic2 = _hd_sic_slot_batch(p2_max, h_d / h_d1_u, h_b_d2 / h_b_u, pu_m, h_d, params, limits)
-        use1 = hd_ok & sic1.ok & (sic1.r_dev >= nosic1.r_dev)
-        use2 = hd_ok & sic2.ok & (sic2.r_dev >= nosic2.r_dev)
-        slot1, slot2 = _choose(use1, sic1, nosic1), _choose(use2, sic2, nosic2)
+        slots_h = np.stack([h, h[[0, 2, 1, 4, 3, 5]]], axis=1)
+        caps = np.array([p1_max, p2_max]).reshape((2,) + (1,) * h_d.ndim)
+        nosic = _hd_nosic_slot_batch(caps, slots_h, params, limits)
+        hd_ok = nosic.ok[0] & nosic.ok[1] & cu_ok
+        sic = _hd_sic_slot_batch(caps, slots_h, pu_m, params, limits)
+        use = hd_ok & sic.ok & (sic.r_dev >= nosic.r_dev)
+        slot = _choose(use, sic, nosic)
 
         p1, p2, pu, fd_search_rate = fd_nosic_batch(h, params, limits)
         fd_ok = fd_search_rate >= 0.0
         pu = np.minimum(pu, pu_max)
-        fd_rate = bw * np.log2(1.0 + p2 * h_d / (pu * h_d1_u + eta1 * p1 + s)) + bw * np.log2(
-            1.0 + p1 * h_d / (pu * h_d2_u + eta2 * p2 + s)
+        fd_rate = (
+            device_rate(p2, p1, pu, h_d, h_d1_u, params.eta1, params, sic=False)
+            + device_rate(p1, p2, pu, h_d, h_d2_u, params.eta2, params, sic=False)
         )
         passes = np.array([pretest(h, params, limits, pu_m, o) for o in SIC_ORDERS])
         *sic_powers, sic_rate, m1_first, solved = _fd_sic_table(h, params, limits, pu_m, passes)
@@ -226,36 +224,36 @@ def solve_all_batch(
 
     # `_check_powers` on every returned allocation as one test; only when it
     # fails do the per-field checks run, in turn, to raise the first failure.
-    hd_slots = (nosic1, nosic2, slot1, slot2)
+    hd_slots = (nosic, slot)
     checked = np.concatenate([
-        np.array([x for slot in hd_slots for x in (slot.p_dev, slot.pu)])[:, hd_ok],
+        np.array([x for s in hd_slots for x in (s.p_dev, s.pu)])[..., hd_ok],
         np.array(fd_powers)[:, fd_ok],
         solved[:3, solved[3] >= 0.0],
     ], axis=None)
     if not (checked.min(initial=0.0) >= 0.0 and checked.max(initial=0.0) < np.inf):
-        for first, second in (hd_slots[:2], hd_slots[2:]):
-            _check_powers(hd_ok, first.p_dev, 0.0, first.pu)
-            _check_powers(hd_ok, 0.0, second.p_dev, second.pu)
+        for s in hd_slots:
+            _check_powers(hd_ok, s.p_dev[0], 0.0, s.pu[0])
+            _check_powers(hd_ok, 0.0, s.p_dev[1], s.pu[1])
         _check_powers(fd_ok, *fd_powers)
         _check_powers(solved[3] >= 0.0, *solved[:3])
 
-    def half_slots(first: _SlotBatch, second: _SlotBatch) -> tuple:
-        return (first.p_dev, 0.0, first.pu), (0.0, second.p_dev, second.pu)
+    def half_slots(s: _SlotBatch) -> tuple:
+        return (s.p_dev[0], 0.0, s.pu[0]), (0.0, s.p_dev[1], s.pu[1])
 
     no_sic = np.zeros(h_d.shape, dtype=bool)
     # scenario_rates: each half slot carries weight 1/2.
-    hd_nosic_rate = 0.5 * nosic2.r_dev + 0.5 * nosic1.r_dev
-    hd_sic_rate = 0.5 * slot2.r_dev + 0.5 * slot1.r_dev
+    hd_nosic_rate = 0.5 * nosic.r_dev[1] + 0.5 * nosic.r_dev[0]
+    hd_sic_rate = 0.5 * slot.r_dev[1] + 0.5 * slot.r_dev[0]
     return {
         ScenarioKind.FD_NOSIC: SchemeTable(
             np.where(fd_ok, fd_rate, 0.0), no_sic, ~fd_ok, fd_powers
         ),
         ScenarioKind.HD_NOSIC: SchemeTable(
-            np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok, half_slots(nosic1, nosic2)
+            np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok, half_slots(nosic)
         ),
         ScenarioKind.HD_SIC: SchemeTable(
-            np.where(hd_ok, hd_sic_rate, 0.0), use1 | use2, ~hd_ok, half_slots(slot1, slot2),
-            slot_sic=(use1, use2),
+            np.where(hd_ok, hd_sic_rate, 0.0), use[0] | use[1], ~hd_ok, half_slots(slot),
+            slot_sic=(use[0], use[1]),
         ),
         ScenarioKind.FD_SIC: SchemeTable(
             np.where(fd_sic_ok, np.where(fd_sic_won, sic_rate, fd_rate), 0.0), fd_sic_won,
@@ -277,7 +275,9 @@ def solve_all(
     table.  A feasible solution whose D2D or CU rate overflows raises
     ValueError, naming the scheme."""
     solutions = {}
-    for kind, t in solve_all_batch(gain_block(gains), params, limits).items():
+    with np.errstate(all="ignore"):
+        tables = solve_all_batch(gain_block(gains), params, limits)
+    for kind, t in tables.items():
         if t.infeasible[0]:
             solutions[kind] = _infeasible(kind)
             continue

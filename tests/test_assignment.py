@@ -199,7 +199,7 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
         best_through = np.full((d, k), -np.inf)
         for r in range(d):
             np.maximum.at(best_through[r], perms[:, r], totals)
-        loss = d2dpa.assignment._forcing_loss(table, cols)
+        loss = d2dpa.assignment._forcing_loss(table[None], cols[None])[0]
         np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
 
@@ -224,7 +224,7 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
         stacked = d2dpa.assignment._forcing_loss(stack, cols)
         assert stacked.shape == stack.shape
         for table, c, loss in zip(stack, cols, stacked):
-            own = d2dpa.assignment._forcing_loss(table, c)
+            own = d2dpa.assignment._forcing_loss(table[None], c[None])[0]
             assert own.tobytes() == loss.tobytes()
 
 

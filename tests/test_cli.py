@@ -1,8 +1,13 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import d2dpa
 from d2dpa.cli import main
 from d2dpa.sim import SCENARIOS, SimConfig, run_campaign
 from d2dpa.solvers import solve_all
@@ -107,6 +112,24 @@ class TestSolve:
         captured = capsys.readouterr()
         assert "fd_nosic: D2D rate inf" in captured.err
         assert "R_D2D" not in captured.out
+
+    def test_overflowing_rate_prints_only_the_error(self, tmp_path):
+        """Run as a program, the overflowing instance prints the error line
+        and no numpy warning above it."""
+        path = tmp_path / "huge.txt"
+        path.write_text(INSTANCE.replace("h_d = 2.5e-7", "h_d = 1e308"))
+        src = str(Path(d2dpa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-m", "d2dpa", "solve", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: fd_nosic: D2D rate inf")
 
     def test_infeasible_instance_exits_2(self, tmp_path):
         path = tmp_path / "infeasible.txt"

@@ -20,6 +20,7 @@ from d2dpa.model import (
     dbm_to_watts,
     rate_floor_snr,
     scenario_rates,
+    within_limits,
 )
 from d2dpa.oracle import _fd_sic_mask
 from d2dpa.solvers import SIC_ORDERS, solve_all
@@ -55,7 +56,8 @@ def test_cap_corner_stays_inside_the_box():
                           2.511886431509582e-09, 0.5e6)
     limits = PowerLimits(1e-3, dbm_to_watts(1.0), dbm_to_watts(-8.0))
     sol = solve_all(gains, params, limits)[ScenarioKind.FD_NOSIC]
-    assert sol.powers.within(limits, rel_tol=0.0)
+    p = sol.powers
+    assert within_limits(p.p1_w, p.p2_w, p.pu_w, limits, rel_tol=0.0)
     swapped = solve_all(
         gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
     )[ScenarioKind.FD_NOSIC]
@@ -208,7 +210,8 @@ def _oracle_accepts(point, gains, params, limits, order) -> bool:
         point.pu_w * nudge[None, None, :], gains, params.eta1, params.eta2, order,
     )
     floor = point.pu_w * gains.h_b_u >= (1.0 - REL_TOL) * rate_floor_snr(params) * params.noise_w
-    return bool(strict.any()) and floor and point.within(limits, REL_TOL)
+    within = within_limits(point.p1_w, point.p2_w, point.pu_w, limits, REL_TOL)
+    return bool(strict.any()) and floor and within
 
 
 # Few instances admit mutual SIC, so this draws more of them than the others.

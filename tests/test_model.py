@@ -11,8 +11,11 @@ from d2dpa.model import (
     Scenario,
     ScenarioKind,
     SystemParams,
+    cu_rate,
     db_to_linear,
     dbm_to_watts,
+    device_rate,
+    gain_block,
     pu_min,
     scenario_rates,
     watts_to_dbm,
@@ -152,15 +155,19 @@ class TestScenarioRates:
     def test_hd_rate_is_half_sum_of_slots(self):
         gains = make_gains()
         params = make_params()
+        h = gain_block(gains)[:, 0]
         first = PowerTriplet(0.1, 0.0, 0.02)
         second = PowerTriplet(0.0, 0.15, 0.03)
-        from d2dpa.model import _hd_slot_rates
-
         for sic in ((False, False), (True, False), (False, True), (True, True)):
             scen = Scenario(ScenarioKind.HD_SIC, slot_sic=sic)
             r_u, r_d1, r_d2 = scenario_rates(scen, (first, second), gains, params)
-            ru1, rd2 = _hd_slot_rates(1, first, gains, params, sic[0])
-            ru2, rd1 = _hd_slot_rates(2, second, gains, params, sic[1])
+            # each half slot is the link with the other device silent at 0 W
+            ru1 = cu_rate(first.p1_w, 0.0, first.pu_w, h, params, sic[0])
+            rd2 = device_rate(first.p1_w, 0.0, first.pu_w, gains.h_d, gains.h_d2_u,
+                              params.eta2, params, sic[0])
+            ru2 = cu_rate(0.0, second.p2_w, second.pu_w, h, params, sic[1])
+            rd1 = device_rate(second.p2_w, 0.0, second.pu_w, gains.h_d, gains.h_d1_u,
+                              params.eta1, params, sic[1])
             assert r_u == 0.5 * ru1 + 0.5 * ru2
             assert r_d1 == 0.5 * rd1
             assert r_d2 == 0.5 * rd2

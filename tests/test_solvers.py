@@ -11,7 +11,6 @@ from d2dpa.model import (
     SystemParams,
     rate_floor_snr,
     scenario_rates,
-    shannon_rate,
 )
 from d2dpa.oracle import GridSpec, brute_force
 from d2dpa.solvers import solve_all
@@ -44,7 +43,7 @@ class TestHdNoSic:
         assert first.pu_w == default_limits.pu_max_w
         assert first.p1_w < default_limits.p1_max_w
         # still exactly on the CU rate floor
-        r_u1 = shannon_rate(BW_HZ, first.pu_w * g.h_b_u / (first.p1_w * g.h_b_d1 + NOISE_W))
+        r_u1 = BW_HZ * math.log2(1.0 + first.pu_w * g.h_b_u / (first.p1_w * g.h_b_d1 + NOISE_W))
         assert r_u1 == pytest.approx(params.r_u_min_bps, rel=1e-9)
 
     def test_infeasible_when_cu_floor_unreachable(self):
@@ -164,8 +163,8 @@ class TestHdSic:
                     pmc_ok = shrunk * h_rx > p_dev * gains.h_d
                     assert not (floor_ok and pmc_ok)
                 else:
-                    r_u = shannon_rate(
-                        BW_HZ, shrunk * gains.h_b_u / (p_dev * h_b_dev + NOISE_W)
+                    r_u = BW_HZ * math.log2(
+                        1.0 + shrunk * gains.h_b_u / (p_dev * h_b_dev + NOISE_W)
                     )
                     assert r_u < params.r_u_min_bps
 
