@@ -94,22 +94,20 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
     return float(rates[rows, cols].sum()), cols
 
 
-def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Least total any mapping gives up against the optimal mapping ``cols``
-    when it sends row r to column c, for each table of a (B, D, K) stack
-    with ``cols`` (B, D): a (B, D, K) array.
+def _mapping_graph(rates: np.ndarray, cols: np.ndarray):
+    """The graph of moves off the optimal mapping ``cols`` of each table of
+    a (B, D, K) stack, with ``cols`` (B, D): ``slack`` (B, D, K), what row r
+    gives up by moving from its column to column c; ``node`` (B, K), the
+    graph node of each column; and ``dist`` (B, n, n), the edge weights.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
     ``cols`` by disjoint cycles: each moved row r gives up
     ``rates[r, cols[r]] - rates[r, new column]``, and no cycle gives up less
-    than zero because ``cols`` is optimal.  So the loss of sending r to c is
-    at least the cheapest cycle through that move, and that cycle is itself a
-    mapping.  It is found as the move plus a shortest path back (no cycle
-    is negative, so shortest paths exist), over the columns of ``cols`` with
-    the unused columns merged into one node, whose zero-rate row may move
-    onto any column at no cost.  Every step is elementwise or a minimum, so
-    each table of a stack gets the same bits as on its own.
+    than zero because ``cols`` is optimal.  The nodes are the columns of
+    ``cols`` (node r holds row r's column) with the unused columns merged
+    into node D, whose zero-rate row may move onto any column at no cost;
+    ``dist[i, j]`` is what row i gives up by moving onto node j.
     """
     b, d, k = rates.shape
     tab, rows = np.arange(b)[:, None], np.arange(d)
@@ -121,10 +119,63 @@ def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
     dist[:, :d, :d] = slack[tab, :, cols].transpose(0, 2, 1)
     if d < k:
         dist[:, :d, d] = np.where((node == d)[:, None, :], slack, np.inf).min(axis=2)
+    return slack, node, dist
+
+
+def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Least total any mapping gives up against the optimal mapping when it
+    sends row r to column c, for each table of the stack whose
+    `_mapping_graph` is (``slack``, ``node``, ``dist``): a (B, D, K) array.
+    ``dist`` is overwritten with the shortest paths.
+
+    The loss of sending r to c is at least the cheapest cycle through that
+    move, and that cycle is itself a mapping.  It is found as the move plus
+    a shortest path back (no cycle is negative, so shortest paths exist),
+    from one Floyd-Warshall pass over the graph.  Every step is elementwise
+    or a minimum, so each table of a stack gets the same bits as on its own.
+    """
+    b, d, _ = slack.shape
     through = np.empty_like(dist)
     for col, row in zip(dist.transpose(2, 0, 1)[:, :, :, None], dist.transpose(1, 0, 2)[:, :, None]):
         np.minimum(dist, np.add(col, row, out=through), out=dist)
-    return slack + dist[tab, node, :d].transpose(0, 2, 1)
+    return slack + dist[np.arange(b)[:, None], node, :d].transpose(0, 2, 1)
+
+
+def _only_mapping_near(
+    rates: np.ndarray, cols: np.ndarray, dist: np.ndarray, bound: float, eps: float
+) -> bool:
+    """Whether every mapping of the (D, K) table ``rates`` other than its
+    optimal mapping ``cols`` falls short of it by more than ``bound``, so
+    that every forcing loss off ``cols`` exceeds ``bound``; ``dist`` (n, n)
+    is the table's `_mapping_graph`, before the pass.
+
+    First the two-cycles of the graph: two rows swapping columns, or a row
+    moving to a free column (and node D's row back at no cost).  One within
+    ``bound`` is itself a near mapping, so the answer is no and no solve is
+    spent on it.  Otherwise the table is solved once more with each entry of
+    ``cols`` lowered by delta = bound + 2 eps.  A mapping that moves L >= 1
+    rows off ``cols`` keeps D - L lowered entries, so against ``cols`` it
+    gains L delta in the lowered table.  If the re-solve still returns
+    ``cols``, each such mapping falls short of ``cols`` in ``rates`` by at
+    least L delta less float error, and that error is under L eps.
+    Lowering rounds each lowered entry by at most EPS max|rates|, far below
+    eps.  LSA weighs the two mappings through the L entries where they
+    differ, and its rounding there is taken to be under the rest of eps per
+    moved row: the module takes eps to bound LSA's error wherever it
+    compares solves (the tie-break's re-solve totals against the first
+    solve's, and the first solve as the optimum the losses start from).  So
+    the true loss of any entry off ``cols`` is at least delta - eps = bound
+    + eps, and the pass, whose losses err by at most eps, would compute it
+    above ``bound``.  If the re-solve returns another mapping, the answer is
+    no, though a near mapping need not exist.
+    """
+    pairs = dist + dist.T
+    np.fill_diagonal(pairs, np.inf)
+    if pairs.min() <= bound:
+        return False
+    lowered = rates.copy()
+    lowered[np.arange(len(cols)), cols] -= bound + 2.0 * eps
+    return np.array_equal(_solve(lowered)[1], cols)
 
 
 def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
@@ -159,18 +210,37 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     lies left of a row's first-solve column, no row can move and the first
     solve is returned as it is.  Each column left in play is checked, in
     ascending order, with one solve of the remaining rows without it.
+
+    On one table the losses are certified before their Floyd-Warshall pass:
+    when no two-cycle of moves is near and a second solve, with the first
+    mapping's entries lowered by a margin above the tie bound, still returns
+    that mapping, every other mapping falls short by more than the bound
+    (see ``_only_mapping_near``).  No loss off the mapping is then near, so
+    the first solve is returned without the pass: one extra solve in place
+    of D + 1 pass steps.
     """
     return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
 
 def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each of a list of same-shape tables, with the
-    forcing losses of all of them from one stacked pass."""
+    forcing losses of all of them from one stacked pass.
+
+    A list of one table is certified as `hungarian_max` certifies it.  A
+    longer list skips the certificate: the pass's D + 1 steps are shared by
+    the whole stack, and cost less than a second solve of every table.
+    """
     return _hungarian_max_stack(np.array([_checked_rates(t) for t in tables]))
 
 
 def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
-    """`hungarian_max` of each table of a checked (B, D, K) stack."""
+    """`hungarian_max` of each table of a checked (B, D, K) stack.
+
+    A stack of one table whose first mapping is the only one within the tie
+    bound (``_only_mapping_near``) returns that mapping, as `_tie_break`
+    would with no near entry; any other stack, and a table that fails the
+    certificate, runs the shared pass and the tie-break.
+    """
     b, d, k = rates.shape
     if d == 0:
         return [(Assignment(()), 0.0)] * b
@@ -181,7 +251,11 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     # entries.
     eps = (8.0 * (d + 1) * _EPS * np.abs(rates).max(axis=(1, 2))).tolist()
     bound = np.array([2.0 * tol + e for tol, e in zip(tols, eps)])
-    near = _forcing_loss(rates, np.array([c for _, c in firsts])) <= bound[:, None, None]
+    cols = np.array([c for _, c in firsts])
+    slack, node, dist = _mapping_graph(rates, cols)
+    if b == 1 and _only_mapping_near(rates[0], cols[0], dist[0], bound[0], eps[0]):
+        return [(Assignment(tuple(cols[0].tolist())), firsts[0][0])]
+    near = _forcing_loss(slack, node, dist) <= bound[:, None, None]
     return [
         _tie_break(r, total, c, n, tol)
         for r, (total, c), n, tol in zip(rates, firsts, near, tols)

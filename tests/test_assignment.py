@@ -103,39 +103,73 @@ def test_tie_heavy_tables_vs_lexicographic_enumeration(scale):
         assert assignment.pair_to_cu == lexicographic_best(table)
 
 
-@pytest.fixture
-def lsa_calls(monkeypatch):
-    """List that gains one entry per linear_sum_assignment call."""
+def _count_calls(monkeypatch, name):
+    """List that gains one entry per call of ``d2dpa.assignment.<name>``."""
     calls = []
-    real = d2dpa.assignment.linear_sum_assignment
+    real = getattr(d2dpa.assignment, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(d2dpa.assignment, "linear_sum_assignment", counting)
+    monkeypatch.setattr(d2dpa.assignment, name, counting)
     return calls
 
 
-def test_known_completion_needs_no_extra_solves(lsa_calls):
-    """Each row's best column is the smallest free one, so the first solve's
-    completion settles every row."""
+@pytest.fixture
+def lsa_calls(monkeypatch):
+    """List that gains one entry per linear_sum_assignment call."""
+    return _count_calls(monkeypatch, "linear_sum_assignment")
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """List that gains one entry per Floyd-Warshall pass (_forcing_loss call)."""
+    return _count_calls(monkeypatch, "_forcing_loss")
+
+
+def test_known_completion_needs_no_extra_solves(lsa_calls, passes):
+    """Each row's best column is the smallest free one and no other mapping
+    comes near, so the certifying re-solve settles every row, with no pass."""
     table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
     table[np.arange(5), np.arange(5)] += 10.0
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
-    assert len(lsa_calls) == 1
+    assert len(lsa_calls) == 2
+    assert not passes
 
 
-def test_tie_free_table_needs_only_the_first_solve(lsa_calls):
-    """With one optimal mapping, every column left of a row's optimal one
-    loses more than the tolerance, so the first solve settles every row."""
+def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes):
+    """With one optimal mapping, the re-solve with that mapping lowered past
+    the tie bound returns it again, so the first solve settles every row:
+    the first solve and the certifying one, and no pass."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
     assert assignment.pair_to_cu == tuple(cols.tolist())
     assert any(c > r for r, c in enumerate(cols))  # rows do have columns to their left
-    assert len(lsa_calls) == 1
+    assert len(lsa_calls) == 2
+    assert not passes
+
+
+def test_stacks_skip_the_certificate(lsa_calls, passes):
+    """Two tie-free tables share one pass and make no certifying solve."""
+    stack = np.random.default_rng(76).uniform(0.0, 1.0, (2, 8, 16))
+    hungarian_max_many(list(stack))
+    assert len(lsa_calls) == 2
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_three_cycle_tie_reaches_the_pass(order, passes):
+    """The only other optimum is a three-cycle, so no two-cycle is near,
+    but the lowered re-solve moves to the three-cycle and the pass runs;
+    the answer is the smaller of the two optima in every column order."""
+    table = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])[:, order]
+    assignment, total = hungarian_max(table)
+    assert assignment.pair_to_cu == lexicographic_best(table)
+    assert total == 3.0
+    assert len(passes) == 1
 
 
 def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls):
@@ -164,13 +198,34 @@ def test_each_checked_column_costs_one_solve(lsa_calls):
     assert len(lsa_calls) == 2
 
 
+def _planted_three_cycles(rng, d, k, gaps):
+    """D x K uniform table with one clear optimal mapping and, for each of
+    ``gaps``, a mapping that moves three other rows of it in a cycle and
+    falls short of it by that many tie tolerances (3 x len(gaps) <= D).
+    No two-cycle comes near the optimal mapping."""
+    table = rng.uniform(0.0, 1.0, (d, k))
+    cols = rng.permutation(k)[:d]
+    table[np.arange(d), cols] += 10.0
+    tol = 1e-12 * float(table[np.arange(d), cols].sum())
+    triples = rng.permutation(d)[: 3 * len(gaps)].reshape(-1, 3)
+    for (r0, r1, r2), gap in zip(np.sort(triples, axis=1), gaps):
+        table[r0, cols[r1]] = table[r1, cols[r1]]
+        table[r1, cols[r2]] = table[r2, cols[r2]]
+        table[r2, cols[r0]] = table[r0, cols[r0]] - gap * tol
+    return table
+
+
 @pytest.mark.parametrize("scale", [1.0, 3e7])
-@pytest.mark.parametrize("gap", [0.5, 3.0, 100.0])
+@pytest.mark.parametrize("gap", [0.5, 0.9, 1.1, 2.5, 3.0, 100.0])
 def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
     """Lower one row off an optimal mapping by ``gap`` tie tolerances: at 0.5
-    the other mappings still tie and the tie-break must consider them, at 3
-    and 100 they no longer do.  Either way the result is the enumerated
-    lexicographic optimum."""
+    and 0.9 the other mappings still tie and the tie-break must consider
+    them; at 1.1 they no longer tie but stay within the bound of twice the
+    tolerance; from 2.5 on they are past the bound.  Either way the result
+    is the enumerated lexicographic optimum.  Then the same with a
+    three-cycle ``gap`` tolerances short next to an exact three-cycle tie:
+    no two-cycle is near, so only the certifying re-solve can tell that the
+    first solve is not the only optimum."""
     rng = np.random.default_rng(77)
     for _ in range(120):
         d = int(rng.integers(2, 5))
@@ -181,6 +236,11 @@ def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
         r = int(rng.integers(d))
         off = np.arange(k) != cols[r]
         table[r, off] -= gap * tol
+        assignment, _ = hungarian_max(table)
+        assert assignment.pair_to_cu == lexicographic_best(table)
+    for _ in range(20):
+        d = int(rng.integers(6, 8))
+        table = _planted_three_cycles(rng, d, int(rng.integers(d, 8)), (0.0, gap)) * scale
         assignment, _ = hungarian_max(table)
         assert assignment.pair_to_cu == lexicographic_best(table)
 
@@ -199,7 +259,8 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
         best_through = np.full((d, k), -np.inf)
         for r in range(d):
             np.maximum.at(best_through[r], perms[:, r], totals)
-        loss = d2dpa.assignment._forcing_loss(table[None], cols[None])[0]
+        graph = d2dpa.assignment._mapping_graph(table[None], cols[None])
+        loss = d2dpa.assignment._forcing_loss(*graph)[0]
         np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
 
@@ -221,14 +282,20 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
         k = d if square else int(rng.integers(d + 1, 9))
         stack = _tie_heavy_stack(rng, int(rng.integers(1, 5)), d, k)
         cols = np.array([linear_sum_assignment(t, maximize=True)[1] for t in stack])
-        stacked = d2dpa.assignment._forcing_loss(stack, cols)
+        stacked = d2dpa.assignment._forcing_loss(*d2dpa.assignment._mapping_graph(stack, cols))
         assert stacked.shape == stack.shape
         for table, c, loss in zip(stack, cols, stacked):
-            own = d2dpa.assignment._forcing_loss(table[None], c[None])[0]
+            own = d2dpa.assignment._forcing_loss(
+                *d2dpa.assignment._mapping_graph(table[None], c[None])
+            )[0]
             assert own.tobytes() == loss.tobytes()
 
 
 def test_many_equals_one_table_at_a_time():
+    """A stack runs the shared pass and a single table the certificate: the
+    two routes agree on tie-heavy tables, on tie-free ones (which a single
+    table certifies) and on planted three-cycle near-ties (which pass the
+    two-cycle test but must fail the re-solve)."""
     rng = np.random.default_rng(80)
     for _ in range(150):
         d = int(rng.integers(0, 5))
@@ -237,6 +304,17 @@ def test_many_equals_one_table_at_a_time():
             (4, 0, k)
         )
         assert hungarian_max_many(list(stack)) == [hungarian_max(t) for t in stack]
+    for _ in range(100):
+        d = int(rng.integers(1, 9))
+        stack = rng.uniform(0.0, 1.0, (4, d, int(rng.integers(d, 17))))
+        assert hungarian_max_many(list(stack)) == [hungarian_max(t) for t in stack]
+    for gap in (0.0, 0.5, 1.1, 2.5):
+        for _ in range(60):
+            d = int(rng.integers(3, 9))
+            k = int(rng.integers(d, 13))
+            scale = rng.choice([1.0, 3e7])
+            stack = [_planted_three_cycles(rng, d, k, (gap,)) * scale for _ in range(4)]
+            assert hungarian_max_many(stack) == [hungarian_max(t) for t in stack]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
