@@ -8,12 +8,13 @@ mapping so outputs are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def linear_sum_assignment(rates: np.ndarray, maximize: bool = False):
@@ -97,29 +98,46 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
 def _mapping_graph(rates: np.ndarray, cols: np.ndarray):
     """The graph of moves off the optimal mapping ``cols`` of each table of
     a (B, D, K) stack, with ``cols`` (B, D): ``slack`` (B, D, K), what row r
-    gives up by moving from its column to column c; ``node`` (B, K), the
-    graph node of each column; and ``dist`` (B, n, n), the edge weights.
-
-    Completing the table with K - D all-zero rows that hold the unused
-    columns changes no mapping's total, and makes any mapping differ from
-    ``cols`` by disjoint cycles: each moved row r gives up
-    ``rates[r, cols[r]] - rates[r, new column]``, and no cycle gives up less
-    than zero because ``cols`` is optimal.  The nodes are the columns of
-    ``cols`` (node r holds row r's column) with the unused columns merged
-    into node D, whose zero-rate row may move onto any column at no cost;
-    ``dist[i, j]`` is what row i gives up by moving onto node j.
-    """
+    gives up by moving from its column to column c, and the
+    `_slack_graph` (``node``, ``dist``) built from it."""
     b, d, k = rates.shape
     tab, rows = np.arange(b)[:, None], np.arange(d)
     slack = rates[tab, rows, cols][:, :, None] - rates
+    free = np.ones((b, k), dtype=bool)
+    free[tab, cols] = False
+    free_min = np.where(free[:, None, :], slack, np.inf).min(axis=2)
+    return slack, *_slack_graph(cols, k, slack[tab, :, cols].transpose(0, 2, 1), free_min)
+
+
+def _slack_graph(cols: np.ndarray, k: int, swap: np.ndarray, free_min: np.ndarray):
+    """The graph of moves off the optimal mapping ``cols`` (B, D) of each
+    table of a (B, D, K) stack, from the tables' slack: ``node`` (B, K), the
+    graph node of each column, and ``dist`` (B, n, n), the edge weights.
+    ``swap`` (B, D, D) is the slack at the mapping's columns,
+    ``swap[i, j] = slack[i, cols[j]]``, and ``free_min`` (B, D) each row's
+    least slack over the unused columns.
+
+    Completing the table with K - D all-zero rows that hold the unused
+    columns changes no mapping's total, and makes any mapping differ from
+    ``cols`` by disjoint cycles: each moved row r gives up its slack at the
+    new column, and no cycle gives up less than zero because ``cols`` is
+    optimal.  The nodes are the columns of ``cols`` (node r holds row r's
+    column) with the unused columns merged into node D, whose zero-rate row
+    may move onto any column at no cost; ``dist[i, j]`` is what row i gives
+    up by moving onto node j, so ``dist[:D, :D]`` is ``swap`` and
+    ``dist[:D, D]`` is ``free_min``.  A single table builds it only when
+    its certificate fails (see ``_only_mapping_near``), from the slack the
+    certificate already read.
+    """
+    b, d = cols.shape
     node = np.full((b, k), d)
-    node[tab, cols] = rows
+    node[np.arange(b)[:, None], cols] = np.arange(d)
     n = d + (d < k)
     dist = np.zeros((b, n, n))
-    dist[:, :d, :d] = slack[tab, :, cols].transpose(0, 2, 1)
+    dist[:, :d, :d] = swap
     if d < k:
-        dist[:, :d, d] = np.where((node == d)[:, None, :], slack, np.inf).min(axis=2)
-    return slack, node, dist
+        dist[:, :d, d] = free_min
+    return node, dist
 
 
 def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -141,16 +159,28 @@ def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.n
     return slack + dist[np.arange(b)[:, None], node, :d].transpose(0, 2, 1)
 
 
+def _two_cycle_near(swap: np.ndarray, free_min: np.ndarray, bound: float) -> bool:
+    """Whether a two-cycle of one table's `_slack_graph` gives up at most
+    ``bound``, read from the graph's weights ``swap`` (D, D) and
+    ``free_min`` (D,) without building it: a row moving to a free column
+    (and node D's row back at no cost), then two rows swapping columns.
+    ``swap``'s diagonal is exactly 0 and ``bound`` > 0, so more than D of
+    its pair sums within ``bound`` means an off-diagonal one.  These are the
+    comparisons of ``dist + dist.T`` off its diagonal, value for value."""
+    return bool((free_min <= bound).any()) or np.count_nonzero(swap + swap.T <= bound) > len(swap)
+
+
 def _only_mapping_near(
-    rates: np.ndarray, cols: np.ndarray, dist: np.ndarray, bound: float, eps: float
+    rates: np.ndarray, cols: np.ndarray, swap: np.ndarray, free_min: np.ndarray,
+    bound: float, eps: float,
 ) -> bool:
     """Whether every mapping of the (D, K) table ``rates`` other than its
     optimal mapping ``cols`` falls short of it by more than ``bound``, so
-    that every forcing loss off ``cols`` exceeds ``bound``; ``dist`` (n, n)
-    is the table's `_mapping_graph`, before the pass.
+    that every forcing loss off ``cols`` exceeds ``bound``; ``swap`` and
+    ``free_min`` are the slack weights of the table's `_slack_graph`,
+    which this test reads without building the graph.
 
-    First the two-cycles of the graph: two rows swapping columns, or a row
-    moving to a free column (and node D's row back at no cost).  One within
+    First the two-cycles of the graph (`_two_cycle_near`).  One within
     ``bound`` is itself a near mapping, so the answer is no and no solve is
     spent on it.  Otherwise the table is solved once more with each entry of
     ``cols`` lowered by delta = bound + 2 eps.  A mapping that moves L >= 1
@@ -169,13 +199,11 @@ def _only_mapping_near(
     above ``bound``.  If the re-solve returns another mapping, the answer is
     no, though a near mapping need not exist.
     """
-    pairs = dist + dist.T
-    np.fill_diagonal(pairs, np.inf)
-    if pairs.min() <= bound:
+    if _two_cycle_near(swap, free_min, bound):
         return False
     lowered = rates.copy()
     lowered[np.arange(len(cols)), cols] -= bound + 2.0 * eps
-    return np.array_equal(_solve(lowered)[1], cols)
+    return bool((linear_sum_assignment(lowered, maximize=True)[1] == cols).all())
 
 
 def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
@@ -212,12 +240,14 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     ascending order, with one solve of the remaining rows without it.
 
     On one table the losses are certified before their Floyd-Warshall pass:
-    when no two-cycle of moves is near and a second solve, with the first
-    mapping's entries lowered by a margin above the tie bound, still returns
-    that mapping, every other mapping falls short by more than the bound
-    (see ``_only_mapping_near``).  No loss off the mapping is then near, so
-    the first solve is returned without the pass: one extra solve in place
-    of D + 1 pass steps.
+    when no two-cycle of moves is near, read straight from the table's
+    slack, and a second solve, with the first mapping's entries lowered by
+    a margin above the tie bound, still returns that mapping, every other
+    mapping falls short by more than the bound (see ``_only_mapping_near``).
+    No loss off the mapping is then near, so the first solve is returned
+    without the pass: one extra solve in place of D + 1 pass steps, and no
+    graph.  The graph is built, from the same slack, only when the
+    certificate fails.
     """
     return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
@@ -228,38 +258,80 @@ def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
 
     A list of one table is certified as `hungarian_max` certifies it.  A
     longer list skips the certificate: the pass's D + 1 steps are shared by
-    the whole stack, and cost less than a second solve of every table.
+    the whole stack, and cost less than a second solve of every table.  An
+    empty list gives an empty list; tables of two shapes raise ValueError.
     """
-    return _hungarian_max_stack(np.array([_checked_rates(t) for t in tables]))
+    checked = [_checked_rates(t) for t in tables]
+    if not checked:
+        return []
+    shape = checked[0].shape
+    other = next((r.shape for r in checked if r.shape != shape), None)
+    if other is not None:
+        raise ValueError(f"rate tables must share one shape, got {shape} and {other}")
+    return _hungarian_max_stack(np.array(checked))
 
 
 def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each table of a checked (B, D, K) stack.
 
-    A stack of one table whose first mapping is the only one within the tie
-    bound (``_only_mapping_near``) returns that mapping, as `_tie_break`
-    would with no near entry; any other stack, and a table that fails the
-    certificate, runs the shared pass and the tie-break.
+    A stack of one table goes to `_hungarian_max_one`; any other stack runs
+    the shared pass and the tie-break.  A table whose mapping totals can
+    overflow is rejected: the rows' largest |entries| must have a finite sum.
     """
     b, d, k = rates.shape
     if d == 0:
         return [(Assignment(()), 0.0)] * b
-    firsts = [_solve(r) for r in rates]
-    tols = [1e-12 * max(1.0, abs(total)) for total, _ in firsts]
+    peaks = np.abs(rates).max(axis=(1, 2)).tolist()
+    # A mapping total is at most the sum of the rows' largest |entries|.
+    # That sum stays under 2 D times the largest entry, so only where this
+    # overflows can the sum overflow and does it need to be taken.
+    if 2.0 * d * max(peaks) == math.inf:
+        with np.errstate(over="ignore"):
+            sums = np.abs(rates).max(axis=2).sum(axis=1)
+        if sums.max() == np.inf:
+            raise ValueError(
+                "rate table entries too large: the rows' largest |entries| sum to inf,"
+                " so a mapping total can overflow"
+            )
     # eps bounds the float error of the losses and of the sums checked in
     # the tie-break, so the cut also holds where tol is small against the
     # entries.
-    eps = (8.0 * (d + 1) * _EPS * np.abs(rates).max(axis=(1, 2))).tolist()
+    eps = [8.0 * (d + 1) * _EPS * peak for peak in peaks]
+    if b == 1:
+        return [_hungarian_max_one(rates[0], eps[0])]
+    firsts = [_solve(r) for r in rates]
+    tols = [1e-12 * max(1.0, abs(total)) for total, _ in firsts]
     bound = np.array([2.0 * tol + e for tol, e in zip(tols, eps)])
     cols = np.array([c for _, c in firsts])
-    slack, node, dist = _mapping_graph(rates, cols)
-    if b == 1 and _only_mapping_near(rates[0], cols[0], dist[0], bound[0], eps[0]):
-        return [(Assignment(tuple(cols[0].tolist())), firsts[0][0])]
-    near = _forcing_loss(slack, node, dist) <= bound[:, None, None]
+    near = _forcing_loss(*_mapping_graph(rates, cols)) <= bound[:, None, None]
     return [
         _tie_break(r, total, c, n, tol)
         for r, (total, c), n, tol in zip(rates, firsts, near, tols)
     ]
+
+
+def _hungarian_max_one(rates: np.ndarray, eps: float) -> tuple[Assignment, float]:
+    """`hungarian_max` of one checked (D, K) table with D >= 1, whose float
+    error bound is ``eps``: the first mapping when ``_only_mapping_near``
+    certifies it, else the pass over the graph built from the slack the
+    certificate read, and the tie-break."""
+    total, cols = _solve(rates)
+    tol = 1e-12 * max(1.0, abs(total))
+    bound = 2.0 * tol + eps
+    d, k = rates.shape
+    own = rates[np.arange(d), cols]
+    free = np.ones(k, dtype=bool)
+    free[cols] = False
+    # Rounding is monotone, so own minus the largest free entry is each
+    # row's least free slack, value for value; only the D x D slack at the
+    # mapping's columns is formed before the certificate.
+    free_min = own - rates[:, free].max(axis=1, initial=-np.inf)
+    swap = own[:, None] - rates[:, cols]
+    if _only_mapping_near(rates, cols, swap, free_min, bound, eps):
+        return Assignment(tuple(cols.tolist())), total
+    graph = _slack_graph(cols[None], k, swap[None], free_min[None])
+    near = _forcing_loss((own[:, None] - rates)[None], *graph)[0] <= bound
+    return _tie_break(rates, total, cols, near, tol)
 
 
 def _tie_break(

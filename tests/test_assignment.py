@@ -128,21 +128,29 @@ def passes(monkeypatch):
     return _count_calls(monkeypatch, "_forcing_loss")
 
 
-def test_known_completion_needs_no_extra_solves(lsa_calls, passes):
+@pytest.fixture
+def graphs(monkeypatch):
+    """List that gains one entry per move graph built (_slack_graph call)."""
+    return _count_calls(monkeypatch, "_slack_graph")
+
+
+def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
     """Each row's best column is the smallest free one and no other mapping
-    comes near, so the certifying re-solve settles every row, with no pass."""
+    comes near, so the certifying re-solve settles every row, with no pass
+    and no move graph."""
     table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
     table[np.arange(5), np.arange(5)] += 10.0
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
     assert len(lsa_calls) == 2
     assert not passes
+    assert not graphs
 
 
-def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes):
+def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
     """With one optimal mapping, the re-solve with that mapping lowered past
     the tie bound returns it again, so the first solve settles every row:
-    the first solve and the certifying one, and no pass."""
+    the first solve and the certifying one, and no pass or move graph."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
@@ -150,6 +158,7 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes):
     assert any(c > r for r, c in enumerate(cols))  # rows do have columns to their left
     assert len(lsa_calls) == 2
     assert not passes
+    assert not graphs
 
 
 def test_stacks_skip_the_certificate(lsa_calls, passes):
@@ -315,6 +324,94 @@ def test_many_equals_one_table_at_a_time():
             scale = rng.choice([1.0, 3e7])
             stack = [_planted_three_cycles(rng, d, k, (gap,)) * scale for _ in range(4)]
             assert hungarian_max_many(stack) == [hungarian_max(t) for t in stack]
+
+
+def _hd_sic_like(rng, d, k):
+    """D x K uniform table in which about half the rows are one rate on
+    every column, as HD-SIC rows are, so those rows tie across CUs."""
+    table = rng.uniform(0.0, 1.0, (d, k))
+    flat = rng.random(d) < 0.5
+    table[flat] = rng.integers(1, 4, (int(flat.sum()), 1))
+    return table
+
+
+def _certificate_tables(rng):
+    """Seeded random, tie-heavy, HD-SIC-like, square (D = K) and one-row
+    tables."""
+    for _ in range(40):
+        d = int(rng.integers(1, 9))
+        k = int(rng.integers(d, 13))
+        yield rng.uniform(0.0, 1.0, (d, k))
+        yield _tie_heavy_stack(rng, 1, d, k)[0]
+        yield _hd_sic_like(rng, d, k)
+        yield rng.uniform(0.0, 1.0, (d, d))
+        yield _tie_heavy_stack(rng, 1, d, d)[0]
+        yield rng.uniform(0.0, 1.0, (1, k))
+
+
+def test_slack_two_cycle_test_equals_the_graphs(monkeypatch):
+    """The certificate reads the two-cycle test from the table's slack: its
+    weights are the move graph's first D columns bit for bit, and its answer
+    is the graph's ``dist + dist.T`` test off the diagonal, at the table's
+    own bound and at every positive two-cycle sum as the bound."""
+    seen = []
+    real = d2dpa.assignment._only_mapping_near
+
+    def capture(rates, cols, swap, free_min, bound, eps):
+        seen.append((cols, swap, free_min, bound))
+        return real(rates, cols, swap, free_min, bound, eps)
+
+    monkeypatch.setattr(d2dpa.assignment, "_only_mapping_near", capture)
+    two_cycle_near = d2dpa.assignment._two_cycle_near
+    for table in _certificate_tables(np.random.default_rng(81)):
+        seen.clear()
+        hungarian_max(table)
+        ((cols, swap, free_min, bound),) = seen
+        _, _, dist = d2dpa.assignment._mapping_graph(table[None], cols[None])
+        d, n = len(cols), dist.shape[1]
+        assert swap.tobytes() == dist[0, :d, :d].tobytes()
+        if n > d:
+            assert free_min.tobytes() == dist[0, :d, d].tobytes()
+        else:
+            assert (free_min == np.inf).all()
+        pairs = (dist[0] + dist[0].T)[~np.eye(n, dtype=bool)]
+        for b in [bound, *np.unique(pairs[pairs > 0]).tolist()]:
+            assert two_cycle_near(swap, free_min, b) == bool((pairs <= b).any())
+
+
+def test_one_table_equals_its_stack_of_two():
+    """The certificate route of one table and the shared pass of a stack
+    agree on tie-heavy and HD-SIC-like tables."""
+    rng = np.random.default_rng(82)
+    for table in _certificate_tables(rng):
+        assert hungarian_max(table) == hungarian_max_many([table, table])[0]
+    for _ in range(100):
+        d = int(rng.integers(1, 33))
+        table = _hd_sic_like(rng, d, int(rng.integers(d, 65))) * rng.choice([1.0, 3e7])
+        assert hungarian_max(table) == hungarian_max_many([table, table])[0]
+
+
+def test_many_of_no_tables_is_empty():
+    assert hungarian_max_many([]) == []
+
+
+def test_many_rejects_tables_of_two_shapes():
+    tables = [np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 4))]
+    with pytest.raises(ValueError, match=r"one shape, got \(2, 3\) and \(2, 4\)"):
+        hungarian_max_many(tables)
+
+
+def test_overflowing_totals_rejected():
+    """A finite table whose rows' largest entries sum past the float range
+    fails at the boundary instead of returning an infinite total; one whose
+    sum stays finite is assigned."""
+    with pytest.raises(ValueError, match="sum to inf"):
+        hungarian_max(np.full((2, 2), 1e308))
+    with pytest.raises(ValueError, match="sum to inf"):
+        hungarian_max_many([np.ones((2, 2)), np.array([[1e308, 0.0], [-1e308, 0.0]])])
+    assignment, total = hungarian_max(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    assert assignment.pair_to_cu == (0, 1)
+    assert total == 1e308
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

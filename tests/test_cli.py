@@ -403,6 +403,14 @@ class TestAssign:
         assert main(["assign", "--table", str(table)]) == 1
         assert "rate table entry (0, 1) must be finite, got nan" in capsys.readouterr().err
 
+    def test_rejects_overflowing_total(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("1e308,1e308\n1e308,1e308\n")
+        assert main(["assign", "--table", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert "rate table entries too large" in captured.err
+        assert captured.out == ""
+
     def test_rejects_ragged_rows(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
         table.write_text("1.0,2.0\n3.0\n")
