@@ -35,10 +35,25 @@ def _check_shape(rates: np.ndarray) -> None:
 
 
 def _raise_first_bad(rates: np.ndarray, ok: np.ndarray, what: str) -> None:
-    row, col = np.argwhere(~ok)[0].tolist()
+    """Raise for the first entry of a table, or of a stack of tables, where
+    ``ok`` is False, naming its place in its table."""
+    *table, row, col = np.argwhere(~ok)[0].tolist()
+    rates = rates[tuple(table)]
     raise ValueError(
         f"rate table entry ({row}, {col}) must be {what}, got {float(rates[row, col])!r}"
     )
+
+
+def _check_entries(rates: np.ndarray, sic_applied: np.ndarray, infeasible: np.ndarray) -> None:
+    """`RateTable`'s checks on the rates and flags of a table or a stack of
+    tables: flags of the rates' shape, every rate finite and >= 0, and
+    rate 0 wherever infeasible."""
+    if sic_applied.shape != rates.shape or infeasible.shape != rates.shape:
+        raise ValueError("flag arrays must match the rate table shape")
+    if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
+        _raise_first_bad(rates, (rates >= 0.0) & (rates < np.inf), "finite and >= 0")
+    if rates[infeasible].any():
+        raise ValueError("infeasible entries must carry rate 0")
 
 
 @dataclass
@@ -63,13 +78,24 @@ class RateTable:
             self.infeasible = np.zeros((d, k), dtype=bool)
         self.sic_applied = np.asarray(self.sic_applied, dtype=bool)
         self.infeasible = np.asarray(self.infeasible, dtype=bool)
-        if self.sic_applied.shape != (d, k) or self.infeasible.shape != (d, k):
-            raise ValueError("flag arrays must match the rate table shape")
-        rates = self.rates
-        if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
-            _raise_first_bad(rates, (rates >= 0.0) & (rates < np.inf), "finite and >= 0")
-        if rates[self.infeasible].any():
-            raise ValueError("infeasible entries must carry rate 0")
+        _check_entries(self.rates, self.sic_applied, self.infeasible)
+
+    @classmethod
+    def stack(cls, rates, sic_applied, infeasible) -> list[RateTable]:
+        """One table per entry of (B, D, K) stacks of rates and flags, all
+        checked at once by the constructor's rules, with its messages; the
+        constructor's checks then do not run again for each table."""
+        rates = np.asarray(rates, dtype=float)
+        sic_applied = np.asarray(sic_applied, dtype=bool)
+        infeasible = np.asarray(infeasible, dtype=bool)
+        _check_shape(rates[0])
+        _check_entries(rates, sic_applied, infeasible)
+        tables = []
+        for fields in zip(rates, sic_applied, infeasible):
+            table = cls.__new__(cls)
+            table.rates, table.sic_applied, table.infeasible = fields
+            tables.append(table)
+        return tables
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,14 +121,15 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
     return float(rates[rows, cols].sum()), cols
 
 
-def _mapping_graph(rates: np.ndarray, cols: np.ndarray):
+def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
     """The graph of moves off the optimal mapping ``cols`` of each table of
-    a (B, D, K) stack, with ``cols`` (B, D): ``slack`` (B, D, K), what row r
-    gives up by moving from its column to column c, and the
-    `_slack_graph` (``node``, ``dist``) built from it."""
+    a (B, D, K) stack, with ``cols`` (B, D) and ``own`` (B, D) each row's
+    entry there: ``slack`` (B, D, K), what row r gives up by moving from its
+    column to column c, and the `_slack_graph` (``node``, ``dist``) built
+    from it."""
     b, d, k = rates.shape
-    tab, rows = np.arange(b)[:, None], np.arange(d)
-    slack = rates[tab, rows, cols][:, :, None] - rates
+    tab = np.arange(b)[:, None]
+    slack = own[:, :, None] - rates
     free = np.ones((b, k), dtype=bool)
     free[tab, cols] = False
     free_min = np.where(free[:, None, :], slack, np.inf).min(axis=2)
@@ -258,8 +285,11 @@ def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
 
     A list of one table is certified as `hungarian_max` certifies it.  A
     longer list skips the certificate: the pass's D + 1 steps are shared by
-    the whole stack, and cost less than a second solve of every table.  An
-    empty list gives an empty list; tables of two shapes raise ValueError.
+    the whole stack, and cost less than a second solve of every table.
+    Every table's total comes from one gather of the first solves' entries,
+    summed as one table's total is, and only a table with a near column left
+    of a row's first-solve column runs the tie-break.  An empty list gives
+    an empty list; tables of two shapes raise ValueError.
     """
     checked = [_checked_rates(t) for t in tables]
     if not checked:
@@ -275,23 +305,32 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each table of a checked (B, D, K) stack.
 
     A stack of one table goes to `_hungarian_max_one`; any other stack runs
-    the shared pass and the tie-break.  A table whose mapping totals can
-    overflow is rejected: the rows' largest |entries| must have a finite sum.
+    the shared pass and the tie-break.  A table whose mapping totals or
+    slack can overflow is rejected: the rows' largest |entries| must have a
+    finite sum, and the table's range (largest entry minus smallest), which
+    bounds every slack, must be finite.
     """
     b, d, k = rates.shape
     if d == 0:
         return [(Assignment(()), 0.0)] * b
     peaks = np.abs(rates).max(axis=(1, 2)).tolist()
-    # A mapping total is at most the sum of the rows' largest |entries|.
-    # That sum stays under 2 D times the largest entry, so only where this
-    # overflows can the sum overflow and does it need to be taken.
+    # A mapping total is at most the sum of the rows' largest |entries|,
+    # and the range at most twice the largest |entry|.  Both stay under 2 D
+    # times it, so only where this overflows can either overflow and do
+    # they need to be taken.
     if 2.0 * d * max(peaks) == math.inf:
         with np.errstate(over="ignore"):
             sums = np.abs(rates).max(axis=2).sum(axis=1)
+            spans = rates.max(axis=(1, 2)) - rates.min(axis=(1, 2))
         if sums.max() == np.inf:
             raise ValueError(
                 "rate table entries too large: the rows' largest |entries| sum to inf,"
                 " so a mapping total can overflow"
+            )
+        if spans.max() == np.inf:
+            raise ValueError(
+                "rate table entries too large: the range (largest entry minus smallest)"
+                " is inf, so the slack between two mappings can overflow"
             )
     # eps bounds the float error of the losses and of the sums checked in
     # the tie-break, so the cut also holds where tol is small against the
@@ -299,15 +338,24 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     eps = [8.0 * (d + 1) * _EPS * peak for peak in peaks]
     if b == 1:
         return [_hungarian_max_one(rates[0], eps[0])]
-    firsts = [_solve(r) for r in rates]
-    tols = [1e-12 * max(1.0, abs(total)) for total, _ in firsts]
+    # LSA returns the rows in order, so row r's column is cols[r].
+    cols = np.array([linear_sum_assignment(r, maximize=True)[1] for r in rates])
+    own = rates[np.arange(b)[:, None], np.arange(d), cols]
+    totals = own.sum(axis=1).tolist()
+    tols = [1e-12 * max(1.0, abs(total)) for total in totals]
     bound = np.array([2.0 * tol + e for tol, e in zip(tols, eps)])
-    cols = np.array([c for _, c in firsts])
-    near = _forcing_loss(*_mapping_graph(rates, cols)) <= bound[:, None, None]
+    near = _forcing_loss(*_mapping_graph(rates, cols, own)) <= bound[:, None, None]
     return [
-        _tie_break(r, total, c, n, tol)
-        for r, (total, c), n, tol in zip(rates, firsts, near, tols)
+        _tie_break(r, total, c, n, tol) if move else (Assignment(tuple(c.tolist())), total)
+        for r, total, c, n, tol, move in zip(rates, totals, cols, near, tols, _can_move(near, cols))
     ]
+
+
+def _can_move(near: np.ndarray, cols: np.ndarray):
+    """Whether a row of each table can leave its column ``cols`` (..., D)
+    for a ``near`` (..., D, K) column left of it: only such a table needs
+    `_tie_break`."""
+    return (near & (np.arange(near.shape[-1]) < cols[..., None])).any(axis=(-2, -1))
 
 
 def _hungarian_max_one(rates: np.ndarray, eps: float) -> tuple[Assignment, float]:
@@ -331,6 +379,8 @@ def _hungarian_max_one(rates: np.ndarray, eps: float) -> tuple[Assignment, float
         return Assignment(tuple(cols.tolist())), total
     graph = _slack_graph(cols[None], k, swap[None], free_min[None])
     near = _forcing_loss((own[:, None] - rates)[None], *graph)[0] <= bound
+    if not _can_move(near, cols):
+        return Assignment(tuple(cols.tolist())), total
     return _tie_break(rates, total, cols, near, tol)
 
 
@@ -339,11 +389,9 @@ def _tie_break(
 ) -> tuple[Assignment, float]:
     """The lexicographically smallest mapping within ``tol`` of the optimum
     ``total``, from the first solve's columns ``completion`` and the entries
-    ``near`` that the forcing loss leaves in play."""
+    ``near`` that the forcing loss leaves in play, for a table where
+    `_can_move` holds (elsewhere ``completion`` is that mapping)."""
     d, k = rates.shape
-    # A row can leave its column only for a near column left of it.
-    if not (near & (np.arange(k) < completion[:, None])).any():
-        return Assignment(tuple(completion.tolist())), total
     chosen: list[int] = []
     fixed = 0.0
     for r in range(d):

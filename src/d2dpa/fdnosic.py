@@ -95,57 +95,52 @@ def fd_nosic_batch(h, params: SystemParams, limits: PowerLimits) -> tuple:
         edge2 = p2_max * h_b_d2 <= ccut
         p2_hi = np.minimum(p2_max, (ccut - p1_max * h_b_d1) / h_b_d2)
         p1_hi = np.minimum(p1_max, (ccut - p2_max * h_b_d2) / h_b_d1)
+        # Each face's start and end as (start or end, p1/p2/pu, face) rows;
+        # along a device edge pu is what the rate floor requires.
+        ends = np.empty((2, 3, 3, *shape))
+        ends[:, 0, 0] = p1_max
+        ends[0, 1, 0] = ends[0, 0, 1] = 0.0
+        ends[1, 1, 0] = p2_hi
+        ends[1, 0, 1] = p1_hi
+        ends[:, 1, 1] = p2_max
+        ends[:, 2, :2] = pu_req(ends[:, 0, :2], ends[:, 1, :2])
         # The cap face runs from its corner on the P2max edge (or the
         # p1 = 0 axis) to its corner on the P1max edge (or the p2 = 0
         # axis).  The corners are computed directly, not as p2 from p1:
         # that would amplify the rounding of p1*h_b_d1 by 1/h_b_d2 and can
         # push p2 past P2max.  Computed directly, swapping the devices
         # mirrors them exactly.
-        cap_start = (
-            np.where(edge2, p1_hi, 0.0),
-            np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max)),
-            pu_max,
-        )
-        cap_end = (
-            np.where(edge1, p1_max, np.minimum(ccut / h_b_d1, p1_max)),
-            np.where(edge1, p2_hi, 0.0),
-            pu_max,
-        )
+        ends[0, 0, 2] = np.where(edge2, p1_hi, 0.0)
+        ends[0, 1, 2] = np.where(edge2, p2_max, np.minimum(ccut / h_b_d2, p2_max))
+        ends[1, 0, 2] = np.where(edge1, p1_max, np.minimum(ccut / h_b_d1, p1_max))
+        ends[1, 1, 2] = np.where(edge1, p2_hi, 0.0)
+        ends[:, 2, 2] = pu_max
         cap_on = (ccut >= 0.0) & (p1_max * h_b_d1 + p2_max * h_b_d2 >= ccut)
-        faces = [
-            (edge1, (p1_max, 0.0, pu_req(p1_max, 0.0)), (p1_max, p2_hi, pu_req(p1_max, p2_hi))),
-            (edge2, (0.0, p2_max, pu_req(0.0, p2_max)), (p1_hi, p2_max, pu_req(p1_hi, p2_max))),
-            (cap_on, cap_start, cap_end),
-        ]
+        on = np.array([edge1, edge2, cap_on])
 
-        # All faces at once on a leading axis; each face's candidates (start,
-        # smaller root, larger root, end) then follow it, in visiting order.
-        # cand holds (p1, p2, pu, rate) of every candidate.
-        n_cand = 4 * len(faces)
-        on = np.empty((len(faces), *shape), dtype=bool)
-        start, end = np.empty((2, 3, *on.shape))
-        for f, (face_on, a, e) in enumerate(faces):
-            on[f] = face_on
-            for i in range(3):
-                start[i, f], end[i, f] = a[i], e[i]
+        # Every face at once on a leading axis; each face's candidates
+        # (start, smaller root, larger root, end) follow it, in visiting
+        # order.  cand holds (p1, p2, pu, rate) of every candidate.
+        start, end = ends
         step = end - start
         lo, hi = _roots_inside_batch(
             *_stationarity_coeffs(start, step, h_d, h_d1_u, h_d2_u, eta1, eta2, s)
         )
-        cand = np.empty((4, n_cand, *shape))
-        cand[:3] = np.stack([start, start + lo * step, start + hi * step, end], axis=2).reshape(
-            3, n_cand, *shape
-        )
+        cand = np.empty((4, len(on), 4, *shape))
+        cand[:3, :, 0] = start
+        cand[:3, :, 3] = end
+        for i, root in ((1, lo), (2, hi)):
+            np.multiply(root, step, out=cand[:3, :, i])
+            cand[:3, :, i] += start
         p1, p2, pu = cand[:3]
-        on = np.repeat(on, 4, axis=0)
         den1 = pu * h_d1_u + eta1 * p1 + s
         den2 = pu * h_d2_u + eta2 * p2 + s
         r = params.bandwidth_hz * np.log2((1.0 + p1 * h_d / den2) * (1.0 + p2 * h_d / den1))
     # A candidate counts only if its rate is a number (every power on a face
     # is >= 0, so it is then >= 0) and beats every earlier one: the first
     # maximum, which argmax returns.
-    cand[3] = np.where(on & (r >= 0.0), r, -np.inf)
-    flat = cand.reshape(4, n_cand, -1)
+    cand[3] = np.where(on[:, None] & (r >= 0.0), r, -np.inf)
+    flat = cand.reshape(4, 4 * len(on), -1)
     best = flat[:, np.argmax(flat[3], axis=0), np.arange(flat.shape[2])]
     best[:3, best[3] == -np.inf] = 0.0
     return tuple(best.reshape(4, *shape))

@@ -47,6 +47,7 @@ from .model import (
     ScenarioKind,
     SystemParams,
     cu_rate,
+    device_swap_stack,
     gain_block,
     pu_min,
     sic_sum_rate,
@@ -135,7 +136,7 @@ def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> tuple:
     serves both orders.  ``h`` holds the link gains as in `floor_planes` and
     ``e1``, ``e2`` the SI factors; everything broadcasts.
     """
-    gains = np.array(h[1:5])
+    gains = np.asarray(h[1:5])
     h_b_d1, h_b_d2, h_d1_u, h_d2_u = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
     e1, e2 = np.where(m1_first, e2, e1), np.where(m1_first, e1, e2)
     p1, p2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
@@ -148,29 +149,30 @@ def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> tuple:
     )
 
 
-def pretest(h, params: SystemParams, limits: PowerLimits, pu_m, order: DecodingOrder):
-    """Exact emptiness test for the admissible region of one decoding order:
-    True where it is non-empty.
+def pretest(hs, params: SystemParams, limits: PowerLimits, pu_m):
+    """Exact emptiness test for the admissible region of both decoding
+    orders: a (2, ...) mask, M2_FIRST then M1_FIRST, True where the region
+    is non-empty.
 
     Two channel conditions make the plane wedge open upward; two more place
     its lowest box crossing inside the device power limits.  An attainable
     CU floor power ``pu_m`` is required for the box itself to be non-empty.
-    ``h`` as in `floor_planes`.
+    ``hs`` is the `model.device_swap_stack` of a gain block: M1_FIRST is
+    M2_FIRST with the devices' gains, power caps and SI factors swapped, as
+    in `sic_rate_margins`, so one pass over the stack tests both orders.
     """
-    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
-    e1, e2 = params.eta1, params.eta2
-    p1_max, p2_max = limits.p1_max_w, limits.p2_max_w
-    if order is DecodingOrder.M1_FIRST:
-        # M2_FIRST with the devices' roles swapped, as in `sic_rate_margins`.
-        h_b_d1, h_b_d2, h_d1_u, h_d2_u = h_b_d2, h_b_d1, h_d2_u, h_d1_u
-        e1, e2, p1_max, p2_max = e2, e1, p2_max, p1_max
-    terms = (
-        h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
-        h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
-        pu_m * h_b_u / h_b_d1 < p1_max,
-        2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = hs
+    e1, e2, p1_max = np.array([
+        [params.eta1, params.eta2], [params.eta2, params.eta1], [limits.p1_max_w, limits.p2_max_w]
+    ]).reshape((3, 2) + (1,) * (hs.ndim - 2))
+    p2_max = p1_max[::-1]
+    return (
+        np.logical_not(pu_m > limits.pu_max_w)
+        & (h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2)
+        & (h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2)
+        & (pu_m * h_b_u / h_b_d1 < p1_max)
+        & (2.0 * pu_m * h_b_u / h_b_d2 < p2_max)
     )
-    return np.logical_and.reduce((np.logical_not(pu_m > limits.pu_max_w), *terms))
 
 
 def sufficient_feasibility(
@@ -180,8 +182,9 @@ def sufficient_feasibility(
     pu_m: float,
     order: DecodingOrder,
 ) -> bool:
-    """`pretest` on one combination."""
-    return bool(pretest(gain_block(gains)[:, 0], params, limits, pu_m, order))
+    """`pretest` on one combination, for one decoding order."""
+    hs = device_swap_stack(gain_block(gains)[:, 0])
+    return bool(pretest(hs, params, limits, pu_m)[int(order is DecodingOrder.M1_FIRST)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +263,8 @@ def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
 
 def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
     """Where each ceiling's ridge with the higher floor pierces the plane
-    Pu = pu_max, as (x, y, found) arrays of (ceiling, entry).
+    Pu = pu_max: its P1 coordinate x and whether it is found, as (x, found)
+    arrays of (ceiling, entry).
 
     The ridge is solved against each floor branch; the real branch is the
     first whose other floor does not exceed the cap there.
@@ -275,8 +279,7 @@ def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
         & (x > -pu_max)
         & (y > -pu_max)
     )
-    first = hit[:, 0]
-    return np.where(first, x[:, 0], x[:, 1]), np.where(first, y[:, 0], y[:, 1]), hit.any(axis=1)
+    return np.where(hit[:, 0], x[:, 0], x[:, 1]), hit.any(axis=1)
 
 
 def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
@@ -290,7 +293,7 @@ def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
     pu_max = limits.pu_max_w
     (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
     along = c_ax * f_ay - c_ay * f_ax  # (ceiling, branch, entry)
-    x, _, found = _ridges_on_cap(ceils, floors, pu_max)
+    x, found = _ridges_on_cap(ceils, floors, pu_max)
     rising, falling = (along > 0.0).all(axis=1), (along < 0.0).all(axis=1)
     ok = ~(f_ax <= 0.0).any(axis=0) & (found & (rising | falling)).all(axis=0)
     entry = ((pu_max - f_ay * limits.p2_max_w) / f_ax).min(axis=0)

@@ -88,6 +88,18 @@ def gain_block(*gains: ChannelGains) -> np.ndarray:
     return np.array([[getattr(g, name) for g in gains] for name in GAIN_FIELDS])
 
 
+# Rows of a gain block's device-swap stack: [:, 0] the block itself and
+# [:, 1] the block with devices 1 and 2 exchanged.
+_SWAP_STACK = np.array([[0, 0], [1, 2], [2, 1], [3, 4], [4, 3], [5, 5]])
+
+
+def device_swap_stack(h: np.ndarray) -> np.ndarray:
+    """The (6, 2, ...) stack of the (6, ...) gain block ``h`` and the block
+    with devices 1 and 2 exchanged, as `ChannelGains.swapped_devices`
+    exchanges them, from one gather."""
+    return h[_SWAP_STACK]
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Channel bandwidth, noise power, SI cancellation factors and CU rate floor."""

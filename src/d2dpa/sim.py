@@ -133,11 +133,12 @@ class SimConfig:
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-def in_hexagon(x: float, y: float, radius: float) -> bool:
+def in_hexagon(x, y, radius: float):
     """True where (x, y) lies inside the cell: within the apothem of the
-    horizontal edges and of the two slanted edge pairs."""
+    horizontal edges and of the two slanted edge pairs.  ``x`` and ``y`` may
+    be floats or arrays that broadcast."""
     ax, ay = abs(x), abs(y)
-    return max(ay, _SQRT3_2 * ax + 0.5 * ay) <= radius * _SQRT3_2 * (1.0 + 1e-12)
+    return np.maximum(ay, _SQRT3_2 * ax + 0.5 * ay) <= radius * _SQRT3_2 * (1.0 + 1e-12)
 
 
 def _uniform_hexagon_point(draw: Callable[[], float], radius: float) -> tuple[float, float]:
@@ -172,14 +173,38 @@ def _partner(
             return px, py
 
 
-def _block_draws(rng: np.random.Generator) -> Callable[[], float]:
-    """The doubles of successive ``rng.random()`` calls, drawn 64 at a time.
+def _uniform_hexagon_points(
+    rng: np.random.Generator, n: int, radius: float
+) -> tuple[np.ndarray, list[float]]:
+    """The first ``n`` points that `_uniform_hexagon_point` draws from the
+    doubles of successive ``rng.random()`` calls, all tested at once, and
+    the doubles drawn past the last of them.
+
+    Attempt i maps doubles 2i and 2i + 1.  The generator runs ahead of the
+    doubles used, so only a caller that draws nothing else from it, or
+    draws on from the returned doubles, may use this.
+    """
+    u = rng.random(2 * n + 64)
+    while True:
+        xy = -radius + 2.0 * radius * u.reshape(-1, 2)
+        hit = np.flatnonzero(in_hexagon(xy[:, 0], xy[:, 1], radius))
+        if len(hit) >= n:
+            break
+        u = np.concatenate((u, rng.random(2 * (n - len(hit)) + 64)))
+    used = 2 * hit[n - 1] + 2 if n else 0
+    return xy[hit[:n]], u[used:].tolist()
+
+
+def _block_draws(rng: np.random.Generator, head: list[float]) -> Callable[[], float]:
+    """The doubles ``head``, then those of successive ``rng.random()``
+    calls, drawn 64 at a time.
 
     The generator runs ahead of the doubles handed out, so only a caller
     that draws nothing else from it may use this.
     """
 
     def doubles():
+        yield from head
         while True:
             yield from rng.random(64).tolist()
 
@@ -198,18 +223,19 @@ class Deployment:
 def generate_deployment(config: SimConfig, seed) -> Deployment:
     """Drop CUs and device pairs uniformly in the cell.
 
-    The first device of each pair is uniform over the hexagon; its partner
-    is drawn by `_partner`.
+    The CUs, then the first device of each pair, are uniform over the
+    hexagon: the first K + D points that pass one vector hexagon test over
+    the doubles of the trial's generator (`_uniform_hexagon_points`).  Each
+    partner is then drawn by `_partner`, one double at a time, from the
+    doubles that follow.  The points are those of one scalar rejection draw
+    after another, bit for bit.
     """
-    draw = _block_draws(np.random.default_rng(seed))
-    radius = config.cell_radius_m
-    cu = np.array([_uniform_hexagon_point(draw, radius) for _ in range(config.k_users)])
-    d1 = np.array([_uniform_hexagon_point(draw, radius) for _ in range(config.d_pairs)])
-    d2 = np.array([_partner(draw, x, y, config) for x, y in d1])
-    cu = cu.reshape(config.k_users, 2)
-    d1 = d1.reshape(config.d_pairs, 2)
-    d2 = d2.reshape(config.d_pairs, 2)
-    return Deployment(cu_xy=cu, d1_xy=d1, d2_xy=d2)
+    rng = np.random.default_rng(seed)
+    k, d = config.k_users, config.d_pairs
+    points, rest = _uniform_hexagon_points(rng, k + d, config.cell_radius_m)
+    draw = _block_draws(rng, rest)
+    d2 = np.array([_partner(draw, x, y, config) for x, y in points[k:].tolist()])
+    return Deployment(cu_xy=points[:k], d1_xy=points[k:], d2_xy=d2.reshape(d, 2))
 
 
 def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> np.ndarray:
@@ -249,17 +275,20 @@ def build_rate_tables(
 
     Every gain must be finite and > 0, as in `ChannelGains`; the first bad
     one raises ValueError naming its field.  The tables equal those of
-    `solve_all` on each combination's `ChannelGains`.
+    `solve_all` on each combination's `ChannelGains`.  The four tables are
+    checked once, as one stack, by `RateTable`'s rules (`RateTable.stack`).
     """
     # One test over every entry; the per-field check runs only to name the
     # first bad one.
     if not (h.min(initial=np.inf) > 0.0 and h.max(initial=0.0) < np.inf):
         for name, row in zip(GAIN_FIELDS, h):
             check_array(name, row, strict=True)
-    return {
-        kind: RateTable(t.rate, sic_applied=t.sic_applied, infeasible=t.infeasible)
-        for kind, t in solve_all_batch(h, params, limits).items()
-    }
+    solved = solve_all_batch(h, params, limits)
+    schemes = solved.values()
+    tables = RateTable.stack(
+        [t.rate for t in schemes], [t.sic_applied for t in schemes], [t.infeasible for t in schemes]
+    )
+    return dict(zip(solved, tables))
 
 
 @dataclass

@@ -10,8 +10,10 @@ infeasible with zero rate.
 `solve_all_batch` solves all four schemes for a whole D x K table with
 numpy: the half-duplex slots in closed form, FD no-SIC with
 `fdnosic.fd_nosic_batch`, and FD-SIC with one `fdsic.fd_sic_batch` call on
-both decoding orders of every entry that passes `fdsic.pretest`.  Both FD
-kernels return (0, 0, 0, -inf) where an entry is infeasible.
+both decoding orders of every entry that passes `fdsic.pretest`.  One
+device-swap stack of the gains (`model.device_swap_stack`) serves both HD
+half slots and both pre-test orders.  Both FD kernels return (0, 0, 0,
+-inf) where an entry is infeasible.
 `solve_all` is the same solve on a one-entry table, returned as
 `PaSolution`s.
 """
@@ -36,6 +38,7 @@ from .model import (
     SystemParams,
     check_array,
     device_rate,
+    device_swap_stack,
     gain_block,
     pu_min,
     rate_floor_snr,
@@ -188,10 +191,11 @@ def solve_all_batch(
     chosen powers, as in `scenario_rates` (FD-SIC's is `model.sic_sum_rate`,
     which equals their sum up to rounding), and the chosen powers pass
     `PowerTriplet`'s check.  HD half slot 2 is half slot 1 on the gains with
-    the devices swapped, so each slot kernel runs once on both slots,
-    stacked on a leading axis.
+    the devices swapped, and FD-SIC's M1_FIRST order is M2_FIRST on them,
+    so each slot kernel and `fdsic.pretest` run once on the gains'
+    `model.device_swap_stack`.
     """
-    h_d, _, _, h_d1_u, h_d2_u, h_b_u = h
+    h_d, h_b_u = h[0], h[5]
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     with np.errstate(all="ignore"):
         pu_m = pu_min(params, h_b_u)
@@ -199,7 +203,7 @@ def solve_all_batch(
 
         # HD: slot 1 carries device 1 to device 2, slot 2 the reverse.  Each
         # half slot keeps SIC where it is available and at least as good.
-        slots_h = np.stack([h, h[[0, 2, 1, 4, 3, 5]]], axis=1)
+        slots_h = device_swap_stack(h)
         caps = np.array([p1_max, p2_max]).reshape((2,) + (1,) * h_d.ndim)
         nosic = _hd_nosic_slot_batch(caps, slots_h, params, limits)
         hd_ok = nosic.ok[0] & nosic.ok[1] & cu_ok
@@ -210,11 +214,13 @@ def solve_all_batch(
         p1, p2, pu, fd_search_rate = fd_nosic_batch(h, params, limits)
         fd_ok = fd_search_rate >= 0.0
         pu = np.minimum(pu, pu_max)
-        fd_rate = (
-            device_rate(p2, p1, pu, h_d, h_d1_u, params.eta1, params, sic=False)
-            + device_rate(p1, p2, pu, h_d, h_d2_u, params.eta2, params, sic=False)
-        )
-        passes = np.array([pretest(h, params, limits, pu_m, o) for o in SIC_ORDERS])
+        # Each device's rate at its partner, device 1 receiving first, over
+        # the device-swap stack.
+        p_tx = np.array([p2, p1])
+        etas = np.array([params.eta1, params.eta2]).reshape(caps.shape)
+        rates = device_rate(p_tx, p_tx[::-1], pu, h_d, slots_h[3], etas, params, sic=False)
+        fd_rate = rates[0] + rates[1]
+        passes = pretest(slots_h, params, limits, pu_m)
         *sic_powers, sic_rate, m1_first, solved = _fd_sic_table(h, params, limits, pu_m, passes)
         # SIC wins where it is feasible and the no-SIC allocation is not, or
         # is no better.

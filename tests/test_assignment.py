@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def graphs(monkeypatch):
     return _count_calls(monkeypatch, "_slack_graph")
 
 
+@pytest.fixture
+def tie_breaks(monkeypatch):
+    """List that gains one entry per _tie_break call."""
+    return _count_calls(monkeypatch, "_tie_break")
+
+
 def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
     """Each row's best column is the smallest free one and no other mapping
     comes near, so the certifying re-solve settles every row, with no pass
@@ -161,12 +168,40 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
     assert not graphs
 
 
-def test_stacks_skip_the_certificate(lsa_calls, passes):
-    """Two tie-free tables share one pass and make no certifying solve."""
+def test_stacks_skip_the_certificate(lsa_calls, passes, tie_breaks):
+    """Two tie-free tables share one pass and make no certifying solve; no
+    near column lies left of any row's column, so neither runs the
+    tie-break.  Two all-tie tables both run it."""
     stack = np.random.default_rng(76).uniform(0.0, 1.0, (2, 8, 16))
     hungarian_max_many(list(stack))
     assert len(lsa_calls) == 2
     assert len(passes) == 1
+    assert not tie_breaks
+    result = hungarian_max_many([np.full((3, 5), 7.0)] * 2)
+    assert result == [(Assignment((0, 1, 2)), 21.0)] * 2
+    assert len(tie_breaks) == 2
+
+
+@pytest.mark.parametrize("d", [1, 5, 9, 32])
+def test_many_gives_each_table_hungarian_maxs_bits(d):
+    """The stack's totals come from one gather summed along each table's
+    rows; each equals `hungarian_max`'s total of that table bit for bit,
+    also at D >= 8, where numpy sums pairwise, and the mappings are equal.
+    Tie-free, tie-heavy and HD-SIC-like tables, at rate-sized scales."""
+    rng = np.random.default_rng(83)
+    k = 64 if d == 32 else 20
+    for _ in range(12 if d == 32 else 40):
+        scale = rng.choice([1.0, 3e7])
+        stack = [
+            rng.uniform(0.0, 1.0, (d, k)) * scale,
+            _tie_heavy_stack(rng, 1, d, k)[0] * scale,
+            _hd_sic_like(rng, d, k) * scale,
+            rng.uniform(0.0, 1.0, (d, k)) * scale,
+        ]
+        for (got, got_total), table in zip(hungarian_max_many(stack), stack):
+            want, want_total = hungarian_max(table)
+            assert got == want
+            assert got_total.hex() == want_total.hex()
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -254,6 +289,12 @@ def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
         assert assignment.pair_to_cu == lexicographic_best(table)
 
 
+def mapping_graph(stack: np.ndarray, cols: np.ndarray):
+    """`_mapping_graph` of a (B, D, K) stack and its mappings ``cols``."""
+    own = np.take_along_axis(stack, cols[:, :, None], axis=2)[:, :, 0]
+    return d2dpa.assignment._mapping_graph(stack, cols, own)
+
+
 def test_forcing_loss_is_the_best_mapping_through_each_entry():
     """The loss of sending row r to column c is the optimum minus the best
     total of any mapping that does so."""
@@ -268,7 +309,7 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
         best_through = np.full((d, k), -np.inf)
         for r in range(d):
             np.maximum.at(best_through[r], perms[:, r], totals)
-        graph = d2dpa.assignment._mapping_graph(table[None], cols[None])
+        graph = mapping_graph(table[None], cols[None])
         loss = d2dpa.assignment._forcing_loss(*graph)[0]
         np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
@@ -291,12 +332,10 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
         k = d if square else int(rng.integers(d + 1, 9))
         stack = _tie_heavy_stack(rng, int(rng.integers(1, 5)), d, k)
         cols = np.array([linear_sum_assignment(t, maximize=True)[1] for t in stack])
-        stacked = d2dpa.assignment._forcing_loss(*d2dpa.assignment._mapping_graph(stack, cols))
+        stacked = d2dpa.assignment._forcing_loss(*mapping_graph(stack, cols))
         assert stacked.shape == stack.shape
         for table, c, loss in zip(stack, cols, stacked):
-            own = d2dpa.assignment._forcing_loss(
-                *d2dpa.assignment._mapping_graph(table[None], c[None])
-            )[0]
+            own = d2dpa.assignment._forcing_loss(*mapping_graph(table[None], c[None]))[0]
             assert own.tobytes() == loss.tobytes()
 
 
@@ -367,7 +406,7 @@ def test_slack_two_cycle_test_equals_the_graphs(monkeypatch):
         seen.clear()
         hungarian_max(table)
         ((cols, swap, free_min, bound),) = seen
-        _, _, dist = d2dpa.assignment._mapping_graph(table[None], cols[None])
+        _, _, dist = mapping_graph(table[None], cols[None])
         d, n = len(cols), dist.shape[1]
         assert swap.tobytes() == dist[0, :d, :d].tobytes()
         if n > d:
@@ -414,6 +453,22 @@ def test_overflowing_totals_rejected():
     assert total == 1e308
 
 
+def test_overflowing_range_rejected():
+    """A table that mixes signs near the float limit has a slack past the
+    float range: it fails at the boundary, with no overflow warning first,
+    alone and in a stack.  One whose range stays finite is assigned."""
+    wide = np.array([[1e308, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"the range \(largest entry minus smallest\) is inf"):
+            hungarian_max(wide)
+        with pytest.raises(ValueError, match="range"):
+            hungarian_max_many([np.ones((1, 2)), wide])
+        assignment, total = hungarian_max(np.array([[1e308, -7e307]]))
+    assert assignment.pair_to_cu == (0,)
+    assert total == 1e308
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rates_rejected_naming_the_entry(bad):
     """NaN and inf fail at the boundary, not inside scipy's solver."""
@@ -446,6 +501,38 @@ class TestRateTable:
             RateTable(np.array([[-1.0, 0.0]]))
         with pytest.raises(ValueError):
             RateTable(np.zeros((2, 3)), sic_applied=np.zeros((1, 3), dtype=bool))
+
+    def test_stack_checks_as_the_constructor_does(self):
+        """`RateTable.stack` gives the tables the constructor gives, and
+        rejects a bad entry of any table with the constructor's message."""
+        rng = np.random.default_rng(84)
+        rates = rng.uniform(0.0, 1.0, (4, 3, 5))
+        sic = rng.random((4, 3, 5)) < 0.5
+        infeasible = rng.random((4, 3, 5)) < 0.2
+        rates[infeasible] = 0.0
+        got = RateTable.stack(rates, sic, infeasible)
+        want = [RateTable(*fields) for fields in zip(rates, sic, infeasible)]
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            for name in ("rates", "sic_applied", "infeasible"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for bad, what in ((np.nan, "finite and >= 0"), (-1.0, "finite and >= 0")):
+            broken = rates.copy()
+            broken[2, 1, 3] = bad
+            message = rf"rate table entry \(1, 3\) must be {what}"
+            with pytest.raises(ValueError, match=message):
+                RateTable(broken[2], sic[2], infeasible[2])
+            with pytest.raises(ValueError, match=message):
+                RateTable.stack(broken, sic, infeasible)
+        lifted = rates.copy()
+        lifted[infeasible] = 1.0
+        with pytest.raises(ValueError, match="infeasible entries must carry rate 0"):
+            RateTable.stack(lifted, sic, infeasible)
+        with pytest.raises(ValueError, match="flag arrays must match"):
+            RateTable.stack(rates, sic[:, :2], infeasible)
+        with pytest.raises(ValueError, match=r"more D2D rows \(5\) than CU columns \(3\)"):
+            RateTable.stack(rates.transpose(0, 2, 1), sic, infeasible)
 
     def test_hungarian_accepts_rate_table(self):
         table = RateTable(np.array([[2.0, 1.0], [1.0, 2.0]]))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,18 @@ class TestAssign:
         assert main(["assign", "--table", str(table)]) == 1
         captured = capsys.readouterr()
         assert "rate table entries too large" in captured.err
+        assert captured.out == ""
+
+    def test_rejects_overflowing_range(self, tmp_path, capsys):
+        """A row that mixes signs near the float limit exits 1 with the
+        range named, and no overflow warning on the way."""
+        table = tmp_path / "table.csv"
+        table.write_text("1e308,-1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["assign", "--table", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert "the range (largest entry minus smallest) is inf" in captured.err
         assert captured.out == ""
 
     def test_rejects_ragged_rows(self, tmp_path, capsys):

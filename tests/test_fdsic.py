@@ -30,6 +30,7 @@ from d2dpa.model import (
     ScenarioKind,
     SystemParams,
     dbm_to_watts,
+    device_swap_stack,
     gain_block,
     pu_min,
     sic_sum_rate,
@@ -237,10 +238,12 @@ def test_array_predicates_match_their_one_entry_forms():
     pu_m = pu_min(params, block[5])
     over_cap = pu_m > limits.pu_max_w
     lifted = PowerLimits(limits.p1_max_w, limits.p2_max_w, 1e9)
-    for order in ORDERS:
-        # Some entries fail on the CU cap alone: they pass below a lifted cap.
-        assert (pretest(block, params, lifted, pu_m, order) & over_cap).any()
-        got = pretest(block, params, limits, pu_m, order)
+    stack = device_swap_stack(block)
+    # Some entries fail on the CU cap alone: they pass below a lifted cap.
+    assert (pretest(stack, params, lifted, pu_m) & over_cap).any(axis=(1, 2)).all()
+    both = pretest(stack, params, limits, pu_m)
+    assert both.shape == (2, *pu_m.shape)
+    for order, got in zip(ORDERS, both):
         want = [
             [sufficient_feasibility(ChannelGains(*g), params, limits, float(m), order)
              for g, m in zip(block[:, r].T, pu_m[r])]
@@ -248,6 +251,52 @@ def test_array_predicates_match_their_one_entry_forms():
         ]
         assert got.tolist() == want
         assert not got[over_cap].any()
+
+
+def per_order_pretest(h, params, limits, pu_m, order):
+    """The pre-test of one decoding order, M1_FIRST as M2_FIRST with the
+    devices' gains, caps and SI factors swapped: the form `pretest` had
+    before it took both orders on one device-swap stack."""
+    h_d, h_b_d1, h_b_d2, h_d1_u, h_d2_u, h_b_u = h
+    e1, e2 = params.eta1, params.eta2
+    p1_max, p2_max = limits.p1_max_w, limits.p2_max_w
+    if order is DecodingOrder.M1_FIRST:
+        h_b_d1, h_b_d2, h_d1_u, h_d2_u = h_b_d2, h_b_d1, h_d2_u, h_d1_u
+        e1, e2, p1_max, p2_max = e2, e1, p2_max, p1_max
+    terms = (
+        h_b_d1 * h_d1_u - e1 * h_b_u > 2.0 * h_d * h_b_u * h_b_d1 / h_b_d2,
+        h_b_d1 * h_d2_u - h_b_u * h_d > 2.0 * h_b_u * e2 * h_b_d1 / h_b_d2,
+        pu_m * h_b_u / h_b_d1 < p1_max,
+        2.0 * pu_m * h_b_u / h_b_d2 < p2_max,
+    )
+    return np.logical_and.reduce((np.logical_not(pu_m > limits.pu_max_w), *terms))
+
+
+def test_both_orders_pretest_equals_the_per_order_form():
+    """`pretest` on the device-swap stack gives each order's mask of the
+    per-order form bit for bit, on seeded campaign blocks whose caps and SI
+    factors differ between the devices (so a missed swap shows), with both
+    passing and failing entries in each order."""
+    cfg = SimConfig(trials=1, eta_db=-130.0, d_max_m=200.0, pair_distance_law="fixed")
+    block = np.concatenate([
+        gains_from_deployment(
+            generate_deployment(cfg, np.random.SeedSequence((3, trial, 0))),
+            cfg,
+            np.random.SeedSequence((3, trial, 1)),
+        )
+        for trial in range(60)
+    ], axis=1)  # (6, 60 D, K)
+    base = cfg.system_params()
+    for eta1, eta2, p1_max, p2_max in ((1e-13, 1e-11, 0.25, 0.004), (3e-12, 2e-14, 0.01, 0.2)):
+        params = SystemParams(base.bandwidth_hz, base.noise_w, eta1, eta2, base.r_u_min_bps)
+        limits = PowerLimits(p1_max, p2_max, 0.25)
+        pu_m = pu_min(params, block[5])
+        both = pretest(device_swap_stack(block), params, limits, pu_m)
+        for order, got in zip(ORDERS, both):
+            want = per_order_pretest(block, params, limits, pu_m, order)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert 0 < want.sum() < want.size
+        assert (both[0] != both[1]).any()
 
 
 def pair_segments(gains, params, limits, order):
@@ -283,13 +332,16 @@ class TestPrintedEndpointForms:
         assert sufficient_feasibility(self.g, self.params, self.limits, self.pm, self.order)
 
     def ridge(self, ceiling: int):
-        """Where a ceiling's ridge pierces the CU cap, from `_ridges_on_cap`."""
+        """Where a ceiling's ridge pierces the CU cap: P1 from
+        `_ridges_on_cap`, P2 on floor plane 2 there (it rules everywhere)."""
         p = self.seg.planes
         ceils = np.array([[p.ceil1.ax, p.ceil3.ax], [p.ceil1.ay, p.ceil3.ay]])
         floors = np.array([[p.floor2.ax, p.floor4.ax], [p.floor2.ay, p.floor4.ay]])
-        x, y, found = _ridges_on_cap(ceils, floors, self.limits.pu_max_w)
+        pum = self.limits.pu_max_w
+        x, found = _ridges_on_cap(ceils, floors, pum)
         assert found[ceiling, 0]
-        return x[ceiling, 0], y[ceiling, 0], self.limits.pu_max_w
+        x = x[ceiling, 0]
+        return x, (pum - p.floor2.ax[0] * x) / p.floor2.ay[0], pum
 
     def test_difference_ceiling_crossings(self):
         g, e1 = self.g, self.params.eta1

@@ -112,20 +112,34 @@ class TestDeployment:
         [
             {},
             {"d_max_m": 200.0, "pair_distance_law": "fixed"},
+            {"d_pairs": 0},
             {"k_users": 64, "d_pairs": 32, "d_max_m": 500.0},
+            {"k_users": 64, "d_pairs": 32, "d_max_m": 300.0, "pair_distance_law": "fixed"},
         ],
     )
     def test_equals_scalar_rejection_draws(self, overrides):
-        """Block draws give the deployment that one scalar ``uniform`` draw
-        per coordinate, distance and angle gives, bit for bit, so campaigns
-        repeat from their seeds."""
+        """The vector hexagon test over blocks of doubles gives the
+        deployment that one scalar ``uniform`` draw per coordinate, distance
+        and angle gives, bit for bit, so campaigns repeat from their seeds.
+        At K = 64, D = 32 some trials' CUs and first devices need more
+        doubles than the first block holds."""
         cfg = SimConfig(trials=1, **overrides)
         radius = cfg.cell_radius_m
         reach = min(cfg.d_max_m, 2.0 * radius)
+        sizes = []  # of the generator's random() calls in generate_deployment
+
+        class Recording(np.random.Generator):
+            def random(self, size=None, *args, **kwargs):
+                sizes.append(size)
+                return super().random(size, *args, **kwargs)
+
+        points_used = 0  # doubles the scalar CU and first-device draws take
 
         def point(rng):
+            nonlocal points_used
             while True:
                 x, y = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
+                points_used += 2
                 if in_hexagon(x, y, radius):
                     return x, y
 
@@ -137,15 +151,21 @@ class TestDeployment:
                 if in_hexagon(px, py, radius):
                     return px, py
 
+        overran = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
+            points_used = 0
+            sizes.clear()
             cu = [point(rng) for _ in range(cfg.k_users)]
             d1 = [point(rng) for _ in range(cfg.d_pairs)]
             d2 = [partner(rng, x, y) for x, y in d1]
-            dep = generate_deployment(cfg, seed)
-            assert np.array_equal(dep.cu_xy, np.array(cu))
-            assert np.array_equal(dep.d1_xy, np.array(d1))
-            assert np.array_equal(dep.d2_xy, np.array(d2))
+            dep = generate_deployment(cfg, Recording(np.random.PCG64(seed)))
+            assert np.array_equal(dep.cu_xy, np.array(cu).reshape(-1, 2))
+            assert np.array_equal(dep.d1_xy, np.array(d1).reshape(-1, 2))
+            assert np.array_equal(dep.d2_xy, np.array(d2).reshape(-1, 2))
+            overran += points_used > sizes[0]
+        if cfg.k_users == 64:
+            assert overran > 0
 
     def test_far_uniform_reach_keeps_partner_draws_bounded(self):
         """A partner farther than twice the cell radius can never land in the
