@@ -125,24 +125,8 @@ def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
     """The graph of moves off the optimal mapping ``cols`` of each table of
     a (B, D, K) stack, with ``cols`` (B, D) and ``own`` (B, D) each row's
     entry there: ``slack`` (B, D, K), what row r gives up by moving from its
-    column to column c, and the `_slack_graph` (``node``, ``dist``) built
-    from it."""
-    b, d, k = rates.shape
-    tab = np.arange(b)[:, None]
-    slack = own[:, :, None] - rates
-    free = np.ones((b, k), dtype=bool)
-    free[tab, cols] = False
-    free_min = np.where(free[:, None, :], slack, np.inf).min(axis=2)
-    return slack, *_slack_graph(cols, k, slack[tab, :, cols].transpose(0, 2, 1), free_min)
-
-
-def _slack_graph(cols: np.ndarray, k: int, swap: np.ndarray, free_min: np.ndarray):
-    """The graph of moves off the optimal mapping ``cols`` (B, D) of each
-    table of a (B, D, K) stack, from the tables' slack: ``node`` (B, K), the
-    graph node of each column, and ``dist`` (B, n, n), the edge weights.
-    ``swap`` (B, D, D) is the slack at the mapping's columns,
-    ``swap[i, j] = slack[i, cols[j]]``, and ``free_min`` (B, D) each row's
-    least slack over the unused columns.
+    column to column c; ``node`` (B, K), the graph node of each column; and
+    ``dist`` (B, n, n), the edge weights.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
@@ -151,22 +135,27 @@ def _slack_graph(cols: np.ndarray, k: int, swap: np.ndarray, free_min: np.ndarra
     optimal.  The nodes are the columns of ``cols`` (node r holds row r's
     column) with the unused columns merged into node D, whose zero-rate row
     may move onto any column at no cost; ``dist[i, j]`` is what row i gives
-    up by moving onto node j, so ``dist[:D, :D]`` is ``swap`` and
-    ``dist[:D, D]`` is ``free_min``.  A single table builds it only when
-    its certificate fails (see ``_only_mapping_near``), from the slack the
-    certificate already read.
+    up by moving onto node j, so ``dist[:D, :D]`` is the slack at the
+    mapping's columns and ``dist[:D, D]`` each row's least slack over the
+    unused columns.  A single table builds it only when its certificate
+    fails (see ``_left_certified``).
     """
-    b, d = cols.shape
+    b, d, k = rates.shape
+    tab = np.arange(b)[:, None]
+    slack = own[:, :, None] - rates
+    free = np.ones((b, k), dtype=bool)
+    free[tab, cols] = False
     node = np.full((b, k), d)
-    node[np.arange(b)[:, None], cols] = np.arange(d)
+    node[tab, cols] = np.arange(d)
     n = d + (d < k)
     dist = np.zeros((b, n, n))
-    dist[:, :d, :d] = swap
+    dist[:, :d, :d] = slack[tab, :, cols].transpose(0, 2, 1)
     if d < k:
-        dist[:, :d, d] = free_min
-    return node, dist
+        dist[:, :d, d] = np.where(free[:, None, :], slack, np.inf).min(axis=2)
+    return slack, node, dist
 
 
+@np.errstate(over="ignore")
 def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Least total any mapping gives up against the optimal mapping when it
     sends row r to column c, for each table of the stack whose
@@ -178,6 +167,11 @@ def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.n
     a shortest path back (no cycle is negative, so shortest paths exist),
     from one Floyd-Warshall pass over the graph.  Every step is elementwise
     or a minimum, so each table of a stack gets the same bits as on its own.
+
+    Overflow is allowed: every estimate and sum is the weight of a walk,
+    which closes into a cycle (weight >= 0) with one more edge (weight at
+    most the table's range), so each is at least -range.  A sum can
+    overflow only to +inf, which exceeds every bound: no entry turns near.
     """
     b, d, _ = slack.shape
     through = np.empty_like(dist)
@@ -186,51 +180,40 @@ def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.n
     return slack + dist[np.arange(b)[:, None], node, :d].transpose(0, 2, 1)
 
 
-def _two_cycle_near(swap: np.ndarray, free_min: np.ndarray, bound: float) -> bool:
-    """Whether a two-cycle of one table's `_slack_graph` gives up at most
-    ``bound``, read from the graph's weights ``swap`` (D, D) and
-    ``free_min`` (D,) without building it: a row moving to a free column
-    (and node D's row back at no cost), then two rows swapping columns.
-    ``swap``'s diagonal is exactly 0 and ``bound`` > 0, so more than D of
-    its pair sums within ``bound`` means an off-diagonal one.  These are the
-    comparisons of ``dist + dist.T`` off its diagonal, value for value."""
-    return bool((free_min <= bound).any()) or np.count_nonzero(swap + swap.T <= bound) > len(swap)
-
-
-def _only_mapping_near(
-    rates: np.ndarray, cols: np.ndarray, swap: np.ndarray, free_min: np.ndarray,
-    bound: float, eps: float,
+def _left_certified(
+    rates: np.ndarray, cols: np.ndarray, total: float, bound: float, peak: float, eps: float
 ) -> bool:
-    """Whether every mapping of the (D, K) table ``rates`` other than its
-    optimal mapping ``cols`` falls short of it by more than ``bound``, so
-    that every forcing loss off ``cols`` exceeds ``bound``; ``swap`` and
-    ``free_min`` are the slack weights of the table's `_slack_graph`,
-    which this test reads without building the graph.
+    """Whether every mapping of the (D, K) table ``rates`` that sends a row
+    left of its column in the optimal mapping ``cols``, of total ``total``,
+    falls short of it by more than ``bound``: then no forcing loss left of
+    ``cols`` is near and `_can_move` is false.  ``peak`` is the table's
+    largest |entry| and ``eps`` its float error bound.
 
-    First the two-cycles of the graph (`_two_cycle_near`).  One within
-    ``bound`` is itself a near mapping, so the answer is no and no solve is
-    spent on it.  Otherwise the table is solved once more with each entry of
-    ``cols`` lowered by delta = bound + 2 eps.  A mapping that moves L >= 1
-    rows off ``cols`` keeps D - L lowered entries, so against ``cols`` it
-    gains L delta in the lowered table.  If the re-solve still returns
-    ``cols``, each such mapping falls short of ``cols`` in ``rates`` by at
-    least L delta less float error, and that error is under L eps.
-    Lowering rounds each lowered entry by at most EPS max|rates|, far below
-    eps.  LSA weighs the two mappings through the L entries where they
-    differ, and its rounding there is taken to be under the rest of eps per
-    moved row: the module takes eps to bound LSA's error wherever it
-    compares solves (the tie-break's re-solve totals against the first
-    solve's, and the first solve as the optimum the losses start from).  So
-    the true loss of any entry off ``cols`` is at least delta - eps = bound
-    + eps, and the pass, whose losses err by at most eps, would compute it
-    above ``bound``.  If the re-solve returns another mapping, the answer is
-    no, though a near mapping need not exist.
+    The table is solved again with each entry left of its row's column in
+    ``cols`` raised by delta = bound + 4 eps.  A mapping using L >= 1 of
+    them gains L delta; ``cols`` uses none and keeps its total bit for bit.
+    If the re-solve's total is at most ``total`` + eps, each such mapping
+    falls short of ``cols`` in ``rates`` by at least L delta less float
+    error: the eps of that margin, eps for the re-solve's error against the
+    raised optimum (the module takes eps to bound LSA's error wherever it
+    compares solves), and the rounding of the raised entries and of
+    ``total``, far below eps.  So the true loss of any entry left of
+    ``cols`` is at least delta - 2 eps - (rounding) > bound + eps, and the
+    pass, whose losses err by at most eps, would compute it above ``bound``.
+
+    Totals are compared, not mappings, so the exact ties to the right that
+    the SIC-constant rows of HD-SIC and FD-SIC tables make in bulk leave the
+    certificate standing: the tie-break never moves a row right.  Where
+    2 D (peak + delta) overflows, a raised entry or total might, and the
+    certificate is not tried.
     """
-    if _two_cycle_near(swap, free_min, bound):
+    d, k = rates.shape
+    delta = bound + 4.0 * eps
+    if 2.0 * d * (peak + delta) == math.inf:
         return False
-    lowered = rates.copy()
-    lowered[np.arange(len(cols)), cols] -= bound + 2.0 * eps
-    return bool((linear_sum_assignment(lowered, maximize=True)[1] == cols).all())
+    raised = rates + delta * (np.arange(k) < cols[:, None])
+    rows, raised_cols = linear_sum_assignment(raised, maximize=True)
+    return float(raised[rows, raised_cols].sum()) <= total + eps
 
 
 def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
@@ -266,15 +249,14 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     solve is returned as it is.  Each column left in play is checked, in
     ascending order, with one solve of the remaining rows without it.
 
-    On one table the losses are certified before their Floyd-Warshall pass:
-    when no two-cycle of moves is near, read straight from the table's
-    slack, and a second solve, with the first mapping's entries lowered by
-    a margin above the tie bound, still returns that mapping, every other
-    mapping falls short by more than the bound (see ``_only_mapping_near``).
-    No loss off the mapping is then near, so the first solve is returned
-    without the pass: one extra solve in place of D + 1 pass steps, and no
-    graph.  The graph is built, from the same slack, only when the
-    certificate fails.
+    On one table the losses left of the first mapping are certified before
+    their Floyd-Warshall pass: a second solve, with every entry left of its
+    row's first-solve column raised by a margin above the tie bound, finds
+    no total above the first (see ``_left_certified``).  No row can then
+    move, and the first solve is returned without the pass: one extra solve
+    in place of D + 1 pass steps, and no graph.  Ties right of the first
+    mapping, which the tie-break never takes, do not fail the certificate.
+    The graph is built only when it fails.
     """
     return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
@@ -285,11 +267,16 @@ def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
 
     A list of one table is certified as `hungarian_max` certifies it.  A
     longer list skips the certificate: the pass's D + 1 steps are shared by
-    the whole stack, and cost less than a second solve of every table.
-    Every table's total comes from one gather of the first solves' entries,
-    summed as one table's total is, and only a table with a near column left
-    of a row's first-solve column runs the tie-break.  An empty list gives
-    an empty list; tables of two shapes raise ValueError.
+    the whole stack, and cost less than a second solve of every table.  On
+    the four tables of each of 400 far-pairs trials (eta -130 dB, pairs 200 m
+    apart), certifying each table instead measured 31% slower: 331 of the
+    1,600 tables have a near entry left of the first mapping, and would pay
+    a failed re-solve on top of the pass (``stack_split`` in
+    BENCH_assign_left_certificate.json).  Every table's total comes
+    from one gather of the first solves' entries, summed as one table's
+    total is, and only a table with a near column left of a row's
+    first-solve column runs the tie-break.  An empty list gives an empty
+    list; tables of two shapes raise ValueError.
     """
     checked = [_checked_rates(t) for t in tables]
     if not checked:
@@ -304,11 +291,12 @@ def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
 def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each table of a checked (B, D, K) stack.
 
-    A stack of one table goes to `_hungarian_max_one`; any other stack runs
-    the shared pass and the tie-break.  A table whose mapping totals or
-    slack can overflow is rejected: the rows' largest |entries| must have a
-    finite sum, and the table's range (largest entry minus smallest), which
-    bounds every slack, must be finite.
+    A stack of one table goes to `_hungarian_max_one`, which tries the
+    left-raised certificate first; any other stack runs the shared pass and
+    the tie-break.  A table whose mapping totals or slack can overflow is
+    rejected: the rows' largest |entries| must have a finite sum, and the
+    table's range (largest entry minus smallest), which bounds every slack,
+    must be finite.
     """
     b, d, k = rates.shape
     if d == 0:
@@ -337,7 +325,7 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     # entries.
     eps = [8.0 * (d + 1) * _EPS * peak for peak in peaks]
     if b == 1:
-        return [_hungarian_max_one(rates[0], eps[0])]
+        return [_hungarian_max_one(rates[0], peaks[0], eps[0])]
     # LSA returns the rows in order, so row r's column is cols[r].
     cols = np.array([linear_sum_assignment(r, maximize=True)[1] for r in rates])
     own = rates[np.arange(b)[:, None], np.arange(d), cols]
@@ -358,30 +346,20 @@ def _can_move(near: np.ndarray, cols: np.ndarray):
     return (near & (np.arange(near.shape[-1]) < cols[..., None])).any(axis=(-2, -1))
 
 
-def _hungarian_max_one(rates: np.ndarray, eps: float) -> tuple[Assignment, float]:
-    """`hungarian_max` of one checked (D, K) table with D >= 1, whose float
-    error bound is ``eps``: the first mapping when ``_only_mapping_near``
-    certifies it, else the pass over the graph built from the slack the
-    certificate read, and the tie-break."""
+def _hungarian_max_one(rates: np.ndarray, peak: float, eps: float) -> tuple[Assignment, float]:
+    """`hungarian_max` of one checked (D, K) table with D >= 1, whose
+    largest |entry| is ``peak`` and float error bound ``eps``: the first
+    mapping when ``_left_certified`` certifies it, else the pass over the
+    table's move graph and the tie-break."""
     total, cols = _solve(rates)
     tol = 1e-12 * max(1.0, abs(total))
     bound = 2.0 * tol + eps
-    d, k = rates.shape
-    own = rates[np.arange(d), cols]
-    free = np.ones(k, dtype=bool)
-    free[cols] = False
-    # Rounding is monotone, so own minus the largest free entry is each
-    # row's least free slack, value for value; only the D x D slack at the
-    # mapping's columns is formed before the certificate.
-    free_min = own - rates[:, free].max(axis=1, initial=-np.inf)
-    swap = own[:, None] - rates[:, cols]
-    if _only_mapping_near(rates, cols, swap, free_min, bound, eps):
-        return Assignment(tuple(cols.tolist())), total
-    graph = _slack_graph(cols[None], k, swap[None], free_min[None])
-    near = _forcing_loss((own[:, None] - rates)[None], *graph)[0] <= bound
-    if not _can_move(near, cols):
-        return Assignment(tuple(cols.tolist())), total
-    return _tie_break(rates, total, cols, near, tol)
+    if not _left_certified(rates, cols, total, bound, peak, eps):
+        own = rates[np.arange(rates.shape[0]), cols]
+        near = _forcing_loss(*_mapping_graph(rates[None], cols[None], own[None]))[0] <= bound
+        if _can_move(near, cols):
+            return _tie_break(rates, total, cols, near, tol)
+    return Assignment(tuple(cols.tolist())), total
 
 
 def _tie_break(

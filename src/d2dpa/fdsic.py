@@ -141,11 +141,12 @@ def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> tuple:
     e1, e2 = np.where(m1_first, e2, e1), np.where(m1_first, e1, e2)
     p1, p2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
     h_d, h_b_u = h[0], h[5]
+    d_bu, d1u_bd2, bd1_d2u = h_d * h_b_u, h_d1_u * h_b_d2, h_b_d1 * h_d2_u
     return (
-        p1 * (h_b_d2 * e1 - h_d * h_b_d1) + pu * (h_d1_u * h_b_d2 - h_d * h_b_u),
-        p1 * (h_d1_u * h_b_d1 - h_b_u * e1) + p2 * (h_d1_u * h_b_d2 - h_b_u * h_d),
-        p2 * h_b_d1 * e2 - pu * (h_b_u * h_d - h_d2_u * h_b_d1),
-        p1 * (h_b_d1 * h_d2_u - h_d * h_b_u) - p2 * e2 * h_b_u,
+        p1 * (h_b_d2 * e1 - h_d * h_b_d1) + pu * (d1u_bd2 - d_bu),
+        p1 * (h_d1_u * h_b_d1 - h_b_u * e1) + p2 * (d1u_bd2 - d_bu),
+        p2 * h_b_d1 * e2 - pu * (d_bu - bd1_d2u),
+        p1 * (bd1_d2u - d_bu) - p2 * e2 * h_b_u,
     )
 
 
@@ -264,7 +265,9 @@ def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
 def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
     """Where each ceiling's ridge with the higher floor pierces the plane
     Pu = pu_max: its P1 coordinate x and whether it is found, as (x, found)
-    arrays of (ceiling, entry).
+    arrays of (ceiling, entry), and the ridge determinant ``det`` of each
+    (ceiling, floor branch, entry), which is positive where the ceiling
+    rises along the cap curve and negative where it falls.
 
     The ridge is solved against each floor branch; the real branch is the
     first whose other floor does not exceed the cap there.
@@ -279,7 +282,7 @@ def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
         & (x > -pu_max)
         & (y > -pu_max)
     )
-    return np.where(hit[:, 0], x[:, 0], x[:, 1]), hit.any(axis=1)
+    return np.where(hit[:, 0], x[:, 0], x[:, 1]), hit.any(axis=1), det
 
 
 def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
@@ -291,9 +294,8 @@ def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
     ceiling, and the cap side is dropped where they do not.
     """
     pu_max = limits.pu_max_w
-    (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
-    along = c_ax * f_ay - c_ay * f_ax  # (ceiling, branch, entry)
-    x, found = _ridges_on_cap(ceils, floors, pu_max)
+    f_ax, f_ay = floors
+    x, found, along = _ridges_on_cap(ceils, floors, pu_max)
     rising, falling = (along > 0.0).all(axis=1), (along < 0.0).all(axis=1)
     ok = ~(f_ax <= 0.0).any(axis=0) & (found & (rising | falling)).all(axis=0)
     entry = ((pu_max - f_ay * limits.p2_max_w) / f_ax).min(axis=0)

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import d2dpa.assignment
+from d2dpa import sim
 from d2dpa.assignment import Assignment, RateTable, hungarian_max, hungarian_max_many
 
 
@@ -131,8 +132,8 @@ def passes(monkeypatch):
 
 @pytest.fixture
 def graphs(monkeypatch):
-    """List that gains one entry per move graph built (_slack_graph call)."""
-    return _count_calls(monkeypatch, "_slack_graph")
+    """List that gains one entry per move graph built (_mapping_graph call)."""
+    return _count_calls(monkeypatch, "_mapping_graph")
 
 
 @pytest.fixture
@@ -155,9 +156,10 @@ def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
 
 
 def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
-    """With one optimal mapping, the re-solve with that mapping lowered past
-    the tie bound returns it again, so the first solve settles every row:
-    the first solve and the certifying one, and no pass or move graph."""
+    """With one optimal mapping, the re-solve with every entry left of that
+    mapping raised past the tie bound finds no higher total, so the first
+    solve settles every row: the first solve and the certifying one, and no
+    pass or move graph."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
@@ -206,9 +208,11 @@ def test_many_gives_each_table_hungarian_maxs_bits(d):
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_three_cycle_tie_reaches_the_pass(order, passes):
-    """The only other optimum is a three-cycle, so no two-cycle is near,
-    but the lowered re-solve moves to the three-cycle and the pass runs;
-    the answer is the smaller of the two optima in every column order."""
+    """The only other optimum is a three-cycle, and each of the two optima
+    sends a row left of its column in the other, so whichever the first
+    solve returns, the left-raised re-solve finds a higher total and the
+    pass runs; the answer is the smaller of the two optima in every column
+    order."""
     table = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])[:, order]
     assignment, total = hungarian_max(table)
     assert assignment.pair_to_cu == lexicographic_best(table)
@@ -216,10 +220,12 @@ def test_three_cycle_tie_reaches_the_pass(order, passes):
     assert len(passes) == 1
 
 
-def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls):
+def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, graphs):
     """Each row ties its optimal column with one further right, so other
-    optimal mappings exist, but none moves a row left: the first solve's
-    mapping is the answer, with no other solve."""
+    optimal mappings exist, but none moves a row left: the certifying
+    re-solve, which raises only entries left of the first mapping, finds no
+    higher total, and the first solve's mapping is the answer, with no pass
+    and no solve besides those two."""
     table = np.random.default_rng(78).uniform(0.0, 1.0, (4, 10))
     table[np.arange(4), np.arange(4)] += 10.0
     table[np.arange(4), np.arange(6, 10)] = table[np.arange(4), np.arange(4)]
@@ -228,18 +234,23 @@ def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls):
     assignment, total = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3)
     assert total == enumerate_best(table)
-    assert len(lsa_calls) == 1
+    assert len(lsa_calls) == 2
+    assert not passes
+    assert not graphs
 
 
-def test_each_checked_column_costs_one_solve(lsa_calls):
+def test_each_checked_column_costs_one_solve(lsa_calls, passes, graphs):
     """Three equal rows [0, 1, 0]: every mapping that gives column 1 to a
-    row is optimal, and the first solve gives row 0 a column right of 0.
-    Checking column 0 for row 0 is one solve of rows 1 and 2 without it,
-    and that solve's completion settles rows 1 and 2."""
+    row is optimal, and the first solve gives row 0 a column right of 0, so
+    the certifying re-solve fails.  Checking column 0 for row 0 is then one
+    solve of rows 1 and 2 without it, and that solve's completion settles
+    rows 1 and 2: three solves in all, after one move graph and one pass."""
     assignment, total = hungarian_max(np.array([[0.0, 1.0, 0.0]] * 3))
     assert assignment.pair_to_cu == (0, 1, 2)
     assert total == 1.0
-    assert len(lsa_calls) == 2
+    assert len(lsa_calls) == 3
+    assert len(graphs) == 1
+    assert len(passes) == 1
 
 
 def _planted_three_cycles(rng, d, k, gaps):
@@ -259,6 +270,19 @@ def _planted_three_cycles(rng, d, k, gaps):
     return table
 
 
+def _near_tie_table(rng, scale, gap):
+    """Small tie-heavy integer table with one row lowered off an optimal
+    mapping by ``gap`` tie tolerances."""
+    d = int(rng.integers(2, 5))
+    k = int(rng.integers(d, 7))
+    table = rng.integers(1, 4, (d, k)).astype(float) * scale
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    tol = 1e-12 * float(table[rows, cols].sum())
+    r = int(rng.integers(d))
+    table[r, np.arange(k) != cols[r]] -= gap * tol
+    return table
+
+
 @pytest.mark.parametrize("scale", [1.0, 3e7])
 @pytest.mark.parametrize("gap", [0.5, 0.9, 1.1, 2.5, 3.0, 100.0])
 def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
@@ -268,18 +292,11 @@ def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
     tolerance; from 2.5 on they are past the bound.  Either way the result
     is the enumerated lexicographic optimum.  Then the same with a
     three-cycle ``gap`` tolerances short next to an exact three-cycle tie:
-    no two-cycle is near, so only the certifying re-solve can tell that the
-    first solve is not the only optimum."""
+    no two rows swapping columns comes near, so only the certifying re-solve
+    or the pass can tell that the first solve is not the only optimum."""
     rng = np.random.default_rng(77)
     for _ in range(120):
-        d = int(rng.integers(2, 5))
-        k = int(rng.integers(d, 7))
-        table = rng.integers(1, 4, (d, k)).astype(float) * scale
-        rows, cols = linear_sum_assignment(table, maximize=True)
-        tol = 1e-12 * float(table[rows, cols].sum())
-        r = int(rng.integers(d))
-        off = np.arange(k) != cols[r]
-        table[r, off] -= gap * tol
+        table = _near_tie_table(rng, scale, gap)
         assignment, _ = hungarian_max(table)
         assert assignment.pair_to_cu == lexicographic_best(table)
     for _ in range(20):
@@ -342,8 +359,9 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
 def test_many_equals_one_table_at_a_time():
     """A stack runs the shared pass and a single table the certificate: the
     two routes agree on tie-heavy tables, on tie-free ones (which a single
-    table certifies) and on planted three-cycle near-ties (which pass the
-    two-cycle test but must fail the re-solve)."""
+    table certifies), on planted three-cycle near-ties (which no swap of
+    two rows reveals) and, to the bit of the total, on D = 32, K = 64
+    tables of all four schemes under row and column permutations."""
     rng = np.random.default_rng(80)
     for _ in range(150):
         d = int(rng.integers(0, 5))
@@ -363,6 +381,28 @@ def test_many_equals_one_table_at_a_time():
             scale = rng.choice([1.0, 3e7])
             stack = [_planted_three_cycles(rng, d, k, (gap,)) * scale for _ in range(4)]
             assert hungarian_max_many(stack) == [hungarian_max(t) for t in stack]
+    for stack in _scheme_tables(rng):
+        for _ in range(2):
+            rows, cols = rng.permutation(32), rng.permutation(64)
+            permuted = [t[rows][:, cols] for t in stack]
+            for (got, got_total), table in zip(hungarian_max_many(permuted), permuted):
+                want, want_total = hungarian_max(table)
+                assert got == want
+                assert got_total.hex() == want_total.hex()
+
+
+def _scheme_tables(rng):
+    """The four schemes' D = 32, K = 64 rate tables of two deployments at
+    the paper's default configuration and at far pairs (eta -130 dB, pairs
+    200 m apart), as `sim.build_rate_tables` builds them."""
+    for overrides in ({}, {"eta_db": -130.0, "d_max_m": 200.0, "pair_distance_law": "fixed"}):
+        config = sim.SimConfig(k_users=64, d_pairs=32, trials=1, **overrides)
+        for _ in range(2):
+            seeds = np.random.SeedSequence(int(rng.integers(2**32))).spawn(2)
+            deployment = sim.generate_deployment(config, seeds[0])
+            gains = sim.gains_from_deployment(deployment, config, seeds[1])
+            tables = sim.build_rate_tables(gains, config.system_params(), config.power_limits())
+            yield [t.rates for t in tables.values()]
 
 
 def _hd_sic_like(rng, d, k):
@@ -388,34 +428,44 @@ def _certificate_tables(rng):
         yield rng.uniform(0.0, 1.0, (1, k))
 
 
-def test_slack_two_cycle_test_equals_the_graphs(monkeypatch):
-    """The certificate reads the two-cycle test from the table's slack: its
-    weights are the move graph's first D columns bit for bit, and its answer
-    is the graph's ``dist + dist.T`` test off the diagonal, at the table's
-    own bound and at every positive two-cycle sum as the bound."""
+def _soundness_tables(rng):
+    """`_certificate_tables`, near-tie tables 0.9, 1.1 and 2.5 tie
+    tolerances short of a tie, and planted three-cycles that far short, next
+    to an exact three-cycle tie or alone, at rate-sized scales too."""
+    yield from _certificate_tables(rng)
+    for gap in (0.9, 1.1, 2.5):
+        for scale in (1.0, 3e7):
+            for _ in range(40):
+                yield _near_tie_table(rng, scale, gap)
+            for gaps in ((gap,), (0.0, gap)):
+                for _ in range(10):
+                    d = int(rng.integers(6, 9))
+                    yield _planted_three_cycles(rng, d, int(rng.integers(d, 10)), gaps) * scale
+
+
+def test_left_certificate_is_sound(monkeypatch):
+    """Wherever the left-raised certificate returns the first mapping, the
+    full pass over the move graph finds no near entry left of any row's
+    column, so the tie-break would not have moved a row.  The tables make
+    the certificate hold and fail many times each."""
     seen = []
-    real = d2dpa.assignment._only_mapping_near
+    real = d2dpa.assignment._left_certified
 
-    def capture(rates, cols, swap, free_min, bound, eps):
-        seen.append((cols, swap, free_min, bound))
-        return real(rates, cols, swap, free_min, bound, eps)
+    def capture(rates, cols, total, bound, peak, eps):
+        seen.append((cols, bound, real(rates, cols, total, bound, peak, eps)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(d2dpa.assignment, "_only_mapping_near", capture)
-    two_cycle_near = d2dpa.assignment._two_cycle_near
-    for table in _certificate_tables(np.random.default_rng(81)):
+    monkeypatch.setattr(d2dpa.assignment, "_left_certified", capture)
+    outcomes = []
+    for table in _soundness_tables(np.random.default_rng(81)):
         seen.clear()
         hungarian_max(table)
-        ((cols, swap, free_min, bound),) = seen
-        _, _, dist = mapping_graph(table[None], cols[None])
-        d, n = len(cols), dist.shape[1]
-        assert swap.tobytes() == dist[0, :d, :d].tobytes()
-        if n > d:
-            assert free_min.tobytes() == dist[0, :d, d].tobytes()
-        else:
-            assert (free_min == np.inf).all()
-        pairs = (dist[0] + dist[0].T)[~np.eye(n, dtype=bool)]
-        for b in [bound, *np.unique(pairs[pairs > 0]).tolist()]:
-            assert two_cycle_near(swap, free_min, b) == bool((pairs <= b).any())
+        ((cols, bound, certified),) = seen
+        outcomes.append(certified)
+        if certified:
+            loss = d2dpa.assignment._forcing_loss(*mapping_graph(table[None], cols[None]))[0]
+            assert not d2dpa.assignment._can_move(loss <= bound, cols)
+    assert 100 < sum(outcomes) < len(outcomes) - 100
 
 
 def test_one_table_equals_its_stack_of_two():
@@ -443,7 +493,9 @@ def test_many_rejects_tables_of_two_shapes():
 def test_overflowing_totals_rejected():
     """A finite table whose rows' largest entries sum past the float range
     fails at the boundary instead of returning an infinite total; one whose
-    sum stays finite is assigned."""
+    sum stays finite is assigned, also at the float maximum, where raising
+    an entry for the certificate would overflow (its two entries tie within
+    the tolerance, so the smaller column wins)."""
     with pytest.raises(ValueError, match="sum to inf"):
         hungarian_max(np.full((2, 2), 1e308))
     with pytest.raises(ValueError, match="sum to inf"):
@@ -451,6 +503,8 @@ def test_overflowing_totals_rejected():
     assignment, total = hungarian_max(np.array([[1e308, 0.0], [0.0, 1.0]]))
     assert assignment.pair_to_cu == (0, 1)
     assert total == 1e308
+    big = np.finfo(float).max
+    assert hungarian_max(np.array([[big * (1 - 1e-15), big]])) == (Assignment((0,)), big)
 
 
 def test_overflowing_range_rejected():
@@ -467,6 +521,20 @@ def test_overflowing_range_rejected():
         assignment, total = hungarian_max(np.array([[1e308, -7e307]]))
     assert assignment.pair_to_cu == (0,)
     assert total == 1e308
+
+
+def test_overflowing_shortest_paths_leave_the_result(passes):
+    """Entries this close to the float limit skip the certificate (which
+    would fail anyway: the two optima differ in column 0), so the table
+    reaches the pass.  Sums of two slacks there overflow to +inf, which is
+    no near move, with no warning, and the smaller optimum is returned."""
+    table = np.array([[0.6e308, 0.0, -0.6e308], [0.6e308, -0.6e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assignment, total = hungarian_max(table)
+    assert assignment.pair_to_cu == (0, 2) == lexicographic_best(table)
+    assert total == 0.6e308
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

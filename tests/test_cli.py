@@ -424,6 +424,23 @@ class TestAssign:
         assert "the range (largest entry minus smallest) is inf" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.6e308,-0.6e308,0\n-0.6e308,0.6e308,0.6e308\n", "0.8e308,-0.8e308\n-0.8e308,0.8e308\n"],
+    )
+    def test_assigns_tables_near_the_float_limit(self, tmp_path, capsys, rows):
+        """Tables whose range is finite but over half the float maximum,
+        where sums of two slacks overflow, are assigned (pair 0 to CU 0,
+        pair 1 to CU 1) with no overflow warning."""
+        table = tmp_path / "table.csv"
+        table.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["assign", "--table", str(table)]) == 0
+        out = capsys.readouterr().out
+        assert "pair 0 -> cu 0 " in out
+        assert "pair 1 -> cu 1 " in out
+
     def test_rejects_ragged_rows(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
         table.write_text("1.0,2.0\n3.0\n")

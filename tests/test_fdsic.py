@@ -338,7 +338,7 @@ class TestPrintedEndpointForms:
         ceils = np.array([[p.ceil1.ax, p.ceil3.ax], [p.ceil1.ay, p.ceil3.ay]])
         floors = np.array([[p.floor2.ax, p.floor4.ax], [p.floor2.ay, p.floor4.ay]])
         pum = self.limits.pu_max_w
-        x, found = _ridges_on_cap(ceils, floors, pum)
+        x, found, _ = _ridges_on_cap(ceils, floors, pum)
         assert found[ceiling, 0]
         x = x[ceiling, 0]
         return x, (pum - p.floor2.ax[0] * x) / p.floor2.ay[0], pum
