@@ -32,7 +32,6 @@ runs; `sufficient_feasibility` is `pretest` on one combination.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +50,6 @@ from .model import (
     gain_block,
     pu_min,
     sic_sum_rate,
-    within_limits,
 )
 
 REL_TOL = 1e-9
@@ -61,93 +59,112 @@ REL_TOL = 1e-9
 PULL_IN = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 
-class Plane(NamedTuple):
-    """Height field pu = ax*p1 + ay*p2 (every constraint plane contains the origin)."""
-
-    ax: float
-    ay: float
-
-    def height(self, p1: float, p2: float) -> float:
-        return self.ax * p1 + self.ay * p2
-
-
 # ---------------------------------------------------------------------------
-# Floor planes
+# Constraint planes and the feasibility tests
+#
+# Every coefficient is formed from the (10, ...) rows of `gain_rows`: the six
+# link gains, the SI factors e1 and e2, then 1 and 0.  Decoding M1 first is
+# decoding M2 first with the two devices' roles swapped, so the SIC terms
+# are formed from the rows with the devices swapped (`_SWAP_ROWS`).
+
+_SWAP_ROWS = np.array([0, 2, 1, 4, 3, 5, 7, 6, 8, 9])
+
+# The plane stack: ceilings 1 and 3, floors 2 and 4, each as (ax, ay) with
+# height pu = ax*p1 + ay*p2 (every plane contains the origin).  Each
+# coefficient is a ratio of two rows, numerators first, times the ceiling
+# sign of the pair's decoding order, M2_FIRST or M1_FIRST (last axis).
+_PLANE_RATIOS = np.array([[[1, 2], [1, 2], [6, 0], [0, 7]], [[5, 5], [5, 5], [3, 3], [4, 4]]])
+_PLANE_SIGNS = np.array([
+    [[-1.0, 1.0], [1.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]
+])
+
+# The SIC margins of M2_FIRST are m = x * c * w summed over two terms: the
+# powers `_SIC_POWERS` (p1, p2, pu rows), times coefficients c and weights w
+# that are each a*b - c*d of four rows of `_SIC_TERMS`, in (a, b, c, d)
+# order.  First terms, then second terms of the four margins; coefficients,
+# then weights.
+_SIC_POWERS = np.array([0, 0, 1, 0, 2, 1, 2, 1])
+_SWAP_POWERS = np.array([1, 0, 2])
+_SIC_TERMS = np.array([
+    # p1 (h_b_d2 e1 - h_d h_b_d1), p1 (h_d1_u h_b_d1 - h_b_u e1), p2 h_b_d1,
+    # p1 (h_b_d1 h_d2_u - h_d h_b_u)
+    (2, 6, 0, 1), (3, 1, 5, 6), (1, 8, 9, 9), (1, 4, 0, 5),
+    # pu (h_d1_u h_b_d2 - h_d h_b_u), p2 (the same), pu (h_b_d1 h_d2_u - h_d
+    # h_b_u), p2 e2
+    (3, 2, 0, 5), (3, 2, 0, 5), (1, 4, 0, 5), (7, 8, 9, 9),
+    # weights: e2 on the third first term, -h_b_u on the last second term
+    (8, 8, 9, 9), (8, 8, 9, 9), (7, 8, 9, 9), (8, 8, 9, 9),
+    (8, 8, 9, 9), (8, 8, 9, 9), (8, 8, 9, 9), (9, 9, 5, 8),
+]).T
 
 
-def floor_planes(h, eta1, eta2) -> tuple[Plane, Plane]:
-    """The floor planes 2 and 4, shared by both decoding orders.
-
-    ``h`` is a (6, ...) gain block, rows in `model.GAIN_FIELDS` order.
-    """
-    h_d, _, _, h_d1_u, h_d2_u, _ = h
-    return Plane(eta1 / h_d1_u, h_d / h_d1_u), Plane(h_d / h_d2_u, eta2 / h_d2_u)
-
-
-# ---------------------------------------------------------------------------
-# Ceiling planes and the feasibility tests
+def gain_rows(h, e1, e2) -> np.ndarray:
+    """The (10, ...) coefficient rows of the gains ``h`` (six rows in
+    `model.GAIN_FIELDS` order), the SI factors ``e1``, ``e2`` (broadcast to
+    a row of ``h``), 1 and 0."""
+    h = np.asarray(h)
+    rows = np.empty((10,) + h.shape[1:])
+    rows[:6] = h
+    rows[6], rows[7], rows[8], rows[9] = e1, e2, 1.0, 0.0
+    return rows
 
 
-class SicPlanes(NamedTuple):
-    """Ceiling planes (1, 3) and floor planes (2, 4) of one decoding order.
-
-    Pu must stay strictly below both ceilings and strictly above both floors.
-    """
-
-    ceil1: Plane
-    floor2: Plane
-    ceil3: Plane
-    floor4: Plane
+def constraint_planes(rows, m1_first) -> np.ndarray:
+    """The (plane, ax or ay, pair) stack of each pair's ceilings 1 and 3 and
+    floors 2 and 4 (shared by both orders), ``m1_first`` True where the order
+    is M1_FIRST; ``rows`` are the (10, n) `gain_rows`.  Pu must stay strictly
+    below both ceilings and strictly above both floors."""
+    ratios = rows.take(_PLANE_RATIOS, axis=0)
+    return _PLANE_SIGNS.take(m1_first, axis=2) * (ratios[0] / ratios[1])
 
 
-def ceiling_planes(h, m1_first) -> tuple[Plane, Plane]:
-    """The ceiling planes 1 and 3 of each pair's decoding order, ``m1_first``
-    True where it is M1_FIRST; ``h`` as in `floor_planes`."""
-    r1, r2 = h[1] / h[5], h[2] / h[5]
-    return (
-        Plane(np.where(m1_first, r1, -r1), np.where(m1_first, -r2, r2)),
-        Plane(np.where(m1_first, 0.0, r1), np.where(m1_first, r2, 0.0)),
-    )
+def plane_heights(planes, p1, p2):
+    """Each plane's Pu at (p1, p2), over a (plane, ax or ay, ...) stack that
+    broadcasts against them."""
+    return planes[:, 0] * p1 + planes[:, 1] * p2
 
 
-def pmc_margins(
-    planes: SicPlanes, p1: float, p2: float, pu: float
-) -> tuple[float, float, float, float]:
-    """Signed satisfaction margins of the four power-ordering conditions.
+def pmc_margins(heights, pu):
+    """Signed satisfaction margins of the four power-ordering conditions, from
+    the `plane_heights` of `constraint_planes`: ceilings minus ``pu``, then
+    ``pu`` minus floors.
 
     All four are positive exactly when the point lies strictly between the
     floors and the ceilings.
     """
-    return (
-        planes.ceil1.height(p1, p2) - pu,
-        pu - planes.floor2.height(p1, p2),
-        planes.ceil3.height(p1, p2) - pu,
-        pu - planes.floor4.height(p1, p2),
-    )
+    margins = heights - pu
+    np.negative(margins[2:], out=margins[2:])
+    return margins
 
 
-def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> tuple:
+def sic_coefficients(rows, m1_first) -> np.ndarray:
+    """The (16, ...) coefficients and weights of the SIC margins of each
+    pair's decoding order (see `_SIC_TERMS`), from its `gain_rows`."""
+    terms = np.where(m1_first, rows.take(_SWAP_ROWS, axis=0), rows).take(_SIC_TERMS, axis=0)
+    return terms[0] * terms[1] - terms[2] * terms[3]
+
+
+def _sic_margins(coefficients, m1_first, points):
+    """The four SIC margins at the (p1, p2, pu) stack ``points``, from
+    `sic_coefficients` that broadcast against a power."""
+    x = np.where(m1_first, points.take(_SWAP_POWERS, axis=0), points).take(_SIC_POWERS, axis=0)
+    terms = x * coefficients[:8] * coefficients[8:]
+    return terms[:4] + terms[4:]
+
+
+def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> np.ndarray:
     """Signed margins of the noise-free SIC achievability conditions of each
-    pair's decoding order, ``m1_first`` True where it is M1_FIRST.
+    pair's decoding order, ``m1_first`` True where it is M1_FIRST, as a (4,
+    ...) stack.
 
     These are implied by the power-ordering conditions but are evaluated
-    independently wherever a solution is validated.  Decoding M1 first is
-    decoding M2 first with the two devices' roles swapped, so one formula
-    serves both orders.  ``h`` holds the link gains as in `floor_planes` and
-    ``e1``, ``e2`` the SI factors; everything broadcasts.
+    independently wherever a solution is validated.  ``h`` holds the link
+    gains as in `gain_rows` and ``e1``, ``e2`` the SI factors; everything
+    broadcasts.
     """
-    gains = np.asarray(h[1:5])
-    h_b_d1, h_b_d2, h_d1_u, h_d2_u = np.where(m1_first, gains[[1, 0, 3, 2]], gains)
-    e1, e2 = np.where(m1_first, e2, e1), np.where(m1_first, e1, e2)
-    p1, p2 = np.where(m1_first, p2, p1), np.where(m1_first, p1, p2)
-    h_d, h_b_u = h[0], h[5]
-    d_bu, d1u_bd2, bd1_d2u = h_d * h_b_u, h_d1_u * h_b_d2, h_b_d1 * h_d2_u
-    return (
-        p1 * (h_b_d2 * e1 - h_d * h_b_d1) + pu * (d1u_bd2 - d_bu),
-        p1 * (h_d1_u * h_b_d1 - h_b_u * e1) + p2 * (d1u_bd2 - d_bu),
-        p2 * h_b_d1 * e2 - pu * (d_bu - bd1_d2u),
-        p1 * (bd1_d2u - d_bu) - p2 * e2 * h_b_u,
-    )
+    rows = gain_rows(h, e1, e2)
+    points = np.array(np.broadcast_arrays(p1, p2, pu, rows[0])[:3])
+    return _sic_margins(sic_coefficients(rows, m1_first), m1_first, points)
 
 
 def pretest(hs, params: SystemParams, limits: PowerLimits, pu_m):
@@ -191,208 +208,227 @@ def sufficient_feasibility(
 # ---------------------------------------------------------------------------
 # Admissible segments and the solve, over arrays of (entry, order) pairs
 #
-# Plane coefficients are stacked as (ax or ay, plane, entry) arrays: floors
-# 2 and 4, ceilings 1 and 3.  A NaN bound below stands for "no bound": fmax
-# and fmin skip it.
+# Every per-pair array ends in the pair axis, and stacks of planes, sides,
+# segments or powers lead.  A NaN bound below stands for "no bound": fmax and
+# fmin skip it.
 
 
-def _fmax(*values):
-    return functools.reduce(np.fmax, values)
-
-
-def _none_below(margins, bound):
-    return np.logical_not(np.logical_or.reduce([m < bound for m in margins]))
-
-
-def _point_tests(h, seg: Segments, params: SystemParams, limits: PowerLimits, m1_first, p1, p2, pu):
-    """True where a point of a pair of ``seg`` meets every mutual-SIC
-    constraint of the pair's order within a relative margin: power ordering,
-    SIC rates, power limits and the CU rate floor.  ``h`` holds the link
-    gains as in `floor_planes`; arrays end in the pair axis.  A NaN power
-    fails the power limits."""
-    margins = sic_rate_margins(h, params.eta1, params.eta2, m1_first, p1, p2, pu)
-    planes = seg.planes
-    scale = _fmax(pu, planes.ceil3.height(p1, p2), planes.floor2.height(p1, p2), 1e-300)
-    sic_scale = _fmax(*(abs(m) for m in margins)) + scale * _fmax(h[1], h[2], h[5]) * _fmax(
-        p1, p2, pu, 1e-300
+def _point_tests(seg: Segments, points, caps):
+    """True where a (p1, p2, pu) stack ``points`` of the pairs of ``seg``
+    meets every mutual-SIC constraint of the pair's order within a relative
+    margin: power ordering, SIC rates, power limits ``caps`` (raised by the
+    margin) and the CU rate floor.  The planes, SIC coefficients and caps
+    broadcast against a power.  A NaN power fails the power limits."""
+    pu = points[2]
+    heights = plane_heights(seg.planes, points[0], points[1])
+    scale = np.fmax(np.fmax(np.fmax(pu, heights[1]), heights[2]), 1e-300)
+    margins = _sic_margins(seg.sic, seg.m1_first, points)
+    sic_scale = np.fmax.reduce(abs(margins), axis=0) + scale * seg.gain_max * np.fmax(
+        np.fmax.reduce(points, axis=0), 1e-300
     )
-    return (
-        _none_below(pmc_margins(planes, p1, p2, pu), -REL_TOL * scale)
-        & _none_below(margins, -REL_TOL * sic_scale)
-        & within_limits(p1, p2, pu, limits, REL_TOL)
-        & np.logical_not(pu < seg.pu_m * (1.0 - REL_TOL))
-    )
+    # Every violation as one (test, ...) stack: power ordering, SIC rates,
+    # power limits (as their negation, so a NaN fails) and the CU floor.
+    bad = np.empty((12,) + pu.shape, dtype=bool)
+    np.less(pmc_margins(heights, pu), -REL_TOL * scale, out=bad[:4])
+    np.less(margins, -REL_TOL * sic_scale, out=bad[4:8])
+    np.less_equal(points, caps, out=bad[8:11])
+    np.logical_not(bad[8:11], out=bad[8:11])
+    np.less(pu, seg.pu_m * (1.0 - REL_TOL), out=bad[11])
+    return ~bad.any(axis=0)
 
 
-def _device_sides_batch(ceils, floors, pu_m, fixed, pu_max: float) -> tuple:
+# The traces along a device side are those of the four planes, then the box
+# bottom Pu = pu_m and the CU cap Pu = pu_max.  The admissible range keeps
+# trace a at or below trace b for each (a, b) pair: each floor below each
+# ceiling, the bottom below each ceiling and each floor below the cap.
+_SIDE_PAIRS = np.array([[2, 3, 2, 3, 4, 4, 2, 3], [0, 0, 1, 1, 0, 1, 5, 5]])
+
+
+def _device_sides_batch(planes, pu_m, limits: PowerLimits) -> tuple:
     """Free-coordinate range of the admissible segment on both device sides.
 
-    Side 0 is P1 = P1max and side 1 is P2 = P2max; ``fixed`` holds
-    (P1max, P2max) shaped to broadcast over (side, plane, entry).  Each
-    ceiling contributes a lower or an upper bound depending on whether its
-    trace rises or falls along the side; the bound is its crossing with the
-    higher floor or, lower down, with the box bottom Pu = pu_m.  The floors
-    cap the range where they exceed the CU power limit.  Returns (lo, hi,
-    error) as (side, entry) arrays, with ``error`` True where the traces
+    Side 0 is P1 = P1max and side 1 is P2 = P2max.  Each trace pair of
+    `_SIDE_PAIRS` meets once along a side: the range lies above that
+    crossing where trace b rises faster than a, and below it where b rises
+    slower.  A pair whose traces run parallel with a above b bounds the
+    range from below at +inf, which empties the side.  Returns (lo, hi) as
+    (side, entry) arrays and ``error``, True for an entry whose traces
     contradict the pre-test: a ceiling parallel to a floor, a ceiling rising
     above one floor and falling below the other, or a floor that does not
     rise along the side.
     """
-    # Each plane's trace along a side: slope along the free coordinate, offset.
-    c_slope, c_off = ceils[::-1], ceils * fixed
-    f_slope, f_off = floors[::-1], floors * fixed
-    d = c_slope[:, :, None] - f_slope[:, None]  # (side, ceiling, floor, entry)
-    roots = (f_off[:, None] - c_off[:, :, None]) / d
-    rising = d[:, :, 0] > 0.0
-    error = ((d == 0.0).any(axis=2) | (rising != (d[:, :, 1] > 0.0))).any(axis=1)
-    error |= ~(f_slope > 0.0).all(axis=1)
-    bottom = (pu_m - c_off) / c_slope
-    lower = np.concatenate([
-        np.where(rising, roots.max(axis=2), np.nan), np.where(c_slope > 0.0, bottom, np.nan)
-    ], axis=1)
-    upper = np.concatenate([
-        np.where(rising, np.nan, roots.min(axis=2)),
-        np.where(c_slope < 0.0, bottom, np.nan),
-        (pu_max - f_off) / f_slope,
-    ], axis=1)
-    lo = np.fmax(np.fmax.reduce(lower, axis=1), 0.0)
-    hi = np.fmin(np.fmin.reduce(upper, axis=1), fixed[::-1, 0])
-    # A flat ceiling below the box bottom empties the side.
-    empty = ((c_slope == 0.0) & (c_off < pu_m)).any(axis=1)
-    return np.where(empty, 1.0, lo), np.where(empty, 0.0, hi), error
+    fixed = np.array([limits.p1_max_w, limits.p2_max_w])[:, None]
+    # Each trace's (-slope along the free coordinate, offset), per side.
+    traces = np.empty((6, 2) + planes.shape[1:])
+    np.negative(planes[:, ::-1], out=traces[:4, 0])
+    np.multiply(planes, fixed, out=traces[:4, 1])
+    traces[4:, 0] = 0.0
+    traces[4, 1], traces[5, 1] = pu_m, limits.pu_max_w
+    pair = traces.take(_SIDE_PAIRS, axis=0)
+    # b's slope minus a's, and a's offset minus b's: (pair, side, entry).
+    rise, gap = (pair[0] - pair[1]).transpose(1, 0, 2, 3)
+    cross = gap / rise
+    lower = rise >= 0.0
+    error = np.concatenate([rise[:4] == 0.0, lower[0:4:2] != lower[1:4:2], lower[6:]]).any(axis=(0, 1))
+    lo = np.fmax(np.fmax.reduce(np.where(lower, cross, np.nan), axis=0), 0.0)
+    hi = np.fmin(np.fmin.reduce(np.where(lower, np.nan, cross), axis=0), fixed[::-1])
+    return lo, hi, error
 
 
-def _ridges_on_cap(ceils, floors, pu_max: float) -> tuple:
-    """Where each ceiling's ridge with the higher floor pierces the plane
-    Pu = pu_max: its P1 coordinate x and whether it is found, as (x, found)
-    arrays of (ceiling, entry), and the ridge determinant ``det`` of each
-    (ceiling, floor branch, entry), which is positive where the ceiling
-    rises along the cap curve and negative where it falls.
-
-    The ridge is solved against each floor branch; the real branch is the
-    first whose other floor does not exceed the cap there.
-    """
-    (c_ax, c_ay), (f_ax, f_ay) = ceils[:, :, None], floors
-    det = c_ax * f_ay - c_ay * f_ax  # (ceiling, branch, entry)
-    x = pu_max * (f_ay - c_ay) / det
-    y = pu_max * (c_ax - f_ax) / det
-    hit = (
-        (det != 0.0)
-        & (f_ax[::-1] * x + f_ay[::-1] * y <= pu_max * (1.0 + REL_TOL))
-        & (x > -pu_max)
-        & (y > -pu_max)
-    )
-    return np.where(hit[:, 0], x[:, 0], x[:, 1]), hit.any(axis=1), det
+def _ridges_on_cap(planes, pu_max: float) -> tuple:
+    """Where the ridge of each ceiling, and of floor 2, with each floor
+    pierces the plane Pu = pu_max: the (P1, P2) point as a (plane, floor,
+    P1 or P2, entry) stack, and the ridge determinant ``det`` of each
+    (plane, floor, entry).  A ceiling's ``det`` is positive where it rises
+    along the cap curve and negative where it falls; floor 2's ridge with
+    floor 4 is the floors' kink."""
+    upper, floors = planes[:3, None], planes[2:]
+    cross = upper * floors[:, ::-1]
+    det = cross[:, :, 0] - cross[:, :, 1]
+    point = pu_max * (floors - upper)[:, :, ::-1] / (det[:, :, None] * _RIDGE_SIGNS)
+    return point, det
 
 
-def _cap_interval_batch(ceils, floors, limits: PowerLimits) -> tuple:
+_RIDGE_SIGNS = np.array([1.0, -1.0])[:, None]
+
+
+def _cap_interval_batch(point, det, floors, limits: PowerLimits) -> tuple:
     """P1 range of the admissible curve (higher floor == CU cap) on the cap
-    side: (lo, hi, ok), ``ok`` False where the cap side has no segment.
+    side, from `_ridges_on_cap`: (lo, hi, ok), ``ok`` False where the cap
+    side has no segment.
 
-    A ceiling rising along the cap curve bounds it from below at its ridge,
-    a falling one from above; the channel conditions fix the sign per
-    ceiling, and the cap side is dropped where they do not.
+    A ceiling's ridge is solved against each floor branch; the real branch
+    is the first whose other floor does not exceed the cap there.  A ceiling
+    rising along the cap curve bounds it from below at its ridge, a falling
+    one from above; the channel conditions fix the sign per ceiling, and the
+    cap side is dropped where they do not.
     """
     pu_max = limits.pu_max_w
-    f_ax, f_ay = floors
-    x, found, along = _ridges_on_cap(ceils, floors, pu_max)
-    rising, falling = (along > 0.0).all(axis=1), (along < 0.0).all(axis=1)
-    ok = ~(f_ax <= 0.0).any(axis=0) & (found & (rising | falling)).all(axis=0)
-    entry = ((pu_max - f_ay * limits.p2_max_w) / f_ax).min(axis=0)
-    lo = np.fmax(np.fmax.reduce(np.where(rising, x, np.nan), axis=0), np.fmax(entry, 0.0))
-    hi = np.fmin(np.fmin.reduce(np.where(falling, x, np.nan), axis=0), limits.p1_max_w)
+    point, det = point[:2], det[:2]
+    other = floors[::-1]
+    hit = (
+        (det != 0.0)
+        & (other[:, 0] * point[:, :, 0] + other[:, 1] * point[:, :, 1] <= pu_max * (1.0 + REL_TOL))
+        & (np.minimum(point[:, :, 0], point[:, :, 1]) > -pu_max)
+    )
+    x = np.where(hit[:, 0], point[:, 0, 0], point[:, 1, 0])
+    pos, neg = det > 0.0, det < 0.0
+    rising = pos[:, 0] & pos[:, 1]
+    found = (hit[:, 0] | hit[:, 1]) & (rising | (neg[:, 0] & neg[:, 1]))
+    ok = (floors[0, 0] > 0.0) & (floors[1, 0] > 0.0) & found[0] & found[1]
+    entry = (pu_max - floors[:, 1] * limits.p2_max_w) / floors[:, 0]
+    below, above = np.where(rising, x, np.nan), np.where(rising, np.nan, x)
+    lo = np.fmax(np.fmax(below[0], below[1]), np.fmax(np.minimum(entry[0], entry[1]), 0.0))
+    hi = np.fmin(np.fmin(above[0], above[1]), limits.p1_max_w)
     return lo, hi, ok
 
 
 class Segments(NamedTuple):
-    """The admissible segments of many (entry, order) pairs, as (segment,
-    entry) arrays.
+    """The admissible segments of many (entry, order) pairs, and the pairs'
+    constraints, in the stacked layout every step of the solve shares.
 
     Segments 0 to 3 lie on the P1max side, the P2max side and the two pieces
     of the CU-cap side; the second piece exists only where the floors' kink
-    splits the cap curve.  ``lo`` and ``hi`` bound the free power (P2 on the
-    P1max side, P1 elsewhere).  ``plane2`` is True where floor plane 2 rather
-    than 4 supplies Pu along a cap piece (meaningless on the device sides).
+    splits the cap curve.  ``ends`` holds each segment's (lo, hi) bounds of
+    the free power (P2 on the P1max side, P1 elsewhere) as a (2, segment,
+    entry) stack.  ``plane2`` is True where floor plane 2 rather than 4
+    supplies Pu along a cap piece (meaningless on the device sides).
     ``error`` is True for an entry whose device-side traces contradict the
-    pre-test.  ``planes`` and ``pu_m`` are the entries' constraint planes
-    and CU floor power.
+    pre-test.  ``planes`` is the `constraint_planes` stack, ``sic`` the
+    `sic_coefficients`, ``gain_max`` the largest gain to the BS and ``pu_m``
+    the CU floor power.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
+    ends: np.ndarray
     has: np.ndarray
     plane2: np.ndarray
     error: np.ndarray
-    planes: SicPlanes
+    planes: np.ndarray
+    sic: np.ndarray
+    gain_max: np.ndarray
     pu_m: np.ndarray
+    m1_first: np.ndarray
+
+    @property
+    def lo(self):
+        return self.ends[0]
+
+    @property
+    def hi(self):
+        return self.ends[1]
 
 
-_ON_P1_SIDE = np.array([True, False, False, False])[:, None]
-_ON_P2_SIDE = np.array([False, True, False, False])[:, None]
 _ON_CAP = np.array([False, False, True, True])[:, None]
 
 
 def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Segments:
     """The admissible segments on the outer box sides; arguments as in
     `fd_sic_batch`."""
-    f2, f4 = floor_planes(h, params.eta1, params.eta2)
-    c1, c3 = ceiling_planes(h, m1_first)
-    ceils = np.array([[c1.ax, c3.ax], [c1.ay, c3.ay]])  # (ax or ay, ceiling, entry)
+    rows = gain_rows(h, params.eta1, params.eta2)
+    planes = constraint_planes(rows, m1_first)
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     tol = REL_TOL * max(p1_max, p2_max)
-    stacked = np.array([[f2.ax, f4.ax], [f2.ay, f4.ay]])
-    fixed = np.array([p1_max, p2_max])[:, None, None]
-    lo_d, hi_d, error = _device_sides_batch(ceils, stacked, pu_m, fixed, pu_max)
-    has_d = hi_d - lo_d > -tol
-    hi_d = np.maximum(hi_d, lo_d)
-
-    # The CU-cap side, split into two pieces at the floors' kink.
-    lo_c, hi_c, has_cap = _cap_interval_batch(ceils, stacked, limits)
-    has_cap &= hi_c - lo_c > -tol
-    hi_c = np.maximum(hi_c, lo_c)
-    det = f2.ax * f4.ay - f2.ay * f4.ax
-    kink = pu_max * (f4.ay - f2.ay) / det
-    split = (
-        has_cap
-        & ~(pu_max * (f2.ax - f4.ax) / det <= 0.0)
-        & (lo_c + tol < kink)
-        & (kink < hi_c - tol)
-    )
-    lo = np.array([lo_d[0], lo_d[1], lo_c, kink])
-    hi = np.array([hi_d[0], hi_d[1], np.where(split, kink, hi_c), hi_c])
+    lo_d, hi_d, error = _device_sides_batch(planes, pu_m, limits)
+    point, det = _ridges_on_cap(planes, pu_max)
+    lo_c, hi_c, has_cap = _cap_interval_batch(point, det, planes[2:], limits)
+    # The CU-cap side splits into two pieces at the floors' kink: the second
+    # piece's ends are set below.
+    kink = point[2, 1, 0]
+    ends = np.array([[lo_d[0], lo_d[1], lo_c, kink], [hi_d[0], hi_d[1], hi_c, hi_c]])
+    has = ends[1] - ends[0] > -tol
+    np.maximum(ends[1], ends[0], out=ends[1])
+    has[2] &= has_cap
+    split = has[2] & ~(point[2, 1, 1] <= 0.0) & (lo_c + tol < kink) & (kink < ends[1, 2] - tol)
+    ends[1, 3] = ends[1, 2]
+    np.copyto(ends[1, 2], kink, where=split)
+    has[3] = split
     # The floor with the lower cap curve at a piece's middle supplies it.
-    mid = 0.5 * (lo + hi)
-    plane2 = (pu_max - f2.ax * mid) / f2.ay <= (pu_max - f4.ax * mid) / f4.ay
-    has = np.array([has_d[0], has_d[1], has_cap, split])
-    return Segments(lo, hi, has, plane2, error.any(axis=0), SicPlanes(c1, f2, c3, f4), pu_m)
+    mid = 0.5 * (ends[0] + ends[1])
+    cap_p2 = (pu_max - planes[2:, 0, None] * mid) / planes[2:, 1, None]
+    return Segments(
+        ends,
+        has,
+        cap_p2[0] <= cap_p2[1],
+        error,
+        planes,
+        sic_coefficients(rows, m1_first),
+        np.fmax(np.fmax(h[1], h[2]), h[5]),
+        pu_m,
+        m1_first,
+    )
 
 
-def _device_powers(seg: Segments, t, limits: PowerLimits) -> tuple:
-    """(p1, p2) at free coordinate ``t`` of each segment, ``t`` shaped
-    (..., segment, entry); on a cap piece P2 follows the piece's floor."""
-    f2, f4 = seg.planes.floor2, seg.planes.floor4
-    free = np.maximum(t, 0.0)
-    f_ax, f_ay = np.where(seg.plane2, f2.ax, f4.ax), np.where(seg.plane2, f2.ay, f4.ay)
-    cap_p2 = np.maximum((limits.pu_max_w - f_ax * t) / f_ay, 0.0)
-    p1 = np.where(_ON_P1_SIDE, limits.p1_max_w, free)
-    p2 = np.where(_ON_P1_SIDE, free, np.where(_ON_P2_SIDE, limits.p2_max_w, cap_p2))
-    return p1, p2
+def _device_powers(seg: Segments, t, limits: PowerLimits):
+    """The (p1, p2) stack at free coordinate ``t`` of each segment, ``t``
+    shaped (..., segment, entry); on a cap piece P2 follows the piece's
+    floor."""
+    p = np.empty((2,) + np.shape(t))
+    floor = np.where(seg.plane2, seg.planes[2, :, None], seg.planes[3, :, None])
+    np.maximum(t, 0.0, out=p[0])
+    np.maximum((limits.pu_max_w - floor[0] * t) / floor[1], 0.0, out=p[1])
+    p[1, ..., 0, :] = p[0, ..., 0, :]
+    p[0, ..., 0, :] = limits.p1_max_w
+    p[1, ..., 1, :] = limits.p2_max_w
+    return p
 
 
-def side_points(seg: Segments, t, limits: PowerLimits) -> tuple:
-    """(p1, p2, pu) at free coordinate ``t`` of each segment, ``t`` shaped
-    (..., segment, entry).  On a cap piece Pu is the cap; on a device side
-    it is the higher floor, or the CU floor power where that is higher
+def side_points(seg: Segments, t, limits: PowerLimits):
+    """The (p1, p2, pu) stack at free coordinate ``t`` of each segment, ``t``
+    shaped (..., segment, entry).  On a cap piece Pu is the cap; on a device
+    side it is the higher floor, or the CU floor power where that is higher
     still."""
-    p1, p2 = _device_powers(seg, t, limits)
-    f2, f4 = seg.planes.floor2, seg.planes.floor4
-    floor = np.maximum(np.maximum(f2.height(p1, p2), f4.height(p1, p2)), seg.pu_m)
-    return p1, p2, np.where(_ON_CAP, limits.pu_max_w, floor)
+    p = _device_powers(seg, t, limits)
+    floors = seg.planes[2:].reshape((2, 2) + (1,) * (np.ndim(t) - 1) + seg.pu_m.shape)
+    heights = plane_heights(floors, p[0], p[1])
+    floor = np.maximum(np.maximum(heights[0], heights[1]), seg.pu_m)
+    return np.concatenate([p, np.where(_ON_CAP, limits.pu_max_w, floor)[None]])
 
 
 def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) -> tuple:
-    """Each segment's best point as (t, p1, p2, rate) arrays of (segment,
-    entry), rate -inf on an empty segment.
+    """Each segment's best point as (upper, p, rate): ``upper`` True where it
+    is the segment's upper end, and its ``rate``, as (segment, entry) arrays
+    (both meaningless on an empty segment), and ``p`` the point's (p1, p2)
+    stack.
 
     Along a device side the rate derivative carries the sign of a quadratic
     whose negative lobe is a single interval, so an end always wins.  Along
@@ -403,11 +439,10 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
     case, and where P2 is clamped at 0 the rate rises.  So an end wins
     there too; of equal rates the lower end.
     """
-    ts = np.array([seg.lo, seg.hi])  # (candidate, segment, entry)
-    p1, p2 = _device_powers(seg, ts, limits)
-    rates = np.where(seg.has, sic_sum_rate(p1, p2, h[0], params), -np.inf)
-    pick = (rates.argmax(axis=0), np.arange(4)[:, None], np.arange(ts.shape[-1]))
-    return ts[pick], p1[pick], p2[pick], rates[pick]
+    p = _device_powers(seg, seg.ends, limits)
+    rates = sic_sum_rate(p[0], p[1], h[0], params)
+    upper = rates[1] > rates[0]
+    return upper, np.where(upper, p[:, 1], p[:, 0]), np.where(upper, rates[1], rates[0])
 
 
 def _pair_subset(x, idx):
@@ -416,14 +451,18 @@ def _pair_subset(x, idx):
     return type(x)(*(_pair_subset(v, idx) for v in x)) if isinstance(x, tuple) else x[..., idx]
 
 
-def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> tuple:
+# seg j is dropped as a duplicate of seg i only for i < j.
+_EARLIER = np.tri(4, k=-1, dtype=bool)[..., None]
+
+
+def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> np.ndarray:
     """The optimal FD mutual-SIC allocation of many (entry, decoding order)
     pairs that pass `pretest`.
 
     ``h`` is a (6, n) gain block, rows in `model.GAIN_FIELDS` order, ``pu_m`` the
     pairs' CU floor powers and ``m1_first`` True where the order is
-    M1_FIRST.  Returns (p1, p2, pu, rate), with (0, 0, 0, -inf) where the
-    pair has no certified point.
+    M1_FIRST.  Returns the (4, n) stack of (p1, p2, pu, rate), with (0, 0, 0,
+    -inf) where the pair has no certified point.
 
     The segments' best points (`segment_best`) are ranked by rate, and for
     each in turn the points `PULL_IN` of the way to its segment's middle are
@@ -431,58 +470,70 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     takes the lowest admissible power for the chosen device powers.  The
     first point in that order, the best segment's best point, is checked
     for every pair; only the pairs where it fails go through the rest.  The
-    rate is `sic_sum_rate` at the chosen powers.
+    rate is `sic_sum_rate` at the chosen powers, which is the best point's
+    where the chosen (p1, p2) equal it.
     """
-    p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
-    caps = (p1_max, p2_max, pu_max)
-    tol = REL_TOL * max(p1_max, p2_max)
-    n = len(m1_first)
+    caps = np.array([limits.p1_max_w, limits.p2_max_w, limits.pu_max_w])[:, None]
+    caps_tol = caps * (1.0 + REL_TOL)
+    tol = REL_TOL * max(limits.p1_max_w, limits.p2_max_w)
     seg = segments(h, params, limits, pu_m, m1_first)
-    t, p1s, p2s, rates = segment_best(seg, h, params, limits)
+    upper, p, rates = segment_best(seg, h, params, limits)
 
     # Drop a segment whose best point lies within tol of a kept earlier one's,
-    # then rank the rest by rate, ties to the earlier segment.
-    close = (np.abs(p1s[:, None] - p1s) <= tol) & (np.abs(p2s[:, None] - p2s) <= tol)
-    kept = seg.has.copy()
-    for j in range(1, 4):
-        kept[j] &= ~(kept[:j] & close[j, :j]).any(axis=0)
+    # then rank the rest by rate, ties to the earlier segment.  Dropping by
+    # every earlier segment is exact unless a dropped one drops another, and
+    # whether seg j is kept depends on segs 0 to j-1 only, so two more passes
+    # settle that.
+    close = np.abs(p[:, :, None] - p[:, None]) <= tol
+    earlier = close[0] & close[1] & _EARLIER
+    kept = seg.has > (earlier & seg.has).any(axis=1)
+    if (earlier & (seg.has > kept)).any():
+        for _ in range(2):
+            kept = seg.has > (earlier & kept).any(axis=1)
     ranked = np.where(kept, rates, -np.inf)
 
-    # Each pair's best point, placed as `side_points` places it.
-    ent = np.arange(n)
-    best = ranked.argmax(axis=0)
-    p1, p2 = p1s[best, ent], p2s[best, ent]
-    f2, f4 = seg.planes.floor2, seg.planes.floor4
-    floor = np.maximum(np.maximum(f2.height(p1, p2), f4.height(p1, p2)), pu_m)
-    pu = np.where(best >= 2, pu_max, floor)
-    p1, p2, pu = (np.minimum(x, cap) for x, cap in zip((p1, p2, pu), caps))
-    ok = _point_tests(h, seg, params, limits, m1_first, p1, p2, pu) & kept[best, ent]
+    # Each pair's answer as (p1, p2, pu, rate), first at its best point,
+    # placed as `side_points` places it.
+    n = len(pu_m)
+    choice = ranked.argmax(axis=0)
+    best = choice * n + np.arange(n)  # into the flattened (segment, pair) axes
+    p_best = p.reshape(2, -1).take(best, axis=1)
+    floors = plane_heights(seg.planes[2:], p_best[0], p_best[1])
+    floor = np.maximum(np.maximum(floors[0], floors[1]), pu_m)
+    answer = np.empty((4, n))
+    points = answer[:3]
+    np.minimum(p_best, caps[:2], out=points[:2])
+    np.minimum(np.where(choice >= 2, limits.pu_max_w, floor), limits.pu_max_w, out=points[2])
+    answer[3] = rates.take(best)
+    usable = ~seg.error
+    ok = _point_tests(seg, points, caps_tol) & kept.take(best) & usable
 
     # The rest: every pull-in step of every segment, as (step, segment,
     # pair), tried segments in rank order and steps within each.
-    redo = np.flatnonzero(~ok & ~seg.error)
+    redo = np.flatnonzero(usable > ok)
     if redo.size:
         sub, m = _pair_subset(seg, redo), len(redo)
-        t_sub = t[:, redo]
+        t_sub = np.where(upper[:, redo], sub.ends[1], sub.ends[0])
         steps = np.array(PULL_IN)[:, None, None]
-        points = [
-            np.minimum(x, cap) for x, cap in zip(
-                side_points(sub, t_sub + (0.5 * (sub.lo + sub.hi) - t_sub) * steps, limits), caps
-            )
-        ]
-        passed = _point_tests(h[:, redo], sub, params, limits, m1_first[redo], *points) & kept[:, redo]
+        t_steps = t_sub + (0.5 * (sub.ends[0] + sub.ends[1]) - t_sub) * steps
+        tries = np.minimum(side_points(sub, t_steps, limits), caps[..., None, None])
+        lifted = sub._replace(planes=sub.planes[:, :, None, None], sic=sub.sic[:, None, None])
+        passed = _point_tests(lifted, tries, caps_tol[..., None, None]) & kept[:, redo]
         rank = np.argsort(-ranked[:, redo], axis=0, kind="stable")
         sub_ent = np.arange(m)
         tried = passed[:, rank, sub_ent].transpose(1, 0, 2).reshape(-1, m)
         first = tried.argmax(axis=0)
-        at = (first % len(PULL_IN), rank[first // len(PULL_IN), sub_ent], sub_ent)
-        for full, x in zip((p1, p2, pu), points):
-            full[redo] = x[at]
+        points[:, redo] = tries[:, first % len(PULL_IN), rank[first // len(PULL_IN), sub_ent], sub_ent]
         ok[redo] = tried.any(axis=0)
-    ok &= ~seg.error
-    p1, p2, pu = (np.where(ok, x, 0.0) for x in (p1, p2, pu))
-    rate = np.where(ok, sic_sum_rate(p1, p2, h[0], params), -np.inf)
-    return p1, p2, pu, rate
+    moved = points[:2] != p_best
+    moved = np.flatnonzero(ok & (moved[0] | moved[1]))
+    if moved.size:
+        answer[3, moved] = sic_sum_rate(points[0, moved], points[1, moved], h[0, moved], params)
+    return np.where(ok, answer, _NO_ANSWER)
+
+
+# What `fd_sic_batch` returns for a pair with no certified point.
+_NO_ANSWER = np.array([0.0, 0.0, 0.0, -np.inf])[:, None]
 
 
 def solve_fd_sic_order(

@@ -264,13 +264,13 @@ def device_rate(p_tx_w, p_rx_w, pu_w, h_d, h_rx_u, eta_rx, params: SystemParams,
 
 def sic_sum_rate(p1_w, p2_w, h_d, params: SystemParams):
     """Sum D2D rate under mutual SIC, independent of the CU power, on floats
-    or arrays: FD-SIC's objective, with the two logs summed before the
-    scaling by the bandwidth."""
-    s = params.noise_w
-    return params.bandwidth_hz * (
-        np.log2(1.0 + p1_w * h_d / (params.eta2 * p2_w + s))
-        + np.log2(1.0 + p2_w * h_d / (params.eta1 * p1_w + s))
-    )
+    or arrays of one shape: FD-SIC's objective, with the two logs summed
+    before the scaling by the bandwidth.  Both devices' rates come from one
+    pass over the (p1, p2) stack."""
+    p = np.array([p1_w, p2_w])
+    eta = np.array([params.eta2, params.eta1]).reshape((2,) + (1,) * (p.ndim - 1))
+    logs = np.log2(1.0 + p * h_d / (eta * p[::-1] + params.noise_w))
+    return params.bandwidth_hz * (logs[0] + logs[1])
 
 
 def scenario_rates(

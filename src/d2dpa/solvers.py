@@ -168,15 +168,17 @@ def _fd_sic_table(h, params: SystemParams, limits: PowerLimits, pu_m, passes) ->
     through one `fd_sic_batch` call, on one gather from ``h``; the first
     order wins unless the second is strictly better.
     """
-    order, *idx = np.nonzero(passes)
-    idx = tuple(idx)
-    by_order = np.zeros((4, 2) + pu_m.shape)  # (p1, p2, pu, rate) per order
+    size = pu_m.size
+    pairs = np.asarray(passes).reshape(-1).nonzero()[0]  # into the flattened (order, entry) axes
+    entry = pairs % size
+    by_order = np.zeros((4, 2 * size))  # (p1, p2, pu, rate) per order
     by_order[3] = -np.inf
     solved = np.zeros((4, 0))
-    if order.size:
-        gains = h[(slice(None), *idx)]
-        solved = np.array(fd_sic_batch(gains, params, limits, pu_m[idx], order == 1))
-        by_order[(slice(None), order, *idx)] = solved
+    if pairs.size:
+        gains = h.reshape(6, size).take(entry, axis=1)
+        solved = np.asarray(fd_sic_batch(gains, params, limits, pu_m.take(entry), pairs >= size))
+        by_order[:, pairs] = solved
+    by_order = by_order.reshape((4, 2) + pu_m.shape)
     second = by_order[3, 1] > by_order[3, 0]
     return (*np.where(second, by_order[:, 1], by_order[:, 0]), second, solved)
 

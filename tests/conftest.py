@@ -1,11 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from d2dpa.fdsic import (
-    Plane,
-    SicPlanes,
-    ceiling_planes,
-    floor_planes,
+    constraint_planes,
+    gain_rows,
+    plane_heights,
     pmc_margins,
     sic_rate_margins,
     sufficient_feasibility,
@@ -76,28 +77,45 @@ def sample_fd_sic_feasible(
     return out
 
 
+class Plane(NamedTuple):
+    """Height field pu = ax*p1 + ay*p2 of one constraint plane, in floats."""
+
+    ax: float
+    ay: float
+
+    def height(self, p1: float, p2: float) -> float:
+        return self.ax * p1 + self.ay * p2
+
+
+class SicPlanes(NamedTuple):
+    """Ceiling planes (1, 3) and floor planes (2, 4) of one decoding order."""
+
+    ceil1: Plane
+    floor2: Plane
+    ceil3: Plane
+    floor4: Plane
+
+
 def order_constraints(gains, params: SystemParams, order: DecodingOrder):
     """The mutual-SIC constraints of one (combination, order) pair as the
     solver states them, from its array forms on a one-entry gain block.
 
-    Returns the order's `SicPlanes`, with float coefficients, and a function
-    of a point (p1, p2, pu) giving its four power-ordering margins
+    Returns the order's planes as a `SicPlanes` of float `Plane`s, and a
+    function of a point (p1, p2, pu) giving its four power-ordering margins
     (`pmc_margins`) and its four SIC-rate margins (`sic_rate_margins`), as
     two tuples of floats.
     """
     h = gain_block(gains)
     m1_first = np.array([order is DecodingOrder.M1_FIRST])
-    ceil1, ceil3 = ceiling_planes(h, m1_first)
-    floor2, floor4 = floor_planes(h, params.eta1, params.eta2)
-    planes = SicPlanes(
-        *(Plane(float(p.ax[0]), float(p.ay[0])) for p in (ceil1, floor2, ceil3, floor4))
-    )
+    planes = constraint_planes(gain_rows(h, params.eta1, params.eta2), m1_first)
+    ceil1, ceil3, floor2, floor4 = (Plane(float(ax[0]), float(ay[0])) for ax, ay in planes)
 
     def margins(p1, p2, pu):
+        pmc = pmc_margins(plane_heights(planes, p1, p2), pu)
         sic = sic_rate_margins(h, params.eta1, params.eta2, m1_first, p1, p2, pu)
-        return pmc_margins(planes, p1, p2, pu), tuple(float(m[0]) for m in sic)
+        return tuple(float(m[0]) for m in pmc), tuple(float(m[0]) for m in sic)
 
-    return planes, margins
+    return SicPlanes(ceil1, floor2, ceil3, floor4), margins
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from conftest import (
 )
 from d2dpa.fdsic import (
     REL_TOL,
-    Plane,
     _ridges_on_cap,
     fd_sic_batch,
     pretest,
@@ -333,15 +332,16 @@ class TestPrintedEndpointForms:
 
     def ridge(self, ceiling: int):
         """Where a ceiling's ridge pierces the CU cap: P1 from
-        `_ridges_on_cap`, P2 on floor plane 2 there (it rules everywhere)."""
-        p = self.seg.planes
-        ceils = np.array([[p.ceil1.ax, p.ceil3.ax], [p.ceil1.ay, p.ceil3.ay]])
-        floors = np.array([[p.floor2.ax, p.floor4.ax], [p.floor2.ay, p.floor4.ay]])
+        `_ridges_on_cap` on the floor-2 branch, which is real (floor 4 stays
+        below the cap there), P2 on floor plane 2 there (it rules
+        everywhere)."""
+        f2, f4 = self.planes.floor2, self.planes.floor4
         pum = self.limits.pu_max_w
-        x, found, _ = _ridges_on_cap(ceils, floors, pum)
-        assert found[ceiling, 0]
-        x = x[ceiling, 0]
-        return x, (pum - p.floor2.ax[0] * x) / p.floor2.ay[0], pum
+        with np.errstate(all="ignore"):  # floor 2's ridge with itself
+            point, det = _ridges_on_cap(self.seg.planes, pum)
+        x, y = point[ceiling, 0, :, 0]
+        assert det[ceiling, 0, 0] != 0.0 and f4.height(x, y) <= pum * (1.0 + REL_TOL)
+        return x, (pum - f2.ax * x) / f2.ay, pum
 
     def test_difference_ceiling_crossings(self):
         g, e1 = self.g, self.params.eta1
@@ -486,9 +486,10 @@ class TestSideOptimization:
     def test_degenerate_segment(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=5, count=5):
             seg, h = pair_segments(gains, params, default_limits, order)
-            degenerate = seg._replace(hi=seg.lo)
+            degenerate = seg._replace(ends=seg.ends[[0, 0]])
             with np.errstate(all="ignore"):
-                t, *_ = segment_best(degenerate, h, params, default_limits)
+                upper, *_ = segment_best(degenerate, h, params, default_limits)
+            t = np.where(upper, degenerate.hi, degenerate.lo)
             for j in np.flatnonzero(seg.has[:2, 0]):
                 assert t[j, 0] == seg.lo[j, 0]
 
@@ -536,7 +537,8 @@ class TestSideOptimization:
                 continue
             seg, h = pair_segments(gains, clean, default_limits, order)
             with np.errstate(all="ignore"):
-                t, *_ = segment_best(seg, h, clean, default_limits)
+                upper, *_ = segment_best(seg, h, clean, default_limits)
+            t = np.where(upper, seg.hi, seg.lo)
             for j in np.flatnonzero(seg.has[:2, 0]):
                 assert t[j, 0] == seg.hi[j, 0]
 
@@ -694,7 +696,7 @@ def _best_points(pairs, params, limits):
     h = gain_block(*gains)
     with np.errstate(all="ignore"):
         seg = segments(h, params, limits, pu_m, m1_first)
-        _, p1s, p2s, rates = segment_best(seg, h, params, limits)
+        _, (p1s, p2s), rates = segment_best(seg, h, params, limits)
     best = np.where(seg.has, rates, -np.inf).argmax(axis=0), np.arange(len(pairs))
     return p1s[best].tolist(), p2s[best].tolist()
 
@@ -753,6 +755,7 @@ class TestBatch:
         seg, h = pair_segments(SLIVER_GAINS, params, limits, DecodingOrder.M2_FIRST)
         with np.errstate(all="ignore"):
             *_, best = segment_best(seg, h, params, limits)
+        best = np.where(seg.has, best, -np.inf)
         p1, p2, pu, rate = _batch([(SLIVER_GAINS, DecodingOrder.M2_FIRST)], params, limits)
         assert (p1[0], p2[0], pu[0], rate[0]) == (
             2.5346017837828786e-05, 9.138025748011284e-06, 0.251188643150958, 7669260.4318521125
@@ -776,7 +779,7 @@ class TestBatch:
         )
         seg, h = pair_segments(gains, params, limits, DecodingOrder.M2_FIRST)
         with np.errstate(all="ignore"):
-            _, p1s, p2s, rates = segment_best(seg, h, params, limits)
+            _, (p1s, p2s), rates = segment_best(seg, h, params, limits)
         tol = REL_TOL * max(limits.p1_max_w, limits.p2_max_w)
         assert seg.has[2:, 0].all()
         assert abs(p1s[3, 0] - p1s[2, 0]) <= tol and abs(p2s[3, 0] - p2s[2, 0]) <= tol
@@ -802,14 +805,14 @@ class TestBatch:
         want_rates = _table_rates(gains, params, limits)
         assert (want[3] > 0.0).all()
         broken = gains[1].h_d
-        real = d2dpa.fdsic.floor_planes
+        real = d2dpa.fdsic.constraint_planes
 
-        def flat_floor4(h, eta1, eta2):
-            floor2, floor4 = real(h, eta1, eta2)
-            keep = h[0] != broken
-            return floor2, Plane(floor4.ax * keep, floor4.ay * keep)
+        def flat_floor4(rows, m1_first):
+            planes = real(rows, m1_first)
+            planes[3] *= rows[0] != broken
+            return planes
 
-        monkeypatch.setattr(d2dpa.fdsic, "floor_planes", flat_floor4)
+        monkeypatch.setattr(d2dpa.fdsic, "constraint_planes", flat_floor4)
         got = np.array(_batch(pairs, params, limits))
         assert got[:, 2:4].tolist() == [[0.0, 0.0]] * 3 + [[-np.inf, -np.inf]]
         others = [0, 1, 4, 5, 6, 7]
