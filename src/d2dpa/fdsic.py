@@ -25,7 +25,12 @@ pulled toward the segment's middle in fixed steps, and the next-best segment
 is tried when no step passes.  Those steps are checked only for the pairs
 whose best point fails.
 
-Each constraint predicate (`floor_planes`, `ceiling_planes`, `pmc_margins`,
+The batch's data is stacked from the start, every array ending in the pair
+axis: the planes as one (plane, ax or ay, pair) array, the device sides'
+bounds as one (bound, side, pair) array, points as (p1, p2, pu, ...) arrays.
+So each step is one numpy call over its stack, whatever the number of pairs.
+
+Each constraint predicate (`constraint_planes` with `pmc_margins`,
 `sic_rate_margins`, `pretest`) exists once, in the array form the batch
 runs; `sufficient_feasibility` is `pretest` on one combination.
 """
@@ -60,41 +65,28 @@ PULL_IN = (0.0, 1e-6, 1e-3, 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Constraint planes and the feasibility tests
-#
-# Every coefficient is formed from the (10, ...) rows of `gain_rows`: the six
-# link gains, the SI factors e1 and e2, then 1 and 0.  Decoding M1 first is
-# decoding M2 first with the two devices' roles swapped, so the SIC terms
-# are formed from the rows with the devices swapped (`_SWAP_ROWS`).
+# Constraint planes and the feasibility tests, from the rows of `gain_rows`.
+# M1_FIRST is M2_FIRST with the devices' roles swapped (`_SWAP_ROWS`).
 
 _SWAP_ROWS = np.array([0, 2, 1, 4, 3, 5, 7, 6, 8, 9])
 
-# The plane stack: ceilings 1 and 3, floors 2 and 4, each as (ax, ay) with
-# height pu = ax*p1 + ay*p2 (every plane contains the origin).  Each
-# coefficient is a ratio of two rows, numerators first, times the ceiling
-# sign of the pair's decoding order, M2_FIRST or M1_FIRST (last axis).
+# Planes: ceilings 1 and 3, floors 2 and 4, each as (ax, ay) with height pu =
+# ax*p1 + ay*p2.  Each coefficient is a ratio of two rows (numerators, then
+# denominators) times the ceiling sign of the order (M2_FIRST, M1_FIRST).
 _PLANE_RATIOS = np.array([[[1, 2], [1, 2], [6, 0], [0, 7]], [[5, 5], [5, 5], [3, 3], [4, 4]]])
-_PLANE_SIGNS = np.array([
-    [[-1.0, 1.0], [1.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]
-])
+_PLANE_SIGNS = np.array([[[-1.0, 1.0], [1.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]] + [[[1.0, 1.0]] * 2] * 2)
 
-# The SIC margins of M2_FIRST are m = x * c * w summed over two terms: the
-# powers `_SIC_POWERS` (p1, p2, pu rows), times coefficients c and weights w
-# that are each a*b - c*d of four rows of `_SIC_TERMS`, in (a, b, c, d)
-# order.  First terms, then second terms of the four margins; coefficients,
-# then weights.
+# The four SIC margins of M2_FIRST, each x*c + x'*c' with the powers x, x' of
+# `_SIC_POWERS` (p1, p2, pu rows); the third first term is then weighted by e2
+# and the last second term by -h_b_u.  Each c and weight is a*b - c*d of the
+# rows (a, b, c, d): p1 (h_b_d2 e1 - h_d h_b_d1), p1 (h_d1_u h_b_d1 - h_b_u e1),
+# p2 h_b_d1, p1 (h_b_d1 h_d2_u - h_d h_b_u); pu (h_d1_u h_b_d2 - h_d h_b_u),
+# p2 (the same), pu (h_b_d1 h_d2_u - h_d h_b_u), p2 e2; then e2 and -h_b_u.
 _SIC_POWERS = np.array([0, 0, 1, 0, 2, 1, 2, 1])
 _SWAP_POWERS = np.array([1, 0, 2])
 _SIC_TERMS = np.array([
-    # p1 (h_b_d2 e1 - h_d h_b_d1), p1 (h_d1_u h_b_d1 - h_b_u e1), p2 h_b_d1,
-    # p1 (h_b_d1 h_d2_u - h_d h_b_u)
-    (2, 6, 0, 1), (3, 1, 5, 6), (1, 8, 9, 9), (1, 4, 0, 5),
-    # pu (h_d1_u h_b_d2 - h_d h_b_u), p2 (the same), pu (h_b_d1 h_d2_u - h_d
-    # h_b_u), p2 e2
-    (3, 2, 0, 5), (3, 2, 0, 5), (1, 4, 0, 5), (7, 8, 9, 9),
-    # weights: e2 on the third first term, -h_b_u on the last second term
-    (8, 8, 9, 9), (8, 8, 9, 9), (7, 8, 9, 9), (8, 8, 9, 9),
-    (8, 8, 9, 9), (8, 8, 9, 9), (8, 8, 9, 9), (9, 9, 5, 8),
+    (2, 6, 0, 1), (3, 1, 5, 6), (1, 8, 9, 9), (1, 4, 0, 5), (3, 2, 0, 5), (3, 2, 0, 5), (1, 4, 0, 5),
+    (7, 8, 9, 9), (7, 8, 9, 9), (9, 9, 5, 8),
 ]).T
 
 
@@ -125,20 +117,16 @@ def plane_heights(planes, p1, p2):
 
 
 def pmc_margins(heights, pu):
-    """Signed satisfaction margins of the four power-ordering conditions, from
-    the `plane_heights` of `constraint_planes`: ceilings minus ``pu``, then
-    ``pu`` minus floors.
-
-    All four are positive exactly when the point lies strictly between the
-    floors and the ceilings.
-    """
+    """Signed margins of the four power-ordering conditions from the planes'
+    `plane_heights`: ceilings minus ``pu``, then ``pu`` minus floors, all
+    positive exactly when the point lies strictly between them."""
     margins = heights - pu
     np.negative(margins[2:], out=margins[2:])
     return margins
 
 
 def sic_coefficients(rows, m1_first) -> np.ndarray:
-    """The (16, ...) coefficients and weights of the SIC margins of each
+    """The (10, ...) coefficients and weights of the SIC margins of each
     pair's decoding order (see `_SIC_TERMS`), from its `gain_rows`."""
     terms = np.where(m1_first, rows.take(_SWAP_ROWS, axis=0), rows).take(_SIC_TERMS, axis=0)
     return terms[0] * terms[1] - terms[2] * terms[3]
@@ -148,19 +136,19 @@ def _sic_margins(coefficients, m1_first, points):
     """The four SIC margins at the (p1, p2, pu) stack ``points``, from
     `sic_coefficients` that broadcast against a power."""
     x = np.where(m1_first, points.take(_SWAP_POWERS, axis=0), points).take(_SIC_POWERS, axis=0)
-    terms = x * coefficients[:8] * coefficients[8:]
+    terms = x * coefficients[:8]
+    terms[2] *= coefficients[8]
+    terms[7] *= coefficients[9]
     return terms[:4] + terms[4:]
 
 
 def sic_rate_margins(h, e1, e2, m1_first, p1, p2, pu) -> np.ndarray:
     """Signed margins of the noise-free SIC achievability conditions of each
     pair's decoding order, ``m1_first`` True where it is M1_FIRST, as a (4,
-    ...) stack.
-
-    These are implied by the power-ordering conditions but are evaluated
-    independently wherever a solution is validated.  ``h`` holds the link
-    gains as in `gain_rows` and ``e1``, ``e2`` the SI factors; everything
-    broadcasts.
+    ...) stack.  These are implied by the power-ordering conditions but are
+    evaluated independently wherever a solution is validated.  ``h`` holds
+    the link gains as in `gain_rows` and ``e1``, ``e2`` the SI factors;
+    everything broadcasts.
     """
     rows = gain_rows(h, e1, e2)
     points = np.array(np.broadcast_arrays(p1, p2, pu, rows[0])[:3])
@@ -206,11 +194,8 @@ def sufficient_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Admissible segments and the solve, over arrays of (entry, order) pairs
-#
-# Every per-pair array ends in the pair axis, and stacks of planes, sides,
-# segments or powers lead.  A NaN bound below stands for "no bound": fmax and
-# fmin skip it.
+# Admissible segments and the solve, over arrays of (entry, order) pairs.  A
+# NaN bound below stands for "no bound": fmax and fmin skip it.
 
 
 def _point_tests(seg: Segments, points, caps):
@@ -226,8 +211,8 @@ def _point_tests(seg: Segments, points, caps):
     sic_scale = np.fmax.reduce(abs(margins), axis=0) + scale * seg.gain_max * np.fmax(
         np.fmax.reduce(points, axis=0), 1e-300
     )
-    # Every violation as one (test, ...) stack: power ordering, SIC rates,
-    # power limits (as their negation, so a NaN fails) and the CU floor.
+    # Every violation in one stack; the power limits as their negation, so
+    # that a NaN fails.
     bad = np.empty((12,) + pu.shape, dtype=bool)
     np.less(pmc_margins(heights, pu), -REL_TOL * scale, out=bad[:4])
     np.less(margins, -REL_TOL * sic_scale, out=bad[4:8])
@@ -237,25 +222,22 @@ def _point_tests(seg: Segments, points, caps):
     return ~bad.any(axis=0)
 
 
-# The traces along a device side are those of the four planes, then the box
-# bottom Pu = pu_m and the CU cap Pu = pu_max.  The admissible range keeps
-# trace a at or below trace b for each (a, b) pair: each floor below each
-# ceiling, the bottom below each ceiling and each floor below the cap.
+# Along a device side the admissible range keeps trace a at or below trace b
+# for each (a, b) pair of the four planes' traces, the box bottom Pu = pu_m
+# (4) and the CU cap Pu = pu_max (5).
 _SIDE_PAIRS = np.array([[2, 3, 2, 3, 4, 4, 2, 3], [0, 0, 1, 1, 0, 1, 5, 5]])
 
 
 def _device_sides_batch(planes, pu_m, limits: PowerLimits) -> tuple:
     """Free-coordinate range of the admissible segment on both device sides.
 
-    Side 0 is P1 = P1max and side 1 is P2 = P2max.  Each trace pair of
-    `_SIDE_PAIRS` meets once along a side: the range lies above that
-    crossing where trace b rises faster than a, and below it where b rises
-    slower.  A pair whose traces run parallel with a above b bounds the
-    range from below at +inf, which empties the side.  Returns (lo, hi) as
-    (side, entry) arrays and ``error``, True for an entry whose traces
-    contradict the pre-test: a ceiling parallel to a floor, a ceiling rising
-    above one floor and falling below the other, or a floor that does not
-    rise along the side.
+    Side 0 is P1 = P1max and side 1 is P2 = P2max.  The range lies above
+    the crossing of each `_SIDE_PAIRS` pair where trace b rises faster than
+    a, and below it where b rises slower; a pair running parallel with a
+    above b bounds it from below at +inf, which empties the side.  Returns
+    (lo, hi) as (side, entry) arrays and ``error``, True for an entry whose
+    traces contradict the pre-test: a ceiling parallel to a floor, or rising
+    above one floor and falling below the other, or a floor not rising.
     """
     fixed = np.array([limits.p1_max_w, limits.p2_max_w])[:, None]
     # Each trace's (-slope along the free coordinate, offset), per side.
@@ -304,17 +286,15 @@ def _cap_interval_batch(point, det, floors, limits: PowerLimits) -> tuple:
     cap side is dropped where they do not.
     """
     pu_max = limits.pu_max_w
-    point, det = point[:2], det[:2]
+    point, sign = point[:2], np.sign(det[:2])
     other = floors[::-1]
-    hit = (
-        (det != 0.0)
-        & (other[:, 0] * point[:, :, 0] + other[:, 1] * point[:, :, 1] <= pu_max * (1.0 + REL_TOL))
-        & (np.minimum(point[:, :, 0], point[:, :, 1]) > -pu_max)
+    # A zero det puts the point at infinity or NaN, which fails both tests.
+    hit = (other[:, 0] * point[:, :, 0] + other[:, 1] * point[:, :, 1] <= pu_max * (1.0 + REL_TOL)) & (
+        np.minimum(point[:, :, 0], point[:, :, 1]) > -pu_max
     )
     x = np.where(hit[:, 0], point[:, 0, 0], point[:, 1, 0])
-    pos, neg = det > 0.0, det < 0.0
-    rising = pos[:, 0] & pos[:, 1]
-    found = (hit[:, 0] | hit[:, 1]) & (rising | (neg[:, 0] & neg[:, 1]))
+    rising = sign[:, 0] > 0.0
+    found = (hit[:, 0] | hit[:, 1]) & (sign[:, 0] * sign[:, 1] > 0.0)
     ok = (floors[0, 0] > 0.0) & (floors[1, 0] > 0.0) & found[0] & found[1]
     entry = (pu_max - floors[:, 1] * limits.p2_max_w) / floors[:, 0]
     below, above = np.where(rising, x, np.nan), np.where(rising, np.nan, x)
@@ -335,8 +315,8 @@ class Segments(NamedTuple):
     supplies Pu along a cap piece (meaningless on the device sides).
     ``error`` is True for an entry whose device-side traces contradict the
     pre-test.  ``planes`` is the `constraint_planes` stack, ``sic`` the
-    `sic_coefficients`, ``gain_max`` the largest gain to the BS and ``pu_m``
-    the CU floor power.
+    `sic_coefficients`, ``gain_max`` the largest gain to the BS, ``pu_m``
+    the CU floor power and ``m1_first`` True where the order is M1_FIRST.
     """
 
     ends: np.ndarray
@@ -349,21 +329,14 @@ class Segments(NamedTuple):
     pu_m: np.ndarray
     m1_first: np.ndarray
 
-    @property
-    def lo(self):
-        return self.ends[0]
-
-    @property
-    def hi(self):
-        return self.ends[1]
-
 
 _ON_CAP = np.array([False, False, True, True])[:, None]
 
 
 def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Segments:
-    """The admissible segments on the outer box sides; arguments as in
-    `fd_sic_batch`."""
+    """The admissible segments on the outer box sides, with the stacked
+    planes and SIC coefficients that every later step of the solve shares;
+    arguments as in `fd_sic_batch`."""
     rows = gain_rows(h, params.eta1, params.eta2)
     planes = constraint_planes(rows, m1_first)
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
@@ -371,8 +344,7 @@ def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Se
     lo_d, hi_d, error = _device_sides_batch(planes, pu_m, limits)
     point, det = _ridges_on_cap(planes, pu_max)
     lo_c, hi_c, has_cap = _cap_interval_batch(point, det, planes[2:], limits)
-    # The CU-cap side splits into two pieces at the floors' kink: the second
-    # piece's ends are set below.
+    # The CU-cap side splits into two pieces at the floors' kink.
     kink = point[2, 1, 0]
     ends = np.array([[lo_d[0], lo_d[1], lo_c, kink], [hi_d[0], hi_d[1], hi_c, hi_c]])
     has = ends[1] - ends[0] > -tol
@@ -385,17 +357,9 @@ def segments(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -> Se
     # The floor with the lower cap curve at a piece's middle supplies it.
     mid = 0.5 * (ends[0] + ends[1])
     cap_p2 = (pu_max - planes[2:, 0, None] * mid) / planes[2:, 1, None]
-    return Segments(
-        ends,
-        has,
-        cap_p2[0] <= cap_p2[1],
-        error,
-        planes,
-        sic_coefficients(rows, m1_first),
-        np.fmax(np.fmax(h[1], h[2]), h[5]),
-        pu_m,
-        m1_first,
-    )
+    gain_max = np.fmax(np.fmax(h[1], h[2]), h[5])
+    sic = sic_coefficients(rows, m1_first)
+    return Segments(ends, has, cap_p2[0] <= cap_p2[1], error, planes, sic, gain_max, pu_m, m1_first)
 
 
 def _device_powers(seg: Segments, t, limits: PowerLimits):
@@ -442,7 +406,7 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
     p = _device_powers(seg, seg.ends, limits)
     rates = sic_sum_rate(p[0], p[1], h[0], params)
     upper = rates[1] > rates[0]
-    return upper, np.where(upper, p[:, 1], p[:, 0]), np.where(upper, rates[1], rates[0])
+    return upper, np.where(upper, p[:, 1], p[:, 0]), np.maximum(rates[0], rates[1])
 
 
 def _pair_subset(x, idx):
@@ -480,10 +444,9 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     upper, p, rates = segment_best(seg, h, params, limits)
 
     # Drop a segment whose best point lies within tol of a kept earlier one's,
-    # then rank the rest by rate, ties to the earlier segment.  Dropping by
-    # every earlier segment is exact unless a dropped one drops another, and
-    # whether seg j is kept depends on segs 0 to j-1 only, so two more passes
-    # settle that.
+    # then rank the rest by rate, ties to the earlier segment.  Dropping by any
+    # earlier segment is exact unless a dropped one drops another; seg j
+    # depends on segs 0 to j-1 only, so two more passes settle that.
     close = np.abs(p[:, :, None] - p[:, None]) <= tol
     earlier = close[0] & close[1] & _EARLIER
     kept = seg.has > (earlier & seg.has).any(axis=1)
@@ -526,8 +489,8 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
         points[:, redo] = tries[:, first % len(PULL_IN), rank[first // len(PULL_IN), sub_ent], sub_ent]
         ok[redo] = tried.any(axis=0)
     moved = points[:2] != p_best
-    moved = np.flatnonzero(ok & (moved[0] | moved[1]))
-    if moved.size:
+    if moved.any():
+        moved = np.flatnonzero(ok & (moved[0] | moved[1]))
         answer[3, moved] = sic_sum_rate(points[0, moved], points[1, moved], h[0, moved], params)
     return np.where(ok, answer, _NO_ANSWER)
 

@@ -380,11 +380,11 @@ class TestPrintedEndpointForms:
         pm = pu_min(params, bu)
         seg, _ = pair_segments(g, params, self.limits, self.order)
         k1_y = (pm * bu + p1m * b1) / b2
-        assert seg.lo[0, 0] == pytest.approx(k1_y, rel=1e-12)
+        assert seg.ends[0, 0, 0] == pytest.approx(k1_y, rel=1e-12)
         j2_x = pm * bu / b1
         k2_x = (p2m * b2 - pm * bu) / b1
-        assert seg.lo[1, 0] == pytest.approx(j2_x, rel=1e-12)
-        assert seg.hi[1, 0] <= k2_x * (1 + 1e-12)
+        assert seg.ends[0, 1, 0] == pytest.approx(j2_x, rel=1e-12)
+        assert seg.ends[1, 1, 0] <= k2_x * (1 + 1e-12)
 
     def test_floor_edge_points(self):
         g, e1 = self.g, self.params.eta1
@@ -407,7 +407,7 @@ class TestPrintedEndpointForms:
 def segment_ends(seg, limits):
     """Each segment's (p1, p2, pu) at its lower and its upper end."""
     with np.errstate(all="ignore"):
-        return side_points(seg, seg.lo, limits), side_points(seg, seg.hi, limits)
+        return side_points(seg, seg.ends[0], limits), side_points(seg, seg.ends[1], limits)
 
 
 class TestSegments:
@@ -454,7 +454,7 @@ class TestSegments:
             found += 1
             assert seg.has[2, 0]
             assert seg.plane2[2, 0] != seg.plane2[3, 0]
-            assert seg.hi[2, 0] == seg.lo[3, 0]
+            assert seg.ends[1, 2, 0] == seg.ends[0, 3, 0]
             (p1, p2, _), _ = segment_ends(seg, default_limits)
             planes, _ = order_constraints(gains, params, order)
             for floor in (planes.floor2, planes.floor4):
@@ -468,7 +468,7 @@ class TestSegments:
             seg, _ = pair_segments(gains, params, default_limits, order)
             (p1_lo, p2_lo, _), (p1_hi, p2_hi, _) = segment_ends(seg, default_limits)
             for j in np.flatnonzero(seg.has[:, 0]):
-                assert seg.lo[j, 0] <= seg.hi[j, 0] * (1 + 1e-12) + 1e-300
+                assert seg.ends[0, j, 0] <= seg.ends[1, j, 0] * (1 + 1e-12) + 1e-300
                 if j == 0:
                     assert p2_lo[j, 0] <= p2_hi[j, 0] * (1 + 1e-12)
                 else:
@@ -478,7 +478,7 @@ class TestSegments:
 class TestSideOptimization:
     def _dense_max(self, seg, j, gains, params, limits):
         ts = np.full((4, 100_001), np.nan)
-        ts[j] = np.linspace(seg.lo[j, 0], seg.hi[j, 0], 100_001)
+        ts[j] = np.linspace(seg.ends[0, j, 0], seg.ends[1, j, 0], 100_001)
         with np.errstate(all="ignore"):
             p1, p2, _ = side_points(seg, ts, limits)
         return float(sic_sum_rate(p1[j], p2[j], gains.h_d, params).max())
@@ -489,9 +489,9 @@ class TestSideOptimization:
             degenerate = seg._replace(ends=seg.ends[[0, 0]])
             with np.errstate(all="ignore"):
                 upper, *_ = segment_best(degenerate, h, params, default_limits)
-            t = np.where(upper, degenerate.hi, degenerate.lo)
+            t = np.where(upper, degenerate.ends[1], degenerate.ends[0])
             for j in np.flatnonzero(seg.has[:2, 0]):
-                assert t[j, 0] == seg.lo[j, 0]
+                assert t[j, 0] == seg.ends[0, j, 0]
 
     def test_matches_dense_sampling(self, default_limits):
         for gains, params, order in sample_fd_sic_feasible(seed=41, count=25):
@@ -538,9 +538,9 @@ class TestSideOptimization:
             seg, h = pair_segments(gains, clean, default_limits, order)
             with np.errstate(all="ignore"):
                 upper, *_ = segment_best(seg, h, clean, default_limits)
-            t = np.where(upper, seg.hi, seg.lo)
+            t = np.where(upper, seg.ends[1], seg.ends[0])
             for j in np.flatnonzero(seg.has[:2, 0]):
-                assert t[j, 0] == seg.hi[j, 0]
+                assert t[j, 0] == seg.ends[1, j, 0]
 
 
 class TestSolveOrder:
@@ -722,6 +722,30 @@ def _bits(arrays) -> list[bytes]:
     return [np.asarray(x, dtype=float).tobytes() for x in arrays]
 
 
+def far_pairs_stream(count):
+    """The first ``count`` (entry, order) pairs that far-pairs campaign trials
+    1, 2, ... send to `fd_sic_batch`, as (h, pu_m, m1_first, params,
+    limits)."""
+    cfg = SimConfig(trials=1, eta_db=-130.0, d_max_m=200.0, pair_distance_law="fixed")
+    params, limits = cfg.system_params(), cfg.power_limits()
+    hs, pu_ms, orders = [], [], []
+    trial = 0
+    while sum(map(len, orders)) < count:
+        h = gains_from_deployment(
+            generate_deployment(cfg, np.random.SeedSequence((1, trial, 0))),
+            cfg,
+            np.random.SeedSequence((1, trial, 1)),
+        )
+        pu_m = pu_min(params, h[5])
+        order, *idx = np.nonzero(pretest(device_swap_stack(h), params, limits, pu_m))
+        hs.append(h[(slice(None), *idx)])
+        pu_ms.append(pu_m[tuple(idx)])
+        orders.append(order == 1)
+        trial += 1
+    pairs = (np.concatenate(hs, axis=1), np.concatenate(pu_ms), np.concatenate(orders))
+    return (pairs[0][:, :count], pairs[1][:count], pairs[2][:count], params, limits)
+
+
 class TestBatch:
     """`fd_sic_batch` solves many (entry, order) pairs with numpy."""
 
@@ -749,6 +773,21 @@ class TestBatch:
         for j, pair in enumerate(pairs):
             alone = _batch([pair], params, limits)
             assert _bits(x[j : j + 1] for x in together) == _bits(alone), j
+
+    def test_edge_batch_sizes(self):
+        """No pairs give four empty rows, and each pair alone gets the bits
+        of its slot in a 64-pair batch of the far-pairs call stream, in
+        either decoding order."""
+        h, pu_m, m1_first, params, limits = far_pairs_stream(64)
+        with np.errstate(all="ignore"):
+            empty = fd_sic_batch(h[:, :0], params, limits, pu_m[:0], m1_first[:0])
+            together = fd_sic_batch(h, params, limits, pu_m, m1_first)
+            assert [np.shape(x) for x in empty] == [(0,)] * 4
+            for order in (False, True):
+                assert (together[3, m1_first == order] > 0.0).any()
+            for j in range(64):
+                alone = fd_sic_batch(h[:, j : j + 1], params, limits, pu_m[j : j + 1], m1_first[j : j + 1])
+                assert _bits(x[j : j + 1] for x in together) == _bits(alone), j
 
     def test_failed_validation_is_pulled_inward(self):
         params, limits = make_params(), make_limits()
