@@ -257,6 +257,10 @@ def _device_sides_batch(planes, pu_m, limits: PowerLimits) -> tuple:
     return lo, hi, error
 
 
+# A ridge point is x = pu_max (f_ay - u_ay) / det, y = pu_max (f_ax - u_ax) / -det.
+_RIDGE_SIGNS = np.array([1.0, -1.0])[:, None]
+
+
 def _ridges_on_cap(planes, pu_max: float) -> tuple:
     """Where the ridge of each ceiling, and of floor 2, with each floor
     pierces the plane Pu = pu_max: the (P1, P2) point as a (plane, floor,
@@ -269,9 +273,6 @@ def _ridges_on_cap(planes, pu_max: float) -> tuple:
     det = cross[:, :, 0] - cross[:, :, 1]
     point = pu_max * (floors - upper)[:, :, ::-1] / (det[:, :, None] * _RIDGE_SIGNS)
     return point, det
-
-
-_RIDGE_SIGNS = np.array([1.0, -1.0])[:, None]
 
 
 def _cap_interval_batch(point, det, floors, limits: PowerLimits) -> tuple:

@@ -723,9 +723,9 @@ def _bits(arrays) -> list[bytes]:
 
 
 def far_pairs_stream(count):
-    """The first ``count`` (entry, order) pairs that far-pairs campaign trials
-    1, 2, ... send to `fd_sic_batch`, as (h, pu_m, m1_first, params,
-    limits)."""
+    """The first ``count`` (entry, order) pairs that trials 0, 1, ... of the
+    far-pairs campaign (master seed 1) send to `fd_sic_batch`, as (h, pu_m,
+    m1_first, params, limits)."""
     cfg = SimConfig(trials=1, eta_db=-130.0, d_max_m=200.0, pair_distance_law="fixed")
     params, limits = cfg.system_params(), cfg.power_limits()
     hs, pu_ms, orders = [], [], []
