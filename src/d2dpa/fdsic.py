@@ -436,7 +436,8 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     first point in that order, the best segment's best point, is checked
     for every pair; only the pairs where it fails go through the rest.  The
     rate is `sic_sum_rate` at the chosen powers, which is the best point's
-    where the chosen (p1, p2) equal it.
+    where the chosen (p1, p2) equal it.  Every step runs on the stacks that
+    `segments` forms once per call.
     """
     caps = np.array([limits.p1_max_w, limits.p2_max_w, limits.pu_max_w])[:, None]
     caps_tol = caps * (1.0 + REL_TOL)
