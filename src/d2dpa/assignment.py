@@ -137,8 +137,8 @@ def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
     may move onto any column at no cost; ``dist[i, j]`` is what row i gives
     up by moving onto node j, so ``dist[:D, :D]`` is the slack at the
     mapping's columns and ``dist[:D, D]`` each row's least slack over the
-    unused columns.  A single table builds it only when its certificate
-    fails (see ``_left_certified``).
+    unused columns.  Only the tables whose certificate fails build it (see
+    ``_left_certified``).
     """
     b, d, k = rates.shape
     tab = np.arange(b)[:, None]
@@ -183,37 +183,54 @@ def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.n
 def _left_certified(
     rates: np.ndarray, cols: np.ndarray, total: float, bound: float, peak: float, eps: float
 ) -> bool:
-    """Whether every mapping of the (D, K) table ``rates`` that sends a row
-    left of its column in the optimal mapping ``cols``, of total ``total``,
-    falls short of it by more than ``bound``: then no forcing loss left of
-    ``cols`` is near and `_can_move` is false.  ``peak`` is the table's
-    largest |entry| and ``eps`` its float error bound.
+    """Whether `_tie_break` returns the optimal mapping ``cols``, of total
+    ``total``, of the (D, K) table ``rates``, told without the pass: with
+    tie bound ``bound``, largest |entry| ``peak`` and error bound ``eps``.
 
-    The table is solved again with each entry left of its row's column in
-    ``cols`` raised by delta = bound + 4 eps.  A mapping using L >= 1 of
-    them gains L delta; ``cols`` uses none and keeps its total bit for bit.
-    If the re-solve's total is at most ``total`` + eps, each such mapping
-    falls short of ``cols`` in ``rates`` by at least L delta less float
-    error: the eps of that margin, eps for the re-solve's error against the
-    raised optimum (the module takes eps to bound LSA's error wherever it
-    compares solves), and the rounding of the raised entries and of
-    ``total``, far below eps.  So the true loss of any entry left of
-    ``cols`` is at least delta - 2 eps - (rounding) > bound + eps, and the
-    pass, whose losses err by at most eps, would compute it above ``bound``.
+    `_tie_break` is the greedy lexicographic search: it returns the smallest
+    mapping within tol of the optimum.  A mapping smaller than ``cols``
+    first differs from it at a row r0, where it takes a column c < cols[r0];
+    the rows before r0 are unchanged, so no earlier row holds c.  It thus
+    uses a useful entry: (r, c) with c < cols[r] and ``holder[c] > r``,
+    where holder[c] is the row holding column c, or D if c is free.  Only
+    the mapping of each row r to column r has none (row 0 must hold column
+    0, then row 1 column 1, ...); no mapping is smaller, so it is certified.
+
+    Any other table is solved again with a set of entries raised by delta =
+    bound + 4 eps: first every entry left of its row's column, which needs
+    no holder and settles most tables, and where that finds a higher total,
+    the useful entries only.  Each set holds every useful entry and none of
+    ``cols``, so a smaller mapping gains L delta for some L >= 1 and
+    ``cols`` keeps its total bit for bit.  If the re-solve's total is at
+    most the total + eps, each smaller mapping falls short of ``cols`` in
+    ``rates`` by at least L delta less float error: the eps of that margin,
+    eps for the re-solve's error against the raised optimum (the module
+    takes eps to bound LSA's error wherever it compares solves), and the
+    rounding of the raised entries and of the total, far below eps.  So the
+    true loss of a useful entry is at least delta - 2 eps - (rounding) >
+    bound + eps, and the pass, whose losses err by at most eps, would
+    compute it above ``bound``.  The near entries left of a row's column are
+    then all held by earlier rows, which `_tie_break` skips (``col in
+    chosen``), so it returns ``cols`` too.
 
     Totals are compared, not mappings, so the exact ties to the right that
-    the SIC-constant rows of HD-SIC and FD-SIC tables make in bulk leave the
-    certificate standing: the tie-break never moves a row right.  Where
-    2 D (peak + delta) overflows, a raised entry or total might, and the
-    certificate is not tried.
+    HD-SIC and FD-SIC rows make in bulk leave the certificate standing.
+    Where 2 D (peak + delta) overflows, a raised entry or total might, and
+    no re-solve is tried.
     """
     d, k = rates.shape
+    if cols[0] == 0 and cols.tolist() == list(range(d)):
+        return True
     delta = bound + 4.0 * eps
     if 2.0 * d * (peak + delta) == math.inf:
         return False
-    raised = rates + delta * (np.arange(k) < cols[:, None])
-    rows, raised_cols = linear_sum_assignment(raised, maximize=True)
-    return float(raised[rows, raised_cols].sum()) <= total + eps
+    left = np.arange(k) < cols[:, None]
+    if _solve(rates + delta * left)[0] <= total + eps:
+        return True
+    rows = np.arange(d)
+    holder = np.full(k, d)
+    holder[cols] = rows
+    return _solve(rates + delta * (left & (holder > rows[:, None])))[0] <= total + eps
 
 
 def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
@@ -249,34 +266,27 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     solve is returned as it is.  Each column left in play is checked, in
     ascending order, with one solve of the remaining rows without it.
 
-    On one table the losses left of the first mapping are certified before
-    their Floyd-Warshall pass: a second solve, with every entry left of its
-    row's first-solve column raised by a margin above the tie bound, finds
-    no total above the first (see ``_left_certified``).  No row can then
-    move, and the first solve is returned without the pass: one extra solve
-    in place of D + 1 pass steps, and no graph.  Ties right of the first
-    mapping, which the tie-break never takes, do not fail the certificate.
-    The graph is built only when it fails.
+    The first mapping is certified before the Floyd-Warshall pass: only a
+    useful entry, left of its row's first-solve column on a column no
+    earlier row holds, can start a smaller mapping.  A second solve, with
+    each entry left of the first mapping raised by a margin above the tie
+    bound, and if that fails a third, with only the useful entries raised,
+    must find no total above the first (see ``_left_certified``); the first
+    solve is then returned with no graph and no pass.  Ties right of the
+    first mapping, and left of it on columns that earlier rows hold, do not
+    fail it.
     """
     return _hungarian_max_stack(_checked_rates(table)[None])[0]
 
 
 def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each of a list of same-shape tables, with the
-    forcing losses of all of them from one stacked pass.
+    forcing losses of those the certificate leaves from one stacked pass.
 
-    A list of one table is certified as `hungarian_max` certifies it.  A
-    longer list skips the certificate: the pass's D + 1 steps are shared by
-    the whole stack, and cost less than a second solve of every table.  On
-    the four tables of each of 400 far-pairs trials (eta -130 dB, pairs 200 m
-    apart), certifying each table instead measured 31% slower: 331 of the
-    1,600 tables have a near entry left of the first mapping, and would pay
-    a failed re-solve on top of the pass (``stack_split`` in
-    BENCH_assign_left_certificate.json).  Every table's total comes
-    from one gather of the first solves' entries, summed as one table's
-    total is, and only a table with a near column left of a row's
-    first-solve column runs the tie-break.  An empty list gives an empty
-    list; tables of two shapes raise ValueError.
+    Every table is certified as `hungarian_max` certifies it, and only the
+    tables that fail share the pass's D + 1 steps; only a table with a near
+    column left of a row's first-solve column runs the tie-break.  An empty
+    list gives an empty list; tables of two shapes raise ValueError.
     """
     checked = [_checked_rates(t) for t in tables]
     if not checked:
@@ -291,12 +301,12 @@ def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
 def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     """`hungarian_max` of each table of a checked (B, D, K) stack.
 
-    A stack of one table goes to `_hungarian_max_one`, which tries the
-    left-raised certificate first; any other stack runs the shared pass and
-    the tie-break.  A table whose mapping totals or slack can overflow is
-    rejected: the rows' largest |entries| must have a finite sum, and the
-    table's range (largest entry minus smallest), which bounds every slack,
-    must be finite.
+    Every table, whatever B, takes the certificate; those that fail share
+    one move graph and pass, then run the tie-break where a row can move.
+    A table whose mapping totals or slack can overflow is rejected: the
+    rows' largest |entries| must have a finite sum, and the table's range
+    (largest entry minus smallest), which bounds every slack, must be
+    finite.
     """
     b, d, k = rates.shape
     if d == 0:
@@ -324,19 +334,24 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     # the tie-break, so the cut also holds where tol is small against the
     # entries.
     eps = [8.0 * (d + 1) * _EPS * peak for peak in peaks]
-    if b == 1:
-        return [_hungarian_max_one(rates[0], peaks[0], eps[0])]
-    # LSA returns the rows in order, so row r's column is cols[r].
-    cols = np.array([linear_sum_assignment(r, maximize=True)[1] for r in rates])
-    own = rates[np.arange(b)[:, None], np.arange(d), cols]
-    totals = own.sum(axis=1).tolist()
-    tols = [1e-12 * max(1.0, abs(total)) for total in totals]
-    bound = np.array([2.0 * tol + e for tol, e in zip(tols, eps)])
-    near = _forcing_loss(*_mapping_graph(rates, cols, own)) <= bound[:, None, None]
-    return [
-        _tie_break(r, total, c, n, tol) if move else (Assignment(tuple(c.tolist())), total)
-        for r, total, c, n, tol, move in zip(rates, totals, cols, near, tols, _can_move(near, cols))
-    ]
+    results, failed = [], []
+    for table, peak, e in zip(rates, peaks, eps):
+        total, cols = _solve(table)
+        tol = 1e-12 * max(1.0, abs(total))
+        bound = 2.0 * tol + e
+        if not _left_certified(table, cols, total, bound, peak, e):
+            failed.append((len(results), cols, tol, bound))
+        results.append((Assignment(tuple(cols.tolist())), total))
+    if failed:
+        index, firsts, tols, bounds = zip(*failed)
+        cols = np.array(firsts)
+        tables = rates[list(index)]
+        own = tables[np.arange(len(index))[:, None], np.arange(d), cols]
+        near = _forcing_loss(*_mapping_graph(tables, cols, own)) <= np.array(bounds)[:, None, None]
+        for i, c, n, tol, move in zip(index, cols, near, tols, _can_move(near, cols)):
+            if move:
+                results[i] = _tie_break(rates[i], results[i][1], c, n, tol)
+    return results
 
 
 def _can_move(near: np.ndarray, cols: np.ndarray):
@@ -344,22 +359,6 @@ def _can_move(near: np.ndarray, cols: np.ndarray):
     for a ``near`` (..., D, K) column left of it: only such a table needs
     `_tie_break`."""
     return (near & (np.arange(near.shape[-1]) < cols[..., None])).any(axis=(-2, -1))
-
-
-def _hungarian_max_one(rates: np.ndarray, peak: float, eps: float) -> tuple[Assignment, float]:
-    """`hungarian_max` of one checked (D, K) table with D >= 1, whose
-    largest |entry| is ``peak`` and float error bound ``eps``: the first
-    mapping when ``_left_certified`` certifies it, else the pass over the
-    table's move graph and the tie-break."""
-    total, cols = _solve(rates)
-    tol = 1e-12 * max(1.0, abs(total))
-    bound = 2.0 * tol + eps
-    if not _left_certified(rates, cols, total, bound, peak, eps):
-        own = rates[np.arange(rates.shape[0]), cols]
-        near = _forcing_loss(*_mapping_graph(rates[None], cols[None], own[None]))[0] <= bound
-        if _can_move(near, cols):
-            return _tie_break(rates, total, cols, near, tol)
-    return Assignment(tuple(cols.tolist())), total
 
 
 def _tie_break(

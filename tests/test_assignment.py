@@ -143,23 +143,24 @@ def tie_breaks(monkeypatch):
 
 
 def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
-    """Each row's best column is the smallest free one and no other mapping
-    comes near, so the certifying re-solve settles every row, with no pass
-    and no move graph."""
+    """Each row's best column is the smallest free one, so every column left
+    of a row's column is held by an earlier row: no entry is useful, no
+    smaller mapping exists, and the first solve settles every row with no
+    certifying re-solve, no pass and no move graph."""
     table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
     table[np.arange(5), np.arange(5)] += 10.0
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
-    assert len(lsa_calls) == 2
+    assert len(lsa_calls) == 1
     assert not passes
     assert not graphs
 
 
 def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
-    """With one optimal mapping, the re-solve with every entry left of that
-    mapping raised past the tie bound finds no higher total, so the first
-    solve settles every row: the first solve and the certifying one, and no
-    pass or move graph."""
+    """With one optimal mapping, the re-solve with each useful entry (left
+    of its row's column, on a column no earlier row holds) raised past the
+    tie bound finds no higher total, so the first solve settles every row:
+    the first solve and the certifying one, and no pass or move graph."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
@@ -170,25 +171,33 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
     assert not graphs
 
 
-def test_stacks_skip_the_certificate(lsa_calls, passes, tie_breaks):
-    """Two tie-free tables share one pass and make no certifying solve; no
-    near column lies left of any row's column, so neither runs the
-    tie-break.  Two all-tie tables both run it."""
+def test_stacks_certify_each_table(lsa_calls, passes, tie_breaks):
+    """Each of two tie-free tables makes its first solve and one certifying
+    solve, and no pass or tie-break runs.  Two all-equal tables need no
+    re-solve: the first solve gives rows 0, 1, 2 columns 0, 1, 2, so no
+    entry is useful.  Two tables of rows [0, 1, 0] fail the certificate (the
+    first solve gives row 0 a column right of 0), share one pass and both
+    run the tie-break."""
     stack = np.random.default_rng(76).uniform(0.0, 1.0, (2, 8, 16))
     hungarian_max_many(list(stack))
-    assert len(lsa_calls) == 2
-    assert len(passes) == 1
+    assert len(lsa_calls) == 4
+    assert not passes
     assert not tie_breaks
     result = hungarian_max_many([np.full((3, 5), 7.0)] * 2)
     assert result == [(Assignment((0, 1, 2)), 21.0)] * 2
+    assert len(lsa_calls) == 6
+    assert not passes
+    assert not tie_breaks
+    result = hungarian_max_many([np.array([[0.0, 1.0, 0.0]] * 3)] * 2)
+    assert result == [(Assignment((0, 1, 2)), 1.0)] * 2
+    assert len(passes) == 1
     assert len(tie_breaks) == 2
 
 
 @pytest.mark.parametrize("d", [1, 5, 9, 32])
 def test_many_gives_each_table_hungarian_maxs_bits(d):
-    """The stack's totals come from one gather summed along each table's
-    rows; each equals `hungarian_max`'s total of that table bit for bit,
-    also at D >= 8, where numpy sums pairwise, and the mappings are equal.
+    """Each table of a stack gets `hungarian_max`'s mapping and total of
+    that table bit for bit, also at D >= 8, where numpy sums pairwise.
     Tie-free, tie-heavy and HD-SIC-like tables, at rate-sized scales."""
     rng = np.random.default_rng(83)
     k = 64 if d == 32 else 20
@@ -208,24 +217,33 @@ def test_many_gives_each_table_hungarian_maxs_bits(d):
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_three_cycle_tie_reaches_the_pass(order, passes):
-    """The only other optimum is a three-cycle, and each of the two optima
-    sends a row left of its column in the other, so whichever the first
-    solve returns, the left-raised re-solve finds a higher total and the
-    pass runs; the answer is the smaller of the two optima in every column
-    order."""
+    """The only other optimum is a three-cycle.  The pass runs exactly when
+    that optimum uses a useful entry of the first solve's mapping (a column
+    left of a row's own that no earlier row holds), and so always when the
+    first solve returns the larger optimum, whose smaller rival first
+    differs from it on such an entry.  In column order (0, 2, 1) the first
+    solve returns the smaller optimum and the larger still uses a useful
+    entry, so the pass runs there too.  The answer is the smaller of the two
+    optima in every column order."""
     table = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])[:, order]
+    _, first = linear_sum_assignment(table, maximize=True)
+    first = first.tolist()
+    optima = [p for p in itertools.permutations(range(3)) if sum(table[range(3), p]) == 3.0]
+    (other,) = [p for p in optima if list(p) != first]
+    uses_useful = any(c < first[r] and c not in first[:r] for r, c in enumerate(other))
     assignment, total = hungarian_max(table)
     assert assignment.pair_to_cu == lexicographic_best(table)
     assert total == 3.0
-    assert len(passes) == 1
+    assert len(passes) == uses_useful
+    assert uses_useful or first == list(lexicographic_best(table))
 
 
 def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, graphs):
     """Each row ties its optimal column with one further right, so other
-    optimal mappings exist, but none moves a row left: the certifying
-    re-solve, which raises only entries left of the first mapping, finds no
-    higher total, and the first solve's mapping is the answer, with no pass
-    and no solve besides those two."""
+    optimal mappings exist, but none moves a row left.  The first solve
+    gives rows 0..3 columns 0..3, so every column left of a row's column is
+    held by an earlier row: no entry is useful, and the first solve's
+    mapping is the answer with no certifying re-solve and no pass."""
     table = np.random.default_rng(78).uniform(0.0, 1.0, (4, 10))
     table[np.arange(4), np.arange(4)] += 10.0
     table[np.arange(4), np.arange(6, 10)] = table[np.arange(4), np.arange(4)]
@@ -234,7 +252,7 @@ def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, g
     assignment, total = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3)
     assert total == enumerate_best(table)
-    assert len(lsa_calls) == 2
+    assert len(lsa_calls) == 1
     assert not passes
     assert not graphs
 
@@ -242,13 +260,14 @@ def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, g
 def test_each_checked_column_costs_one_solve(lsa_calls, passes, graphs):
     """Three equal rows [0, 1, 0]: every mapping that gives column 1 to a
     row is optimal, and the first solve gives row 0 a column right of 0, so
-    the certifying re-solve fails.  Checking column 0 for row 0 is then one
-    solve of rows 1 and 2 without it, and that solve's completion settles
-    rows 1 and 2: three solves in all, after one move graph and one pass."""
+    both certifying re-solves (left entries, then useful ones) fail.
+    Checking column 0 for row 0 is then one solve of rows 1 and 2 without
+    it, and that solve's completion settles rows 1 and 2: four solves in
+    all, after one move graph and one pass."""
     assignment, total = hungarian_max(np.array([[0.0, 1.0, 0.0]] * 3))
     assert assignment.pair_to_cu == (0, 1, 2)
     assert total == 1.0
-    assert len(lsa_calls) == 3
+    assert len(lsa_calls) == 4
     assert len(graphs) == 1
     assert len(passes) == 1
 
@@ -357,9 +376,8 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
 
 
 def test_many_equals_one_table_at_a_time():
-    """A stack runs the shared pass and a single table the certificate: the
-    two routes agree on tie-heavy tables, on tie-free ones (which a single
-    table certifies), on planted three-cycle near-ties (which no swap of
+    """A stack of four tables and each table alone agree on tie-heavy
+    tables, on tie-free ones (which the certificate settles), on planted three-cycle near-ties (which no swap of
     two rows reveals) and, to the bit of the total, on D = 32, K = 64
     tables of all four schemes under row and column permutations."""
     rng = np.random.default_rng(80)
@@ -443,34 +461,102 @@ def _soundness_tables(rng):
                     yield _planted_three_cycles(rng, d, int(rng.integers(d, 10)), gaps) * scale
 
 
+def _no_certificate(*args):
+    """`_left_certified` that certifies no table, so every table takes the
+    full route: the move graph, the pass and the tie-break."""
+    return False
+
+
 def test_left_certificate_is_sound(monkeypatch):
-    """Wherever the left-raised certificate returns the first mapping, the
-    full pass over the move graph finds no near entry left of any row's
-    column, so the tie-break would not have moved a row.  The tables make
-    the certificate hold and fail many times each."""
-    seen = []
+    """Wherever the certificate holds, the full route (the move graph, the
+    pass and the tie-break, taken by making the certificate fail) returns
+    the same mapping and total bits.  The tables make the certificate hold
+    and fail many times each."""
     real = d2dpa.assignment._left_certified
+    seen = []
 
-    def capture(rates, cols, total, bound, peak, eps):
-        seen.append((cols, bound, real(rates, cols, total, bound, peak, eps)))
-        return seen[-1][2]
+    def capture(*args):
+        seen.append(real(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(d2dpa.assignment, "_left_certified", capture)
     outcomes = []
     for table in _soundness_tables(np.random.default_rng(81)):
+        monkeypatch.setattr(d2dpa.assignment, "_left_certified", capture)
         seen.clear()
-        hungarian_max(table)
-        ((cols, bound, certified),) = seen
+        assignment, total = hungarian_max(table)
+        (certified,) = seen
         outcomes.append(certified)
         if certified:
-            loss = d2dpa.assignment._forcing_loss(*mapping_graph(table[None], cols[None]))[0]
-            assert not d2dpa.assignment._can_move(loss <= bound, cols)
+            monkeypatch.setattr(d2dpa.assignment, "_left_certified", _no_certificate)
+            full, full_total = hungarian_max(table)
+            assert full == assignment
+            assert full_total.hex() == total.hex()
     assert 100 < sum(outcomes) < len(outcomes) - 100
 
 
+def test_fresh_scheme_tables_equal_the_full_route(monkeypatch):
+    """On the D = 32, K = 64 tables of all four schemes, from deployments of
+    fresh seeds at the paper's default configuration and at far pairs, as
+    built and under a row and column permutation, `hungarian_max` and
+    `hungarian_max_many` give the mapping and total bits of the full
+    route."""
+    rng = np.random.default_rng(85)
+    for built in _scheme_tables(rng):
+        rows, cols = rng.permutation(32), rng.permutation(64)
+        for stack in (built, [t[rows][:, cols] for t in built]):
+            alone = [hungarian_max(t) for t in stack]
+            many = hungarian_max_many(stack)
+            with monkeypatch.context() as patched:
+                patched.setattr(d2dpa.assignment, "_left_certified", _no_certificate)
+                full = [hungarian_max(t) for t in stack]
+            for (a, a_total), (m, m_total), (f, f_total) in zip(alone, many, full):
+                assert a == m == f
+                assert a_total.hex() == m_total.hex() == f_total.hex()
+
+
+def _planted_swap(rng, d, k):
+    """D x K uniform table (K > D) with one clear optimal mapping that
+    leaves column 0 free, and an exact tie with the swap that moves a row
+    r0 right onto the column of a later row r1 and r1 left onto r0's; the
+    smaller mapping and the swap."""
+    table = rng.uniform(0.0, 1.0, (d, k))
+    cols = rng.permutation(np.arange(1, k))[:d]
+    r0, r1 = np.sort(rng.choice(d, 2, replace=False))
+    if cols[r0] > cols[r1]:
+        cols[[r0, r1]] = cols[[r1, r0]]
+    table[np.arange(d), cols] += 10.0
+    table[r0, cols[r1]] = table[r0, cols[r0]]
+    table[r1, cols[r0]] = table[r1, cols[r1]]
+    swap = cols.copy()
+    swap[[r0, r1]] = cols[[r1, r0]]
+    return table, cols.tolist(), swap.tolist()
+
+
+def test_swaps_that_move_the_first_row_right_are_certified(lsa_calls, passes, graphs):
+    """The only other optimum moves its first differing row right and a
+    later row left, onto a column an earlier row holds.  Its left move fails
+    the re-solve that raises every entry left of the first mapping; it is
+    no useful entry, so the first solve, which returns the smaller mapping,
+    is certified by the re-solve that raises the useful entries only
+    (column 0 is free, so some exist): three solves, no graph and no pass."""
+    rng = np.random.default_rng(84)
+    for _ in range(60):
+        d = int(rng.integers(2, 9))
+        table, smaller, swap = _planted_swap(rng, d, int(rng.integers(d + 1, 13)))
+        assert linear_sum_assignment(table, maximize=True)[1].tolist() == smaller
+        assert any(c < smaller[r] for r, c in enumerate(swap))
+        lsa_calls.clear()
+        assignment, total = hungarian_max(table)
+        assert assignment.pair_to_cu == tuple(smaller)
+        assert total >= float(table[range(d), swap].sum())
+        assert len(lsa_calls) == 3
+        assert not graphs
+        assert not passes
+
+
 def test_one_table_equals_its_stack_of_two():
-    """The certificate route of one table and the shared pass of a stack
-    agree on tie-heavy and HD-SIC-like tables."""
+    """A table alone and in a stack of two get the same result, on
+    tie-heavy and HD-SIC-like tables."""
     rng = np.random.default_rng(82)
     for table in _certificate_tables(rng):
         assert hungarian_max(table) == hungarian_max_many([table, table])[0]
@@ -524,8 +610,9 @@ def test_overflowing_range_rejected():
 
 
 def test_overflowing_shortest_paths_leave_the_result(passes):
-    """Entries this close to the float limit skip the certificate (which
-    would fail anyway: the two optima differ in column 0), so the table
+    """Entries this close to the float limit skip the certificate's
+    re-solve (which would fail anyway: the two optima differ in column 0),
+    so the table
     reaches the pass.  Sums of two slacks there overflow to +inf, which is
     no near move, with no warning, and the smaller optimum is returned."""
     table = np.array([[0.6e308, 0.0, -0.6e308], [0.6e308, -0.6e308, 0.0]])
