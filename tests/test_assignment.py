@@ -157,10 +157,10 @@ def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
 
 
 def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
-    """With one optimal mapping, the re-solve with each useful entry (left
-    of its row's column, on a column no earlier row holds) raised past the
-    tie bound finds no higher total, so the first solve settles every row:
-    the first solve and the certifying one, and no pass or move graph."""
+    """With one optimal mapping, the re-solve with every entry left of that
+    mapping raised past the tie bound finds no higher total, so the first
+    solve settles every row: the first solve and the certifying one, and no
+    pass or move graph."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
@@ -377,9 +377,10 @@ def test_stacked_forcing_loss_equals_each_tables_own(square):
 
 def test_many_equals_one_table_at_a_time():
     """A stack of four tables and each table alone agree on tie-heavy
-    tables, on tie-free ones (which the certificate settles), on planted three-cycle near-ties (which no swap of
-    two rows reveals) and, to the bit of the total, on D = 32, K = 64
-    tables of all four schemes under row and column permutations."""
+    tables, on tie-free ones (which the certificate settles), on planted
+    three-cycle near-ties (which no swap of two rows reveals) and, to the
+    bit of the total, on D = 32, K = 64 tables of all four schemes under
+    row and column permutations."""
     rng = np.random.default_rng(80)
     for _ in range(150):
         d = int(rng.integers(0, 5))
