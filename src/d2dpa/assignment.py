@@ -17,19 +17,27 @@ import numpy as np
 _EPS = float(np.finfo(float).eps)
 
 
+_scipy_lsa = None
+
+
 def linear_sum_assignment(rates: np.ndarray, maximize: bool = False):
-    """scipy's rectangular ``linear_sum_assignment``, imported on first call:
-    loading ``scipy.optimize`` costs more than the rest of ``import d2dpa``."""
-    from scipy.optimize import linear_sum_assignment as solve
+    """scipy's rectangular ``linear_sum_assignment``, imported on the first
+    call and kept: loading ``scipy.optimize`` costs more than the rest of
+    ``import d2dpa``."""
+    global _scipy_lsa
+    if _scipy_lsa is None:
+        from scipy.optimize import linear_sum_assignment as _scipy_lsa
+    return _scipy_lsa(rates, maximize=maximize)
 
-    return solve(rates, maximize=maximize)
 
-
-def _check_shape(rates: np.ndarray) -> None:
-    """Reject a rate table that is not 2-D or has more rows than columns."""
-    if rates.ndim != 2:
+def _check_shape(rates: np.ndarray, ndim: int = 2) -> None:
+    """Reject a rate table (``ndim`` 2), or a stack of tables (``ndim`` 3),
+    of another number of axes, or whose tables have more rows than columns."""
+    if ndim == 2 and rates.ndim != 2:
         raise ValueError("rate table must be 2-D")
-    d, k = rates.shape
+    if rates.ndim != ndim:
+        raise ValueError(f"rate tables must be a 3-D (B, D, K) stack, got {rates.ndim}-D")
+    d, k = rates.shape[-2:]
     if d > k:
         raise ValueError(f"more D2D rows ({d}) than CU columns ({k})")
 
@@ -42,18 +50,6 @@ def _raise_first_bad(rates: np.ndarray, ok: np.ndarray, what: str) -> None:
     raise ValueError(
         f"rate table entry ({row}, {col}) must be {what}, got {float(rates[row, col])!r}"
     )
-
-
-def _check_entries(rates: np.ndarray, sic_applied: np.ndarray, infeasible: np.ndarray) -> None:
-    """`RateTable`'s checks on the rates and flags of a table or a stack of
-    tables: flags of the rates' shape, every rate finite and >= 0, and
-    rate 0 wherever infeasible."""
-    if sic_applied.shape != rates.shape or infeasible.shape != rates.shape:
-        raise ValueError("flag arrays must match the rate table shape")
-    if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
-        _raise_first_bad(rates, (rates >= 0.0) & (rates < np.inf), "finite and >= 0")
-    if rates[infeasible].any():
-        raise ValueError("infeasible entries must carry rate 0")
 
 
 @dataclass
@@ -78,24 +74,13 @@ class RateTable:
             self.infeasible = np.zeros((d, k), dtype=bool)
         self.sic_applied = np.asarray(self.sic_applied, dtype=bool)
         self.infeasible = np.asarray(self.infeasible, dtype=bool)
-        _check_entries(self.rates, self.sic_applied, self.infeasible)
-
-    @classmethod
-    def stack(cls, rates, sic_applied, infeasible) -> list[RateTable]:
-        """One table per entry of (B, D, K) stacks of rates and flags, all
-        checked at once by the constructor's rules, with its messages; the
-        constructor's checks then do not run again for each table."""
-        rates = np.asarray(rates, dtype=float)
-        sic_applied = np.asarray(sic_applied, dtype=bool)
-        infeasible = np.asarray(infeasible, dtype=bool)
-        _check_shape(rates[0])
-        _check_entries(rates, sic_applied, infeasible)
-        tables = []
-        for fields in zip(rates, sic_applied, infeasible):
-            table = cls.__new__(cls)
-            table.rates, table.sic_applied, table.infeasible = fields
-            tables.append(table)
-        return tables
+        rates = self.rates
+        if self.sic_applied.shape != rates.shape or self.infeasible.shape != rates.shape:
+            raise ValueError("flag arrays must match the rate table shape")
+        if not (rates.min(initial=0.0) >= 0.0 and rates.max(initial=0.0) < np.inf):
+            _raise_first_bad(rates, (rates >= 0.0) & (rates < np.inf), "finite and >= 0")
+        if rates[self.infeasible].any():
+            raise ValueError("infeasible entries must carry rate 0")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -233,13 +218,11 @@ def _left_certified(
     return _solve(rates + delta * (left & (holder > rows[:, None])))[0] <= total + eps
 
 
-def _checked_rates(table: RateTable | np.ndarray) -> np.ndarray:
-    """The rates of a `RateTable`, or a raw array checked to be a finite
-    table with no more rows than columns."""
-    if isinstance(table, RateTable):
-        return table.rates
-    rates = np.asarray(table, dtype=float)
-    _check_shape(rates)
+def _checked_rates(tables, ndim: int) -> np.ndarray:
+    """A table (``ndim`` 2) or a (B, D, K) stack of tables (``ndim`` 3) as a
+    float array, checked to be finite with no more rows than columns."""
+    rates = np.asarray(tables, dtype=float)
+    _check_shape(rates, ndim)
     if not np.isfinite(rates).all():
         _raise_first_bad(rates, np.isfinite(rates), "finite")
     return rates
@@ -276,26 +259,23 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     first mapping, and left of it on columns that earlier rows hold, do not
     fail it.
     """
-    return _hungarian_max_stack(_checked_rates(table)[None])[0]
+    rates = table.rates if isinstance(table, RateTable) else _checked_rates(table, 2)
+    return _hungarian_max_stack(rates[None])[0]
 
 
 def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
-    """`hungarian_max` of each of a list of same-shape tables, with the
-    forcing losses of those the certificate leaves from one stacked pass.
+    """`hungarian_max` of each table of a (B, D, K) stack, with the forcing
+    losses of those the certificate leaves from one stacked pass.
 
-    Every table is certified as `hungarian_max` certifies it, and only the
-    tables that fail share the pass's D + 1 steps; only a table with a near
-    column left of a row's first-solve column runs the tie-break.  An empty
-    list gives an empty list; tables of two shapes raise ValueError.
+    ``tables`` is any array-like of that shape, such as a list of
+    same-shape tables; it must be finite with D <= K, else ValueError
+    naming the first bad entry by its place in its table.  Every table is
+    certified as `hungarian_max` certifies it, and only the tables that
+    fail share the pass's D + 1 steps; only a table with a near column left
+    of a row's first-solve column runs the tie-break.  A (0, D, K) stack
+    gives an empty list.
     """
-    checked = [_checked_rates(t) for t in tables]
-    if not checked:
-        return []
-    shape = checked[0].shape
-    other = next((r.shape for r in checked if r.shape != shape), None)
-    if other is not None:
-        raise ValueError(f"rate tables must share one shape, got {shape} and {other}")
-    return _hungarian_max_stack(np.array(checked))
+    return _hungarian_max_stack(_checked_rates(tables, 3))
 
 
 def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
@@ -309,7 +289,7 @@ def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
     finite.
     """
     b, d, k = rates.shape
-    if d == 0:
+    if b == 0 or d == 0:
         return [(Assignment(()), 0.0)] * b
     peaks = np.abs(rates).max(axis=(1, 2)).tolist()
     # A mapping total is at most the sum of the rows' largest |entries|,

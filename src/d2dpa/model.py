@@ -12,9 +12,6 @@ from enum import Enum
 
 import numpy as np
 
-# Relative tolerance of the power-limit checks.
-REL_POWER_TOL = 1e-9
-
 
 def check_array(name: str, values, strict: bool, where=True) -> None:
     """The scalar types' "finite and > 0" (``strict``) or "finite and >= 0"
@@ -163,16 +160,6 @@ class PowerTriplet:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-
-
-def within_limits(p1_w, p2_w, pu_w, limits: PowerLimits, rel_tol: float = REL_POWER_TOL):
-    """True where a (p1, p2, pu) triplet of floats or arrays keeps every
-    power within its limit, up to a relative ``rel_tol``."""
-    return (
-        (p1_w <= limits.p1_max_w * (1.0 + rel_tol))
-        & (p2_w <= limits.p2_max_w * (1.0 + rel_tol))
-        & (pu_w <= limits.pu_max_w * (1.0 + rel_tol))
-    )
 
 
 class ScenarioKind(Enum):

@@ -3,7 +3,9 @@ large-scale channel gains, solve every D2D-CU combination, assign channels
 and aggregate across trials.
 
 A trial's gains are one (6, D, K) block, rows in `model.GAIN_FIELDS` order,
-which `build_rate_tables` checks and solves as it is.
+which `solvers.solve_all_batch` checks and solves as it is; the trial stacks
+the four schemes' checked rate tables into one (scheme, pair, CU) array and
+assigns every table of it with one `assignment.hungarian_max_many` call.
 
 Trials are seeded independently from the master seed, so results do not
 depend on execution order and repeat bit-exactly.
@@ -20,12 +22,10 @@ import numpy as np
 
 from .assignment import RateTable, hungarian_max_many
 from .model import (
-    GAIN_FIELDS,
     ChannelGains,
     PowerLimits,
     ScenarioKind,
     SystemParams,
-    check_array,
     db_to_linear,
     dbm_to_watts,
 )
@@ -239,7 +239,7 @@ def generate_deployment(config: SimConfig, seed) -> Deployment:
 
 
 def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> np.ndarray:
-    """The trial's (6, D, K) gain block, rows in `GAIN_FIELDS` order: path
+    """The trial's (6, D, K) gain block, rows in `model.GAIN_FIELDS` order: path
     loss (reference intercept plus d^-alpha) with independent lognormal
     shadowing per directed link.
 
@@ -270,25 +270,14 @@ def gains_from_deployment(deployment: Deployment, config: SimConfig, seed) -> np
 def build_rate_tables(
     h: np.ndarray, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, RateTable]:
-    """One D x K rate table per scheme from a (6, D, K) gain block, every
-    combination solved at once.
-
-    Every gain must be finite and > 0, as in `ChannelGains`; the first bad
-    one raises ValueError naming its field.  The tables equal those of
-    `solve_all` on each combination's `ChannelGains`.  The four tables are
-    checked once, as one stack, by `RateTable`'s rules (`RateTable.stack`).
+    """One D x K `RateTable` per scheme from a (6, D, K) gain block: the
+    tables of `solve_all_batch`, which checks the gains and the rates.  The
+    tables equal those of `solve_all` on each combination's `ChannelGains`.
     """
-    # One test over every entry; the per-field check runs only to name the
-    # first bad one.
-    if not (h.min(initial=np.inf) > 0.0 and h.max(initial=0.0) < np.inf):
-        for name, row in zip(GAIN_FIELDS, h):
-            check_array(name, row, strict=True)
-    solved = solve_all_batch(h, params, limits)
-    schemes = solved.values()
-    tables = RateTable.stack(
-        [t.rate for t in schemes], [t.sic_applied for t in schemes], [t.infeasible for t in schemes]
-    )
-    return dict(zip(solved, tables))
+    return {
+        kind: RateTable(t.rate, t.sic_applied, t.infeasible)
+        for kind, t in solve_all_batch(h, params, limits).items()
+    }
 
 
 @dataclass
@@ -329,15 +318,16 @@ def run_trial(
     gain_seed = np.random.SeedSequence((config.master_seed, trial, 1))
     deployment = generate_deployment(config, dep_seed)
     gains = gains_from_deployment(deployment, config, gain_seed)
-    tables = build_rate_tables(gains, config.system_params(), config.power_limits())
-    assigned = hungarian_max_many(list(tables.values()))
-    # (scheme, pair, CU) stacks: the SIC flag of each assigned entry at once.
-    sic = np.array([t.sic_applied for t in tables.values()])
+    solved = solve_all_batch(gains, config.system_params(), config.power_limits())
+    # (scheme, pair, CU) stacks: every table assigned, and the SIC flag of
+    # each assigned entry read, at once.
+    sic = np.array([t.sic_applied for t in solved.values()])
+    assigned = hungarian_max_many(np.array([t.rate for t in solved.values()]))
     cols = np.array([a.pair_to_cu for a, _ in assigned], dtype=np.intp).reshape(sic.shape[:2])
     counts = sic[np.arange(len(sic))[:, None], np.arange(sic.shape[1]), cols].sum(axis=1)
     return (
-        {kind: total for kind, (_, total) in zip(tables, assigned)},
-        dict(zip(tables, counts.tolist())),
+        {kind: total for kind, (_, total) in zip(solved, assigned)},
+        dict(zip(solved, counts.tolist())),
     )
 
 

@@ -13,7 +13,9 @@ numpy: the half-duplex slots in closed form, FD no-SIC with
 both decoding orders of every entry that passes `fdsic.pretest`.  One
 device-swap stack of the gains (`model.device_swap_stack`) serves both HD
 half slots and both pre-test orders.  Both FD kernels return (0, 0, 0,
--inf) where an entry is infeasible.
+-inf) where an entry is infeasible.  It checks what it is given and what it
+returns: gains finite and > 0, and every returned power and rate finite and
+>= 0, so its rate tables go to the assignment as they are.
 `solve_all` is the same solve on a one-entry table, returned as
 `PaSolution`s.
 """
@@ -28,6 +30,7 @@ import numpy as np
 from .fdnosic import fd_nosic_batch
 from .fdsic import fd_sic_batch, pretest
 from .model import (
+    GAIN_FIELDS,
     ChannelGains,
     DecodingOrder,
     PaSolution,
@@ -189,14 +192,23 @@ def solve_all_batch(
     """All four schemes for every combination of a table at once.
 
     ``h`` is the table's (6, ...) gain block, rows in `model.GAIN_FIELDS`
-    order.  Every rate is `model.cu_rate` or `model.device_rate` at the
-    chosen powers, as in `scenario_rates` (FD-SIC's is `model.sic_sum_rate`,
-    which equals their sum up to rounding), and the chosen powers pass
-    `PowerTriplet`'s check.  HD half slot 2 is half slot 1 on the gains with
-    the devices swapped, and FD-SIC's M1_FIRST order is M2_FIRST on them,
-    so each slot kernel and `fdsic.pretest` run once on the gains'
-    `model.device_swap_stack`.
+    order.  Every gain must be finite and > 0, as in `ChannelGains`; the
+    first bad one raises ValueError naming its field.  Every rate is
+    `model.cu_rate` or `model.device_rate` at the chosen powers, as in
+    `scenario_rates` (FD-SIC's is `model.sic_sum_rate`, which equals their
+    sum up to rounding).  The chosen powers pass `PowerTriplet`'s check and
+    every returned rate is finite and >= 0: else ValueError, with
+    `PowerTriplet`'s message or one that starts "<scheme>: D2D rate
+    <value>".  Infeasible entries carry rate 0.  HD half slot 2 is half
+    slot 1 on the gains with the devices swapped, and FD-SIC's M1_FIRST
+    order is M2_FIRST on them, so each slot kernel and `fdsic.pretest` run
+    once on the gains' `model.device_swap_stack`.
     """
+    # One test over every gain; the per-field check runs only to name the
+    # first bad one.
+    if not (h.min(initial=np.inf) > 0.0 and h.max(initial=0.0) < np.inf):
+        for name, row in zip(GAIN_FIELDS, h):
+            check_array(name, row, strict=True)
     h_d, h_b_u = h[0], h[5]
     p1_max, p2_max, pu_max = limits.p1_max_w, limits.p2_max_w, limits.pu_max_w
     with np.errstate(all="ignore"):
@@ -229,14 +241,23 @@ def solve_all_batch(
         fd_sic_won = (sic_rate >= 0.0) & (~fd_ok | (sic_rate >= fd_rate))
     fd_sic_ok = fd_ok | fd_sic_won
     fd_powers = (p1, p2, pu)
+    # scenario_rates: each half slot carries weight 1/2.
+    rates = {
+        ScenarioKind.FD_NOSIC: np.where(fd_ok, fd_rate, 0.0),
+        ScenarioKind.HD_NOSIC: np.where(hd_ok, 0.5 * nosic.r_dev[1] + 0.5 * nosic.r_dev[0], 0.0),
+        ScenarioKind.HD_SIC: np.where(hd_ok, 0.5 * slot.r_dev[1] + 0.5 * slot.r_dev[0], 0.0),
+        ScenarioKind.FD_SIC: np.where(fd_sic_ok, np.where(fd_sic_won, sic_rate, fd_rate), 0.0),
+    }
 
-    # `_check_powers` on every returned allocation as one test; only when it
-    # fails do the per-field checks run, in turn, to raise the first failure.
+    # `_check_powers` on every returned allocation, and the "finite and >= 0"
+    # check on every returned rate, as one test; only when it fails do the
+    # per-field checks run, in turn, to raise the first failure.
     hd_slots = (nosic, slot)
     checked = np.concatenate([
         np.array([x for s in hd_slots for x in (s.p_dev, s.pu)])[..., hd_ok],
         np.array(fd_powers)[:, fd_ok],
         solved[:3, solved[3] >= 0.0],
+        *rates.values(),
     ], axis=None)
     if not (checked.min(initial=0.0) >= 0.0 and checked.max(initial=0.0) < np.inf):
         for s in hd_slots:
@@ -244,28 +265,29 @@ def solve_all_batch(
             _check_powers(hd_ok, 0.0, s.p_dev[1], s.pu[1])
         _check_powers(fd_ok, *fd_powers)
         _check_powers(solved[3] >= 0.0, *solved[:3])
+        for kind, rate in rates.items():
+            bad = ~((rate >= 0.0) & (rate < np.inf))
+            if bad.any():
+                raise ValueError(
+                    f"{kind.value}: D2D rate {float(rate[bad][0])!r} must be finite and >= 0"
+                )
 
     def half_slots(s: _SlotBatch) -> tuple:
         return (s.p_dev[0], 0.0, s.pu[0]), (0.0, s.p_dev[1], s.pu[1])
 
     no_sic = np.zeros(h_d.shape, dtype=bool)
-    # scenario_rates: each half slot carries weight 1/2.
-    hd_nosic_rate = 0.5 * nosic.r_dev[1] + 0.5 * nosic.r_dev[0]
-    hd_sic_rate = 0.5 * slot.r_dev[1] + 0.5 * slot.r_dev[0]
     return {
-        ScenarioKind.FD_NOSIC: SchemeTable(
-            np.where(fd_ok, fd_rate, 0.0), no_sic, ~fd_ok, fd_powers
-        ),
+        ScenarioKind.FD_NOSIC: SchemeTable(rates[ScenarioKind.FD_NOSIC], no_sic, ~fd_ok, fd_powers),
         ScenarioKind.HD_NOSIC: SchemeTable(
-            np.where(hd_ok, hd_nosic_rate, 0.0), no_sic, ~hd_ok, half_slots(nosic)
+            rates[ScenarioKind.HD_NOSIC], no_sic, ~hd_ok, half_slots(nosic)
         ),
         ScenarioKind.HD_SIC: SchemeTable(
-            np.where(hd_ok, hd_sic_rate, 0.0), use[0] | use[1], ~hd_ok, half_slots(slot),
+            rates[ScenarioKind.HD_SIC], use[0] | use[1], ~hd_ok, half_slots(slot),
             slot_sic=(use[0], use[1]),
         ),
         ScenarioKind.FD_SIC: SchemeTable(
-            np.where(fd_sic_ok, np.where(fd_sic_won, sic_rate, fd_rate), 0.0), fd_sic_won,
-            ~fd_sic_ok, tuple(np.where(fd_sic_won, a, b) for a, b in zip(sic_powers, fd_powers)),
+            rates[ScenarioKind.FD_SIC], fd_sic_won, ~fd_sic_ok,
+            tuple(np.where(fd_sic_won, a, b) for a, b in zip(sic_powers, fd_powers)),
             m1_first=fd_sic_won & m1_first,
         ),
     }
@@ -280,8 +302,8 @@ def solve_all(
     gains: ChannelGains, params: SystemParams, limits: PowerLimits
 ) -> dict[ScenarioKind, PaSolution]:
     """All four schemes for one combination: `solve_all_batch` on a one-entry
-    table.  A feasible solution whose D2D or CU rate overflows raises
-    ValueError, naming the scheme."""
+    table.  A feasible solution whose D2D rate (checked there) or CU rate
+    overflows raises ValueError, naming the scheme."""
     solutions = {}
     with np.errstate(all="ignore"):
         tables = solve_all_batch(gain_block(gains), params, limits)
@@ -299,11 +321,10 @@ def solve_all(
             powers = tuple(_triplet(slot) for slot in t.powers)
         else:
             powers = _triplet(t.powers)
-        rate = float(t.rate[0])
         r_u = scenario_rates(scenario, powers, gains, params)[0]
-        if not (math.isfinite(rate) and math.isfinite(r_u)):
-            raise ValueError(f"{kind.value}: D2D rate {rate!r} and CU rate {r_u!r} must be finite")
+        if not math.isfinite(r_u):
+            raise ValueError(f"{kind.value}: CU rate {r_u!r} must be finite")
         solutions[kind] = PaSolution(
-            scenario, powers, rate, r_u, sic_applied=bool(t.sic_applied[0])
+            scenario, powers, float(t.rate[0]), r_u, sic_applied=bool(t.sic_applied[0])
         )
     return solutions

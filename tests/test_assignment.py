@@ -567,14 +567,28 @@ def test_one_table_equals_its_stack_of_two():
         assert hungarian_max(table) == hungarian_max_many([table, table])[0]
 
 
-def test_many_of_no_tables_is_empty():
-    assert hungarian_max_many([]) == []
+def test_many_of_an_empty_stack_is_empty():
+    assert hungarian_max_many(np.zeros((0, 3, 5))) == []
 
 
-def test_many_rejects_tables_of_two_shapes():
-    tables = [np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 4))]
-    with pytest.raises(ValueError, match=r"one shape, got \(2, 3\) and \(2, 4\)"):
-        hungarian_max_many(tables)
+def test_many_takes_a_stack_of_tables():
+    """`hungarian_max_many` takes one (B, D, K) array: a table alone, or a
+    stack whose tables have more rows than columns, is rejected; a list of
+    same-shape tables is that stack."""
+    with pytest.raises(ValueError, match=r"must be a 3-D \(B, D, K\) stack, got 2-D"):
+        hungarian_max_many(np.ones((3, 5)))
+    with pytest.raises(ValueError, match=r"more D2D rows \(5\) than CU columns \(3\)"):
+        hungarian_max_many(np.ones((2, 5, 3)))
+    stack = np.random.default_rng(86).uniform(0.0, 1.0, (3, 4, 6))
+    assert hungarian_max_many(list(stack)) == hungarian_max_many(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_many_names_a_non_finite_entry_in_its_table(bad):
+    stack = np.random.default_rng(87).uniform(0.0, 1.0, (4, 3, 5))
+    stack[2, 1, 4] = bad
+    with pytest.raises(ValueError, match=rf"rate table entry \(1, 4\) must be finite, got {bad!r}"):
+        hungarian_max_many(stack)
 
 
 def test_overflowing_totals_rejected():
@@ -657,38 +671,6 @@ class TestRateTable:
             RateTable(np.array([[-1.0, 0.0]]))
         with pytest.raises(ValueError):
             RateTable(np.zeros((2, 3)), sic_applied=np.zeros((1, 3), dtype=bool))
-
-    def test_stack_checks_as_the_constructor_does(self):
-        """`RateTable.stack` gives the tables the constructor gives, and
-        rejects a bad entry of any table with the constructor's message."""
-        rng = np.random.default_rng(84)
-        rates = rng.uniform(0.0, 1.0, (4, 3, 5))
-        sic = rng.random((4, 3, 5)) < 0.5
-        infeasible = rng.random((4, 3, 5)) < 0.2
-        rates[infeasible] = 0.0
-        got = RateTable.stack(rates, sic, infeasible)
-        want = [RateTable(*fields) for fields in zip(rates, sic, infeasible)]
-        assert len(got) == 4
-        for a, b in zip(got, want):
-            for name in ("rates", "sic_applied", "infeasible"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for bad, what in ((np.nan, "finite and >= 0"), (-1.0, "finite and >= 0")):
-            broken = rates.copy()
-            broken[2, 1, 3] = bad
-            message = rf"rate table entry \(1, 3\) must be {what}"
-            with pytest.raises(ValueError, match=message):
-                RateTable(broken[2], sic[2], infeasible[2])
-            with pytest.raises(ValueError, match=message):
-                RateTable.stack(broken, sic, infeasible)
-        lifted = rates.copy()
-        lifted[infeasible] = 1.0
-        with pytest.raises(ValueError, match="infeasible entries must carry rate 0"):
-            RateTable.stack(lifted, sic, infeasible)
-        with pytest.raises(ValueError, match="flag arrays must match"):
-            RateTable.stack(rates, sic[:, :2], infeasible)
-        with pytest.raises(ValueError, match=r"more D2D rows \(5\) than CU columns \(3\)"):
-            RateTable.stack(rates.transpose(0, 2, 1), sic, infeasible)
 
     def test_hungarian_accepts_rate_table(self):
         table = RateTable(np.array([[2.0, 1.0], [1.0, 2.0]]))

@@ -33,7 +33,6 @@ from d2dpa.model import (
     gain_block,
     pu_min,
     sic_sum_rate,
-    within_limits,
 )
 from d2dpa.sim import SimConfig, gains_from_deployment, generate_deployment, sample_combo_gains
 from d2dpa.solvers import _fd_sic_table, solve_all
@@ -437,7 +436,9 @@ class TestSegments:
             for p1, p2, pu in segment_ends(seg, default_limits):
                 for j in np.flatnonzero(seg.has[:, 0]):
                     pt = PowerTriplet(p1[j, 0], p2[j, 0], pu[j, 0])
-                    assert within_limits(pt.p1_w, pt.p2_w, pt.pu_w, default_limits, rel_tol=1e-9)
+                    assert pt.p1_w <= default_limits.p1_max_w * (1.0 + 1e-9)
+                    assert pt.p2_w <= default_limits.p2_max_w * (1.0 + 1e-9)
+                    assert pt.pu_w <= default_limits.pu_max_w * (1.0 + 1e-9)
                     scale = max(pt.pu_w, planes.ceil3.height(pt.p1_w, pt.p2_w), 1e-300)
                     pmc, _ = margins(pt.p1_w, pt.p2_w, pt.pu_w)
                     assert all(m >= -1e-9 * scale for m in pmc)
@@ -565,7 +566,9 @@ class TestSolveOrder:
                 p.p1_w, p.p2_w, p.pu_w
             )
             assert all(m >= -1e-9 * sic_scale for m in sic)
-            assert within_limits(p.p1_w, p.p2_w, p.pu_w, default_limits, rel_tol=1e-9)
+            assert p.p1_w <= default_limits.p1_max_w * (1.0 + 1e-9)
+            assert p.p2_w <= default_limits.p2_max_w * (1.0 + 1e-9)
+            assert p.pu_w <= default_limits.pu_max_w * (1.0 + 1e-9)
             assert sol.r_u_bps >= params.r_u_min_bps * (1 - 1e-9)
 
     def test_optimum_on_box_boundary(self, default_limits):

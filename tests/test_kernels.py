@@ -20,7 +20,6 @@ from d2dpa.model import (
     dbm_to_watts,
     rate_floor_snr,
     scenario_rates,
-    within_limits,
 )
 from d2dpa.oracle import _fd_sic_mask
 from d2dpa.solvers import SIC_ORDERS, solve_all
@@ -57,7 +56,7 @@ def test_cap_corner_stays_inside_the_box():
     limits = PowerLimits(1e-3, dbm_to_watts(1.0), dbm_to_watts(-8.0))
     sol = solve_all(gains, params, limits)[ScenarioKind.FD_NOSIC]
     p = sol.powers
-    assert within_limits(p.p1_w, p.p2_w, p.pu_w, limits, rel_tol=0.0)
+    assert p.p1_w <= limits.p1_max_w and p.p2_w <= limits.p2_max_w and p.pu_w <= limits.pu_max_w
     swapped = solve_all(
         gains.swapped_devices(), params.swapped_devices(), limits.swapped_devices()
     )[ScenarioKind.FD_NOSIC]
@@ -210,7 +209,11 @@ def _oracle_accepts(point, gains, params, limits, order) -> bool:
         point.pu_w * nudge[None, None, :], gains, params.eta1, params.eta2, order,
     )
     floor = point.pu_w * gains.h_b_u >= (1.0 - REL_TOL) * rate_floor_snr(params) * params.noise_w
-    within = within_limits(point.p1_w, point.p2_w, point.pu_w, limits, REL_TOL)
+    within = (
+        point.p1_w <= limits.p1_max_w * (1.0 + REL_TOL)
+        and point.p2_w <= limits.p2_max_w * (1.0 + REL_TOL)
+        and point.pu_w <= limits.pu_max_w * (1.0 + REL_TOL)
+    )
     return bool(strict.any()) and floor and within
 
 

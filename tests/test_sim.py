@@ -541,6 +541,15 @@ class TestCampaign:
         for kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
             assert np.array_equal(a.totals_bps[kind], b.totals_bps[kind])
 
+    def test_overflowing_rate_names_the_scheme(self):
+        """A reference path loss of -3000 dB: trial 0 solves, trial 1 has a
+        D2D rate that overflows, and the campaign fails naming its scheme,
+        with no overflow warning on the way."""
+        cfg = SimConfig(path_loss_ref_db=-3000.0, trials=2)
+        schemes = "|".join(kind.value for kind in ScenarioKind)
+        with pytest.raises(ValueError, match=rf"^({schemes}): D2D rate inf must be finite"):
+            run_campaign(cfg)
+
     @pytest.mark.parametrize("law", ["uniform", "fixed"])
     def test_zero_pair_distance_rejected_before_first_trial(self, law, monkeypatch):
         cfg = SimConfig(d_max_m=0.0, trials=1, pair_distance_law=law)
