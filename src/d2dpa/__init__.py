@@ -6,7 +6,6 @@ brute-force grid validator and a Monte Carlo campaign engine.
 """
 
 from .assignment import Assignment, RateTable, hungarian_max
-from .fdsic import solve_fd_sic_order, sufficient_feasibility
 from .model import (
     ChannelGains,
     DecodingOrder,
@@ -31,7 +30,7 @@ from .sim import (
     generate_deployment,
     run_campaign,
 )
-from .solvers import solve_all
+from .solvers import solve_all, solve_fd_sic_order, sufficient_feasibility
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .assignment import hungarian_max
-from .fdsic import sufficient_feasibility
 from .model import (
     GAIN_FIELDS,
     ChannelGains,
@@ -40,7 +39,7 @@ from .sim import (
     run_campaign,
     sample_combo_gains,
 )
-from .solvers import solve_all
+from .solvers import solve_all, sufficient_feasibility
 
 USAGE_EXIT = 1
 VIOLATION_EXIT = 2

@@ -17,8 +17,9 @@ The whole solve is a constant number of array operations.
 Two decoding orders exist at the BS (strip the second device's message first,
 or the first's); they share the floor planes and differ in the ceilings.
 
-`fd_sic_batch` solves many (combination, order) pairs at once with numpy, and
-`solve_fd_sic_order` is the same solve on one pair.  The chosen point must
+`fd_sic_batch` solves many (combination, order) pairs at once with numpy.
+The module holds array code only: `solvers` calls the batch and turns its
+arrays into `PaSolution`s, for one combination too.  The chosen point must
 pass an exact check of every constraint.  On a sliver segment the best point
 may sit closer to a plane than double precision can certify; it is then
 pulled toward the segment's middle in fixed steps, and the next-best segment
@@ -32,7 +33,7 @@ So each step is one numpy call over its stack, whatever the number of pairs.
 
 Each constraint predicate (`constraint_planes` with `pmc_margins`,
 `sic_rate_margins`, `pretest`) exists once, in the array form the batch
-runs; `sufficient_feasibility` is `pretest` on one combination.
+runs; `solvers.sufficient_feasibility` is `pretest` on one combination.
 """
 
 from __future__ import annotations
@@ -41,21 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    ChannelGains,
-    DecodingOrder,
-    PaSolution,
-    PowerLimits,
-    PowerTriplet,
-    Scenario,
-    ScenarioKind,
-    SystemParams,
-    cu_rate,
-    device_swap_stack,
-    gain_block,
-    pu_min,
-    sic_sum_rate,
-)
+from .model import PowerLimits, SystemParams, sic_sum_rate
 
 REL_TOL = 1e-9
 
@@ -179,18 +166,6 @@ def pretest(hs, params: SystemParams, limits: PowerLimits, pu_m):
         & (pu_m * h_b_u / h_b_d1 < p1_max)
         & (2.0 * pu_m * h_b_u / h_b_d2 < p2_max)
     )
-
-
-def sufficient_feasibility(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    pu_m: float,
-    order: DecodingOrder,
-) -> bool:
-    """`pretest` on one combination, for one decoding order."""
-    hs = device_swap_stack(gain_block(gains)[:, 0])
-    return bool(pretest(hs, params, limits, pu_m)[int(order is DecodingOrder.M1_FIRST)])
 
 
 # ---------------------------------------------------------------------------
@@ -499,31 +474,3 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
 
 # What `fd_sic_batch` returns for a pair with no certified point.
 _NO_ANSWER = np.array([0.0, 0.0, 0.0, -np.inf])[:, None]
-
-
-def solve_fd_sic_order(
-    gains: ChannelGains,
-    params: SystemParams,
-    limits: PowerLimits,
-    order: DecodingOrder,
-) -> PaSolution | None:
-    """Optimal FD mutual-SIC allocation for one decoding order, or None when
-    the admissible region is empty or no point of it can be certified:
-    `fd_sic_batch` on one pair."""
-    pu_m = pu_min(params, gains.h_b_u)
-    if not sufficient_feasibility(gains, params, limits, pu_m, order):
-        return None
-    h = gain_block(gains)
-    m1_first = np.array([order is DecodingOrder.M1_FIRST])
-    with np.errstate(all="ignore"):
-        p1, p2, pu, rate = fd_sic_batch(h, params, limits, np.array([pu_m]), m1_first)
-        r_u = cu_rate(p1[0], p2[0], pu[0], h[:, 0], params, sic=True)
-    if rate[0] == -np.inf:
-        return None
-    return PaSolution(
-        scenario=Scenario(ScenarioKind.FD_SIC, order=order),
-        powers=PowerTriplet(float(p1[0]), float(p2[0]), float(pu[0])),
-        r_d2d_bps=float(rate[0]),
-        r_u_bps=float(r_u),
-        sic_applied=True,
-    )

@@ -365,25 +365,24 @@ def run_campaign(config: SimConfig) -> CampaignResult:
     return CampaignResult(config=config, totals_bps=totals, sic_pairs=counts)
 
 
-def sample_combo_gains(rng: np.random.Generator, config: SimConfig | None = None) -> ChannelGains:
+def sample_combo_gains(rng: np.random.Generator, config: SimConfig) -> ChannelGains:
     """One random (pair, CU) gain draw from the deployment distribution.
 
     Convenience for solver validation: a single pair and a single CU dropped
-    in the cell with the campaign propagation model.
+    in the cell of ``config`` with its propagation model.
     """
-    cfg = config if config is not None else SimConfig(k_users=1, d_pairs=1, trials=1)
-    check_campaign(cfg)
-    radius = cfg.cell_radius_m
+    check_campaign(config)
+    radius = config.cell_radius_m
     # Scalar draws: the shadowing draws below continue on the same generator.
     d1 = _uniform_hexagon_point(rng.random, radius)
-    d2 = _partner(rng.random, *d1, cfg)
+    d2 = _partner(rng.random, *d1, config)
     cu = _uniform_hexagon_point(rng.random, radius)
-    alpha = cfg.path_loss_exponent
-    std = cfg.shadowing_std_db
+    alpha = config.path_loss_exponent
+    std = config.shadowing_std_db
 
     def gain(ax: float, ay: float, bx: float, by: float) -> float:
         d = math.hypot(ax - bx, ay - by)
-        return d**-alpha * 10.0 ** ((rng.normal(0.0, std) - cfg.path_loss_ref_db) / 10.0)
+        return d**-alpha * 10.0 ** ((rng.normal(0.0, std) - config.path_loss_ref_db) / 10.0)
 
     return ChannelGains(
         h_d=gain(*d1, *d2),

@@ -16,8 +16,14 @@ half slots and both pre-test orders.  Both FD kernels return (0, 0, 0,
 -inf) where an entry is infeasible.  It checks what it is given and what it
 returns: gains finite and > 0, and every returned power and rate finite and
 >= 0, so its rate tables go to the assignment as they are.
-`solve_all` is the same solve on a one-entry table, returned as
-`PaSolution`s.
+
+This module is the one place where kernel arrays become the object model
+(`ChannelGains` in, `PaSolution` out); `fdsic` and `fdnosic` hold array
+code only.  `solve_all` is the same solve on a one-entry table, and
+`solve_fd_sic_order` is its FD-SIC step (`_fd_sic_table`) on a one-entry
+table whose other decoding order fails the pre-test; both build every
+`PaSolution` in `_solution`.  `sufficient_feasibility` is `fdsic.pretest`
+on one combination and one order.
 """
 
 from __future__ import annotations
@@ -69,19 +75,6 @@ class SchemeTable:
     powers: tuple
     m1_first: np.ndarray | None = None
     slot_sic: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _infeasible(kind: ScenarioKind) -> PaSolution:
-    zero = PowerTriplet(0.0, 0.0, 0.0)
-    if kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
-        powers: PowerTriplet | tuple[PowerTriplet, PowerTriplet] = (zero, zero)
-        scenario = Scenario(
-            kind, slot_sic=(False, False) if kind is ScenarioKind.HD_SIC else None
-        )
-    else:
-        powers = zero
-        scenario = Scenario(kind)
-    return PaSolution(scenario, powers, 0.0, 0.0, sic_applied=False, feasible=False)
 
 
 @dataclass(frozen=True)
@@ -293,9 +286,36 @@ def solve_all_batch(
     }
 
 
-def _triplet(powers: tuple) -> PowerTriplet:
-    """The triplet of a one-entry table's (p1, p2, pu)."""
-    return PowerTriplet(*(float(np.ravel(p)[0]) for p in powers))
+def _solution(
+    kind: ScenarioKind, t: SchemeTable, gains: ChannelGains, params: SystemParams
+) -> PaSolution:
+    """The one entry of ``t``, a one-entry table of scheme ``kind``, as a
+    `PaSolution` with the CU rate from `scenario_rates`.  An infeasible entry
+    gets zero powers; the table already holds its rate 0 and its SIC flags
+    False.  A CU rate that is not finite raises ValueError, naming the
+    scheme."""
+    feasible = not t.infeasible[0]
+
+    def triplet(powers: tuple) -> PowerTriplet:
+        return PowerTriplet(*(float(np.ravel(p)[0]) if feasible else 0.0 for p in powers))
+
+    if kind is ScenarioKind.HD_SIC:
+        scenario = Scenario(kind, slot_sic=(bool(t.slot_sic[0][0]), bool(t.slot_sic[1][0])))
+    elif kind is ScenarioKind.FD_SIC and t.sic_applied[0]:
+        scenario = Scenario(kind, order=SIC_ORDERS[int(t.m1_first[0])])
+    else:
+        scenario = Scenario(kind)
+    if kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
+        powers = tuple(triplet(slot) for slot in t.powers)
+    else:
+        powers = triplet(t.powers)
+    r_u = scenario_rates(scenario, powers, gains, params)[0]
+    if not math.isfinite(r_u):
+        raise ValueError(f"{kind.value}: CU rate {r_u!r} must be finite")
+    return PaSolution(
+        scenario, powers, float(t.rate[0]), r_u,
+        sic_applied=bool(t.sic_applied[0]), feasible=feasible,
+    )
 
 
 def solve_all(
@@ -304,27 +324,41 @@ def solve_all(
     """All four schemes for one combination: `solve_all_batch` on a one-entry
     table.  A feasible solution whose D2D rate (checked there) or CU rate
     overflows raises ValueError, naming the scheme."""
-    solutions = {}
     with np.errstate(all="ignore"):
         tables = solve_all_batch(gain_block(gains), params, limits)
-    for kind, t in tables.items():
-        if t.infeasible[0]:
-            solutions[kind] = _infeasible(kind)
-            continue
-        if kind is ScenarioKind.HD_SIC:
-            scenario = Scenario(kind, slot_sic=(bool(t.slot_sic[0][0]), bool(t.slot_sic[1][0])))
-        elif kind is ScenarioKind.FD_SIC and t.sic_applied[0]:
-            scenario = Scenario(kind, order=SIC_ORDERS[int(t.m1_first[0])])
-        else:
-            scenario = Scenario(kind)
-        if kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC):
-            powers = tuple(_triplet(slot) for slot in t.powers)
-        else:
-            powers = _triplet(t.powers)
-        r_u = scenario_rates(scenario, powers, gains, params)[0]
-        if not math.isfinite(r_u):
-            raise ValueError(f"{kind.value}: CU rate {r_u!r} must be finite")
-        solutions[kind] = PaSolution(
-            scenario, powers, float(t.rate[0]), r_u, sic_applied=bool(t.sic_applied[0])
-        )
-    return solutions
+    return {kind: _solution(kind, t, gains, params) for kind, t in tables.items()}
+
+
+def sufficient_feasibility(
+    gains: ChannelGains,
+    params: SystemParams,
+    limits: PowerLimits,
+    pu_m: float,
+    order: DecodingOrder,
+) -> bool:
+    """`pretest` on one combination, for one decoding order."""
+    hs = device_swap_stack(gain_block(gains)[:, 0])
+    return bool(pretest(hs, params, limits, pu_m)[int(order is DecodingOrder.M1_FIRST)])
+
+
+def solve_fd_sic_order(
+    gains: ChannelGains,
+    params: SystemParams,
+    limits: PowerLimits,
+    order: DecodingOrder,
+) -> PaSolution | None:
+    """Optimal FD mutual-SIC allocation for one decoding order, or None when
+    the admissible region is empty or no point of it can be certified:
+    `_fd_sic_table` on a one-entry table whose other order fails the
+    pre-test."""
+    h = gain_block(gains)
+    with np.errstate(all="ignore"):
+        pu_m = pu_min(params, h[5])
+        passes = pretest(device_swap_stack(h), params, limits, pu_m)
+        passes[[o is not order for o in SIC_ORDERS]] = False
+        *powers, rate, m1_first, _ = _fd_sic_table(h, params, limits, pu_m, passes)
+    if rate[0] == -np.inf:
+        return None
+    solved = np.ones(1, dtype=bool)
+    table = SchemeTable(rate, solved, ~solved, tuple(powers), m1_first=m1_first)
+    return _solution(ScenarioKind.FD_SIC, table, gains, params)

@@ -9,7 +9,6 @@ from d2dpa.fdsic import (
     plane_heights,
     pmc_margins,
     sic_rate_margins,
-    sufficient_feasibility,
 )
 from d2dpa.model import (
     DecodingOrder,
@@ -20,6 +19,7 @@ from d2dpa.model import (
     pu_min,
 )
 from d2dpa.sim import SimConfig, sample_combo_gains
+from d2dpa.solvers import sufficient_feasibility
 
 NOISE_W = dbm_to_watts(-119.0)
 BW_HZ = 312.5e3

@@ -15,11 +15,10 @@ import pytest
 
 from conftest import sample_fd_sic_feasible, sample_instances
 from d2dpa.assignment import hungarian_max
-from d2dpa.fdsic import solve_fd_sic_order
 from d2dpa.model import DecodingOrder, ScenarioKind, pu_min
 from d2dpa.oracle import GridSpec, check_solution
 from d2dpa.sim import SimConfig, run_campaign
-from d2dpa.solvers import solve_all
+from d2dpa.solvers import solve_all, solve_fd_sic_order
 
 GRID200 = GridSpec(200)
 ETAS = (-130.0, -120.0, -110.0, -100.0, -90.0, -80.0)

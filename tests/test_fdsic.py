@@ -18,8 +18,6 @@ from d2dpa.fdsic import (
     segments,
     side_points,
     sic_rate_margins,
-    solve_fd_sic_order,
-    sufficient_feasibility,
 )
 from d2dpa.model import (
     ChannelGains,
@@ -35,7 +33,7 @@ from d2dpa.model import (
     sic_sum_rate,
 )
 from d2dpa.sim import SimConfig, gains_from_deployment, generate_deployment, sample_combo_gains
-from d2dpa.solvers import _fd_sic_table, solve_all
+from d2dpa.solvers import _fd_sic_table, solve_all, solve_fd_sic_order, sufficient_feasibility
 
 ORDERS = (DecodingOrder.M2_FIRST, DecodingOrder.M1_FIRST)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_params
 from d2dpa import fdnosic
-from d2dpa.fdsic import REL_TOL, solve_fd_sic_order
+from d2dpa.fdsic import REL_TOL
 from d2dpa.model import (
     ChannelGains,
     PowerLimits,
@@ -22,7 +22,7 @@ from d2dpa.model import (
     scenario_rates,
 )
 from d2dpa.oracle import _fd_sic_mask
-from d2dpa.solvers import SIC_ORDERS, solve_all
+from d2dpa.solvers import SIC_ORDERS, solve_all, solve_fd_sic_order
 
 
 def test_pure_kernel_handles_infeasible(default_limits):

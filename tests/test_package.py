@@ -21,3 +21,24 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_kernel_modules_use_no_object_model_names():
+    """`fdsic` and `fdnosic` hold array code only: turning their arrays into
+    `PaSolution`s and the like is `solvers`' job."""
+    import ast
+
+    model_names = {
+        "ChannelGains", "PaSolution", "PowerTriplet", "Scenario", "ScenarioKind",
+        "DecodingOrder", "gain_block",
+    }
+    home = pathlib.Path(d2dpa.__file__).resolve().parent
+    for module in ("fdsic.py", "fdnosic.py"):
+        tree = ast.parse((home / module).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & model_names, module

@@ -6,13 +6,14 @@ from conftest import BW_HZ, NOISE_W, make_params, sample_instances
 from d2dpa.model import (
     ChannelGains,
     PowerLimits,
+    PowerTriplet,
     Scenario,
     ScenarioKind,
     SystemParams,
     rate_floor_snr,
     scenario_rates,
 )
-from d2dpa.oracle import GridSpec, brute_force
+from d2dpa.oracle import GridSpec, check_solution
 from d2dpa.solvers import solve_all
 
 
@@ -58,14 +59,13 @@ class TestHdNoSic:
     def test_matches_grid_oracle(self, default_limits, r_u_min_bps):
         for gains, params in sample_instances(seed=101, count=25, r_u_min_bps=r_u_min_bps):
             sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_NOSIC]
-            ref = brute_force(
-                Scenario(ScenarioKind.HD_NOSIC), gains, params, default_limits, GridSpec(150)
+            gap, violation = check_solution(
+                Scenario(ScenarioKind.HD_NOSIC), sol, gains, params, default_limits, GridSpec(150)
             )
-            if ref is None:
-                assert not sol.feasible
-                continue
-            assert sol.feasible
-            assert sol.r_d2d_bps >= ref.r_d2d_bps * (1 - 1e-9)
+            assert not violation
+            # check_solution accepts an infeasible solution against a grid
+            # optimum of 0; a non-empty grid needs a feasible one here.
+            assert gap is None or sol.feasible
 
 
 class TestHdSic:
@@ -133,14 +133,11 @@ class TestHdSic:
     def test_matches_grid_oracle(self, default_limits):
         for gains, params in sample_instances(seed=104, count=25):
             sol = solve_all(gains, params, default_limits)[ScenarioKind.HD_SIC]
-            ref = brute_force(
+            _, violation = check_solution(
                 Scenario(ScenarioKind.HD_SIC, slot_sic=(False, False)),
-                gains, params, default_limits, GridSpec(150),
+                sol, gains, params, default_limits, GridSpec(150),
             )
-            if ref is None:
-                assert not sol.feasible
-                continue
-            assert sol.r_d2d_bps >= ref.r_d2d_bps * (1 - 1e-9)
+            assert not violation
 
     def test_cu_power_is_minimal_per_slot(self, default_limits):
         for gains, params in sample_instances(seed=105, count=60):
@@ -203,13 +200,10 @@ class TestFdNoSic:
     def test_matches_grid_oracle(self, default_limits, r_u_min_bps):
         for gains, params in sample_instances(seed=107, count=12, r_u_min_bps=r_u_min_bps):
             sol = solve_all(gains, params, default_limits)[ScenarioKind.FD_NOSIC]
-            ref = brute_force(
-                Scenario(ScenarioKind.FD_NOSIC), gains, params, default_limits, GridSpec(100)
+            _, violation = check_solution(
+                Scenario(ScenarioKind.FD_NOSIC), sol, gains, params, default_limits, GridSpec(100)
             )
-            if ref is None:
-                assert not sol.feasible
-                continue
-            assert ref.r_d2d_bps - sol.r_d2d_bps <= 1e-9 * max(ref.r_d2d_bps, 1.0)
+            assert not violation
 
     def test_solution_meets_cu_floor(self, default_limits):
         for gains, params in sample_instances(seed=108, count=40):
@@ -235,7 +229,7 @@ class TestFdSic:
             assert sic.r_d2d_bps >= nosic.r_d2d_bps
 
     def test_returns_best_of_both_orders(self, default_limits):
-        from d2dpa.fdsic import solve_fd_sic_order, sufficient_feasibility
+        from d2dpa.solvers import solve_fd_sic_order, sufficient_feasibility
         from d2dpa.model import DecodingOrder, pu_min
 
         both_seen = 0
@@ -288,6 +282,14 @@ class TestSolveAll:
         g = gains_of(hd=1e-6, b1=1e-9, b2=1e-9, h1u=1e-9, h2u=1e-9, bu=1e-12)
         params = make_params()
         limits = PowerLimits(0.25, 0.25, 1e-9)
+        zero = PowerTriplet(0.0, 0.0, 0.0)
         for kind, sol in solve_all(g, params, limits).items():
             assert not sol.feasible
             assert sol.r_d2d_bps == 0.0
+            hd = kind in (ScenarioKind.HD_NOSIC, ScenarioKind.HD_SIC)
+            assert sol.powers == ((zero, zero) if hd else zero)
+            assert sol.r_u_bps == 0.0
+            assert not sol.sic_applied
+            assert sol.scenario.order is None
+            expected = (False, False) if kind is ScenarioKind.HD_SIC else None
+            assert sol.scenario.slot_sic == expected
