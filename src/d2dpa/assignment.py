@@ -30,23 +30,19 @@ def linear_sum_assignment(rates: np.ndarray, maximize: bool = False):
     return _scipy_lsa(rates, maximize=maximize)
 
 
-def _check_shape(rates: np.ndarray, ndim: int = 2) -> None:
-    """Reject a rate table (``ndim`` 2), or a stack of tables (``ndim`` 3),
-    of another number of axes, or whose tables have more rows than columns."""
-    if ndim == 2 and rates.ndim != 2:
+def _check_shape(rates: np.ndarray) -> None:
+    """Reject a rate table that is not 2-D or has more rows than columns."""
+    if rates.ndim != 2:
         raise ValueError("rate table must be 2-D")
-    if rates.ndim != ndim:
-        raise ValueError(f"rate tables must be a 3-D (B, D, K) stack, got {rates.ndim}-D")
-    d, k = rates.shape[-2:]
+    d, k = rates.shape
     if d > k:
         raise ValueError(f"more D2D rows ({d}) than CU columns ({k})")
 
 
 def _raise_first_bad(rates: np.ndarray, ok: np.ndarray, what: str) -> None:
-    """Raise for the first entry of a table, or of a stack of tables, where
-    ``ok`` is False, naming its place in its table."""
-    *table, row, col = np.argwhere(~ok)[0].tolist()
-    rates = rates[tuple(table)]
+    """Raise for the first entry of a table where ``ok`` is False, naming
+    its place."""
+    row, col = np.argwhere(~ok)[0].tolist()
     raise ValueError(
         f"rate table entry ({row}, {col}) must be {what}, got {float(rates[row, col])!r}"
     )
@@ -107,11 +103,11 @@ def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
-    """The graph of moves off the optimal mapping ``cols`` of each table of
-    a (B, D, K) stack, with ``cols`` (B, D) and ``own`` (B, D) each row's
-    entry there: ``slack`` (B, D, K), what row r gives up by moving from its
-    column to column c; ``node`` (B, K), the graph node of each column; and
-    ``dist`` (B, n, n), the edge weights.
+    """The graph of moves off the optimal mapping ``cols`` of the (D, K)
+    table ``rates``, with ``own`` each row's entry there: ``slack`` (D, K),
+    what row r gives up by moving from its column to column c; ``node``
+    (K,), the graph node of each column; and ``dist`` (n, n), the edge
+    weights.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
@@ -122,47 +118,45 @@ def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
     may move onto any column at no cost; ``dist[i, j]`` is what row i gives
     up by moving onto node j, so ``dist[:D, :D]`` is the slack at the
     mapping's columns and ``dist[:D, D]`` each row's least slack over the
-    unused columns.  Only the tables whose certificate fails build it (see
+    unused columns.  Only a table whose certificate fails builds it (see
     ``_left_certified``).
     """
-    b, d, k = rates.shape
-    tab = np.arange(b)[:, None]
-    slack = own[:, :, None] - rates
-    free = np.ones((b, k), dtype=bool)
-    free[tab, cols] = False
-    node = np.full((b, k), d)
-    node[tab, cols] = np.arange(d)
+    d, k = rates.shape
+    slack = own[:, None] - rates
+    free = np.ones(k, dtype=bool)
+    free[cols] = False
+    node = np.full(k, d)
+    node[cols] = np.arange(d)
     n = d + (d < k)
-    dist = np.zeros((b, n, n))
-    dist[:, :d, :d] = slack[tab, :, cols].transpose(0, 2, 1)
+    dist = np.zeros((n, n))
+    dist[:d, :d] = slack[:, cols]
     if d < k:
-        dist[:, :d, d] = np.where(free[:, None, :], slack, np.inf).min(axis=2)
+        dist[:d, d] = slack[:, free].min(axis=1)
     return slack, node, dist
 
 
 @np.errstate(over="ignore")
 def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Least total any mapping gives up against the optimal mapping when it
-    sends row r to column c, for each table of the stack whose
-    `_mapping_graph` is (``slack``, ``node``, ``dist``): a (B, D, K) array.
-    ``dist`` is overwritten with the shortest paths.
+    sends row r to column c, for the table whose `_mapping_graph` is
+    (``slack``, ``node``, ``dist``): a (D, K) array.  ``dist`` is
+    overwritten with the shortest paths.
 
     The loss of sending r to c is at least the cheapest cycle through that
     move, and that cycle is itself a mapping.  It is found as the move plus
     a shortest path back (no cycle is negative, so shortest paths exist),
-    from one Floyd-Warshall pass over the graph.  Every step is elementwise
-    or a minimum, so each table of a stack gets the same bits as on its own.
+    from one Floyd-Warshall pass over the graph.
 
     Overflow is allowed: every estimate and sum is the weight of a walk,
     which closes into a cycle (weight >= 0) with one more edge (weight at
     most the table's range), so each is at least -range.  A sum can
     overflow only to +inf, which exceeds every bound: no entry turns near.
     """
-    b, d, _ = slack.shape
+    d = slack.shape[0]
     through = np.empty_like(dist)
-    for col, row in zip(dist.transpose(2, 0, 1)[:, :, :, None], dist.transpose(1, 0, 2)[:, :, None]):
+    for col, row in zip(dist.T[:, :, None], dist[:, None]):
         np.minimum(dist, np.add(col, row, out=through), out=dist)
-    return slack + dist[np.arange(b)[:, None], node, :d].transpose(0, 2, 1)
+    return slack + dist[node, :d].T
 
 
 def _left_certified(
@@ -218,11 +212,11 @@ def _left_certified(
     return _solve(rates + delta * (left & (holder > rows[:, None])))[0] <= total + eps
 
 
-def _checked_rates(tables, ndim: int) -> np.ndarray:
-    """A table (``ndim`` 2) or a (B, D, K) stack of tables (``ndim`` 3) as a
-    float array, checked to be finite with no more rows than columns."""
-    rates = np.asarray(tables, dtype=float)
-    _check_shape(rates, ndim)
+def _checked_rates(table) -> np.ndarray:
+    """A table as a float array, checked to be finite with no more rows than
+    columns."""
+    rates = np.asarray(table, dtype=float)
+    _check_shape(rates)
     if not np.isfinite(rates).all():
         _raise_first_bad(rates, np.isfinite(rates), "finite")
     return rates
@@ -233,7 +227,8 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
 
     Requires no more rows than columns.  The total is the exact optimum; among
     all optimal assignments the returned one has the smallest column for row
-    0, then for row 1, and so on.  This is `hungarian_max_many` on one table.
+    0, then for row 1, and so on.  (A campaign trial reads scipy's first
+    optimal mapping instead; see `sim.trial_from_gains`.)
 
     Row by row, the first free column that still admits an optimal
     completion is fixed.  An optimal completion is always at hand (the first
@@ -258,87 +253,47 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     solve is then returned with no graph and no pass.  Ties right of the
     first mapping, and left of it on columns that earlier rows hold, do not
     fail it.
-    """
-    rates = table.rates if isinstance(table, RateTable) else _checked_rates(table, 2)
-    return _hungarian_max_stack(rates[None])[0]
 
-
-def hungarian_max_many(tables) -> list[tuple[Assignment, float]]:
-    """`hungarian_max` of each table of a (B, D, K) stack, with the forcing
-    losses of those the certificate leaves from one stacked pass.
-
-    ``tables`` is any array-like of that shape, such as a list of
-    same-shape tables; it must be finite with D <= K, else ValueError
-    naming the first bad entry by its place in its table.  Every table is
-    certified as `hungarian_max` certifies it, and only the tables that
-    fail share the pass's D + 1 steps; only a table with a near column left
-    of a row's first-solve column runs the tie-break.  A (0, D, K) stack
-    gives an empty list.
-    """
-    return _hungarian_max_stack(_checked_rates(tables, 3))
-
-
-def _hungarian_max_stack(rates: np.ndarray) -> list[tuple[Assignment, float]]:
-    """`hungarian_max` of each table of a checked (B, D, K) stack.
-
-    Every table, whatever B, takes the certificate; those that fail share
-    one move graph and pass, then run the tie-break where a row can move.
     A table whose mapping totals or slack can overflow is rejected: the
     rows' largest |entries| must have a finite sum, and the table's range
     (largest entry minus smallest), which bounds every slack, must be
     finite.
     """
-    b, d, k = rates.shape
-    if b == 0 or d == 0:
-        return [(Assignment(()), 0.0)] * b
-    peaks = np.abs(rates).max(axis=(1, 2)).tolist()
+    rates = table.rates if isinstance(table, RateTable) else _checked_rates(table)
+    d = rates.shape[0]
+    if d == 0:
+        return Assignment(()), 0.0
+    peak = float(np.abs(rates).max())
     # A mapping total is at most the sum of the rows' largest |entries|,
     # and the range at most twice the largest |entry|.  Both stay under 2 D
     # times it, so only where this overflows can either overflow and do
     # they need to be taken.
-    if 2.0 * d * max(peaks) == math.inf:
+    if 2.0 * d * peak == math.inf:
         with np.errstate(over="ignore"):
-            sums = np.abs(rates).max(axis=2).sum(axis=1)
-            spans = rates.max(axis=(1, 2)) - rates.min(axis=(1, 2))
-        if sums.max() == np.inf:
-            raise ValueError(
-                "rate table entries too large: the rows' largest |entries| sum to inf,"
-                " so a mapping total can overflow"
-            )
-        if spans.max() == np.inf:
-            raise ValueError(
-                "rate table entries too large: the range (largest entry minus smallest)"
-                " is inf, so the slack between two mappings can overflow"
-            )
+            if np.abs(rates).max(axis=1).sum() == np.inf:
+                raise ValueError(
+                    "rate table entries too large: the rows' largest |entries| sum to inf,"
+                    " so a mapping total can overflow"
+                )
+            if rates.max() - rates.min() == np.inf:
+                raise ValueError(
+                    "rate table entries too large: the range (largest entry minus smallest)"
+                    " is inf, so the slack between two mappings can overflow"
+                )
     # eps bounds the float error of the losses and of the sums checked in
     # the tie-break, so the cut also holds where tol is small against the
     # entries.
-    eps = [8.0 * (d + 1) * _EPS * peak for peak in peaks]
-    results, failed = [], []
-    for table, peak, e in zip(rates, peaks, eps):
-        total, cols = _solve(table)
-        tol = 1e-12 * max(1.0, abs(total))
-        bound = 2.0 * tol + e
-        if not _left_certified(table, cols, total, bound, peak, e):
-            failed.append((len(results), cols, tol, bound))
-        results.append((Assignment(tuple(cols.tolist())), total))
-    if failed:
-        index, firsts, tols, bounds = zip(*failed)
-        cols = np.array(firsts)
-        tables = rates[list(index)]
-        own = tables[np.arange(len(index))[:, None], np.arange(d), cols]
-        near = _forcing_loss(*_mapping_graph(tables, cols, own)) <= np.array(bounds)[:, None, None]
-        for i, c, n, tol, move in zip(index, cols, near, tols, _can_move(near, cols)):
-            if move:
-                results[i] = _tie_break(rates[i], results[i][1], c, n, tol)
-    return results
-
-
-def _can_move(near: np.ndarray, cols: np.ndarray):
-    """Whether a row of each table can leave its column ``cols`` (..., D)
-    for a ``near`` (..., D, K) column left of it: only such a table needs
-    `_tie_break`."""
-    return (near & (np.arange(near.shape[-1]) < cols[..., None])).any(axis=(-2, -1))
+    eps = 8.0 * (d + 1) * _EPS * peak
+    total, cols = _solve(rates)
+    tol = 1e-12 * max(1.0, abs(total))
+    bound = 2.0 * tol + eps
+    if not _left_certified(rates, cols, total, bound, peak, eps):
+        own = rates[np.arange(d), cols]
+        near = _forcing_loss(*_mapping_graph(rates, cols, own)) <= bound
+        # Only a near column left of a row's column can move that row.
+        if (near & (np.arange(rates.shape[1]) < cols[:, None])).any():
+            return _tie_break(rates, total, cols, near, tol)
+    return Assignment(tuple(cols.tolist())), total
 
 
 def _tie_break(
@@ -346,8 +301,9 @@ def _tie_break(
 ) -> tuple[Assignment, float]:
     """The lexicographically smallest mapping within ``tol`` of the optimum
     ``total``, from the first solve's columns ``completion`` and the entries
-    ``near`` that the forcing loss leaves in play, for a table where
-    `_can_move` holds (elsewhere ``completion`` is that mapping)."""
+    ``near`` that the forcing loss leaves in play, for a table where a row
+    has a near column left of its own (elsewhere ``completion`` is that
+    mapping)."""
     d, k = rates.shape
     chosen: list[int] = []
     fixed = 0.0

@@ -3,9 +3,12 @@ large-scale channel gains, solve every D2D-CU combination, assign channels
 and aggregate across trials.
 
 A trial's gains are one (6, D, K) block, rows in `model.GAIN_FIELDS` order,
-which `solvers.solve_all_batch` checks and solves as it is; the trial stacks
-the four schemes' checked rate tables into one (scheme, pair, CU) array and
-assigns every table of it with one `assignment.hungarian_max_many` call.
+which `solvers.solve_all_batch` checks and solves as it is.  Each of the
+four schemes' rate tables is then assigned with one scipy
+`linear_sum_assignment` call: the trial's total is the optimum, and its
+SIC count is read at scipy's first optimal mapping.  Where a table has
+several optimal mappings, that need not be the lexicographically smallest
+one that `assignment.hungarian_max` returns; the totals agree.
 
 Trials are seeded independently from the master seed, so results do not
 depend on execution order and repeat bit-exactly.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import RateTable, hungarian_max_many
+from .assignment import RateTable, linear_sum_assignment
 from .model import (
     ChannelGains,
     PowerLimits,
@@ -310,6 +313,21 @@ class CampaignResult:
         return 1.96 * float(x.std(ddof=1)) / math.sqrt(x.size)
 
 
+def trial_from_gains(
+    config: SimConfig, gains: np.ndarray
+) -> tuple[dict[ScenarioKind, float], dict[ScenarioKind, int]]:
+    """Totals and selected-SIC counts of a trial's (6, D, K) gain block:
+    each scheme's optimal total, and the SIC entries of scipy's first
+    optimal mapping of its table."""
+    solved = solve_all_batch(gains, config.system_params(), config.power_limits())
+    totals, counts = {}, {}
+    for kind, table in solved.items():
+        rows, cols = linear_sum_assignment(table.rate, maximize=True)
+        totals[kind] = float(table.rate[rows, cols].sum())
+        counts[kind] = int(table.sic_applied[rows, cols].sum())
+    return totals, counts
+
+
 def run_trial(
     config: SimConfig, trial: int
 ) -> tuple[dict[ScenarioKind, float], dict[ScenarioKind, int]]:
@@ -317,18 +335,7 @@ def run_trial(
     dep_seed = np.random.SeedSequence((config.master_seed, trial, 0))
     gain_seed = np.random.SeedSequence((config.master_seed, trial, 1))
     deployment = generate_deployment(config, dep_seed)
-    gains = gains_from_deployment(deployment, config, gain_seed)
-    solved = solve_all_batch(gains, config.system_params(), config.power_limits())
-    # (scheme, pair, CU) stacks: every table assigned, and the SIC flag of
-    # each assigned entry read, at once.
-    sic = np.array([t.sic_applied for t in solved.values()])
-    assigned = hungarian_max_many(np.array([t.rate for t in solved.values()]))
-    cols = np.array([a.pair_to_cu for a, _ in assigned], dtype=np.intp).reshape(sic.shape[:2])
-    counts = sic[np.arange(len(sic))[:, None], np.arange(sic.shape[1]), cols].sum(axis=1)
-    return (
-        {kind: total for kind, (_, total) in zip(solved, assigned)},
-        dict(zip(solved, counts.tolist())),
-    )
+    return trial_from_gains(config, gains_from_deployment(deployment, config, gain_seed))
 
 
 def check_campaign(config: SimConfig) -> None:

@@ -6,8 +6,10 @@ totals (`float.hex`) and the four selected-SIC counts, as `sim.run_trial`
 returns them.  For the fig4a and far-pairs configs it also holds, per
 trial, a digest of every `solvers.SchemeTable` field that
 `solve_all_batch` returns for the trial's gain block in that run, so a last-bit change
-in an entry the assignment does not pick shows too.  The numpy version and
-the platform that wrote the file are recorded with it, and so is how many
+in an entry the assignment does not pick shows too.  The numpy and scipy
+versions and the platform that wrote the file are recorded with it (a
+trial's totals and SIC counts are read at scipy's first optimal mapping, so
+scipy's version matters where a table ties), and so is how many
 FD-SIC pairs of the kernel-pinned trials go through the pull-in round and
 how many have a split CU-cap side.
 
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -128,7 +131,12 @@ def compute() -> dict:
 
 
 def platform_tag() -> dict:
-    return {"numpy": np.__version__, "platform": platform.platform(), "machine": platform.machine()}
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+    }
 
 
 def moved_trials(stored: dict, got: dict) -> list[str]:
@@ -153,9 +161,10 @@ def mismatch_message(stored: dict, moved: list[str]) -> str:
     here = platform_tag()
     if {k: stored[k] for k in here} != here:
         lines.append(
-            f"The file was written with numpy {stored['numpy']} on {stored['platform']}; "
-            f"this run has numpy {here['numpy']} on {here['platform']}. "
-            "Another numpy or libm may move last bits."
+            f"The file was written with numpy {stored['numpy']} and scipy {stored['scipy']} "
+            f"on {stored['platform']}; this run has numpy {here['numpy']} and scipy "
+            f"{here['scipy']} on {here['platform']}. Another numpy or libm may move last "
+            "bits, and another scipy may pick another of a table's optimal mappings."
         )
     return "\n".join(lines)
 

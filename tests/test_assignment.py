@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 import d2dpa.assignment
 from d2dpa import sim
-from d2dpa.assignment import Assignment, RateTable, hungarian_max, hungarian_max_many
+from d2dpa.assignment import Assignment, RateTable, hungarian_max
 
 
 def enumerate_best(table: np.ndarray) -> float:
@@ -171,48 +171,25 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
     assert not graphs
 
 
-def test_stacks_certify_each_table(lsa_calls, passes, tie_breaks):
+def test_each_table_is_certified_on_its_own(lsa_calls, passes, tie_breaks):
     """Each of two tie-free tables makes its first solve and one certifying
-    solve, and no pass or tie-break runs.  Two all-equal tables need no
+    solve, and no pass or tie-break runs.  An all-equal table needs no
     re-solve: the first solve gives rows 0, 1, 2 columns 0, 1, 2, so no
-    entry is useful.  Two tables of rows [0, 1, 0] fail the certificate (the
-    first solve gives row 0 a column right of 0), share one pass and both
-    run the tie-break."""
-    stack = np.random.default_rng(76).uniform(0.0, 1.0, (2, 8, 16))
-    hungarian_max_many(list(stack))
+    entry is useful.  A table of rows [0, 1, 0] fails the certificate (the
+    first solve gives row 0 a column right of 0), so it takes a pass of its
+    own and runs the tie-break."""
+    for table in np.random.default_rng(76).uniform(0.0, 1.0, (2, 8, 16)):
+        hungarian_max(table)
     assert len(lsa_calls) == 4
     assert not passes
     assert not tie_breaks
-    result = hungarian_max_many([np.full((3, 5), 7.0)] * 2)
-    assert result == [(Assignment((0, 1, 2)), 21.0)] * 2
-    assert len(lsa_calls) == 6
+    assert hungarian_max(np.full((3, 5), 7.0)) == (Assignment((0, 1, 2)), 21.0)
+    assert len(lsa_calls) == 5
     assert not passes
     assert not tie_breaks
-    result = hungarian_max_many([np.array([[0.0, 1.0, 0.0]] * 3)] * 2)
-    assert result == [(Assignment((0, 1, 2)), 1.0)] * 2
+    assert hungarian_max(np.array([[0.0, 1.0, 0.0]] * 3)) == (Assignment((0, 1, 2)), 1.0)
     assert len(passes) == 1
-    assert len(tie_breaks) == 2
-
-
-@pytest.mark.parametrize("d", [1, 5, 9, 32])
-def test_many_gives_each_table_hungarian_maxs_bits(d):
-    """Each table of a stack gets `hungarian_max`'s mapping and total of
-    that table bit for bit, also at D >= 8, where numpy sums pairwise.
-    Tie-free, tie-heavy and HD-SIC-like tables, at rate-sized scales."""
-    rng = np.random.default_rng(83)
-    k = 64 if d == 32 else 20
-    for _ in range(12 if d == 32 else 40):
-        scale = rng.choice([1.0, 3e7])
-        stack = [
-            rng.uniform(0.0, 1.0, (d, k)) * scale,
-            _tie_heavy_stack(rng, 1, d, k)[0] * scale,
-            _hd_sic_like(rng, d, k) * scale,
-            rng.uniform(0.0, 1.0, (d, k)) * scale,
-        ]
-        for (got, got_total), table in zip(hungarian_max_many(stack), stack):
-            want, want_total = hungarian_max(table)
-            assert got == want
-            assert got_total.hex() == want_total.hex()
+    assert len(tie_breaks) == 1
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -325,10 +302,10 @@ def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
         assert assignment.pair_to_cu == lexicographic_best(table)
 
 
-def mapping_graph(stack: np.ndarray, cols: np.ndarray):
-    """`_mapping_graph` of a (B, D, K) stack and its mappings ``cols``."""
-    own = np.take_along_axis(stack, cols[:, :, None], axis=2)[:, :, 0]
-    return d2dpa.assignment._mapping_graph(stack, cols, own)
+def mapping_graph(table: np.ndarray, cols: np.ndarray):
+    """`_mapping_graph` of a (D, K) table and its mapping ``cols``."""
+    own = table[np.arange(len(cols)), cols]
+    return d2dpa.assignment._mapping_graph(table, cols, own)
 
 
 def test_forcing_loss_is_the_best_mapping_through_each_entry():
@@ -345,69 +322,15 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
         best_through = np.full((d, k), -np.inf)
         for r in range(d):
             np.maximum.at(best_through[r], perms[:, r], totals)
-        graph = mapping_graph(table[None], cols[None])
-        loss = d2dpa.assignment._forcing_loss(*graph)[0]
+        loss = d2dpa.assignment._forcing_loss(*mapping_graph(table, cols))
         np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
 
-def _tie_heavy_stack(rng, b, d, k):
-    """B integer-valued D x K tables (many exact ties), one row of the first
-    all zero."""
-    stack = rng.integers(0, 3, (b, d, k)).astype(float)
-    stack[0, int(rng.integers(d))] = 0.0
-    return stack
-
-
-@pytest.mark.parametrize("square", [False, True])
-def test_stacked_forcing_loss_equals_each_tables_own(square):
-    """One pass over a (B, D, K) stack gives every table the bits of its own
-    pass, with exact ties, all-zero rows and D = K."""
-    rng = np.random.default_rng(79)
-    for _ in range(150):
-        d = int(rng.integers(1, 6))
-        k = d if square else int(rng.integers(d + 1, 9))
-        stack = _tie_heavy_stack(rng, int(rng.integers(1, 5)), d, k)
-        cols = np.array([linear_sum_assignment(t, maximize=True)[1] for t in stack])
-        stacked = d2dpa.assignment._forcing_loss(*mapping_graph(stack, cols))
-        assert stacked.shape == stack.shape
-        for table, c, loss in zip(stack, cols, stacked):
-            own = d2dpa.assignment._forcing_loss(*mapping_graph(table[None], c[None]))[0]
-            assert own.tobytes() == loss.tobytes()
-
-
-def test_many_equals_one_table_at_a_time():
-    """A stack of four tables and each table alone agree on tie-heavy
-    tables, on tie-free ones (which the certificate settles), on planted
-    three-cycle near-ties (which no swap of two rows reveals) and, to the
-    bit of the total, on D = 32, K = 64 tables of all four schemes under
-    row and column permutations."""
-    rng = np.random.default_rng(80)
-    for _ in range(150):
-        d = int(rng.integers(0, 5))
-        k = int(rng.integers(max(d, 1), 8))
-        stack = _tie_heavy_stack(rng, 4, d, k) * rng.choice([1.0, 1e6, 3e7]) if d else np.zeros(
-            (4, 0, k)
-        )
-        assert hungarian_max_many(list(stack)) == [hungarian_max(t) for t in stack]
-    for _ in range(100):
-        d = int(rng.integers(1, 9))
-        stack = rng.uniform(0.0, 1.0, (4, d, int(rng.integers(d, 17))))
-        assert hungarian_max_many(list(stack)) == [hungarian_max(t) for t in stack]
-    for gap in (0.0, 0.5, 1.1, 2.5):
-        for _ in range(60):
-            d = int(rng.integers(3, 9))
-            k = int(rng.integers(d, 13))
-            scale = rng.choice([1.0, 3e7])
-            stack = [_planted_three_cycles(rng, d, k, (gap,)) * scale for _ in range(4)]
-            assert hungarian_max_many(stack) == [hungarian_max(t) for t in stack]
-    for stack in _scheme_tables(rng):
-        for _ in range(2):
-            rows, cols = rng.permutation(32), rng.permutation(64)
-            permuted = [t[rows][:, cols] for t in stack]
-            for (got, got_total), table in zip(hungarian_max_many(permuted), permuted):
-                want, want_total = hungarian_max(table)
-                assert got == want
-                assert got_total.hex() == want_total.hex()
+def _tie_heavy_table(rng, d, k):
+    """Integer-valued D x K table (many exact ties) with one row all zero."""
+    table = rng.integers(0, 3, (d, k)).astype(float)
+    table[int(rng.integers(d))] = 0.0
+    return table
 
 
 def _scheme_tables(rng):
@@ -440,10 +363,10 @@ def _certificate_tables(rng):
         d = int(rng.integers(1, 9))
         k = int(rng.integers(d, 13))
         yield rng.uniform(0.0, 1.0, (d, k))
-        yield _tie_heavy_stack(rng, 1, d, k)[0]
+        yield _tie_heavy_table(rng, d, k)
         yield _hd_sic_like(rng, d, k)
         yield rng.uniform(0.0, 1.0, (d, d))
-        yield _tie_heavy_stack(rng, 1, d, d)[0]
+        yield _tie_heavy_table(rng, d, d)
         yield rng.uniform(0.0, 1.0, (1, k))
 
 
@@ -498,21 +421,19 @@ def test_left_certificate_is_sound(monkeypatch):
 def test_fresh_scheme_tables_equal_the_full_route(monkeypatch):
     """On the D = 32, K = 64 tables of all four schemes, from deployments of
     fresh seeds at the paper's default configuration and at far pairs, as
-    built and under a row and column permutation, `hungarian_max` and
-    `hungarian_max_many` give the mapping and total bits of the full
-    route."""
+    built and under a row and column permutation, `hungarian_max` gives the
+    mapping and total bits of the full route."""
     rng = np.random.default_rng(85)
     for built in _scheme_tables(rng):
         rows, cols = rng.permutation(32), rng.permutation(64)
-        for stack in (built, [t[rows][:, cols] for t in built]):
-            alone = [hungarian_max(t) for t in stack]
-            many = hungarian_max_many(stack)
+        for tables in (built, [t[rows][:, cols] for t in built]):
+            certified = [hungarian_max(t) for t in tables]
             with monkeypatch.context() as patched:
                 patched.setattr(d2dpa.assignment, "_left_certified", _no_certificate)
-                full = [hungarian_max(t) for t in stack]
-            for (a, a_total), (m, m_total), (f, f_total) in zip(alone, many, full):
-                assert a == m == f
-                assert a_total.hex() == m_total.hex() == f_total.hex()
+                full = [hungarian_max(t) for t in tables]
+            for (a, a_total), (f, f_total) in zip(certified, full):
+                assert a == f
+                assert a_total.hex() == f_total.hex()
 
 
 def _planted_swap(rng, d, k):
@@ -555,42 +476,6 @@ def test_swaps_that_move_the_first_row_right_are_certified(lsa_calls, passes, gr
         assert not passes
 
 
-def test_one_table_equals_its_stack_of_two():
-    """A table alone and in a stack of two get the same result, on
-    tie-heavy and HD-SIC-like tables."""
-    rng = np.random.default_rng(82)
-    for table in _certificate_tables(rng):
-        assert hungarian_max(table) == hungarian_max_many([table, table])[0]
-    for _ in range(100):
-        d = int(rng.integers(1, 33))
-        table = _hd_sic_like(rng, d, int(rng.integers(d, 65))) * rng.choice([1.0, 3e7])
-        assert hungarian_max(table) == hungarian_max_many([table, table])[0]
-
-
-def test_many_of_an_empty_stack_is_empty():
-    assert hungarian_max_many(np.zeros((0, 3, 5))) == []
-
-
-def test_many_takes_a_stack_of_tables():
-    """`hungarian_max_many` takes one (B, D, K) array: a table alone, or a
-    stack whose tables have more rows than columns, is rejected; a list of
-    same-shape tables is that stack."""
-    with pytest.raises(ValueError, match=r"must be a 3-D \(B, D, K\) stack, got 2-D"):
-        hungarian_max_many(np.ones((3, 5)))
-    with pytest.raises(ValueError, match=r"more D2D rows \(5\) than CU columns \(3\)"):
-        hungarian_max_many(np.ones((2, 5, 3)))
-    stack = np.random.default_rng(86).uniform(0.0, 1.0, (3, 4, 6))
-    assert hungarian_max_many(list(stack)) == hungarian_max_many(stack)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_many_names_a_non_finite_entry_in_its_table(bad):
-    stack = np.random.default_rng(87).uniform(0.0, 1.0, (4, 3, 5))
-    stack[2, 1, 4] = bad
-    with pytest.raises(ValueError, match=rf"rate table entry \(1, 4\) must be finite, got {bad!r}"):
-        hungarian_max_many(stack)
-
-
 def test_overflowing_totals_rejected():
     """A finite table whose rows' largest entries sum past the float range
     fails at the boundary instead of returning an infinite total; one whose
@@ -600,7 +485,7 @@ def test_overflowing_totals_rejected():
     with pytest.raises(ValueError, match="sum to inf"):
         hungarian_max(np.full((2, 2), 1e308))
     with pytest.raises(ValueError, match="sum to inf"):
-        hungarian_max_many([np.ones((2, 2)), np.array([[1e308, 0.0], [-1e308, 0.0]])])
+        hungarian_max(np.array([[1e308, 0.0], [-1e308, 0.0]]))
     assignment, total = hungarian_max(np.array([[1e308, 0.0], [0.0, 1.0]]))
     assert assignment.pair_to_cu == (0, 1)
     assert total == 1e308
@@ -610,15 +495,13 @@ def test_overflowing_totals_rejected():
 
 def test_overflowing_range_rejected():
     """A table that mixes signs near the float limit has a slack past the
-    float range: it fails at the boundary, with no overflow warning first,
-    alone and in a stack.  One whose range stays finite is assigned."""
+    float range: it fails at the boundary, with no overflow warning first.
+    One whose range stays finite is assigned."""
     wide = np.array([[1e308, -1e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"the range \(largest entry minus smallest\) is inf"):
             hungarian_max(wide)
-        with pytest.raises(ValueError, match="range"):
-            hungarian_max_many([np.ones((1, 2)), wide])
         assignment, total = hungarian_max(np.array([[1e308, -7e307]]))
     assert assignment.pair_to_cu == (0,)
     assert total == 1e308
@@ -641,14 +524,16 @@ def test_overflowing_shortest_paths_leave_the_result(passes):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rates_rejected_naming_the_entry(bad):
-    """NaN and inf fail at the boundary, not inside scipy's solver."""
-    rates = np.array([[1.0, 2.0, 0.5], [2.0, 0.5, 1.0]])
-    rates[1, 2] = bad
-    message = rf"rate table entry \(1, 2\) must be finite.*got {bad!r}"
-    with pytest.raises(ValueError, match=message):
-        RateTable(rates)
-    with pytest.raises(ValueError, match=message):
-        hungarian_max(rates)
+    """NaN and inf fail at the boundary, not inside scipy's solver, naming
+    the entry by its place in the table."""
+    for place in ((1, 2), (0, 0), (0, 2)):
+        rates = np.array([[1.0, 2.0, 0.5], [2.0, 0.5, 1.0]])
+        rates[place] = bad
+        message = rf"rate table entry \({place[0]}, {place[1]}\) must be finite.*got {bad!r}"
+        with pytest.raises(ValueError, match=message):
+            RateTable(rates)
+        with pytest.raises(ValueError, match=message):
+            hungarian_max(rates)
 
 
 def test_assignment_validation():

@@ -24,12 +24,16 @@ def test_campaign_and_kernel_digests_are_unchanged():
 
 def test_mismatch_report_names_each_moved_trial_and_both_platforms():
     stored = {
-        "numpy": "0.0", "platform": "elsewhere", "machine": "none",
+        "numpy": "0.0", "scipy": "0.1", "platform": "elsewhere", "machine": "none",
         "configs": {"a": {"campaign": ["x", "y"], "kernel": ["k"], "split_caps": 1}},
     }
     got = {"a": {"campaign": ["x", "z"], "kernel": ["j"], "split_caps": 2}}
     moved = moved_trials(stored, got)
     assert moved == ["a campaign trial 1", "a kernel trial 0", "a split_caps: 1 -> 2"]
     message = mismatch_message(stored, moved)
-    assert "numpy 0.0 on elsewhere" in message and "Another numpy or libm" in message
+    assert "numpy 0.0 and scipy 0.1 on elsewhere" in message and "Another numpy or libm" in message
+    assert "another scipy" in message
     assert "Another" not in mismatch_message({**stored, **platform_tag()}, moved)
+    # Another scipy alone is named too: ties may then resolve elsewhere.
+    message = mismatch_message({**stored, **platform_tag(), "scipy": "0.1"}, moved)
+    assert "and scipy 0.1 on" in message and "another scipy" in message

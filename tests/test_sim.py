@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
 import d2dpa.sim
 import d2dpa.solvers
@@ -29,6 +30,7 @@ from d2dpa.sim import (
     run_campaign,
     run_trial,
     sample_combo_gains,
+    trial_from_gains,
 )
 from d2dpa.solvers import SIC_ORDERS, solve_all
 
@@ -273,8 +275,9 @@ def seeded_gains(cfg: SimConfig, trial: int) -> np.ndarray:
 
 
 class TestBatchedTables:
-    """`build_rate_tables` solves a whole trial as one table; `solve_all`
-    solves each combination as a table of its own, and the two must agree."""
+    """The tables `solve_all_batch` solves from a trial's whole gain block,
+    as `build_rate_tables` wraps them: their entries, the checks on the
+    gains and returned powers, and the errors that name a bad value."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -286,7 +289,10 @@ class TestBatchedTables:
         ],
         ids=["fig4a", "far_pairs", "no_rate_floor", "tight_caps"],
     )
-    def test_equals_scalar_solves(self, overrides):
+    def test_one_entry_tables_equal_the_trial_table(self, overrides):
+        """`solve_all` solves each combination as a one-entry block of
+        `solve_all_batch`; each of its entries equals the trial table's, so
+        the batched solve does not depend on the block's shape."""
         cfg = SimConfig(trials=1, **overrides)
         params, limits = cfg.system_params(), cfg.power_limits()
         for trial in range(50):
@@ -473,25 +479,21 @@ class TestCampaign:
             assert res.totals_bps[kind][1] == t1[0][kind]
 
     @pytest.mark.parametrize("overrides", [{}, FAR_PAIRS], ids=["fig4a", "far_pairs"])
-    def test_trial_maps_each_table_as_hungarian_max_does(self, monkeypatch, overrides):
-        """The stacked assignment gives every table `hungarian_max`'s own
-        mapping and total, and the SIC counts come from that mapping."""
+    def test_trial_reads_scipys_first_mapping_of_each_table(self, overrides):
+        """Each total is the sum over scipy's first optimal mapping of that
+        scheme's table, bit for bit, and also `hungarian_max`'s total; the
+        SIC count is read at that mapping."""
         cfg = SimConfig(trials=1, **overrides)
         params, limits = cfg.system_params(), cfg.power_limits()
-        real, seen = d2dpa.sim.hungarian_max_many, []
-        monkeypatch.setattr(
-            d2dpa.sim, "hungarian_max_many", lambda tables: seen.append(real(tables)) or seen[-1]
-        )
         for trial in range(25):
             totals, counts = run_trial(cfg, trial)
-            tables = build_rate_tables(seeded_gains(cfg, trial), params, limits)
-            for (kind, table), got in zip(tables.items(), seen[-1]):
-                assignment, total = hungarian_max(table)
-                assert got == (assignment, total)
-                assert totals[kind] == total
-                assert counts[kind] == sum(
-                    table.sic_applied[r, c] for r, c in enumerate(assignment.pair_to_cu)
-                )
+            solved = d2dpa.solvers.solve_all_batch(seeded_gains(cfg, trial), params, limits)
+            for kind, table in solved.items():
+                rows, cols = linear_sum_assignment(table.rate, maximize=True)
+                total = float(table.rate[rows, cols].sum())
+                assert totals[kind].hex() == total.hex()
+                assert hungarian_max(table.rate)[1].hex() == total.hex()
+                assert counts[kind] == table.sic_applied[rows, cols].sum()
 
     @pytest.mark.parametrize("workload", ["campaign_fig4a", "campaign_far_pairs"])
     def test_first_benchmark_reference_trials(self, workload):
@@ -591,6 +593,51 @@ class TestCampaign:
         x = res.totals_bps[ScenarioKind.FD_NOSIC]
         expected = 1.96 * x.std(ddof=1) / math.sqrt(len(x))
         assert res.ci95_bps(ScenarioKind.FD_NOSIC) == pytest.approx(expected, rel=1e-12)
+
+
+# name: (SimConfig overrides, trials)
+NUMBERING_CONFIGS = {
+    "fig4a": ({}, 200),
+    "far_pairs": (FAR_PAIRS, 200),
+    "dense": ({"d_pairs": 32, "k_users": 64}, 40),
+}
+
+
+def renumbered_trials(name: str, axis: int):
+    """Each trial of a `NUMBERING_CONFIGS` entry as its results from its gain
+    block and from the block with its pairs (``axis`` 1) or its CUs
+    (``axis`` 2) in a seeded random order."""
+    overrides, trials = NUMBERING_CONFIGS[name]
+    cfg = SimConfig(trials=1, **overrides)
+    rng = np.random.default_rng(88)
+    for trial in range(trials):
+        gains = seeded_gains(cfg, trial)
+        order = rng.permutation(gains.shape[axis])
+        yield trial_from_gains(cfg, gains), trial_from_gains(cfg, gains.take(order, axis=axis))
+
+
+class TestWholeTrialNumbering:
+    """A trial's results do not depend on how its pairs and CUs are
+    numbered: every solve is per combination, and the assignment's optimum
+    is the same under any order of its rows and columns."""
+
+    @pytest.mark.parametrize("name", list(NUMBERING_CONFIGS))
+    def test_permuting_the_cus_leaves_every_result(self, name):
+        """Every pair keeps its row and its entries' values, so each total
+        sums the same values in the same order and keeps its bits; every SIC
+        count is equal too."""
+        for (totals, counts), (got, got_counts) in renumbered_trials(name, axis=2):
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in totals.items()}
+            assert got_counts == counts
+
+    @pytest.mark.parametrize("name", list(NUMBERING_CONFIGS))
+    def test_permuting_the_pairs_moves_totals_by_summation_order_only(self, name):
+        """The totals sum the same entries in another order, so they agree
+        within 1e-14 relative; every SIC count is equal."""
+        for (totals, counts), (got, got_counts) in renumbered_trials(name, axis=1):
+            for kind, total in totals.items():
+                assert abs(got[kind] - total) <= 1e-14 * total, kind
+            assert got_counts == counts
 
 
 class TestConfigValidation:
