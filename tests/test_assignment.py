@@ -192,6 +192,51 @@ def test_each_table_is_certified_on_its_own(lsa_calls, passes, tie_breaks):
     assert len(tie_breaks) == 1
 
 
+def first_solve_total(table: np.ndarray) -> float:
+    """The sum over scipy's first optimal mapping of ``table``, as a
+    campaign trial reads it (see `sim.trial_from_gains`)."""
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum())
+
+
+@pytest.mark.parametrize("d", [1, 5, 9, 32])
+def test_total_is_the_first_solves_sum(d):
+    """`hungarian_max`'s total is the first solve's sum bit for bit, also at
+    D >= 8, where numpy sums pairwise, and where the tie-break moves the
+    mapping; its mapping reaches that total within the tie tolerance.
+    Tie-free, tie-heavy and HD-SIC-like tables, at rate-sized scales."""
+    rng = np.random.default_rng(83)
+    k = 64 if d == 32 else 20
+    for _ in range(12 if d == 32 else 40):
+        scale = rng.choice([1.0, 3e7])
+        for table in (
+            rng.uniform(0.0, 1.0, (d, k)) * scale,
+            _tie_heavy_table(rng, d, k) * scale,
+            _hd_sic_like(rng, d, k) * scale,
+        ):
+            assignment, total = hungarian_max(table)
+            assert total.hex() == first_solve_total(table).hex()
+            own = float(table[np.arange(d), list(assignment.pair_to_cu)].sum())
+            assert abs(own - total) <= 2e-12 * max(1.0, abs(total))
+
+
+def test_total_is_the_first_solves_sum_on_near_ties():
+    """The same bits on planted three-cycle near-ties, which no swap of two
+    rows reveals, and on the D = 32, K = 64 tables of all four schemes as
+    built and under a row and column permutation."""
+    rng = np.random.default_rng(80)
+    for gap in (0.0, 0.5, 1.1, 2.5):
+        for _ in range(60):
+            d = int(rng.integers(3, 9))
+            table = _planted_three_cycles(rng, d, int(rng.integers(d, 13)), (gap,))
+            table = table * rng.choice([1.0, 3e7])
+            assert hungarian_max(table)[1].hex() == first_solve_total(table).hex()
+    for built in _scheme_tables(rng):
+        rows, cols = rng.permutation(32), rng.permutation(64)
+        for table in built + [t[rows][:, cols] for t in built]:
+            assert hungarian_max(table)[1].hex() == first_solve_total(table).hex()
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_three_cycle_tie_reaches_the_pass(order, passes):
     """The only other optimum is a three-cycle.  The pass runs exactly when
@@ -308,6 +353,20 @@ def mapping_graph(table: np.ndarray, cols: np.ndarray):
     return d2dpa.assignment._mapping_graph(table, cols, own)
 
 
+def assert_forcing_loss_enumerated(table: np.ndarray) -> None:
+    """The forcing loss of ``table`` at scipy's mapping is the optimum minus
+    the best total of any mapping through each entry, by enumeration."""
+    d, k = table.shape
+    _, cols = linear_sum_assignment(table, maximize=True)
+    perms = np.array(list(itertools.permutations(range(k), d)))
+    totals = table[np.arange(d), perms].sum(axis=1)
+    best_through = np.full((d, k), -np.inf)
+    for r in range(d):
+        np.maximum.at(best_through[r], perms[:, r], totals)
+    loss = d2dpa.assignment._forcing_loss(*mapping_graph(table, cols))
+    np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
+
+
 def test_forcing_loss_is_the_best_mapping_through_each_entry():
     """The loss of sending row r to column c is the optimum minus the best
     total of any mapping that does so."""
@@ -315,15 +374,7 @@ def test_forcing_loss_is_the_best_mapping_through_each_entry():
     for _ in range(60):
         d = int(rng.integers(1, 5))
         k = int(rng.integers(d, 7))
-        table = rng.integers(0, 4, (d, k)) + rng.uniform(0.0, 0.1, (d, k))
-        _, cols = linear_sum_assignment(table, maximize=True)
-        perms = np.array(list(itertools.permutations(range(k), d)))
-        totals = table[np.arange(d), perms].sum(axis=1)
-        best_through = np.full((d, k), -np.inf)
-        for r in range(d):
-            np.maximum.at(best_through[r], perms[:, r], totals)
-        loss = d2dpa.assignment._forcing_loss(*mapping_graph(table, cols))
-        np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
+        assert_forcing_loss_enumerated(rng.integers(0, 4, (d, k)) + rng.uniform(0.0, 0.1, (d, k)))
 
 
 def _tie_heavy_table(rng, d, k):
@@ -331,6 +382,18 @@ def _tie_heavy_table(rng, d, k):
     table = rng.integers(0, 3, (d, k)).astype(float)
     table[int(rng.integers(d))] = 0.0
     return table
+
+
+@pytest.mark.parametrize("square", [False, True])
+def test_forcing_loss_with_exact_ties(square):
+    """The same on integer tables full of exact ties, with an all-zero row,
+    and at D = K, where no unused column makes a node D."""
+    rng = np.random.default_rng(79)
+    for _ in range(150):
+        d = int(rng.integers(1, 6))
+        assert_forcing_loss_enumerated(
+            _tie_heavy_table(rng, d, d if square else int(rng.integers(d + 1, 8)))
+        )
 
 
 def _scheme_tables(rng):
