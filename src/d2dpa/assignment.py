@@ -1,9 +1,11 @@
 """Optimal one-to-one pairing of D2D pairs to CU channels on a rate table.
 
 The maximum-weight assignment is delegated to scipy's rectangular
-Kuhn-Munkres implementation; on top of it, ties between equally good
-assignments are broken toward the lexicographically smallest row-to-column
-mapping so outputs are reproducible.
+Kuhn-Munkres implementation.  `first_optimum` is scipy's first optimal
+mapping and the sum of the table over it; campaign trials read that.
+`hungarian_max` returns the same total with the lexicographically smallest
+optimal mapping: a certificate settles most tables from the first mapping,
+and any other table takes one Floyd-Warshall pass and the tie-break.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ _EPS = float(np.finfo(float).eps)
 _scipy_lsa = None
 
 
-def linear_sum_assignment(rates: np.ndarray, maximize: bool = False):
-    """scipy's rectangular ``linear_sum_assignment``, imported on the first
-    call and kept: loading ``scipy.optimize`` costs more than the rest of
-    ``import d2dpa``."""
+def linear_sum_assignment(rates: np.ndarray):
+    """scipy's rectangular ``linear_sum_assignment``, maximizing, imported on
+    the first call and kept: loading ``scipy.optimize`` costs more than the
+    rest of ``import d2dpa``."""
     global _scipy_lsa
     if _scipy_lsa is None:
         from scipy.optimize import linear_sum_assignment as _scipy_lsa
-    return _scipy_lsa(rates, maximize=maximize)
+    return _scipy_lsa(rates, maximize=True)
 
 
 def _check_shape(rates: np.ndarray) -> None:
@@ -78,10 +80,6 @@ class RateTable:
         if rates[self.infeasible].any():
             raise ValueError("infeasible entries must carry rate 0")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rates.shape
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -94,53 +92,30 @@ class Assignment:
             raise ValueError("assignment must map rows to distinct columns")
 
 
-def _solve(rates: np.ndarray) -> tuple[float, np.ndarray]:
-    """Optimal total and the column of each row (positions in ``rates``)."""
-    if rates.shape[0] == 0:
-        return 0.0, np.zeros(0, dtype=int)
-    rows, cols = linear_sum_assignment(rates, maximize=True)
+def first_optimum(rates: np.ndarray) -> tuple[float, np.ndarray]:
+    """The sum of ``rates`` over scipy's first optimal mapping, and the
+    column of each row there (positions in ``rates``)."""
+    rows, cols = linear_sum_assignment(rates)
     return float(rates[rows, cols].sum()), cols
 
 
-def _mapping_graph(rates: np.ndarray, cols: np.ndarray, own: np.ndarray):
-    """The graph of moves off the optimal mapping ``cols`` of the (D, K)
-    table ``rates``, with ``own`` each row's entry there: ``slack`` (D, K),
-    what row r gives up by moving from its column to column c; ``node``
-    (K,), the graph node of each column; and ``dist`` (n, n), the edge
-    weights.
+@np.errstate(over="ignore")
+def _forcing_loss(rates: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Least total any mapping gives up against the optimal mapping ``cols``
+    of the (D, K) table ``rates`` when it sends row r to column c: a (D, K)
+    array.
 
     Completing the table with K - D all-zero rows that hold the unused
     columns changes no mapping's total, and makes any mapping differ from
     ``cols`` by disjoint cycles: each moved row r gives up its slack at the
-    new column, and no cycle gives up less than zero because ``cols`` is
-    optimal.  The nodes are the columns of ``cols`` (node r holds row r's
-    column) with the unused columns merged into node D, whose zero-rate row
-    may move onto any column at no cost; ``dist[i, j]`` is what row i gives
-    up by moving onto node j, so ``dist[:D, :D]`` is the slack at the
+    new column (``slack[r, c]``, its own entry minus ``rates[r, c]``), and
+    no cycle gives up less than zero because ``cols`` is optimal.  The
+    graph of moves has the columns of ``cols`` as nodes (node r holds row
+    r's column) with the unused columns merged into node D, whose zero-rate
+    row may move onto any column at no cost; ``dist[i, j]`` is what row i
+    gives up by moving onto node j, so ``dist[:D, :D]`` is the slack at the
     mapping's columns and ``dist[:D, D]`` each row's least slack over the
-    unused columns.  Only a table whose certificate fails builds it (see
-    ``_left_certified``).
-    """
-    d, k = rates.shape
-    slack = own[:, None] - rates
-    free = np.ones(k, dtype=bool)
-    free[cols] = False
-    node = np.full(k, d)
-    node[cols] = np.arange(d)
-    n = d + (d < k)
-    dist = np.zeros((n, n))
-    dist[:d, :d] = slack[:, cols]
-    if d < k:
-        dist[:d, d] = slack[:, free].min(axis=1)
-    return slack, node, dist
-
-
-@np.errstate(over="ignore")
-def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Least total any mapping gives up against the optimal mapping when it
-    sends row r to column c, for the table whose `_mapping_graph` is
-    (``slack``, ``node``, ``dist``): a (D, K) array.  ``dist`` is
-    overwritten with the shortest paths.
+    unused columns.
 
     The loss of sending r to c is at least the cheapest cycle through that
     move, and that cycle is itself a mapping.  It is found as the move plus
@@ -152,7 +127,17 @@ def _forcing_loss(slack: np.ndarray, node: np.ndarray, dist: np.ndarray) -> np.n
     most the table's range), so each is at least -range.  A sum can
     overflow only to +inf, which exceeds every bound: no entry turns near.
     """
-    d = slack.shape[0]
+    d, k = rates.shape
+    slack = rates[np.arange(d), cols][:, None] - rates
+    free = np.ones(k, dtype=bool)
+    free[cols] = False
+    node = np.full(k, d)
+    node[cols] = np.arange(d)
+    n = d + (d < k)
+    dist = np.zeros((n, n))
+    dist[:d, :d] = slack[:, cols]
+    if d < k:
+        dist[:d, d] = slack[:, free].min(axis=1)
     through = np.empty_like(dist)
     for col, row in zip(dist.T[:, :, None], dist[:, None]):
         np.minimum(dist, np.add(col, row, out=through), out=dist)
@@ -204,12 +189,12 @@ def _left_certified(
     if 2.0 * d * (peak + delta) == math.inf:
         return False
     left = np.arange(k) < cols[:, None]
-    if _solve(rates + delta * left)[0] <= total + eps:
+    if first_optimum(rates + delta * left)[0] <= total + eps:
         return True
     rows = np.arange(d)
     holder = np.full(k, d)
     holder[cols] = rows
-    return _solve(rates + delta * (left & (holder > rows[:, None])))[0] <= total + eps
+    return first_optimum(rates + delta * (left & (holder > rows[:, None])))[0] <= total + eps
 
 
 def _checked_rates(table) -> np.ndarray:
@@ -228,7 +213,7 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     Requires no more rows than columns.  The total is the exact optimum; among
     all optimal assignments the returned one has the smallest column for row
     0, then for row 1, and so on.  (A campaign trial reads scipy's first
-    optimal mapping instead; see `sim.trial_from_gains`.)
+    optimal mapping instead; see `first_optimum`.)
 
     Row by row, the first free column that still admits an optimal
     completion is fixed.  An optimal completion is always at hand (the first
@@ -239,10 +224,9 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     column c falls short of the optimum by at least the forcing loss of that
     move (see ``_forcing_loss``).  Where the loss exceeds the tie tolerance,
     with room for float error, the full check would reject the column, so
-    dropping it leaves the result unchanged.  When no column left in play
-    lies left of a row's first-solve column, no row can move and the first
-    solve is returned as it is.  Each column left in play is checked, in
-    ascending order, with one solve of the remaining rows without it.
+    dropping it leaves the result unchanged.  Each column left in play is
+    checked, in ascending order, with one solve of the remaining rows
+    without it.
 
     The first mapping is certified before the Floyd-Warshall pass: only a
     useful entry, left of its row's first-solve column on a column no
@@ -250,9 +234,8 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     each entry left of the first mapping raised by a margin above the tie
     bound, and if that fails a third, with only the useful entries raised,
     must find no total above the first (see ``_left_certified``); the first
-    solve is then returned with no graph and no pass.  Ties right of the
-    first mapping, and left of it on columns that earlier rows hold, do not
-    fail it.
+    solve is then returned with no pass.  Ties right of the first mapping,
+    and left of it on columns that earlier rows hold, do not fail it.
 
     A table whose mapping totals or slack can overflow is rejected: the
     rows' largest |entries| must have a finite sum, and the table's range
@@ -284,16 +267,12 @@ def hungarian_max(table: RateTable | np.ndarray) -> tuple[Assignment, float]:
     # the tie-break, so the cut also holds where tol is small against the
     # entries.
     eps = 8.0 * (d + 1) * _EPS * peak
-    total, cols = _solve(rates)
+    total, cols = first_optimum(rates)
     tol = 1e-12 * max(1.0, abs(total))
     bound = 2.0 * tol + eps
-    if not _left_certified(rates, cols, total, bound, peak, eps):
-        own = rates[np.arange(d), cols]
-        near = _forcing_loss(*_mapping_graph(rates, cols, own)) <= bound
-        # Only a near column left of a row's column can move that row.
-        if (near & (np.arange(rates.shape[1]) < cols[:, None])).any():
-            return _tie_break(rates, total, cols, near, tol)
-    return Assignment(tuple(cols.tolist())), total
+    if _left_certified(rates, cols, total, bound, peak, eps):
+        return Assignment(tuple(cols.tolist())), total
+    return _tie_break(rates, total, cols, _forcing_loss(rates, cols) <= bound, tol)
 
 
 def _tie_break(
@@ -301,9 +280,9 @@ def _tie_break(
 ) -> tuple[Assignment, float]:
     """The lexicographically smallest mapping within ``tol`` of the optimum
     ``total``, from the first solve's columns ``completion`` and the entries
-    ``near`` that the forcing loss leaves in play, for a table where a row
-    has a near column left of its own (elsewhere ``completion`` is that
-    mapping)."""
+    ``near`` that the forcing loss leaves in play.  Only a near column left
+    of a row's column can move that row, so where there is none the first
+    mapping is returned with no re-solve."""
     d, k = rates.shape
     chosen: list[int] = []
     fixed = 0.0
@@ -315,7 +294,7 @@ def _tie_break(
             if col in chosen:
                 continue
             others = np.delete(np.arange(k), chosen + [col])
-            sub_total, sub_cols = _solve(rates[r + 1 :, others])
+            sub_total, sub_cols = first_optimum(rates[r + 1 :, others])
             if fixed + (rates[r, col] + sub_total) >= total - tol:
                 pick, rest_completion = col, others[sub_cols]
                 break

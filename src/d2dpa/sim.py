@@ -4,11 +4,11 @@ and aggregate across trials.
 
 A trial's gains are one (6, D, K) block, rows in `model.GAIN_FIELDS` order,
 which `solvers.solve_all_batch` checks and solves as it is.  Each of the
-four schemes' rate tables is then assigned with one scipy
-`linear_sum_assignment` call: the trial's total is the optimum, and its
-SIC count is read at scipy's first optimal mapping.  Where a table has
-several optimal mappings, that need not be the lexicographically smallest
-one that `assignment.hungarian_max` returns; the totals agree.
+four schemes' rate tables is then assigned with `assignment.first_optimum`:
+the trial's total is the table's sum over scipy's first optimal mapping,
+and its SIC count is read at that mapping.  Where a table has several
+optimal mappings, that need not be the lexicographically smallest one that
+`assignment.hungarian_max` returns; the totals agree.
 
 Trials are seeded independently from the master seed, so results do not
 depend on execution order and repeat bit-exactly.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import RateTable, linear_sum_assignment
+from .assignment import RateTable, first_optimum
 from .model import (
     ChannelGains,
     PowerLimits,
@@ -322,9 +322,8 @@ def trial_from_gains(
     solved = solve_all_batch(gains, config.system_params(), config.power_limits())
     totals, counts = {}, {}
     for kind, table in solved.items():
-        rows, cols = linear_sum_assignment(table.rate, maximize=True)
-        totals[kind] = float(table.rate[rows, cols].sum())
-        counts[kind] = int(table.sic_applied[rows, cols].sum())
+        totals[kind], cols = first_optimum(table.rate)
+        counts[kind] = int(table.sic_applied[np.arange(len(cols)), cols].sum())
     return totals, counts
 
 

@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 import d2dpa.assignment
 from d2dpa import sim
-from d2dpa.assignment import Assignment, RateTable, hungarian_max
+from d2dpa.assignment import Assignment, RateTable, first_optimum, hungarian_max
 
 
 def enumerate_best(table: np.ndarray) -> float:
@@ -68,9 +68,15 @@ def test_dimension_error():
 
 
 def test_empty_table():
+    """An empty table maps nothing and sums to 0.0, in `hungarian_max` and in
+    `first_optimum`, where scipy's empty mapping serves it (checked with
+    scipy 1.17.1)."""
     assignment, total = hungarian_max(np.zeros((0, 4)))
     assert assignment.pair_to_cu == ()
     assert total == 0.0
+    total, cols = first_optimum(np.zeros((0, 4)))
+    assert total.hex() == (0.0).hex()
+    assert cols.size == 0
 
 
 def test_tie_break_is_lexicographically_smallest():
@@ -131,36 +137,29 @@ def passes(monkeypatch):
 
 
 @pytest.fixture
-def graphs(monkeypatch):
-    """List that gains one entry per move graph built (_mapping_graph call)."""
-    return _count_calls(monkeypatch, "_mapping_graph")
-
-
-@pytest.fixture
 def tie_breaks(monkeypatch):
     """List that gains one entry per _tie_break call."""
     return _count_calls(monkeypatch, "_tie_break")
 
 
-def test_known_completion_needs_no_extra_solves(lsa_calls, passes, graphs):
+def test_known_completion_needs_no_extra_solves(lsa_calls, passes):
     """Each row's best column is the smallest free one, so every column left
     of a row's column is held by an earlier row: no entry is useful, no
     smaller mapping exists, and the first solve settles every row with no
-    certifying re-solve, no pass and no move graph."""
+    certifying re-solve and no pass."""
     table = np.random.default_rng(75).uniform(0.0, 1.0, (5, 20))
     table[np.arange(5), np.arange(5)] += 10.0
     assignment, _ = hungarian_max(table)
     assert assignment.pair_to_cu == (0, 1, 2, 3, 4)
     assert len(lsa_calls) == 1
     assert not passes
-    assert not graphs
 
 
-def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
+def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes):
     """With one optimal mapping, the re-solve with every entry left of that
     mapping raised past the tie bound finds no higher total, so the first
     solve settles every row: the first solve and the certifying one, and no
-    pass or move graph."""
+    pass."""
     table = np.random.default_rng(76).uniform(0.0, 1.0, (32, 64))
     assignment, _ = hungarian_max(table)
     _, cols = linear_sum_assignment(table, maximize=True)
@@ -168,7 +167,6 @@ def test_tie_free_table_needs_only_the_first_solve(lsa_calls, passes, graphs):
     assert any(c > r for r, c in enumerate(cols))  # rows do have columns to their left
     assert len(lsa_calls) == 2
     assert not passes
-    assert not graphs
 
 
 def test_each_table_is_certified_on_its_own(lsa_calls, passes, tie_breaks):
@@ -216,6 +214,7 @@ def test_total_is_the_first_solves_sum(d):
         ):
             assignment, total = hungarian_max(table)
             assert total.hex() == first_solve_total(table).hex()
+            assert first_optimum(table)[0].hex() == first_solve_total(table).hex()
             own = float(table[np.arange(d), list(assignment.pair_to_cu)].sum())
             assert abs(own - total) <= 2e-12 * max(1.0, abs(total))
 
@@ -231,10 +230,12 @@ def test_total_is_the_first_solves_sum_on_near_ties():
             table = _planted_three_cycles(rng, d, int(rng.integers(d, 13)), (gap,))
             table = table * rng.choice([1.0, 3e7])
             assert hungarian_max(table)[1].hex() == first_solve_total(table).hex()
+            assert first_optimum(table)[0].hex() == first_solve_total(table).hex()
     for built in _scheme_tables(rng):
         rows, cols = rng.permutation(32), rng.permutation(64)
         for table in built + [t[rows][:, cols] for t in built]:
             assert hungarian_max(table)[1].hex() == first_solve_total(table).hex()
+            assert first_optimum(table)[0].hex() == first_solve_total(table).hex()
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -260,7 +261,7 @@ def test_three_cycle_tie_reaches_the_pass(order, passes):
     assert uses_useful or first == list(lexicographic_best(table))
 
 
-def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, graphs):
+def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes):
     """Each row ties its optimal column with one further right, so other
     optimal mappings exist, but none moves a row left.  The first solve
     gives rows 0..3 columns 0..3, so every column left of a row's column is
@@ -276,21 +277,19 @@ def test_ties_right_of_the_first_solve_need_no_extra_solves(lsa_calls, passes, g
     assert total == enumerate_best(table)
     assert len(lsa_calls) == 1
     assert not passes
-    assert not graphs
 
 
-def test_each_checked_column_costs_one_solve(lsa_calls, passes, graphs):
+def test_each_checked_column_costs_one_solve(lsa_calls, passes):
     """Three equal rows [0, 1, 0]: every mapping that gives column 1 to a
     row is optimal, and the first solve gives row 0 a column right of 0, so
     both certifying re-solves (left entries, then useful ones) fail.
     Checking column 0 for row 0 is then one solve of rows 1 and 2 without
     it, and that solve's completion settles rows 1 and 2: four solves in
-    all, after one move graph and one pass."""
+    all, after one pass."""
     assignment, total = hungarian_max(np.array([[0.0, 1.0, 0.0]] * 3))
     assert assignment.pair_to_cu == (0, 1, 2)
     assert total == 1.0
     assert len(lsa_calls) == 4
-    assert len(graphs) == 1
     assert len(passes) == 1
 
 
@@ -347,12 +346,6 @@ def test_near_tie_tables_vs_lexicographic_enumeration(scale, gap):
         assert assignment.pair_to_cu == lexicographic_best(table)
 
 
-def mapping_graph(table: np.ndarray, cols: np.ndarray):
-    """`_mapping_graph` of a (D, K) table and its mapping ``cols``."""
-    own = table[np.arange(len(cols)), cols]
-    return d2dpa.assignment._mapping_graph(table, cols, own)
-
-
 def assert_forcing_loss_enumerated(table: np.ndarray) -> None:
     """The forcing loss of ``table`` at scipy's mapping is the optimum minus
     the best total of any mapping through each entry, by enumeration."""
@@ -363,7 +356,7 @@ def assert_forcing_loss_enumerated(table: np.ndarray) -> None:
     best_through = np.full((d, k), -np.inf)
     for r in range(d):
         np.maximum.at(best_through[r], perms[:, r], totals)
-    loss = d2dpa.assignment._forcing_loss(*mapping_graph(table, cols))
+    loss = d2dpa.assignment._forcing_loss(table, cols)
     np.testing.assert_allclose(loss, totals.max() - best_through, atol=1e-9)
 
 
@@ -450,13 +443,37 @@ def _soundness_tables(rng):
 
 def _no_certificate(*args):
     """`_left_certified` that certifies no table, so every table takes the
-    full route: the move graph, the pass and the tie-break."""
+    full route: the pass and the tie-break."""
     return False
 
 
+def test_uncertified_table_without_near_left_columns_keeps_the_first_solve(
+    monkeypatch, lsa_calls, passes, tie_breaks
+):
+    """A table that fails the certificate goes to the tie-break after one
+    pass.  Where no near column lies left of a row's first-solve column, as
+    on tie-free tables, the tie-break re-solves nothing and returns the
+    first mapping: one LSA call, one pass and one tie-break per table."""
+    monkeypatch.setattr(d2dpa.assignment, "_left_certified", _no_certificate)
+    rng = np.random.default_rng(86)
+    for d, k in ((1, 4), (5, 20), (8, 8), (32, 64)):
+        table = rng.uniform(0.0, 1.0, (d, k))
+        _, cols = linear_sum_assignment(table, maximize=True)
+        lsa_calls.clear()
+        passes.clear()
+        tie_breaks.clear()
+        assignment, total = hungarian_max(table)
+        assert assignment.pair_to_cu == tuple(cols.tolist())
+        assert total.hex() == first_solve_total(table).hex()
+        assert any(c > r for r, c in enumerate(cols))  # rows do have columns to their left
+        assert len(lsa_calls) == 1
+        assert len(passes) == 1
+        assert len(tie_breaks) == 1
+
+
 def test_left_certificate_is_sound(monkeypatch):
-    """Wherever the certificate holds, the full route (the move graph, the
-    pass and the tie-break, taken by making the certificate fail) returns
+    """Wherever the certificate holds, the full route (the pass and the
+    tie-break, taken by making the certificate fail) returns
     the same mapping and total bits.  The tables make the certificate hold
     and fail many times each."""
     real = d2dpa.assignment._left_certified
@@ -517,13 +534,13 @@ def _planted_swap(rng, d, k):
     return table, cols.tolist(), swap.tolist()
 
 
-def test_swaps_that_move_the_first_row_right_are_certified(lsa_calls, passes, graphs):
+def test_swaps_that_move_the_first_row_right_are_certified(lsa_calls, passes):
     """The only other optimum moves its first differing row right and a
     later row left, onto a column an earlier row holds.  Its left move fails
     the re-solve that raises every entry left of the first mapping; it is
     no useful entry, so the first solve, which returns the smaller mapping,
     is certified by the re-solve that raises the useful entries only
-    (column 0 is free, so some exist): three solves, no graph and no pass."""
+    (column 0 is free, so some exist): three solves and no pass."""
     rng = np.random.default_rng(84)
     for _ in range(60):
         d = int(rng.integers(2, 9))
@@ -535,7 +552,6 @@ def test_swaps_that_move_the_first_row_right_are_certified(lsa_calls, passes, gr
         assert assignment.pair_to_cu == tuple(smaller)
         assert total >= float(table[range(d), swap].sum())
         assert len(lsa_calls) == 3
-        assert not graphs
         assert not passes
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -23,22 +24,32 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _imported_names(module: str) -> set[str]:
+    """Names that the d2dpa module file ``module`` imports with ``from``."""
+    tree = ast.parse((pathlib.Path(d2dpa.__file__).resolve().parent / module).read_text())
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_kernel_modules_use_no_object_model_names():
     """`fdsic` and `fdnosic` hold array code only: turning their arrays into
     `PaSolution`s and the like is `solvers`' job."""
-    import ast
-
     model_names = {
         "ChannelGains", "PaSolution", "PowerTriplet", "Scenario", "ScenarioKind",
         "DecodingOrder", "gain_block",
     }
-    home = pathlib.Path(d2dpa.__file__).resolve().parent
     for module in ("fdsic.py", "fdnosic.py"):
-        tree = ast.parse((home / module).read_text())
-        imported = {
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        }
-        assert not imported & model_names, module
+        assert not _imported_names(module) & model_names, module
+
+
+def test_campaigns_total_tables_through_first_optimum():
+    """`sim` imports no assignment solver: the rule that a table's total is
+    its sum over scipy's first optimal mapping lives in
+    `assignment.first_optimum` alone."""
+    imported = _imported_names("sim.py")
+    assert "linear_sum_assignment" not in imported
+    assert "first_optimum" in imported
