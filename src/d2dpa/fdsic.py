@@ -385,12 +385,6 @@ def segment_best(seg: Segments, h, params: SystemParams, limits: PowerLimits) ->
     return upper, np.where(upper, p[:, 1], p[:, 0]), np.maximum(rates[0], rates[1])
 
 
-def _pair_subset(x, idx):
-    """`Segments` (or any tuple tree of arrays ending in the pair axis) of
-    the pairs ``idx`` only."""
-    return type(x)(*(_pair_subset(v, idx) for v in x)) if isinstance(x, tuple) else x[..., idx]
-
-
 # seg j is dropped as a duplicate of seg i only for i < j.
 _EARLIER = np.tri(4, k=-1, dtype=bool)[..., None]
 
@@ -452,7 +446,7 @@ def fd_sic_batch(h, params: SystemParams, limits: PowerLimits, pu_m, m1_first) -
     # pair), tried segments in rank order and steps within each.
     redo = np.flatnonzero(usable > ok)
     if redo.size:
-        sub, m = _pair_subset(seg, redo), len(redo)
+        sub, m = seg._make(v[..., redo] for v in seg), len(redo)
         t_sub = np.where(upper[:, redo], sub.ends[1], sub.ends[0])
         steps = np.array(PULL_IN)[:, None, None]
         t_steps = t_sub + (0.5 * (sub.ends[0] + sub.ends[1]) - t_sub) * steps

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,25 +138,17 @@ _SQRT3_2 = math.sqrt(3.0) / 2.0
 def in_hexagon(x, y, radius: float):
     """True where (x, y) lies inside the cell: within the apothem of the
     horizontal edges and of the two slanted edge pairs.  ``x`` and ``y`` may
-    be floats or arrays that broadcast."""
+    be floats, tested without a numpy call, or arrays that broadcast."""
     ax, ay = abs(x), abs(y)
-    return np.maximum(ay, _SQRT3_2 * ax + 0.5 * ay) <= radius * _SQRT3_2 * (1.0 + 1e-12)
-
-
-def _uniform_hexagon_point(draw: Callable[[], float], radius: float) -> tuple[float, float]:
-    """A point uniform over the hexagon, from the doubles in [0, 1) that
-    ``draw`` returns, mapped as ``Generator.uniform`` maps them."""
-    while True:
-        x = -radius + 2.0 * radius * draw()
-        y = -radius + 2.0 * radius * draw()
-        if in_hexagon(x, y, radius):
-            return x, y
+    bound = radius * _SQRT3_2 * (1.0 + 1e-12)
+    return (ay <= bound) & (_SQRT3_2 * ax + 0.5 * ay <= bound)
 
 
 def _partner(
-    draw: Callable[[], float], x: float, y: float, config: SimConfig
+    rng: np.random.Generator, x: float, y: float, config: SimConfig
 ) -> tuple[float, float]:
-    """The second device of a pair whose first device is at (x, y).
+    """The second device of a pair whose first device is at (x, y), drawn
+    one ``rng.random()`` double at a time.
 
     It sits along a uniform direction at distance d_max_m (fixed law) or at
     a uniform distance in [0, d_max_m], and is re-drawn until it falls inside
@@ -169,24 +160,23 @@ def _partner(
     radius = config.cell_radius_m
     reach = min(config.d_max_m, 2.0 * radius)
     while True:
-        r = config.d_max_m if config.pair_distance_law == "fixed" else reach * draw()
-        phi = 2.0 * math.pi * draw()
+        r = config.d_max_m if config.pair_distance_law == "fixed" else reach * rng.random()
+        phi = 2.0 * math.pi * rng.random()
         px, py = x + r * math.cos(phi), y + r * math.sin(phi)
         if in_hexagon(px, py, radius):
             return px, py
 
 
-def _uniform_hexagon_points(
-    rng: np.random.Generator, n: int, radius: float
-) -> tuple[np.ndarray, list[float]]:
-    """The first ``n`` points that `_uniform_hexagon_point` draws from the
-    doubles of successive ``rng.random()`` calls, all tested at once, and
-    the doubles drawn past the last of them.
+def _uniform_hexagon_points(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    """The (n, 2) points, uniform over the hexagon, of ``n`` scalar rejection
+    draws: attempt i maps the generator's doubles 2i and 2i + 1 as
+    ``Generator.uniform`` maps them, and is kept if it lies in the cell.
 
-    Attempt i maps doubles 2i and 2i + 1.  The generator runs ahead of the
-    doubles used, so only a caller that draws nothing else from it, or
-    draws on from the returned doubles, may use this.
+    The attempts are drawn and tested in blocks.  The generator's state is
+    then restored and only the doubles used are drawn again, so it is left
+    where the scalar draws would leave it and a caller may draw on from it.
     """
+    state = rng.bit_generator.state
     u = rng.random(2 * n + 64)
     while True:
         xy = -radius + 2.0 * radius * u.reshape(-1, 2)
@@ -194,24 +184,9 @@ def _uniform_hexagon_points(
         if len(hit) >= n:
             break
         u = np.concatenate((u, rng.random(2 * (n - len(hit)) + 64)))
-    used = 2 * hit[n - 1] + 2 if n else 0
-    return xy[hit[:n]], u[used:].tolist()
-
-
-def _block_draws(rng: np.random.Generator, head: list[float]) -> Callable[[], float]:
-    """The doubles ``head``, then those of successive ``rng.random()``
-    calls, drawn 64 at a time.
-
-    The generator runs ahead of the doubles handed out, so only a caller
-    that draws nothing else from it may use this.
-    """
-
-    def doubles():
-        yield from head
-        while True:
-            yield from rng.random(64).tolist()
-
-    return doubles().__next__
+    rng.bit_generator.state = state
+    rng.random(2 * hit[n - 1] + 2 if n else 0)
+    return xy[hit[:n]]
 
 
 @dataclass(frozen=True)
@@ -226,18 +201,16 @@ class Deployment:
 def generate_deployment(config: SimConfig, seed) -> Deployment:
     """Drop CUs and device pairs uniformly in the cell.
 
-    The CUs, then the first device of each pair, are uniform over the
-    hexagon: the first K + D points that pass one vector hexagon test over
-    the doubles of the trial's generator (`_uniform_hexagon_points`).  Each
-    partner is then drawn by `_partner`, one double at a time, from the
-    doubles that follow.  The points are those of one scalar rejection draw
-    after another, bit for bit.
+    The CUs, then the first device of each pair, are the K + D points of one
+    hexagon draw (`_uniform_hexagon_points`), which leaves the trial's
+    generator where K + D scalar rejection draws would.  Each partner is
+    then drawn by `_partner` from the doubles that follow, so the points are
+    those of one scalar rejection draw after another, bit for bit.
     """
     rng = np.random.default_rng(seed)
     k, d = config.k_users, config.d_pairs
-    points, rest = _uniform_hexagon_points(rng, k + d, config.cell_radius_m)
-    draw = _block_draws(rng, rest)
-    d2 = np.array([_partner(draw, x, y, config) for x, y in points[k:].tolist()])
+    points = _uniform_hexagon_points(rng, k + d, config.cell_radius_m)
+    d2 = np.array([_partner(rng, x, y, config) for x, y in points[k:].tolist()])
     return Deployment(cu_xy=points[:k], d1_xy=points[k:], d2_xy=d2.reshape(d, 2))
 
 
@@ -375,14 +348,16 @@ def sample_combo_gains(rng: np.random.Generator, config: SimConfig) -> ChannelGa
     """One random (pair, CU) gain draw from the deployment distribution.
 
     Convenience for solver validation: a single pair and a single CU dropped
-    in the cell of ``config`` with its propagation model.
+    in the cell of ``config`` with its propagation model.  The first device
+    and the CU are one-point hexagon draws (`_uniform_hexagon_points`), the
+    partner a `_partner` draw between them, and the six shadowing draws
+    follow on the same generator: the stream of scalar rejection draws.
     """
     check_campaign(config)
     radius = config.cell_radius_m
-    # Scalar draws: the shadowing draws below continue on the same generator.
-    d1 = _uniform_hexagon_point(rng.random, radius)
-    d2 = _partner(rng.random, *d1, config)
-    cu = _uniform_hexagon_point(rng.random, radius)
+    d1 = _uniform_hexagon_points(rng, 1, radius)[0].tolist()
+    d2 = _partner(rng, *d1, config)
+    cu = _uniform_hexagon_points(rng, 1, radius)[0].tolist()
     alpha = config.path_loss_exponent
     std = config.shadowing_std_db
 
