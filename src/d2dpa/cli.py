@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -54,8 +55,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_kv_file(path: str) -> list[tuple[int, str, str]]:
-    entries = []
+# Each quantity that input files may give in either of two units: its key,
+# its key in the other unit, and the conversion from that unit.
+_ALTERNATES = {
+    **{k: (k + "_db", db_to_linear) for k in GAIN_FIELDS},
+    "noise_w": ("noise_dbm", dbm_to_watts),
+    "eta1": ("eta1_db", db_to_linear),
+    "eta2": ("eta2_db", db_to_linear),
+    "r_u_min_bps": ("r_u_min_mbps", lambda v: v * 1e6),
+    **{k: (k[:-2] + "_dbm", dbm_to_watts) for k in ("p1_max_w", "p2_max_w", "pu_max_w")},
+}
+
+
+def _read_kv_file(path: str, known) -> dict[str, tuple[int, str]]:
+    """The ``key = value`` lines of ``path`` as {key: (lineno, value)}, in
+    file order: each key in ``known``, given once, and no quantity of
+    `_ALTERNATES` given in both units."""
+    entries: dict[str, tuple[int, str]] = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -64,10 +80,17 @@ def _parse_kv_file(path: str) -> list[tuple[int, str, str]]:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-                key, value = line.split("=", 1)
-                entries.append((lineno, key.strip(), value.strip()))
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in known:
+                    raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+                if key in entries:
+                    raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
+                entries[key] = (lineno, value)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    for base, (alt, _) in _ALTERNATES.items():
+        if base in entries and alt in entries:
+            raise CliError(f"{path}: give only one of {base!r} and {alt!r}")
     return entries
 
 
@@ -82,64 +105,25 @@ def _to_float(path: str, lineno: int, key: str, value: str) -> float:
 # solve
 
 
-_PARAM_KEYS = {
-    "bandwidth_hz",
-    "noise_w",
-    "noise_dbm",
-    "eta1",
-    "eta1_db",
-    "eta2",
-    "eta2_db",
-    "r_u_min_bps",
-    "r_u_min_mbps",
-}
-_LIMIT_KEYS = {
-    "p1_max_w",
-    "p1_max_dbm",
-    "p2_max_w",
-    "p2_max_dbm",
-    "pu_max_w",
-    "pu_max_dbm",
-}
+# Each other-unit key of `_ALTERNATES`, with its quantity's key and conversion.
+_BY_ALTERNATE = {alt: (base, convert) for base, (alt, convert) in _ALTERNATES.items()}
 
 
 def _load_instance(path: str) -> tuple[ChannelGains, SystemParams, PowerLimits]:
-    known = set(GAIN_FIELDS) | {k + "_db" for k in GAIN_FIELDS} | _PARAM_KEYS | _LIMIT_KEYS
-    values: dict[str, float] = {}
-    for lineno, key, value in _parse_kv_file(path):
-        if key not in known:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _to_float(path, lineno, key, value)
-
-    def pick(base: str, alt: str, convert, required: bool = True, default: float = 0.0) -> float:
-        if base in values and alt in values:
-            raise CliError(f"{path}: give only one of {base!r} and {alt!r}")
-        if base in values:
-            return values[base]
-        if alt in values:
-            return convert(values[alt])
-        if required:
-            raise CliError(f"{path}: missing required key {base!r} (or {alt!r})")
-        return default
-
-    if "bandwidth_hz" not in values:
-        raise CliError(f"{path}: missing required key 'bandwidth_hz'")
-    gains = ChannelGains(**{k: pick(k, k + "_db", db_to_linear) for k in GAIN_FIELDS})
-    params = SystemParams(
-        bandwidth_hz=values["bandwidth_hz"],
-        noise_w=pick("noise_w", "noise_dbm", dbm_to_watts),
-        eta1=pick("eta1", "eta1_db", db_to_linear),
-        eta2=pick("eta2", "eta2_db", db_to_linear),
-        r_u_min_bps=pick("r_u_min_bps", "r_u_min_mbps", lambda v: v * 1e6),
+    entries = _read_kv_file(path, {"bandwidth_hz", *_ALTERNATES, *_BY_ALTERNATE})
+    values = {}
+    for key, (lineno, value) in entries.items():
+        base, convert = _BY_ALTERNATE.get(key, (key, float))
+        values[base] = convert(_to_float(path, lineno, key, value))
+    for key in ("bandwidth_hz", *_ALTERNATES):
+        if key not in values:
+            alt = f" (or {_ALTERNATES[key][0]!r})" if key in _ALTERNATES else ""
+            raise CliError(f"{path}: missing required key {key!r}{alt}")
+    return (
+        ChannelGains(**{k: values[k] for k in GAIN_FIELDS}),
+        SystemParams(**{f.name: values[f.name] for f in fields(SystemParams)}),
+        PowerLimits(**{f.name: values[f.name] for f in fields(PowerLimits)}),
     )
-    limits = PowerLimits(
-        p1_max_w=pick("p1_max_w", "p1_max_dbm", dbm_to_watts),
-        p2_max_w=pick("p2_max_w", "p2_max_dbm", dbm_to_watts),
-        pu_max_w=pick("pu_max_w", "pu_max_dbm", dbm_to_watts),
-    )
-    return gains, params, limits
 
 
 def _fmt_power(p_w: float) -> str:
@@ -182,41 +166,37 @@ def cmd_solve(args) -> int:
 
 
 _SWEEP_KEYS = ("eta_db", "r_u_min_mbps", "d_max_m", "k_users", "d_pairs")
+_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
+# The other-unit keys of `SimConfig`'s quantities, which a sweep file takes.
+_SWEEP_ALTERNATES = {
+    alt: (base, convert) for alt, (base, convert) in _BY_ALTERNATE.items() if base in _CONFIG_FIELDS
+}
 
 
 def _load_sweep_config(path: str) -> tuple[SimConfig, str, list[float]]:
-    config_names = {f.name for f in fields(SimConfig)}
-    known = config_names | {"r_u_min_mbps"}
-    scalars: dict[str, float] = {}
-    strings: dict[str, str] = {}
+    overrides: dict[str, float | int | str] = {}
     sweep: tuple[str, list[float]] | None = None
-    for lineno, key, value in _parse_kv_file(path):
-        if key not in known:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+    entries = _read_kv_file(path, _CONFIG_FIELDS | _SWEEP_ALTERNATES.keys())
+    for key, (lineno, value) in entries.items():
         if key == "pair_distance_law":
-            strings[key] = value
-            continue
-        if "," in value:
+            overrides[key] = value
+        elif "," in value:
             if key not in _SWEEP_KEYS:
                 raise CliError(f"{path}:{lineno}: key {key!r} cannot be swept")
             if sweep is not None:
                 raise CliError(f"{path}:{lineno}: a campaign takes exactly one sweep axis")
             sweep = (key, [_to_float(path, lineno, key, v) for v in value.split(",")])
         else:
-            scalars[key] = _to_float(path, lineno, key, value)
+            overrides.update(_sweep_override(key, _to_float(path, lineno, key, value)))
     if sweep is None:
         raise CliError(f"{path}: no sweep axis found (one key must hold a comma list)")
-
-    overrides: dict[str, float | int] = {}
-    for k, v in scalars.items():
-        overrides.update(_sweep_override(k, v))
-    base = SimConfig(**overrides, **strings)
-    return base, sweep[0], sweep[1]
+    return SimConfig(**overrides), sweep[0], sweep[1]
 
 
 def _sweep_override(key: str, value: float) -> dict[str, float | int]:
-    if key == "r_u_min_mbps":
-        return {"r_u_min_bps": value * 1e6}
+    if key in _SWEEP_ALTERNATES:
+        base, convert = _SWEEP_ALTERNATES[key]
+        return {base: convert(value)}
     if key in INT_FIELDS:
         if not value.is_integer():
             raise CliError(f"key {key!r} needs an integer, got {value!r}")
@@ -251,35 +231,33 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, **_sweep_override(sweep_key, v)) for v in sweep_values]
     for config in configs:
         check_campaign(config)
-    # and so is --out, opened in append mode to leave an existing file as it is
+    # and so is --out, opened in append mode to leave an existing file as it
+    # is; a file the probe created is removed again if the sweep fails
+    created = not os.path.exists(args.out)
     try:
         open(args.out, "a").close()
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}") from exc
-    rows = []
-    for value, config in zip(sweep_values, configs):
-        result = run_campaign(config)
-        for kind in SCENARIOS:
-            rows.append(
-                (
-                    sweep_key,
-                    _g9(value),
-                    kind.value,
-                    _g9(result.mean_total_bps(kind)),
-                    _g9(result.mean_per_pair_bps(kind)),
-                    _g9(result.mean_sic_pairs(kind)),
-                    _g9(result.ci95_bps(kind)),
-                    str(config.trials),
-                    str(config.master_seed),
-                )
-            )
     try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}") from exc
+        rows = []
+        for value, config in zip(sweep_values, configs):
+            result = run_campaign(config)
+            for kind in SCENARIOS:
+                stats = (result.mean_total_bps(kind), result.mean_per_pair_bps(kind),
+                         result.mean_sic_pairs(kind), result.ci95_bps(kind))
+                rows.append((sweep_key, _g9(value), kind.value, *map(_g9, stats),
+                             str(config.trials), str(config.master_seed)))
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(CSV_COLUMNS)
+                writer.writerows(rows)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -404,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             "assign": cmd_assign,
         }[args.command]
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, OverflowError) as exc:  # input values out of range
+    except (CliError, ValueError, OverflowError) as exc:  # bad input or values out of range
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -13,11 +13,24 @@ from enum import Enum
 import numpy as np
 
 
-def check_array(name: str, values, strict: bool, where=True) -> None:
-    """The scalar types' "finite and > 0" (``strict``) or "finite and >= 0"
-    check over an array, on the entries ``where`` selects.
+def check_fields(obj, names, strict: bool) -> None:
+    """The "finite and > 0" (``strict``) or "finite and >= 0" rule of the
+    scalar types, on each named float field of ``obj``; `check_array` is
+    its array form.
 
-    Raises the same ValueError as the scalar check would, naming the field
+    Raises ValueError naming the first failing field and its value.
+    """
+    for name in names:
+        v = getattr(obj, name)
+        if not (math.isfinite(v) and (v > 0.0 if strict else v >= 0.0)):
+            raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {v!r}")
+
+
+def check_array(name: str, values, strict: bool, where=True) -> None:
+    """`check_fields`' "finite and > 0" (``strict``) or "finite and >= 0"
+    rule over an array, on the entries ``where`` selects.
+
+    Raises the same ValueError as `check_fields` would, naming the field
     and the first failing value.
     """
     values = np.asarray(values)
@@ -62,10 +75,7 @@ class ChannelGains:
     h_b_u: float
 
     def __post_init__(self) -> None:
-        for name in GAIN_FIELDS:
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        check_fields(self, GAIN_FIELDS, strict=True)
 
     def swapped_devices(self) -> "ChannelGains":
         """Gains with the device indices 1 and 2 exchanged."""
@@ -108,10 +118,7 @@ class SystemParams:
     r_u_min_bps: float
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth_hz", "noise_w"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        check_fields(self, ("bandwidth_hz", "noise_w"), strict=True)
         for name in ("eta1", "eta2"):
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):  # also rejects NaN
@@ -138,10 +145,7 @@ class PowerLimits:
     pu_max_w: float
 
     def __post_init__(self) -> None:
-        for name in ("p1_max_w", "p2_max_w", "pu_max_w"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        check_fields(self, ("p1_max_w", "p2_max_w", "pu_max_w"), strict=True)
 
     def swapped_devices(self) -> "PowerLimits":
         return PowerLimits(self.p2_max_w, self.p1_max_w, self.pu_max_w)
@@ -156,10 +160,7 @@ class PowerTriplet:
     pu_w: float
 
     def __post_init__(self) -> None:
-        for name in ("p1_w", "p2_w", "pu_w"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        check_fields(self, ("p1_w", "p2_w", "pu_w"), strict=False)
 
 
 class ScenarioKind(Enum):

@@ -28,6 +28,7 @@ from .model import (
     PowerLimits,
     ScenarioKind,
     SystemParams,
+    check_fields,
     db_to_linear,
     dbm_to_watts,
 )
@@ -87,18 +88,13 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not 0 <= self.d_pairs <= self.k_users <= self.n_channels:
             raise ValueError("need d_pairs <= k_users <= n_channels")
-        for name in ("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        check_fields(self, ("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"),
+                     strict=True)
         # A 1 THz ceiling, far above any radio channel: rates stay below 1024
         # bit/s per Hz, so a trial's total and the CI's squares stay finite.
         if self.total_bandwidth_mhz > 1e6:
             raise ValueError(f"total_bandwidth_mhz must be <= 1e6, got {self.total_bandwidth_mhz!r}")
-        for name in ("d_max_m", "shadowing_std_db", "r_u_min_bps"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+        check_fields(self, ("d_max_m", "shadowing_std_db", "r_u_min_bps"), strict=False)
         for name in ("path_loss_ref_db", "p_max_dbm", "noise_dbm", "eta_db"):
             v = getattr(self, name)
             if not abs(v) <= 3000.0:  # rejects NaN; 10^(v/10) stays in (0, inf)

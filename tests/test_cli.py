@@ -82,6 +82,12 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_quantity_in_both_units_rejected(self, tmp_path, capsys):
+        path = tmp_path / "both.txt"
+        path.write_text(INSTANCE + "noise_w = 1e-15\n")
+        assert main(["solve", str(path)]) == 1
+        assert "give only one of 'noise_w' and 'noise_dbm'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -313,6 +319,43 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
         assert "d_max_m must be <= cell_radius_m" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eta_db = -130, -110\neta_db = -90\n", "dup.cfg:2: duplicate key 'eta_db'"),
+            ("r_u_min_bps = 1e6\nr_u_min_mbps = 2\neta_db = -130, -110\n",
+             "dup.cfg: give only one of 'r_u_min_bps' and 'r_u_min_mbps'"),
+            ("r_u_min_bps = 1e6\nr_u_min_mbps = 1, 2\n",
+             "dup.cfg: give only one of 'r_u_min_bps' and 'r_u_min_mbps'"),
+        ],
+    )
+    def test_key_given_twice_exits_1_before_any_campaign(
+        self, tmp_path, capsys, monkeypatch, text, message
+    ):
+        def no_campaign(config):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr("d2dpa.cli.run_campaign", no_campaign)
+        config = tmp_path / "dup.cfg"
+        config.write_text(text)
+        out = tmp_path / "z.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [None, b"kept,as,it,was\n"])
+    def test_failed_sweep_leaves_out_as_it_found_it(self, tmp_path, capsys, existing):
+        """A campaign that fails midway removes the CSV the writability probe
+        created, and leaves a file that was there before byte-identical."""
+        config = tmp_path / "fail.cfg"
+        config.write_text("path_loss_ref_db = -3000\ntrials = 2\nd_max_m = 50, 100\n")
+        out = tmp_path / "out.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert "D2D rate inf must be finite and >= 0" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == existing
 
     @pytest.mark.parametrize(
         "text, key",

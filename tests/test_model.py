@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import BW_HZ, NOISE_W, make_params
 from d2dpa.model import (
+    GAIN_FIELDS,
     ChannelGains,
     PowerLimits,
     PowerTriplet,
@@ -200,6 +202,27 @@ class TestValidation:
             SystemParams(BW_HZ, NOISE_W, 1.5, 1e-10, 0.0)
         with pytest.raises(ValueError):
             SystemParams(BW_HZ, 0.0, 1e-10, 1e-10, 0.0)
+
+    @pytest.mark.parametrize(
+        "build, name, bound, bad",
+        [
+            (build, name, bound, bad)
+            for build, names, bound in (
+                (make_gains, GAIN_FIELDS, ">"),
+                (lambda **kw: dataclasses.replace(make_params(), **kw), ("bandwidth_hz", "noise_w"), ">"),
+                (lambda **kw: PowerLimits(**{"p1_max_w": 0.25, "p2_max_w": 0.25, "pu_max_w": 0.25, **kw}),
+                 ("p1_max_w", "p2_max_w", "pu_max_w"), ">"),
+                (lambda **kw: PowerTriplet(**{"p1_w": 0.0, "p2_w": 0.0, "pu_w": 0.0, **kw}),
+                 ("p1_w", "p2_w", "pu_w"), ">="),
+            )
+            for name in names
+            for bad in (math.nan, math.inf, -1.0, *((0.0,) if bound == ">" else ()))
+        ],
+    )
+    def test_sign_rule_messages_pinned(self, build, name, bound, bad):
+        with pytest.raises(ValueError) as info:
+            build(**{name: bad})
+        assert str(info.value) == f"{name} must be finite and {bound} 0, got {bad!r}"
 
     def test_scenario_field_consistency(self):
         from d2dpa.model import DecodingOrder

@@ -759,6 +759,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=name):
             SimConfig(**{name: bad})
 
+    @pytest.mark.parametrize(
+        "name, bad, bound",
+        [
+            (name, bad, bound)
+            for names, bound in (
+                (("cell_radius_m", "path_loss_exponent", "total_bandwidth_mhz"), ">"),
+                (("d_max_m", "shadowing_std_db", "r_u_min_bps"), ">="),
+            )
+            for name in names
+            for bad in (math.nan, math.inf, -1.0, *((0.0,) if bound == ">" else ()))
+        ],
+    )
+    def test_sign_rule_messages_pinned(self, name, bad, bound):
+        with pytest.raises(ValueError) as info:
+            SimConfig(**{name: bad})
+        assert str(info.value) == f"{name} must be finite and {bound} 0, got {bad!r}"
+
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), np.float64(4.0), "4", None])
     @pytest.mark.parametrize("name", ["n_channels", "k_users", "d_pairs", "trials", "master_seed"])
     def test_non_integer_counts_rejected(self, name, bad):
